@@ -30,6 +30,7 @@ from .mq import (
     decompose,
     filter_order,
     mq_intensity,
+    mq_intensities,
     phase_cycle_decompose,
 )
 from .nonunitary import (
@@ -45,6 +46,7 @@ from .pipeline import (
     PipelineReport,
     default_saturation,
     locate_maximum,
+    pseudopure_fidelity,
     run_pipeline,
 )
 from .spectrum import (
@@ -108,11 +110,13 @@ __all__ = [
     "load_couplings",
     "locate_maximum",
     "merge_peaks",
+    "mq_intensities",
     "mq_intensity",
     "mq_intensity_extractor",
     "negated",
     "phase_cycle_decompose",
     "population_extractor",
+    "pseudopure_fidelity",
     "run_pipeline",
     "saturate",
     "secular_dipolar_hamiltonian",

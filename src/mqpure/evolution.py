@@ -2,7 +2,11 @@
 
 Propagation uses one Hermitian eigendecomposition per Hamiltonian, which
 is exact for time-independent generators and lets a whole sweep reuse a
-single factorization.
+single factorization.  The decomposition is kept per invariant block:
+a Hamiltonian with no element between even- and odd-popcount states
+(the double-quantum one flips spins in pairs) splits into two half-size
+real blocks, and propagation only touches the block pairs in which the
+state has nonzero elements.
 
 Couplings are cyclic frequencies, so the default propagation phase for a
 dimensionless time t (units of the inverse reference coupling) is
@@ -16,12 +20,23 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .spin_core import DensityMatrix, Operator, ZeemanBasis, _frozen_array
+from .spin_core import (
+    DensityMatrix,
+    Operator,
+    ZeemanBasis,
+    _frozen_array,
+    adjoint,
+    eigh_blocks,
+    embed_blocks,
+    gemm,
+    popcounts,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -32,31 +47,51 @@ Extractor = Callable[[np.ndarray], float]
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigendecomposition of a Hermitian operator.
+    """Eigendecomposition of a Hermitian operator, kept per invariant block.
 
-    Eigenvalues ascend; eigenvector columns are orthonormal and ordered
-    accordingly (degenerate subspaces come out in the deterministic order
-    produced by the dense symmetric solver).
+    ``blocks`` is a tuple of :class:`~mqpure.spin_core.EigenBlock` whose
+    states partition the basis.  The dense views ``eigenvalues``
+    (ascending over all blocks) and ``eigenvectors`` (orthonormal columns
+    in the same order, zero outside their block) are assembled on first
+    use; degenerate subspaces come out in the deterministic order produced
+    by the dense symmetric solver on each block.
     """
 
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues, float))
-        object.__setattr__(self, "eigenvectors", _frozen_array(self.eigenvectors, complex))
+    blocks: tuple = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return sum(block.states.size for block in self.blocks)
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        values = np.concatenate([block.eigenvalues for block in self.blocks])
+        return np.argsort(values, kind="stable")
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        values = np.concatenate([block.eigenvalues for block in self.blocks])
+        return _frozen_array(values[self._order])
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return _frozen_array(embed_blocks(self.blocks, self.dim)[:, self._order])
 
 
 def diagonalize(h: Operator) -> EigenSystem:
-    """Eigendecompose a Hermitian operator (ascending eigenvalues)."""
+    """Eigendecompose a Hermitian operator (ascending eigenvalues).
+
+    When every element between an even- and an odd-popcount state is
+    exactly zero, the two parity blocks are diagonalized separately;
+    otherwise the whole matrix is one block.
+    """
     if not h.hermitian:
         raise ValueError("diagonalize requires an operator flagged hermitian")
-    eigenvalues, eigenvectors = np.linalg.eigh(h.matrix)
-    return EigenSystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    odd = popcounts(np.arange(h.dim)) & 1 == 1
+    groups = (np.arange(h.dim),)
+    if odd.any() and not h.matrix[np.ix_(~odd, odd)].any():
+        groups = (np.flatnonzero(~odd), np.flatnonzero(odd))
+    return EigenSystem(blocks=eigh_blocks(h.matrix, groups))
 
 
 def _phase_scale(unit: str) -> float:
@@ -70,6 +105,42 @@ def _as_eigensystem(h: Operator | EigenSystem) -> EigenSystem:
     return h if isinstance(h, EigenSystem) else diagonalize(h)
 
 
+def _eigenbasis_parts(rho: DensityMatrix, eig: EigenSystem) -> list:
+    """The nonzero block pairs of rho, moved into the eigenbasis.
+
+    Returns (flat, a, b, V_a+ rho_ab V_b) for every pair of blocks a, b
+    whose part of rho is not identically zero.  ``flat`` places the
+    transposed pair block in the raveled dense matrix: that is the layout
+    in which :func:`_propagate` gets the block out of its last product.
+    """
+    if eig.dim != rho.dim:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, hamiltonian {eig.dim}")
+    parts = []
+    for a in eig.blocks:
+        for b in eig.blocks:
+            part = rho.matrix[np.ix_(a.states, b.states)]
+            if part.any():
+                moved = gemm(gemm(adjoint(a.eigenvectors), part), b.eigenvectors)
+                flat = (b.states[:, np.newaxis] + rho.dim * a.states[np.newaxis, :]).ravel()
+                parts.append((flat, a, b, moved))
+    return parts
+
+
+def _propagate(parts: list, dim: int, phase: float) -> np.ndarray:
+    """Dense sum over block pairs of V_a e^{-i phase E_a} X_ab e^{i phase E_b} V_b+."""
+    rho_t = np.zeros((dim, dim), dtype=complex)
+    flat_rho_t = rho_t.ravel()
+    for flat, a, b, moved in parts:
+        left = np.exp(-1j * phase * a.eigenvalues)
+        right = np.exp(1j * phase * b.eigenvalues)
+        rotated = moved * np.outer(left, right)
+        block = gemm(gemm(a.eigenvectors, rotated), adjoint(b.eigenvectors))
+        # with real eigenvectors, gemm returns the transpose of a
+        # C-contiguous product, so block.T ravels without a copy
+        flat_rho_t[flat] = block.T.ravel()
+    return rho_t
+
+
 def evolve(
     rho: DensityMatrix,
     h: Operator | EigenSystem,
@@ -81,15 +152,13 @@ def evolve(
     Args:
         rho: State to propagate (any convention; preserved).
         h: Hamiltonian, or a precomputed :class:`EigenSystem` to reuse.
-        t: Time, negative for backward evolution.
+        t: Time, negative for backward evolution (exp(-i(-H)t) equals
+            exp(-iH(-t)), so reversal reuses the forward eigensystem).
         unit: "cyclic" (phase 2*pi*H*t, default) or "angular" (phase H*t).
     """
     eig = _as_eigensystem(h)
-    if eig.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, hamiltonian {eig.dim}")
-    phases = np.exp(-1j * _phase_scale(unit) * eig.eigenvalues * t)
-    u = eig.eigenvectors * phases[np.newaxis, :]
-    mat = u @ (eig.eigenvectors.conj().T @ rho.matrix @ eig.eigenvectors) @ u.conj().T
+    scale = _phase_scale(unit)
+    mat = _propagate(_eigenbasis_parts(rho, eig), rho.dim, scale * t)
     mat = 0.5 * (mat + mat.conj().T)  # strip roundoff asymmetry
     return DensityMatrix(matrix=mat, convention=rho.convention)
 
@@ -139,21 +208,18 @@ def sweep(
 ) -> SweepTable:
     """Evaluate extractors on rho(t) across a time grid.
 
-    The Hamiltonian is diagonalized once; each grid point applies the
-    spectral propagator and hands the dense rho(t) (Zeeman basis) to
+    The Hamiltonian is diagonalized once and rho0 is moved into its
+    eigenbasis once; each grid point applies the spectral propagator to
+    the nonzero block pairs and hands the dense rho(t) (Zeeman basis) to
     every extractor.
     """
     eig = _as_eigensystem(h)
-    if eig.dim != rho0.dim:
-        raise ValueError(f"dimension mismatch: state {rho0.dim}, hamiltonian {eig.dim}")
+    parts = _eigenbasis_parts(rho0, eig)
     times = np.asarray(times, dtype=float)
     scale = _phase_scale(unit)
-    v = eig.eigenvectors
-    rho_eig = v.conj().T @ rho0.matrix @ v
     data = {name: np.empty(times.size) for name in observables}
     for k, t in enumerate(times):
-        phases = np.exp(-1j * scale * eig.eigenvalues * t)
-        rho_t = (v * phases[np.newaxis, :]) @ rho_eig @ (v * phases[np.newaxis, :]).conj().T
+        rho_t = _propagate(parts, rho0.dim, scale * t)
         for name, extract in observables.items():
             data[name][k] = extract(rho_t)
     return SweepTable(times=times, columns=data)

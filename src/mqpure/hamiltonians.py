@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spin_core import Operator, SpinSystem, ZeemanBasis, single_spin_op
+from .spin_core import Operator, SpinSystem, ZeemanBasis
 
 HEXAGON_RATIOS = {1: 1.0, 2: 1.0 / (3.0 * np.sqrt(3.0)), 3: 1.0 / 8.0}
 
@@ -57,16 +57,15 @@ def dq_hamiltonian(system: SpinSystem, basis: ZeemanBasis) -> Operator:
 
     H = -(1/2) sum_{i<j} D_ij (I_i+ I_j+ + I_i- I_j-); every nonzero
     element connects states whose magnetization differs by exactly 2.
+    Built in float64 straight from bit patterns: the pair (i, j) flips
+    both spins of every state in which they are aligned.
     """
     _check_sizes(system, basis)
-    plus = [single_spin_op(basis, i, "+").matrix for i in range(system.n_spins)]
-    minus = [single_spin_op(basis, i, "-").matrix for i in range(system.n_spins)]
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for i in range(system.n_spins):
-        for j in range(i + 1, system.n_spins):
-            if system.couplings[i, j] == 0.0:
-                continue
-            h -= 0.5 * system.couplings[i, j] * (plus[i] @ plus[j] + minus[i] @ minus[j])
+    states = np.arange(basis.dim)
+    h = np.zeros((basis.dim, basis.dim))
+    for i, j, coupling in _coupled_pairs(system):
+        aligned = states[_bit(states, i) == _bit(states, j)]
+        h[aligned ^ ((1 << i) | (1 << j)), aligned] -= 0.5 * coupling
     return Operator(matrix=h)
 
 
@@ -81,19 +80,21 @@ def secular_dipolar_hamiltonian(
     """Truncated dipolar Hamiltonian that commutes with collective I_z.
 
     H = scale * sum_{i<j} D_ij (2 I_iz I_jz - (1/2)(I_i+ I_j- + I_i- I_j+)).
-    ``scale`` rescales the frequency axis only and defaults to 1.
+    ``scale`` rescales the frequency axis only and defaults to 1.  Built
+    in float64 from bit patterns: 2 I_iz I_jz is +-1/2 on the diagonal
+    as spins i and j are aligned or not, and the flip-flop term swaps
+    the two spins of every state in which they differ.
     """
     _check_sizes(system, basis)
-    z = [single_spin_op(basis, i, "z").matrix for i in range(system.n_spins)]
-    plus = [single_spin_op(basis, i, "+").matrix for i in range(system.n_spins)]
-    minus = [single_spin_op(basis, i, "-").matrix for i in range(system.n_spins)]
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for i in range(system.n_spins):
-        for j in range(i + 1, system.n_spins):
-            if system.couplings[i, j] == 0.0:
-                continue
-            flip_flop = plus[i] @ minus[j] + minus[i] @ plus[j]
-            h += system.couplings[i, j] * (2.0 * z[i] @ z[j] - 0.5 * flip_flop)
+    states = np.arange(basis.dim)
+    h = np.zeros((basis.dim, basis.dim))
+    diagonal = np.zeros(basis.dim)
+    for i, j, coupling in _coupled_pairs(system):
+        aligned = _bit(states, i) == _bit(states, j)
+        diagonal += coupling * np.where(aligned, 0.5, -0.5)
+        differ = states[~aligned]
+        h[differ ^ ((1 << i) | (1 << j)), differ] = -0.5 * coupling
+    h[np.diag_indices(basis.dim)] = diagonal
     return Operator(matrix=scale * h)
 
 
@@ -113,3 +114,15 @@ def _check_sizes(system: SpinSystem, basis: ZeemanBasis) -> None:
         raise ValueError(
             f"system has {system.n_spins} spins but basis has {basis.n_spins}"
         )
+
+
+def _coupled_pairs(system: SpinSystem):
+    """Yield (i, j, D_ij) for every pair i < j with a nonzero coupling."""
+    for i in range(system.n_spins):
+        for j in range(i + 1, system.n_spins):
+            if system.couplings[i, j] != 0.0:
+                yield i, j, system.couplings[i, j]
+
+
+def _bit(states: np.ndarray, site: int) -> np.ndarray:
+    return (states >> site) & 1

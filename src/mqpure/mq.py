@@ -56,6 +56,19 @@ def mq_intensity(dec: MQDecomposition, n: int) -> float:
     return weight * float(np.sum(np.abs(dec.order(n)) ** 2))
 
 
+def mq_intensities(rho: DensityMatrix, basis: ZeemanBasis) -> np.ndarray:
+    """Intensities of orders 0..N in one pass, Hermitian-paired for n > 0.
+
+    Entry n equals ``mq_intensity(decompose(rho, basis), n)``: a single
+    ``bincount`` of |rho_ab|^2 over |m(a) - m(b)| with no per-order copy.
+    """
+    if rho.dim != basis.dim:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, basis {basis.dim}")
+    orders = np.abs(basis.coherence_orders()).ravel()
+    weights = (np.abs(rho.matrix) ** 2).ravel()
+    return np.bincount(orders, weights=weights, minlength=basis.n_spins + 1)
+
+
 def filter_order(rho: DensityMatrix, basis: ZeemanBasis, n: int) -> DensityMatrix:
     """Keep only the +-n coherence pair: the ideal multiple-quantum filter.
 

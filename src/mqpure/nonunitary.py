@@ -20,7 +20,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .spin_core import DensityMatrix, Operator, ZeemanBasis, _frozen_array
+from .spin_core import (
+    DensityMatrix,
+    EigenBlock,
+    Operator,
+    ZeemanBasis,
+    _frozen_array,
+    _real_or_complex,
+    adjoint,
+    eigh_blocks,
+    embed_blocks,
+    gemm,
+)
 
 STRENGTH_THRESHOLD = 1e-10  # relative to the strongest transition
 
@@ -78,22 +89,35 @@ class TransitionGraph:
     Each edge joins ``upper[k]`` (magnetization m+1) to ``lower[k]``
     (magnetization m) with ``frequencies[k] = E_upper - E_lower`` and
     ``strengths[k] = |<upper| I_+ |lower>|^2``.
+
+    ``blocks`` holds the eigenbasis per m block, in eigenstate order:
+    block k covers the next ``blocks[k].states.size`` eigenstates.
+    ``transform`` is the same basis as one dense matrix (columns are
+    eigenstates in the Zeeman basis).  A graph given no blocks treats
+    ``transform`` as a single block.
     """
 
     energies: np.ndarray = field(repr=False)
     m_values: np.ndarray = field(repr=False)
-    transform: np.ndarray = field(repr=False)  # columns: eigenstates in the Zeeman basis
+    transform: np.ndarray = field(repr=False)
     upper: np.ndarray = field(repr=False)
     lower: np.ndarray = field(repr=False)
     frequencies: np.ndarray = field(repr=False)
     strengths: np.ndarray = field(repr=False)
+    blocks: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         for name in ("energies", "m_values", "frequencies", "strengths"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), float))
         for name in ("upper", "lower"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), int))
-        object.__setattr__(self, "transform", _frozen_array(self.transform, complex))
+        object.__setattr__(self, "transform", _frozen_array(_real_or_complex(self.transform)))
+        if not self.blocks:
+            states = _frozen_array(np.arange(self.n_states))
+            whole = EigenBlock(states, self.energies, self.transform)
+            object.__setattr__(self, "blocks", (whole,))
+        if sum(block.states.size for block in self.blocks) != self.n_states:
+            raise ValueError("eigenbasis blocks must cover every eigenstate")
         if np.any(self.strengths < 0):
             raise ValueError("strengths must be nonnegative")
         dm = self.m_values[self.upper] - self.m_values[self.lower]
@@ -117,11 +141,19 @@ class TransitionGraph:
         return int(np.argmin(self.m_values))
 
     def populations(self, rho: DensityMatrix) -> np.ndarray:
-        """Eigenstate populations: diagonal of rho in the eigenbasis."""
+        """Eigenstate populations: diagonal of rho in the eigenbasis.
+
+        Computed block by block, so the elements of rho between different
+        m blocks (which a crush would remove) are never touched.
+        """
         if rho.dim != self.n_states:
             raise ValueError("state dimension does not match graph")
-        v = self.transform
-        return np.real(np.einsum("ia,ij,ja->a", v.conj(), rho.matrix, v))
+        populations = []
+        for block in self.blocks:
+            v = block.eigenvectors
+            part = gemm(rho.matrix[np.ix_(block.states, block.states)], v)
+            populations.append(np.real(np.einsum("ia,ia->a", v.conj(), part)))
+        return np.concatenate(populations)
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -153,6 +185,9 @@ def build_transition_graph(
 ) -> TransitionGraph:
     """Eigendecompose blockwise by m and enumerate allowed transitions.
 
+    The collective raising operator only links block m to block m+1, so
+    it is formed between adjacent blocks alone, as V_{m+1}+ R V_m.
+
     Args:
         h_secular: Hamiltonian commuting with collective I_z.
         basis: Zeeman basis (defines the m blocks).
@@ -164,61 +199,48 @@ def build_transition_graph(
     mat = h_secular.matrix
     scale = max(np.linalg.norm(mat), 1e-300)
     block_m = np.rint(2 * basis.m) / 2.0
-    for m in np.unique(block_m):
-        inside = block_m == m
-        off = mat[np.ix_(inside, ~inside)]
-        if off.size and np.abs(off).max() > 1e-12 * scale:
-            raise ValueError("hamiltonian does not conserve collective I_z")
+    off_block = np.subtract.outer(block_m, block_m) != 0
+    if np.abs(mat[off_block]).max(initial=0.0) > 1e-12 * scale:
+        raise ValueError("hamiltonian does not conserve collective I_z")
 
-    dim = basis.dim
-    energies = np.empty(dim)
-    m_values = np.empty(dim)
-    transform = np.zeros((dim, dim), dtype=complex)
-    index = 0
-    for m in np.unique(block_m):  # ascending m
-        states = np.where(block_m == m)[0]
-        block_eigs, block_vecs = np.linalg.eigh(mat[np.ix_(states, states)])
-        for k in range(states.size):
-            energies[index] = block_eigs[k]
-            m_values[index] = m
-            transform[states, index] = block_vecs[:, k]
-            index += 1
-
-    # collective raising operator in the eigenbasis
-    s = transform.conj().T @ _raising_matrix(basis) @ transform
+    levels = np.unique(block_m)  # ascending m
+    blocks = eigh_blocks(mat, [np.flatnonzero(block_m == m) for m in levels])
+    sizes = [block.states.size for block in blocks]
+    starts = np.cumsum([0] + sizes)
+    energies = np.concatenate([block.eigenvalues for block in blocks])
+    m_values = np.repeat(levels, sizes)
+    position = np.empty(basis.dim, dtype=int)  # index of a Zeeman state in its block
+    for block in blocks:
+        position[block.states] = np.arange(block.states.size)
 
     upper, lower, freqs, strengths = [], [], [], []
-    for a in range(dim):
-        for b in range(dim):
-            if m_values[a] == m_values[b] + 1.0:
-                upper.append(a)
-                lower.append(b)
-                freqs.append(energies[a] - energies[b])
-                strengths.append(abs(s[a, b]) ** 2)
-    freqs = np.array(freqs)
-    strengths = np.array(strengths)
+    for k, (low, high) in enumerate(zip(blocks[:-1], blocks[1:])):
+        raising = np.zeros((high.states.size, low.states.size))
+        for site in range(basis.n_spins):
+            free = np.flatnonzero((low.states >> site) & 1 == 0)
+            raising[position[low.states[free] | (1 << site)], free] = 1.0
+        s = gemm(gemm(adjoint(high.eigenvectors), raising), low.eigenvectors)
+        a, b = np.meshgrid(
+            np.arange(starts[k + 1], starts[k + 2]), np.arange(starts[k], starts[k + 1]),
+            indexing="ij",
+        )
+        upper.append(a.ravel())
+        lower.append(b.ravel())
+        freqs.append(np.subtract.outer(high.eigenvalues, low.eigenvalues).ravel())
+        strengths.append((np.abs(s) ** 2).ravel())
+    upper, lower, freqs, strengths = map(np.concatenate, (upper, lower, freqs, strengths))
     keep = strengths > threshold * strengths.max(initial=0.0)
-    ordering = np.lexsort((np.array(lower)[keep], np.array(upper)[keep], freqs[keep]))
+    ordering = np.lexsort((lower[keep], upper[keep], freqs[keep]))
     return TransitionGraph(
         energies=energies,
         m_values=m_values,
-        transform=transform,
-        upper=np.array(upper)[keep][ordering],
-        lower=np.array(lower)[keep][ordering],
+        transform=embed_blocks(blocks, basis.dim),
+        upper=upper[keep][ordering],
+        lower=lower[keep][ordering],
         frequencies=freqs[keep][ordering],
         strengths=strengths[keep][ordering],
+        blocks=blocks,
     )
-
-
-def _raising_matrix(basis: ZeemanBasis) -> np.ndarray:
-    # sum_i I_i+ built directly from bit patterns
-    dim = basis.dim
-    out = np.zeros((dim, dim))
-    for state in range(dim):
-        for site in range(basis.n_spins):
-            if not state & (1 << site):
-                out[state | (1 << site), state] += 1.0
-    return out
 
 
 def saturate(

@@ -5,7 +5,8 @@ density matrix:
 
 1. excitation under the double-quantum Hamiltonian for ``t_prep``,
 2. filtering of the highest-order coherence pair,
-3. time reversal (same duration under the negated Hamiltonian),
+3. time reversal (same duration under the negated Hamiltonian, which is
+   the forward eigensystem propagated for -t_prep),
 4. crusher dephasing in the secular eigenbasis, then partial saturation.
 
 Efficiencies are purity fractions: ``f_homq`` is the filtered-order
@@ -17,7 +18,9 @@ diagonal-pair intensity after reversal over the filtered purity, and
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import typing
 import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -35,7 +38,6 @@ from .evolution import (
     sweep,
 )
 from .spin_core import (
-    DensityMatrix,
     NumericalInvariantError,
     SpinSystem,
     build_basis,
@@ -80,18 +82,44 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        """Load a JSON config; unknown keys are rejected."""
+        """Load a JSON config.
+
+        Unknown keys, missing required saturation keys and values of the
+        wrong JSON type are rejected with ``ValueError``.
+        """
         raw = json.loads(Path(path).read_text())
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object")
         saturation = raw.pop("saturation", None)
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+        _check_fields(str(path), raw, cls)
         if saturation is not None:
+            if not isinstance(saturation, dict):
+                raise ValueError(f"{path}: saturation must be a JSON object")
+            _check_fields(f"{path}: saturation", saturation, nonunitary.SaturationParams)
             saturation = nonunitary.SaturationParams(**saturation)
         return cls(saturation=saturation, **raw)
+
+
+_JSON_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", type(None): "null"}
+
+
+def _check_fields(source: str, raw: dict, cls) -> None:
+    """Check JSON values against the annotated field types of ``cls``."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ValueError(f"{source}: unknown config keys {sorted(unknown)}")
+    missing = [name for name, f in fields.items() if name not in raw
+               and f.default is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{source}: missing config keys {missing}")
+    hints = typing.get_type_hints(cls)
+    for name, value in raw.items():
+        allowed = typing.get_args(hints[name]) or (hints[name],)
+        accepted = allowed + (int,) if float in allowed else allowed
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            expected = " or ".join(_JSON_TYPE_NAMES[t] for t in allowed)
+            raise ValueError(f"{source}: {name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -214,13 +242,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             stacklevel=2,
         )
 
-    # (1) excitation, (2) filter, (3) time reversal
+    # (1) excitation, (2) filter, (3) time reversal on the same eigensystem
     rho_excited = evolve(rho_thermal, eig, config.t_prep, unit=config.unit)
-    f_homq = mq.mq_intensity(mq.decompose(rho_excited, basis), filter_n) / norm_thermal
+    f_homq = mq.mq_intensities(rho_excited, basis)[filter_n] / norm_thermal
     rho_filtered = mq.filter_order(rho_excited, basis, filter_n)
     norm_filtered = rho_filtered.purity()
-    eig_reversed = diagonalize(hamiltonians.negated(h_av))
-    rho_reversed = evolve(rho_filtered, eig_reversed, config.t_prep, unit=config.unit)
+    rho_reversed = evolve(rho_filtered, eig, -config.t_prep, unit=config.unit)
     _check_purity(rho_excited.purity(), norm_thermal, "excitation")
     _check_purity(rho_reversed.purity(), norm_filtered, "time reversal")
 
@@ -235,13 +262,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             f"efficiency product rule violated: {f_overall} != {f_homq} * {f_convert}"
         )
 
-    # (4) crush in the secular eigenbasis, then saturate
+    # (4) crush in the secular eigenbasis (keep only the eigenstate
+    # populations), then saturate
     h_secular = hamiltonians.secular_dipolar_hamiltonian(system, basis)
     graph = nonunitary.build_transition_graph(h_secular, basis)
-    rho_eigenbasis = DensityMatrix(
-        matrix=graph.transform.conj().T @ rho_reversed.matrix @ graph.transform
-    )
-    pops_crushed = np.real(np.diag(nonunitary.crush(rho_eigenbasis).matrix))
+    pops_crushed = graph.populations(rho_reversed)
     if np.sum(pops_crushed**2) > rho_reversed.purity() * (1.0 + PURITY_DRIFT_RTOL):
         raise NumericalInvariantError("crush increased the state purity")
 
@@ -253,9 +278,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 
     graph_up = graph.index_all_up
     p_u_drift = float(pops_final[graph_up] - pops_crushed[graph_up])
-    indicator = np.zeros(graph.n_states)
-    indicator[graph_up] = 1.0
-    fidelity = float(np.corrcoef(pops_final, indicator)[0, 1])
+    fidelity = pseudopure_fidelity(pops_final, graph_up)
 
     pops_thermal = graph.populations(rho_thermal)
     spectra = {
@@ -289,9 +312,24 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         _write_outputs(
             Path(config.out_dir), report, table, basis,
             (rho_thermal, rho_excited, rho_filtered, rho_reversed),
-            pops_crushed, pops_final, graph, spectra,
+            pops_thermal, pops_crushed, pops_final, graph, spectra,
         )
     return report
+
+
+def pseudopure_fidelity(populations: np.ndarray, index_up: int) -> float:
+    """Correlation of the populations with the indicator of ``|u>``.
+
+    1 for a pure excess on ``|u>`` over an otherwise uniform background.
+    Constant populations carry no excess on ``|u>`` and give 0.0 (the
+    correlation itself is undefined there).
+    """
+    populations = np.asarray(populations, dtype=float)
+    if np.ptp(populations) == 0:
+        return 0.0
+    indicator = np.zeros(populations.size)
+    indicator[index_up] = 1.0
+    return float(np.corrcoef(populations, indicator)[0, 1])
 
 
 def _check_purity(value: float, reference: float, step: str) -> None:
@@ -322,6 +360,7 @@ def _write_outputs(
     table: SweepTable,
     basis,
     unitary_stages,
+    pops_thermal: np.ndarray,
     pops_crushed: np.ndarray,
     pops_final: np.ndarray,
     graph: nonunitary.TransitionGraph,
@@ -340,8 +379,8 @@ def _write_outputs(
         writer = csv.writer(fh)
         writer.writerow(["stage"] + [f"I{k}" for k in range(n + 1)])
         for name, rho in zip(stage_names, unitary_stages):
-            dec = mq.decompose(rho, basis)
-            writer.writerow([name] + [repr(mq.mq_intensity(dec, k)) for k in range(n + 1)])
+            intensities = mq.mq_intensities(rho, basis)
+            writer.writerow([name] + [repr(float(x)) for x in intensities])
         for name, pops in (("crushed", pops_crushed), ("saturated", pops_final)):
             row = [repr(float(np.sum(pops**2)))] + [repr(0.0)] * n
             writer.writerow([name] + row)
@@ -349,7 +388,6 @@ def _write_outputs(
     with open(out_dir / "stage_populations.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eigenstate", "m", "energy", "thermal", "crushed", "saturated"])
-        pops_thermal = graph.populations(unitary_stages[0])
         for a in range(graph.n_states):
             writer.writerow(
                 [a, graph.m_values[a], repr(float(graph.energies[a])),

@@ -75,26 +75,19 @@ def merge_peaks(spectrum: StickSpectrum, tolerance: float) -> StickSpectrum:
     order = np.argsort(spectrum.frequencies, kind="stable")
     freqs = spectrum.frequencies[order]
     ints = spectrum.intensities[order]
-    out_f, out_i = [], []
-    start = 0
-    for stop in range(1, freqs.size + 1):
-        if stop < freqs.size and freqs[stop] - freqs[stop - 1] <= tolerance:
-            continue
-        chunk_f, chunk_i = freqs[start:stop], ints[start:stop]
-        weight = np.abs(chunk_i).sum()
-        if weight > 0:
-            out_f.append(float(np.average(chunk_f, weights=np.abs(chunk_i))))
-        else:
-            out_f.append(float(chunk_f.mean()))
-        out_i.append(float(chunk_i.sum()))
-        start = stop
-    out_f = np.array(out_f)
-    out_i = np.array(out_i)
-    if out_i.size:
-        keep = np.abs(out_i) >= ZERO_SUM_DROP * np.abs(out_i).max()
-        out_f, out_i = out_f[keep], out_i[keep]
+    if freqs.size:
+        # a cluster starts wherever the gap to the previous line exceeds the tolerance
+        starts = np.flatnonzero(np.r_[True, ~(np.diff(freqs) <= tolerance)])
+        weights = np.abs(ints)
+        weight = np.add.reduceat(weights, starts)
+        weighted = np.add.reduceat(weights * freqs, starts)
+        plain = np.add.reduceat(freqs, starts) / np.diff(np.r_[starts, freqs.size])
+        freqs = np.where(weight > 0, weighted / np.where(weight > 0, weight, 1.0), plain)
+        ints = np.add.reduceat(ints, starts)
+        keep = np.abs(ints) >= ZERO_SUM_DROP * np.abs(ints).max()
+        freqs, ints = freqs[keep], ints[keep]
     return StickSpectrum(
-        frequencies=out_f, intensities=out_i, merged=True, merge_tolerance=tolerance
+        frequencies=freqs, intensities=ints, merged=True, merge_tolerance=tolerance
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,12 @@ def _frozen_array(a, dtype=None) -> np.ndarray:
     return out
 
 
+def _real_or_complex(a) -> np.ndarray:
+    """``a`` as float64 if it is real, else as complex128."""
+    a = np.asarray(a)
+    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+
+
 @dataclass(frozen=True)
 class SpinSystem:
     """A cluster of spin-1/2 sites with pairwise couplings.
@@ -66,6 +73,8 @@ class SpinSystem:
         c = np.asarray(self.couplings, dtype=float)
         if c.shape != (self.n_spins, self.n_spins):
             raise ValueError(f"couplings must be {self.n_spins}x{self.n_spins}")
+        if not np.isfinite(c).all():
+            raise ValueError("couplings must be finite")
         if not np.allclose(c, c.T, atol=1e-12):
             raise ValueError("couplings must be symmetric")
         if np.abs(np.diag(c)).max(initial=0.0) > 1e-12:
@@ -114,15 +123,24 @@ def build_basis(n_spins: int, max_spins: int = MAX_SPINS) -> ZeemanBasis:
     """
     if not 1 <= n_spins <= max_spins:
         raise ValueError(f"n_spins must be in [1, {max_spins}], got {n_spins}")
-    counts = np.array([bin(s).count("1") for s in range(2**n_spins)])
-    m = counts - n_spins / 2.0
+    m = popcounts(np.arange(2**n_spins)) - n_spins / 2.0
     return ZeemanBasis(n_spins=n_spins, m=_frozen_array(m))
+
+
+def popcounts(states: np.ndarray) -> np.ndarray:
+    """Number of set bits (spins up) of each nonnegative state index."""
+    states = np.asarray(states, dtype=np.int64)
+    counts = np.zeros_like(states)
+    for bit in range(int(states.max(initial=0)).bit_length()):
+        counts += (states >> bit) & 1
+    return counts
 
 
 @dataclass(frozen=True)
 class Operator:
     """A dense operator on the 2^N Zeeman basis.
 
+    A real matrix is stored as float64, anything else as complex128.
     When ``hermitian`` is set the matrix is validated against its
     conjugate transpose within ``HERMITICITY_RTOL`` of its Frobenius norm.
     """
@@ -131,7 +149,7 @@ class Operator:
     hermitian: bool = True
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = _real_or_complex(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("operator matrix must be square")
         if self.hermitian:
@@ -176,6 +194,10 @@ class DensityMatrix(Operator):
 def single_spin_op(basis: ZeemanBasis, site: int, kind: str) -> Operator:
     """Embed a single-site spin-1/2 operator into the full product space.
 
+    Built by Kronecker products, independently of the bit-pattern
+    Hamiltonians in :mod:`mqpure.hamiltonians`; the tests compare those
+    with operators assembled from these.
+
     Args:
         basis: Zeeman basis of the cluster.
         site: Site index, 0 <= site < n_spins (site 0 is the least
@@ -200,8 +222,8 @@ def collective_op(basis: ZeemanBasis, kind: str) -> Operator:
 
 
 def thermal_state(basis: ZeemanBasis) -> DensityMatrix:
-    """High-temperature equilibrium deviation state: collective I_z."""
-    return DensityMatrix(matrix=collective_op(basis, "z").matrix)
+    """High-temperature equilibrium deviation state: collective I_z = diag(m)."""
+    return DensityMatrix(matrix=np.diag(basis.m))
 
 
 def homq_coherence_state(basis: ZeemanBasis) -> DensityMatrix:
@@ -214,3 +236,66 @@ def homq_coherence_state(basis: ZeemanBasis) -> DensityMatrix:
     mat[basis.index_all_up, basis.index_all_down] = 1j
     mat[basis.index_all_down, basis.index_all_up] = -1j
     return DensityMatrix(matrix=mat)
+
+
+class EigenBlock(NamedTuple):
+    """Eigenpairs of a Hermitian matrix restricted to an invariant block.
+
+    ``states`` are the Zeeman indices spanning the block; the columns of
+    ``eigenvectors`` are expressed over those states only and are real
+    whenever the block is.
+    """
+
+    states: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def eigh_blocks(matrix: np.ndarray, groups) -> tuple:
+    """Diagonalize ``matrix`` on each group of states (ascending per block).
+
+    The caller guarantees that the groups partition the states and that
+    ``matrix`` has no element between two different groups.
+    """
+    blocks = []
+    for states in groups:
+        values, vectors = np.linalg.eigh(matrix[np.ix_(states, states)])
+        blocks.append(EigenBlock(_frozen_array(states), _frozen_array(values),
+                                 _frozen_array(vectors)))
+    return tuple(blocks)
+
+
+def embed_blocks(blocks, dim: int) -> np.ndarray:
+    """All block eigenvectors as one dense matrix over the full basis.
+
+    Columns follow the blocks in order; each column is zero outside the
+    states of its block.
+    """
+    dtype = np.result_type(*(block.eigenvectors for block in blocks))
+    dense = np.zeros((dim, dim), dtype=dtype)
+    start = 0
+    for block in blocks:
+        stop = start + block.states.size
+        dense[block.states, start:stop] = block.eigenvectors
+        start = stop
+    return dense
+
+
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose, a plain transpose view for real matrices."""
+    return a.conj().T if np.iscomplexobj(a) else a.T
+
+
+def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product ``a @ b`` that keeps real-by-complex products real.
+
+    A real factor times a complex one runs as one real GEMM over the
+    interleaved real and imaginary parts of the complex factor, instead
+    of promoting the real factor to complex (half the flops).
+    """
+    if np.iscomplexobj(a) == np.iscomplexobj(b):
+        return a @ b
+    if np.iscomplexobj(a):
+        return gemm(b.T, a.T).T
+    b = np.ascontiguousarray(b, dtype=np.complex128)
+    return (a @ b.view(np.float64)).view(np.complex128)

@@ -89,6 +89,23 @@ class TestPipelineCommand:
         config.write_text('{"t_prep": -1}')
         assert main(["pipeline", "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize("payload", [
+        '{"t_prep": "0.9"}',
+        '{"filter_n": 6.5}',
+        '{"t_max": true}',
+        '{"system": 6}',
+        '{"saturation": [1, 2]}',
+        '{"saturation": {"center_frequency": 0.0}}',
+        '{"saturation": {"center_frequency": 0.0, "width_sigma": "wide"}}',
+        '{"saturation": {"center_frequency": 0.0, "width_sigma": 1.0, "speed": 2}}',
+    ])
+    def test_wrongly_typed_config_is_one_line_error(self, tmp_path, capsys, payload):
+        config = tmp_path / "config.json"
+        config.write_text(payload)
+        assert main(["pipeline", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_invariant_violation_exit_code(self, monkeypatch, tmp_path):
         from mqpure import cli
 

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mqpure import (
     DensityMatrix,
@@ -13,11 +14,14 @@ from mqpure import (
     dq_hamiltonian,
     evolve,
     mq_intensity_extractor,
+    negated,
     population_extractor,
     sweep,
     thermal_state,
 )
 from mqpure.evolution import TWO_PI, SweepTable
+
+from test_hamiltonians import random_systems
 
 
 def two_spin_setup():
@@ -72,6 +76,51 @@ class TestDiagonalize:
         op = Operator(matrix=np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=False)
         with pytest.raises(ValueError):
             diagonalize(op)
+
+
+class TestParityBlocks:
+    @settings(max_examples=20, deadline=None)
+    @given(random_systems())
+    def test_dq_splits_into_real_parity_blocks(self, system):
+        basis = build_basis(system.n_spins)
+        h = dq_hamiltonian(system, basis).matrix
+        eig = diagonalize(Operator(matrix=h))
+        assert len(eig.blocks) == 2
+        parity = [np.unique(np.round(basis.m[b.states] + system.n_spins / 2) % 2)
+                  for b in eig.blocks]
+        assert [list(p) for p in parity] == [[0.0], [1.0]]
+        assert all(b.eigenvectors.dtype == np.float64 for b in eig.blocks)
+        v, w = eig.eigenvectors, eig.eigenvalues
+        scale = max(np.linalg.norm(h), 1.0)
+        assert np.all(np.diff(w) >= 0)
+        assert np.linalg.norm(h @ v - v * w) < 1e-12 * scale
+        assert np.linalg.norm(v.T @ v - np.eye(basis.dim)) < 1e-12 * basis.dim
+
+    def test_random_complex_matrix_is_one_block(self):
+        rng = np.random.default_rng(3)
+        assert len(diagonalize(random_hamiltonian(rng, 16)).blocks) == 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(random_systems(max_spins=6), st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+    def test_backward_evolution_undoes_forward(self, system, t, seed):
+        basis = build_basis(system.n_spins)
+        h = dq_hamiltonian(system, basis)
+        eig = diagonalize(h)
+        rho = random_state(np.random.default_rng(seed), basis.dim)
+        there = evolve(rho, eig, t)
+        scale = np.abs(rho.matrix).max()
+        assert np.abs(evolve(there, eig, -t).matrix - rho.matrix).max() < 1e-10 * scale
+        reversed_h = evolve(rho, diagonalize(negated(h)), t)
+        assert np.abs(evolve(rho, eig, -t).matrix - reversed_h.matrix).max() < 1e-10 * scale
+        assert abs(there.purity() - rho.purity()) < 1e-10 * rho.purity()
+
+    def test_sweep_matches_evolve_with_zero_blocks(self, basis6, eig6, thermal6):
+        times = np.array([0.0, 0.31, 0.973])
+        cell = (basis6.index_all_up, basis6.index_all_down)
+        table = sweep(thermal6, eig6, times, {"im_ud": lambda rho: rho[cell].imag})
+        for t, value in zip(times, table.column("im_ud")):
+            assert value == pytest.approx(evolve(thermal6, eig6, t).matrix[cell].imag,
+                                          abs=1e-13)
 
 
 class TestEvolve:

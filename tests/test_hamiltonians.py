@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mqpure import (
     DensityMatrix,
     SpinSystem,
     build_basis,
     collective_op,
+    single_spin_op,
+    thermal_state,
     decompose,
     diagonalize,
     dq_hamiltonian,
@@ -36,6 +39,72 @@ def brute_force_dq(system, basis):
                 if both_down or both_up:
                     h[state ^ bits, state] -= 0.5 * system.couplings[i, j]
     return h
+
+
+def kron_dq(system, basis):
+    """Double-quantum Hamiltonian from kron-embedded single-spin operators."""
+    plus = [single_spin_op(basis, i, "+").matrix for i in range(system.n_spins)]
+    minus = [single_spin_op(basis, i, "-").matrix for i in range(system.n_spins)]
+    h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for i in range(system.n_spins):
+        for j in range(i + 1, system.n_spins):
+            if system.couplings[i, j] == 0.0:
+                continue
+            h -= 0.5 * system.couplings[i, j] * (plus[i] @ plus[j] + minus[i] @ minus[j])
+    return h
+
+
+def kron_secular(system, basis):
+    """Secular dipolar Hamiltonian from kron-embedded single-spin operators."""
+    z = [single_spin_op(basis, i, "z").matrix for i in range(system.n_spins)]
+    plus = [single_spin_op(basis, i, "+").matrix for i in range(system.n_spins)]
+    minus = [single_spin_op(basis, i, "-").matrix for i in range(system.n_spins)]
+    h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for i in range(system.n_spins):
+        for j in range(i + 1, system.n_spins):
+            if system.couplings[i, j] == 0.0:
+                continue
+            flip_flop = plus[i] @ minus[j] + minus[i] @ plus[j]
+            h += system.couplings[i, j] * (2.0 * z[i] @ z[j] - 0.5 * flip_flop)
+    return h
+
+
+@st.composite
+def random_systems(draw, min_spins=2, max_spins=7):
+    """Spin systems with random pair couplings, zeros included."""
+    n = draw(st.integers(min_spins, max_spins))
+    values = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_subnormal=False)),
+        min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2,
+    ))
+    couplings = np.zeros((n, n))
+    couplings[np.triu_indices(n, 1)] = values
+    return SpinSystem(n_spins=n, couplings=couplings + couplings.T)
+
+
+class TestKronOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(random_systems())
+    def test_dq_equals_kron_build_exactly(self, system):
+        basis = build_basis(system.n_spins)
+        h = dq_hamiltonian(system, basis).matrix
+        assert h.dtype == np.float64
+        assert np.abs(h - kron_dq(system, basis)).max() == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_systems())
+    def test_secular_equals_kron_build_exactly(self, system):
+        basis = build_basis(system.n_spins)
+        h = secular_dipolar_hamiltonian(system, basis).matrix
+        assert h.dtype == np.float64
+        assert np.abs(h - kron_secular(system, basis)).max() == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_thermal_state_is_collective_iz(self, n):
+        basis = build_basis(n)
+        rho = thermal_state(basis).matrix
+        assert rho.dtype == np.float64
+        assert np.abs(rho - collective_op(basis, "z").matrix).max() == 0.0
 
 
 class TestHexagon:

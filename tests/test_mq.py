@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mqpure import (
     DensityMatrix,
@@ -8,6 +9,7 @@ from mqpure import (
     evolve,
     filter_order,
     homq_coherence_state,
+    mq_intensities,
     mq_intensity,
     phase_cycle_decompose,
 )
@@ -78,6 +80,29 @@ class TestIntensity:
     def test_odd_orders_never_appear(self, thermal_sweep):
         for n in (1, 3, 5):
             assert thermal_sweep.column(f"I{n}").max() < 1e-12
+
+
+class TestIntensitiesInOnePass:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+    def test_matches_decompose(self, n, seed):
+        basis = build_basis(n)
+        rho = random_state(np.random.default_rng(seed), basis.dim)
+        dec = decompose(rho, basis)
+        expected = [mq_intensity(dec, k) for k in range(n + 1)]
+        got = mq_intensities(rho, basis)
+        assert got.shape == (n + 1,)
+        assert np.abs(got - expected).max() < 1e-12 * rho.purity()
+
+    def test_hexagon_states(self, basis6, eig6, thermal6):
+        for rho in (thermal6, homq_coherence_state(basis6), evolve(thermal6, eig6, 0.973)):
+            dec = decompose(rho, basis6)
+            expected = [mq_intensity(dec, k) for k in range(7)]
+            assert np.abs(mq_intensities(rho, basis6) - expected).max() < 1e-12 * 96.0
+
+    def test_dimension_mismatch(self, thermal6):
+        with pytest.raises(ValueError):
+            mq_intensities(thermal6, build_basis(4))
 
 
 class TestFilter:

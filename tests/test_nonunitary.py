@@ -3,6 +3,8 @@ import csv
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from mqpure import (
     DensityMatrix,
     Operator,
@@ -12,7 +14,40 @@ from mqpure import (
     build_transition_graph,
     crush,
     saturate,
+    secular_dipolar_hamiltonian,
 )
+
+from test_hamiltonians import random_systems
+
+
+def dense_populations(graph, rho):
+    """Diagonal of rho in the eigenbasis from the dense transform."""
+    v = graph.transform
+    return np.real(np.einsum("ia,ij,ja->a", v.conj(), rho.matrix, v))
+
+
+def loop_edges(graph, basis, threshold=1e-10):
+    """Edges enumerated pair by pair from the dense transform and sum_i I_i+."""
+    dim = basis.dim
+    raising = np.zeros((dim, dim))
+    for state in range(dim):
+        for site in range(basis.n_spins):
+            if not state & (1 << site):
+                raising[state | (1 << site), state] += 1.0
+    s = graph.transform.conj().T @ raising @ graph.transform
+    upper, lower, freqs, strengths = [], [], [], []
+    for a in range(dim):
+        for b in range(dim):
+            if graph.m_values[a] == graph.m_values[b] + 1.0:
+                upper.append(a)
+                lower.append(b)
+                freqs.append(graph.energies[a] - graph.energies[b])
+                strengths.append(abs(s[a, b]) ** 2)
+    upper, lower, freqs, strengths = map(np.array, (upper, lower, freqs, strengths))
+    keep = strengths > threshold * strengths.max(initial=0.0)
+    ordering = np.lexsort((lower[keep], upper[keep], freqs[keep]))
+    return (upper[keep][ordering], lower[keep][ordering],
+            freqs[keep][ordering], strengths[keep][ordering])
 
 
 def three_state_graph():
@@ -94,6 +129,40 @@ class TestTransitionGraph:
     def test_populations_of_thermal_state(self, graph6, thermal6):
         populations = graph6.populations(thermal6)
         assert np.allclose(populations, graph6.m_values, atol=1e-12)
+
+    def test_edges_match_pairwise_loop(self, graph6, basis6):
+        upper, lower, freqs, strengths = loop_edges(graph6, basis6)
+        assert graph6.n_edges == upper.size == 194
+        assert np.array_equal(graph6.upper, upper)
+        assert np.array_equal(graph6.lower, lower)
+        assert np.array_equal(graph6.frequencies, freqs)
+        assert np.abs(graph6.strengths - strengths).max() < 1e-12
+
+    def test_keeps_real_eigenbasis_per_m_block(self, graph6, basis6):
+        assert len(graph6.blocks) == 7
+        start = 0
+        for block in graph6.blocks:
+            size = block.states.size
+            assert block.eigenvectors.dtype == np.float64
+            assert np.all(basis6.m[block.states] == graph6.m_values[start])
+            assert np.array_equal(graph6.energies[start : start + size], block.eigenvalues)
+            start += size
+
+    @settings(max_examples=15, deadline=None)
+    @given(random_systems(max_spins=6), st.integers(0, 2**32 - 1))
+    def test_blockwise_populations_match_dense(self, system, seed):
+        basis = build_basis(system.n_spins)
+        graph = build_transition_graph(secular_dipolar_hamiltonian(system, basis), basis)
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((basis.dim,) * 2) + 1j * rng.standard_normal((basis.dim,) * 2)
+        rho = DensityMatrix(matrix=raw + raw.conj().T)
+        expected = dense_populations(graph, rho)
+        assert np.abs(graph.populations(rho) - expected).max() < 1e-12 * np.abs(raw).sum()
+
+    def test_hand_built_graph_uses_dense_transform(self):
+        graph = three_state_graph()
+        rho = DensityMatrix(matrix=np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 0.0], [0.0, 0.0, 3.0]]))
+        assert np.array_equal(graph.populations(rho), [1.0, -1.0, 3.0])
 
     def test_csv_dump(self, graph6, tmp_path):
         path = tmp_path / "transitions.csv"

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mqpure import (
     mq_intensity,
     mq_intensity_extractor,
     negated,
+    pseudopure_fidelity,
     run_pipeline,
     sweep,
     thermal_state,
@@ -191,6 +193,27 @@ class TestConfig:
     def test_filter_order_out_of_range(self):
         with pytest.raises(ValueError):
             run_pipeline(PipelineConfig(filter_n=9, t_max=0.01, t_step=0.001))
+
+
+class TestPseudopureFidelity:
+    def test_pure_excess_on_u_is_one(self):
+        populations = np.full(8, -0.25)
+        populations[7] = 1.0
+        assert pseudopure_fidelity(populations, 7) == pytest.approx(1.0)
+
+    def test_matches_correlation_coefficient(self):
+        populations = np.random.default_rng(5).standard_normal(16)
+        indicator = np.zeros(16)
+        indicator[15] = 1.0
+        assert pseudopure_fidelity(populations, 15) == pytest.approx(
+            np.corrcoef(populations, indicator)[0, 1], abs=1e-15
+        )
+
+    @pytest.mark.parametrize("value", [0.0, 0.3, -2.0])
+    def test_constant_populations_give_zero_without_warning(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pseudopure_fidelity(np.full(64, value), 63) == 0.0
 
 
 class TestDefaultSaturation:

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mqpure import (
     Operator,
@@ -16,6 +17,41 @@ from mqpure import (
     merge_peaks,
     secular_dipolar_hamiltonian,
 )
+from mqpure.spectrum import ZERO_SUM_DROP
+
+
+def loop_merge(spectrum, tolerance):
+    """Reference merge: walk the sorted lines and close a cluster at each gap."""
+    order = np.argsort(spectrum.frequencies, kind="stable")
+    freqs = spectrum.frequencies[order]
+    ints = spectrum.intensities[order]
+    out_f, out_i = [], []
+    start = 0
+    for stop in range(1, freqs.size + 1):
+        if stop < freqs.size and freqs[stop] - freqs[stop - 1] <= tolerance:
+            continue
+        chunk_f, chunk_i = freqs[start:stop], ints[start:stop]
+        if np.abs(chunk_i).sum() > 0:
+            out_f.append(float(np.average(chunk_f, weights=np.abs(chunk_i))))
+        else:
+            out_f.append(float(chunk_f.mean()))
+        out_i.append(float(chunk_i.sum()))
+        start = stop
+    out_f, out_i = np.array(out_f), np.array(out_i)
+    if out_i.size:
+        keep = np.abs(out_i) >= ZERO_SUM_DROP * np.abs(out_i).max()
+        out_f, out_i = out_f[keep], out_i[keep]
+    return out_f, out_i
+
+
+def assert_merges_like_loop(sticks, tolerance):
+    merged = merge_peaks(sticks, tolerance)
+    freqs, ints = loop_merge(sticks, tolerance)
+    assert merged.n_lines == freqs.size
+    scale_f = max(np.abs(sticks.frequencies).max(initial=0.0), 1.0)
+    scale_i = max(np.abs(sticks.intensities).sum(), 1.0)
+    assert np.abs(merged.frequencies - freqs).max(initial=0.0) < 1e-12 * scale_f
+    assert np.abs(merged.intensities - ints).max(initial=0.0) < 1e-12 * scale_i
 
 
 def cat_populations(graph):
@@ -126,6 +162,28 @@ class TestMergePeaks:
         assert np.allclose(
             ints[freqs > 0][order_pos], ints[freqs < 0][order_neg], atol=1e-8
         )
+
+    @pytest.mark.parametrize("state", ["thermal", "cat", "ground"])
+    @pytest.mark.parametrize("tolerance", [1e-8, 1e-6, 1e-3, 0.3])
+    def test_matches_loop_on_hexagon(self, graph6, thermal6, state, tolerance):
+        populations = {
+            "thermal": graph6.populations(thermal6),
+            "cat": cat_populations(graph6),
+            "ground": ground_populations(graph6),
+        }[state]
+        assert_merges_like_loop(linear_response(populations, graph6), tolerance)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-40, 40), st.floats(-1e-6, 1e-6),
+                           st.one_of(st.just(0.0), st.floats(-5.0, 5.0))), max_size=60),
+        st.sampled_from([1e-6, 0.05, 1.0]),
+    )
+    def test_matches_loop_on_random_lines(self, lines, tolerance):
+        # integer grid points plus tiny offsets make near-degenerate clusters
+        freqs = np.array([0.1 * k + d for k, d, _ in lines])
+        ints = np.array([i for _, _, i in lines])
+        assert_merges_like_loop(StickSpectrum(frequencies=freqs, intensities=ints), tolerance)
 
     def test_rejects_bad_tolerance(self, thermal_spectrum):
         with pytest.raises(ValueError):

@@ -180,3 +180,9 @@ class TestSpinSystem:
             SpinSystem(n_spins=2, couplings=np.array([[1.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
             SpinSystem(n_spins=3, couplings=good)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_couplings_named_as_such(self, bad):
+        couplings = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            SpinSystem(n_spins=2, couplings=couplings)
