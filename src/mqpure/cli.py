@@ -13,6 +13,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -33,12 +34,6 @@ from .spin_core import (
     homq_coherence_state,
     thermal_state,
 )
-
-
-def _build_system(name: str, d12: float):
-    if name == "hexagon":
-        return hamiltonians.hexagon_couplings(d12)
-    return hamiltonians.load_couplings(name)
 
 
 def _parse_observables(tokens: str, basis, norm_thermal: float):
@@ -71,7 +66,7 @@ def _parse_observables(tokens: str, basis, norm_thermal: float):
 
 
 def cmd_sweep(args) -> int:
-    system = _build_system(args.system, args.d12)
+    system = hamiltonians.build_system(args.system, args.d12)
     basis = build_basis(system.n_spins)
     if args.state == "thermal":
         rho0 = thermal_state(basis)
@@ -99,18 +94,14 @@ def cmd_pipeline(args) -> int:
     else:
         config = PipelineConfig()
     if args.out is not None:
-        config = PipelineConfig(**{**_config_dict(config), "out_dir": args.out})
+        config = dataclasses.replace(config, out_dir=args.out)
     report = run_pipeline(config)
     print(report.to_json())
     return 0
 
 
-def _config_dict(config: PipelineConfig) -> dict:
-    return {name: getattr(config, name) for name in config.__dataclass_fields__}
-
-
 def cmd_spectrum(args) -> int:
-    system = _build_system(args.system, args.d12)
+    system = hamiltonians.build_system(args.system, args.d12)
     basis = build_basis(system.n_spins)
     h_secular = hamiltonians.secular_dipolar_hamiltonian(system, basis)
     graph = nonunitary.build_transition_graph(h_secular, basis)

@@ -150,7 +150,7 @@ def evolve(
     """Propagate rho(t) = U rho U+ with U = exp(-i * scale * H * t).
 
     Args:
-        rho: State to propagate (any convention; preserved).
+        rho: Deviation state to propagate.
         h: Hamiltonian, or a precomputed :class:`EigenSystem` to reuse.
         t: Time, negative for backward evolution (exp(-i(-H)t) equals
             exp(-iH(-t)), so reversal reuses the forward eigensystem).
@@ -160,7 +160,7 @@ def evolve(
     scale = _phase_scale(unit)
     mat = _propagate(_eigenbasis_parts(rho, eig), rho.dim, scale * t)
     mat = 0.5 * (mat + mat.conj().T)  # strip roundoff asymmetry
-    return DensityMatrix(matrix=mat, convention=rho.convention)
+    return DensityMatrix(matrix=mat)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,14 @@ def load_couplings(path: str | Path, label: str = "") -> SpinSystem:
     return SpinSystem(n_spins=n, couplings=couplings, label=label or str(path))
 
 
+def build_system(name: str, d12: float) -> SpinSystem:
+    """The hexagon with nearest-neighbor coupling ``d12`` when ``name`` is
+    "hexagon", otherwise the coupling file at path ``name``."""
+    if name == "hexagon":
+        return hexagon_couplings(d12)
+    return load_couplings(name)
+
+
 def dq_hamiltonian(system: SpinSystem, basis: ZeemanBasis) -> Operator:
     """Double-quantum effective Hamiltonian.
 
@@ -74,14 +82,11 @@ def negated(h: Operator) -> Operator:
     return Operator(matrix=-h.matrix, hermitian=h.hermitian)
 
 
-def secular_dipolar_hamiltonian(
-    system: SpinSystem, basis: ZeemanBasis, scale: float = 1.0
-) -> Operator:
+def secular_dipolar_hamiltonian(system: SpinSystem, basis: ZeemanBasis) -> Operator:
     """Truncated dipolar Hamiltonian that commutes with collective I_z.
 
-    H = scale * sum_{i<j} D_ij (2 I_iz I_jz - (1/2)(I_i+ I_j- + I_i- I_j+)).
-    ``scale`` rescales the frequency axis only and defaults to 1.  Built
-    in float64 from bit patterns: 2 I_iz I_jz is +-1/2 on the diagonal
+    H = sum_{i<j} D_ij (2 I_iz I_jz - (1/2)(I_i+ I_j- + I_i- I_j+)).
+    Built in float64 from bit patterns: 2 I_iz I_jz is +-1/2 on the diagonal
     as spins i and j are aligned or not, and the flip-flop term swaps
     the two spins of every state in which they differ.
     """
@@ -95,7 +100,7 @@ def secular_dipolar_hamiltonian(
         differ = states[~aligned]
         h[differ ^ ((1 << i) | (1 << j)), differ] = -0.5 * coupling
     h[np.diag_indices(basis.dim)] = diagonal
-    return Operator(matrix=scale * h)
+    return Operator(matrix=h)
 
 
 def homq_excitable(n_spins: int) -> bool:

@@ -81,7 +81,7 @@ def filter_order(rho: DensityMatrix, basis: ZeemanBasis, n: int) -> DensityMatri
         raise ValueError(f"dimension mismatch: state {rho.dim}, basis {basis.dim}")
     orders = basis.coherence_orders()
     mat = np.where(np.abs(orders) == n, rho.matrix, 0.0)
-    return DensityMatrix(matrix=mat, convention=rho.convention)
+    return DensityMatrix(matrix=mat)
 
 
 def phase_cycle_decompose(

@@ -6,27 +6,27 @@ secular-Hamiltonian eigenstates,
     dp_a/dt = sum_b W_ab (p_b - p_a),
 
 with symmetric rates W_ab proportional to the single-quantum transition
-strength times a Gaussian spectral envelope of the irradiation.  States
-whose transitions all fall outside the envelope keep their population:
-that trapping is the whole point of saturating only part of the
-spectrum.
+strength times a Gaussian spectral envelope of the irradiation.  Its
+steady state is the population mean over each connected set of driven
+transitions.  States whose transitions all fall outside the envelope
+keep their population: that trapping is the whole point of saturating
+only part of the spectrum.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .spin_core import (
     DensityMatrix,
-    EigenBlock,
     Operator,
     ZeemanBasis,
     _frozen_array,
-    _real_or_complex,
     adjoint,
     eigh_blocks,
     embed_blocks,
@@ -34,8 +34,6 @@ from .spin_core import (
 )
 
 STRENGTH_THRESHOLD = 1e-10  # relative to the strongest transition
-
-_STEADY_STATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,31 +89,23 @@ class TransitionGraph:
     ``strengths[k] = |<upper| I_+ |lower>|^2``.
 
     ``blocks`` holds the eigenbasis per m block, in eigenstate order:
-    block k covers the next ``blocks[k].states.size`` eigenstates.
-    ``transform`` is the same basis as one dense matrix (columns are
-    eigenstates in the Zeeman basis).  A graph given no blocks treats
-    ``transform`` as a single block.
+    block k covers the next ``blocks[k].states.size`` eigenstates.  The
+    dense views ``energies`` and ``transform`` (columns are eigenstates
+    in the Zeeman basis) are assembled from it on first use.
     """
 
-    energies: np.ndarray = field(repr=False)
     m_values: np.ndarray = field(repr=False)
-    transform: np.ndarray = field(repr=False)
     upper: np.ndarray = field(repr=False)
     lower: np.ndarray = field(repr=False)
     frequencies: np.ndarray = field(repr=False)
     strengths: np.ndarray = field(repr=False)
-    blocks: tuple = field(default=(), repr=False)
+    blocks: tuple = field(repr=False)
 
     def __post_init__(self):
-        for name in ("energies", "m_values", "frequencies", "strengths"):
+        for name in ("m_values", "frequencies", "strengths"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), float))
         for name in ("upper", "lower"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), int))
-        object.__setattr__(self, "transform", _frozen_array(_real_or_complex(self.transform)))
-        if not self.blocks:
-            states = _frozen_array(np.arange(self.n_states))
-            whole = EigenBlock(states, self.energies, self.transform)
-            object.__setattr__(self, "blocks", (whole,))
         if sum(block.states.size for block in self.blocks) != self.n_states:
             raise ValueError("eigenbasis blocks must cover every eigenstate")
         if np.any(self.strengths < 0):
@@ -126,7 +116,15 @@ class TransitionGraph:
 
     @property
     def n_states(self) -> int:
-        return self.energies.shape[0]
+        return self.m_values.shape[0]
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        return _frozen_array(np.concatenate([block.eigenvalues for block in self.blocks]))
+
+    @cached_property
+    def transform(self) -> np.ndarray:
+        return _frozen_array(embed_blocks(self.blocks, self.n_states))
 
     @property
     def n_edges(self) -> int:
@@ -173,26 +171,21 @@ def crush(rho: DensityMatrix) -> DensityMatrix:
     Models a gradient pulse; inside the pipeline it is applied in the
     secular eigenbasis so the survivors are eigenstate populations.
     """
-    return DensityMatrix(
-        matrix=np.diag(np.diag(rho.matrix)), convention=rho.convention
-    )
+    return DensityMatrix(matrix=np.diag(np.diag(rho.matrix)))
 
 
-def build_transition_graph(
-    h_secular: Operator,
-    basis: ZeemanBasis,
-    threshold: float = STRENGTH_THRESHOLD,
-) -> TransitionGraph:
+def build_transition_graph(h_secular: Operator, basis: ZeemanBasis) -> TransitionGraph:
     """Eigendecompose blockwise by m and enumerate allowed transitions.
 
     The collective raising operator only links block m to block m+1, so
     it is formed between adjacent blocks alone, as V_{m+1}+ R V_m.
+    Edges with strength at most ``STRENGTH_THRESHOLD`` times the
+    strongest one are dropped: that separates symmetry-forbidden zeros
+    from roundoff.
 
     Args:
         h_secular: Hamiltonian commuting with collective I_z.
         basis: Zeeman basis (defines the m blocks).
-        threshold: Keep edges with strength above ``threshold`` times the
-            strongest one; separates symmetry-forbidden zeros from noise.
     """
     if h_secular.dim != basis.dim:
         raise ValueError("hamiltonian dimension does not match basis")
@@ -207,7 +200,6 @@ def build_transition_graph(
     blocks = eigh_blocks(mat, [np.flatnonzero(block_m == m) for m in levels])
     sizes = [block.states.size for block in blocks]
     starts = np.cumsum([0] + sizes)
-    energies = np.concatenate([block.eigenvalues for block in blocks])
     m_values = np.repeat(levels, sizes)
     position = np.empty(basis.dim, dtype=int)  # index of a Zeeman state in its block
     for block in blocks:
@@ -229,12 +221,10 @@ def build_transition_graph(
         freqs.append(np.subtract.outer(high.eigenvalues, low.eigenvalues).ravel())
         strengths.append((np.abs(s) ** 2).ravel())
     upper, lower, freqs, strengths = map(np.concatenate, (upper, lower, freqs, strengths))
-    keep = strengths > threshold * strengths.max(initial=0.0)
+    keep = strengths > STRENGTH_THRESHOLD * strengths.max(initial=0.0)
     ordering = np.lexsort((lower[keep], upper[keep], freqs[keep]))
     return TransitionGraph(
-        energies=energies,
         m_values=m_values,
-        transform=embed_blocks(blocks, basis.dim),
         upper=upper[keep][ordering],
         lower=lower[keep][ordering],
         frequencies=freqs[keep][ordering],
@@ -250,11 +240,12 @@ def saturate(
 
     Timed mode integrates the rate equation for ``params.duration``
     exactly (spectral solution of the graph Laplacian).  Steady-state
-    mode drops transitions whose envelope factor is below
-    ``params.envelope_floor`` and then steps with doubling time spans
-    until max |dp/dt| < 1e-12, which equalizes populations within each
-    driven connected component and leaves the rest trapped.  Total
-    population is conserved either way.
+    mode gives every eigenstate the mean population of its connected
+    component of driven transitions, which is where the rate equation
+    ends up: an edge is driven when its envelope factor is at least
+    ``params.envelope_floor`` and its rate is positive.  States with no
+    driven edge keep their population.  Total population is conserved
+    either way.
     """
     p0 = np.asarray(populations, dtype=float)
     if p0.shape != (graph.n_states,):
@@ -264,27 +255,36 @@ def saturate(
     envelope = params.envelope(graph.frequencies)
     weights = params.rate_scale * graph.strengths * envelope
     if params.mode == "steady_state":
-        weights = np.where(envelope >= params.envelope_floor, weights, 0.0)
+        driven = (envelope >= params.envelope_floor) & (weights > 0)
+        labels = _component_labels(graph.n_states, graph.upper[driven], graph.lower[driven])
+        totals = np.bincount(labels, weights=p0, minlength=graph.n_states)
+        sizes = np.bincount(labels, minlength=graph.n_states)
+        return totals[labels] / sizes[labels]
 
     w = np.zeros((graph.n_states, graph.n_states))
     np.add.at(w, (graph.upper, graph.lower), weights)
     w = w + w.T
-    laplacian = np.diag(w.sum(axis=1)) - w
     if not w.any():
         return p0.copy()
-    rates, modes = np.linalg.eigh(laplacian)
-    coeffs = modes.T @ p0
+    rates, modes = np.linalg.eigh(np.diag(w.sum(axis=1)) - w)
+    decay = np.exp(-np.clip(rates, 0.0, None) * params.duration)
+    return modes @ (decay * (modes.T @ p0))
 
-    def propagate(span: float) -> np.ndarray:
-        return modes @ (np.exp(-np.clip(rates, 0.0, None) * span) * coeffs)
 
-    if params.mode == "timed":
-        return propagate(params.duration)
+def _component_labels(n_states: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest state index in the connected component of every state.
 
-    span = 1.0 / rates.max()
-    for _ in range(200):
-        p = propagate(span)
-        if np.abs(laplacian @ p).max() < _STEADY_STATE_TOL:
-            return p
-        span *= 2.0
-    raise RuntimeError("saturation failed to reach steady state")
+    Edges join ``a[k]`` and ``b[k]``.  Each round points every state at
+    its root, then hooks the larger root of every edge whose ends
+    disagree onto the smaller one, until no edge joins two roots.
+    """
+    labels = np.arange(n_states)
+    while True:
+        while not np.array_equal(labels[labels], labels):
+            labels = labels[labels]
+        root_a, root_b = labels[a], labels[b]
+        if np.array_equal(root_a, root_b):
+            return labels
+        low = np.minimum(root_a, root_b)
+        np.minimum.at(labels, root_a, low)
+        np.minimum.at(labels, root_b, low)

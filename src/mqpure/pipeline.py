@@ -39,7 +39,6 @@ from .evolution import (
 )
 from .spin_core import (
     NumericalInvariantError,
-    SpinSystem,
     build_basis,
     thermal_state,
 )
@@ -195,20 +194,15 @@ def _strongest_frequency(graph: nonunitary.TransitionGraph, edge_mask: np.ndarra
     return float(graph.frequencies[candidates[np.argmax(graph.strengths[candidates])]])
 
 
-def _build_system(config: PipelineConfig) -> SpinSystem:
-    if config.system == "hexagon":
-        return hamiltonians.hexagon_couplings(config.d12)
-    return hamiltonians.load_couplings(config.system)
-
-
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """Execute the four preparation steps and assemble the report.
 
     Raises :class:`NumericalInvariantError` if a conserved quantity
     drifts (purity through the unitary steps, total population through
-    saturation, or the efficiency product rule).
+    saturation, or the efficiency product rule).  Each check passes only
+    when its residual is within tolerance, so a NaN residual fails it.
     """
-    system = _build_system(config)
+    system = hamiltonians.build_system(config.system, config.d12)
     basis = build_basis(system.n_spins)
     n = basis.n_spins
     filter_n = config.filter_n if config.filter_n is not None else n
@@ -257,7 +251,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     )
     f_convert = pair / norm_filtered if norm_filtered > 0 else 0.0
     f_overall = pair / norm_thermal
-    if abs(f_overall - f_homq * f_convert) > PRODUCT_RULE_RTOL * max(f_overall, 1e-30):
+    if not abs(f_overall - f_homq * f_convert) <= PRODUCT_RULE_RTOL * max(f_overall, 1e-30):
         raise NumericalInvariantError(
             f"efficiency product rule violated: {f_overall} != {f_homq} * {f_convert}"
         )
@@ -267,13 +261,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     h_secular = hamiltonians.secular_dipolar_hamiltonian(system, basis)
     graph = nonunitary.build_transition_graph(h_secular, basis)
     pops_crushed = graph.populations(rho_reversed)
-    if np.sum(pops_crushed**2) > rho_reversed.purity() * (1.0 + PURITY_DRIFT_RTOL):
+    if not np.sum(pops_crushed**2) <= rho_reversed.purity() * (1.0 + PURITY_DRIFT_RTOL):
         raise NumericalInvariantError("crush increased the state purity")
 
     params = config.saturation if config.saturation is not None else default_saturation(graph)
     pops_final = nonunitary.saturate(pops_crushed, graph, params)
     scale = max(np.abs(pops_crushed).max(), 1e-300)
-    if abs(pops_final.sum() - pops_crushed.sum()) > 1e-12 * graph.n_states * scale:
+    if not abs(pops_final.sum() - pops_crushed.sum()) <= 1e-12 * graph.n_states * scale:
         raise NumericalInvariantError("saturation did not conserve total population")
 
     graph_up = graph.index_all_up
@@ -333,7 +327,7 @@ def pseudopure_fidelity(populations: np.ndarray, index_up: int) -> float:
 
 
 def _check_purity(value: float, reference: float, step: str) -> None:
-    if abs(value - reference) > PURITY_DRIFT_RTOL * max(reference, 1e-300):
+    if not abs(value - reference) <= PURITY_DRIFT_RTOL * max(reference, 1e-300):
         raise NumericalInvariantError(
             f"purity drifted through {step}: {reference} -> {value}"
         )

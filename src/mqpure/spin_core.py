@@ -114,15 +114,15 @@ class ZeemanBasis:
         return np.rint(np.subtract.outer(self.m, self.m)).astype(int)
 
 
-def build_basis(n_spins: int, max_spins: int = MAX_SPINS) -> ZeemanBasis:
+def build_basis(n_spins: int) -> ZeemanBasis:
     """Construct the Zeeman basis for ``n_spins`` spin-1/2 sites.
 
     State index equals the bit pattern read as an unsigned integer with
     bit set meaning spin up, so the m table is fully determined by
     popcounts.
     """
-    if not 1 <= n_spins <= max_spins:
-        raise ValueError(f"n_spins must be in [1, {max_spins}], got {n_spins}")
+    if not 1 <= n_spins <= MAX_SPINS:
+        raise ValueError(f"n_spins must be in [1, {MAX_SPINS}], got {n_spins}")
     m = popcounts(np.arange(2**n_spins)) - n_spins / 2.0
     return ZeemanBasis(n_spins=n_spins, m=_frozen_array(m))
 
@@ -165,26 +165,16 @@ class Operator:
 
 @dataclass(frozen=True)
 class DensityMatrix(Operator):
-    """Hermitian state container; ``convention`` is "deviation" or "full".
+    """Hermitian deviation state container.
 
-    Deviation matrices may be traceless (the identity background is
-    implicit); full matrices must have unit trace and nonnegative
-    eigenvalues within numerical tolerance.
+    Deviation matrices may be traceless and indefinite: the identity
+    background is implicit.
     """
-
-    convention: str = "deviation"
 
     def __post_init__(self):
         if not self.hermitian:
             raise ValueError("density matrices must be hermitian")
         super().__post_init__()
-        if self.convention not in ("deviation", "full"):
-            raise ValueError(f"unknown convention {self.convention!r}")
-        if self.convention == "full":
-            if abs(np.trace(self.matrix) - 1.0) > 1e-12:
-                raise ValueError("full density matrix must have unit trace")
-            if np.linalg.eigvalsh(self.matrix).min() < -1e-10:
-                raise ValueError("full density matrix must be positive semidefinite")
 
     def purity(self) -> float:
         """Tr(rho^2), the conserved intensity measure."""

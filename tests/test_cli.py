@@ -115,6 +115,20 @@ class TestPipelineCommand:
         monkeypatch.setattr(cli, "run_pipeline", explode)
         assert main(["pipeline"]) == 2
 
+    @pytest.mark.parametrize("n_spins", [2, 6])
+    def test_overflowing_couplings_exit_2(self, tmp_path, capsys, n_spins):
+        # phases of 1e308 couplings overflow, so the evolved state is NaN
+        couplings = np.full((n_spins, n_spins), 1e308)
+        np.fill_diagonal(couplings, 0.0)
+        system = tmp_path / "couplings.txt"
+        np.savetxt(system, couplings, header=str(n_spins), comments="")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"system": str(system), "t_step": 0.01}))
+        assert main(["pipeline", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical invariant violated: ")
+        assert "Traceback" not in err
+
 
 class TestSpectrumCommand:
     def test_thermal_spectrum(self, tmp_path):

@@ -209,11 +209,6 @@ class TestSecularDipolar:
             eig_minus = np.linalg.eigvalsh(h[np.ix_(minus, minus)])
             assert np.allclose(eig_plus, eig_minus, atol=1e-12)
 
-    def test_scale_factor(self, hexagon_system, basis6):
-        h1 = secular_dipolar_hamiltonian(hexagon_system, basis6).matrix
-        h2 = secular_dipolar_hamiltonian(hexagon_system, basis6, scale=2.0).matrix
-        assert np.allclose(h2, 2.0 * h1)
-
     def test_only_order_zero(self, hexagon_system, basis6):
         h = secular_dipolar_hamiltonian(hexagon_system, basis6)
         dec = decompose(DensityMatrix(matrix=h.matrix), basis6)

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mqpure import (
     DensityMatrix,
@@ -16,6 +16,7 @@ from mqpure import (
     saturate,
     secular_dipolar_hamiltonian,
 )
+from mqpure.spin_core import EigenBlock
 
 from test_hamiltonians import random_systems
 
@@ -50,28 +51,31 @@ def loop_edges(graph, basis, threshold=1e-10):
             freqs[keep][ordering], strengths[keep][ordering])
 
 
+def identity_block(n_states):
+    """The Zeeman basis itself as one eigenbasis block at zero energy."""
+    return (EigenBlock(np.arange(n_states), np.zeros(n_states), np.eye(n_states)),)
+
+
 def three_state_graph():
     """States g, a, b with m = 0, 1, 2 and a single allowed a<->b edge."""
     return TransitionGraph(
-        energies=np.zeros(3),
         m_values=np.array([0.0, 1.0, 2.0]),
-        transform=np.eye(3),
         upper=np.array([2]),
         lower=np.array([1]),
         frequencies=np.array([0.0]),
         strengths=np.array([1.0]),
+        blocks=identity_block(3),
     )
 
 
 def edgeless_graph():
     return TransitionGraph(
-        energies=np.zeros(2),
         m_values=np.array([0.0, 1.0]),
-        transform=np.eye(2),
         upper=np.array([], dtype=int),
         lower=np.array([], dtype=int),
         frequencies=np.array([]),
         strengths=np.array([]),
+        blocks=identity_block(2),
     )
 
 
@@ -159,7 +163,7 @@ class TestTransitionGraph:
         expected = dense_populations(graph, rho)
         assert np.abs(graph.populations(rho) - expected).max() < 1e-12 * np.abs(raw).sum()
 
-    def test_hand_built_graph_uses_dense_transform(self):
+    def test_one_block_graph_populations(self):
         graph = three_state_graph()
         rho = DensityMatrix(matrix=np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 0.0], [0.0, 0.0, 3.0]]))
         assert np.array_equal(graph.populations(rho), [1.0, -1.0, 3.0])
@@ -255,6 +259,90 @@ class TestSaturate:
             saturate(np.zeros(10), graph6, params)
 
 
+def component_roots(n_states, a, b):
+    """Root of every state's connected component, by a plain union-find loop."""
+    parent = list(range(n_states))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in zip(a, b):
+        parent[find(i)] = find(j)
+    return np.array([find(x) for x in range(n_states)])
+
+
+def random_graph_and_populations(system, seed):
+    basis = build_basis(system.n_spins)
+    graph = build_transition_graph(secular_dipolar_hamiltonian(system, basis), basis)
+    rng = np.random.default_rng(seed)
+    return graph, rng.standard_normal(graph.n_states), rng
+
+
+class TestSaturationProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(random_systems(max_spins=6), st.integers(0, 2**32 - 1),
+           st.floats(0.01, 1.0), st.sampled_from([0.0, 1e-3, 0.3]))
+    def test_steady_state_is_component_mean(self, system, seed, width, floor):
+        graph, p0, rng = random_graph_and_populations(system, seed)
+        params = SaturationParams(
+            center_frequency=rng.choice(graph.frequencies),
+            width_sigma=width * max(np.ptp(graph.frequencies), 1.0),
+            envelope_floor=floor,
+        )
+        out = saturate(p0, graph, params)
+        envelope = params.envelope(graph.frequencies)
+        driven = (envelope >= floor) & (graph.strengths * envelope > 0)
+        roots = component_roots(graph.n_states, graph.upper[driven], graph.lower[driven])
+        scale = np.abs(p0).sum()
+        for root in np.unique(roots):
+            members = roots == root
+            assert np.ptp(out[members]) <= 1e-12 * scale
+            assert abs(out[members].sum() - p0[members].sum()) <= 1e-12 * scale
+
+    @settings(max_examples=20, deadline=None)
+    @given(random_systems(max_spins=6), st.integers(0, 2**32 - 1))
+    def test_steady_state_is_long_time_limit(self, system, seed):
+        # a broad envelope drives every edge at a rate of the order of its
+        # strength, so timed mode reaches the same limit within 40 e-folds
+        # of the slowest nonzero relaxation rate
+        graph, p0, rng = random_graph_and_populations(system, seed)
+        center = rng.choice(graph.frequencies)
+        width = 2.0 * np.ptp(graph.frequencies) + 1.0
+        weights = graph.strengths * np.exp(-((graph.frequencies - center) ** 2) / (2 * width**2))
+        w = np.zeros((graph.n_states,) * 2)
+        w[graph.upper, graph.lower] = weights
+        w = w + w.T
+        rates = np.linalg.eigvalsh(np.diag(w.sum(axis=1)) - w)
+        n_components = np.unique(component_roots(graph.n_states, graph.upper, graph.lower)).size
+        gap = rates[n_components]
+        assume(gap > 1e-4 * rates[-1])
+        steady, timed = (
+            saturate(p0, graph, SaturationParams(
+                center_frequency=center, width_sigma=width, envelope_floor=0.0,
+                duration=40.0 / gap, mode=mode,
+            ))
+            for mode in ("steady_state", "timed")
+        )
+        assert np.abs(steady - timed).max() <= 1e-10 * np.abs(p0).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_systems(max_spins=6), st.integers(0, 2**32 - 1),
+           st.floats(0.01, 1.0), st.floats(0.01, 100.0),
+           st.sampled_from(["timed", "steady_state"]))
+    def test_total_population_conserved(self, system, seed, width, duration, mode):
+        graph, p0, rng = random_graph_and_populations(system, seed)
+        params = SaturationParams(
+            center_frequency=rng.choice(graph.frequencies),
+            width_sigma=width * max(np.ptp(graph.frequencies), 1.0),
+            duration=duration,
+            mode=mode,
+        )
+        out = saturate(p0, graph, params)
+        assert abs(out.sum() - p0.sum()) <= 1e-12 * graph.n_states * np.abs(p0).max()
+
+
 class TestSaturationParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -278,23 +366,21 @@ class TestGraphValidation:
     def test_edges_must_step_one_in_m(self):
         with pytest.raises(ValueError):
             TransitionGraph(
-                energies=np.zeros(2),
                 m_values=np.array([0.0, 2.0]),
-                transform=np.eye(2),
                 upper=np.array([1]),
                 lower=np.array([0]),
                 frequencies=np.array([0.0]),
                 strengths=np.array([1.0]),
+                blocks=identity_block(2),
             )
 
     def test_strengths_nonnegative(self):
         with pytest.raises(ValueError):
             TransitionGraph(
-                energies=np.zeros(2),
                 m_values=np.array([0.0, 1.0]),
-                transform=np.eye(2),
                 upper=np.array([1]),
                 lower=np.array([0]),
                 frequencies=np.array([0.0]),
                 strengths=np.array([-1.0]),
+                blocks=identity_block(2),
             )

@@ -150,17 +150,10 @@ class TestContainers:
         with pytest.raises(ValueError):
             DensityMatrix(matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_full_convention_checks_trace_and_positivity(self):
-        good = np.diag([0.25, 0.75])
-        DensityMatrix(matrix=good, convention="full")
-        with pytest.raises(ValueError):
-            DensityMatrix(matrix=np.diag([0.5, 0.75]), convention="full")
-        with pytest.raises(ValueError):
-            DensityMatrix(matrix=np.diag([1.5, -0.5]), convention="full")
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(matrix=np.eye(2), convention="other")
+    def test_traceless_indefinite_deviation_state_accepted(self):
+        rho = DensityMatrix(matrix=np.diag([1.5, -0.5, -1.0]))
+        assert np.trace(rho.matrix) == 0.0
+        assert np.linalg.eigvalsh(rho.matrix).min() < 0
 
     def test_matrices_are_frozen(self):
         rho = thermal_state(build_basis(2))
