@@ -26,7 +26,6 @@ from .hamiltonians import (
     secular_dipolar_hamiltonian,
 )
 from .mq import (
-    MQDecomposition,
     decompose,
     filter_order,
     mq_intensity,
@@ -77,7 +76,6 @@ __all__ = [
     "DensityMatrix",
     "EigenSystem",
     "MAX_SPINS",
-    "MQDecomposition",
     "MaximumLocation",
     "NumericalInvariantError",
     "Operator",

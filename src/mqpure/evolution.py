@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -33,7 +32,6 @@ from .spin_core import (
     _frozen_array,
     adjoint,
     eigh_blocks,
-    embed_blocks,
     gemm,
     popcounts,
 )
@@ -50,11 +48,7 @@ class EigenSystem:
     """Eigendecomposition of a Hermitian operator, kept per invariant block.
 
     ``blocks`` is a tuple of :class:`~mqpure.spin_core.EigenBlock` whose
-    states partition the basis.  The dense views ``eigenvalues``
-    (ascending over all blocks) and ``eigenvectors`` (orthonormal columns
-    in the same order, zero outside their block) are assembled on first
-    use; degenerate subspaces come out in the deterministic order produced
-    by the dense symmetric solver on each block.
+    states partition the basis; each block's eigenvalues ascend.
     """
 
     blocks: tuple = field(repr=False)
@@ -63,23 +57,9 @@ class EigenSystem:
     def dim(self) -> int:
         return sum(block.states.size for block in self.blocks)
 
-    @cached_property
-    def _order(self) -> np.ndarray:
-        values = np.concatenate([block.eigenvalues for block in self.blocks])
-        return np.argsort(values, kind="stable")
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        values = np.concatenate([block.eigenvalues for block in self.blocks])
-        return _frozen_array(values[self._order])
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        return _frozen_array(embed_blocks(self.blocks, self.dim)[:, self._order])
-
 
 def diagonalize(h: Operator) -> EigenSystem:
-    """Eigendecompose a Hermitian operator (ascending eigenvalues).
+    """Eigendecompose a Hermitian operator (ascending within each block).
 
     When every element between an even- and an odd-popcount state is
     exactly zero, the two parity blocks are diagonalized separately;

@@ -107,7 +107,8 @@ def homq_excitable(n_spins: int) -> bool:
     """Whether the double-quantum Hamiltonian can reach order n_spins.
 
     The highest order is reachable only for cluster sizes 2 + 4n; other
-    even orders are still excitable, so callers warn rather than fail.
+    even orders are still excitable, so the pipeline rejects filtering
+    order n_spins elsewhere but accepts a lower even order.
     """
     if n_spins < 2:
         raise ValueError("n_spins must be at least 2")

@@ -9,51 +9,34 @@ is exactly Tr(rho^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .spin_core import DensityMatrix, ZeemanBasis
 
 
-@dataclass(frozen=True)
-class MQDecomposition:
-    """Partition of a matrix into coherence-order components.
+def decompose(rho: DensityMatrix, basis: ZeemanBasis) -> np.ndarray:
+    """Split rho by the m-difference of each element.
 
-    ``components[n]`` holds the elements of order n; the components sum
-    to the original matrix exactly and satisfy rho_n+ = rho_-n.
+    Returns a ``(2N+1, d, d)`` stack whose entry n holds the elements of
+    order n, with negative n counting from the end as in numpy indexing,
+    so ``components[n]`` is order n for every n in -N..N.  The entries
+    sum to rho exactly and satisfy ``components[-n] = components[n]+``.
     """
-
-    n_spins: int
-    components: dict = field(repr=False)
-
-    def order(self, n: int) -> np.ndarray:
-        if n not in self.components:
-            raise ValueError(f"order {n} out of range [-{self.n_spins}, {self.n_spins}]")
-        return self.components[n]
-
-    def total(self) -> np.ndarray:
-        return sum(self.components.values())
-
-
-def decompose(rho: DensityMatrix, basis: ZeemanBasis) -> MQDecomposition:
-    """Split rho by the m-difference of each element."""
     if rho.dim != basis.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, basis {basis.dim}")
-    orders = basis.coherence_orders()
-    components = {
-        n: np.where(orders == n, rho.matrix, 0.0)
-        for n in range(-basis.n_spins, basis.n_spins + 1)
-    }
-    return MQDecomposition(n_spins=basis.n_spins, components=components)
+    n = basis.n_spins
+    orders = np.r_[0 : n + 1, -n:0]
+    return np.where(basis.coherence_orders() == orders[:, None, None], rho.matrix, 0)
 
 
-def mq_intensity(dec: MQDecomposition, n: int) -> float:
-    """Intensity of order n (n >= 0), Hermitian-paired for n > 0."""
-    if not 0 <= n <= dec.n_spins:
-        raise ValueError(f"order {n} out of range [0, {dec.n_spins}]")
+def mq_intensity(components: np.ndarray, n: int) -> float:
+    """Intensity of order n (n >= 0) of a :func:`decompose` stack,
+    Hermitian-paired for n > 0."""
+    n_spins = (len(components) - 1) // 2
+    if not 0 <= n <= n_spins:
+        raise ValueError(f"order {n} out of range [0, {n_spins}]")
     weight = 1.0 if n == 0 else 2.0
-    return weight * float(np.sum(np.abs(dec.order(n)) ** 2))
+    return weight * float(np.sum(np.abs(components[n]) ** 2))
 
 
 def mq_intensities(rho: DensityMatrix, basis: ZeemanBasis) -> np.ndarray:
@@ -86,13 +69,16 @@ def filter_order(rho: DensityMatrix, basis: ZeemanBasis, n: int) -> DensityMatri
 
 def phase_cycle_decompose(
     rho: DensityMatrix, basis: ZeemanBasis, k_steps: int
-) -> MQDecomposition:
+) -> np.ndarray:
     """Order decomposition via discrete z-rotation phase cycling.
 
     Computes rho_n = (1/K) sum_k exp(i n phi_k) R(phi_k) rho R(phi_k)+
-    with phi_k = 2 pi k / K and R(phi) = exp(-i phi I_z).  Independent of
-    :func:`decompose` (no element classification), so the two serve as
-    cross-checking oracles.  Requires K > 2 N or orders alias.
+    with phi_k = 2 pi k / K and R(phi) = exp(-i phi I_z): the K rotated
+    copies form one stack and a single inverse DFT over the rotation axis
+    yields every order.  Returns the layout of :func:`decompose`.
+    Independent of it (no element classification, only the phases of
+    ``basis.m``), so the two serve as cross-checking oracles.  Requires
+    K > 2 N or orders alias.
     """
     if rho.dim != basis.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, basis {basis.dim}")
@@ -102,12 +88,8 @@ def phase_cycle_decompose(
             f"need k_steps > {2 * basis.n_spins}"
         )
     phis = 2.0 * np.pi * np.arange(k_steps) / k_steps
-    rotated = []
-    for phi in phis:
-        d = np.exp(-1j * phi * basis.m)  # R(phi) is diagonal in the Zeeman basis
-        rotated.append(np.outer(d, d.conj()) * rho.matrix)
-    components = {}
-    for n in range(-basis.n_spins, basis.n_spins + 1):
-        weights = np.exp(1j * n * phis)
-        components[n] = sum(w * r for w, r in zip(weights, rotated)) / k_steps
-    return MQDecomposition(n_spins=basis.n_spins, components=components)
+    d = np.exp(-1j * np.outer(phis, basis.m))  # R(phi_k) is diagonal in the Zeeman basis
+    rotated = d[:, :, np.newaxis] * d.conj()[:, np.newaxis, :]
+    rotated *= rho.matrix
+    np.fft.ifft(rotated, axis=0, out=rotated)
+    return rotated[np.r_[0 : basis.n_spins + 1, -basis.n_spins : 0]]

@@ -29,7 +29,6 @@ from .spin_core import (
     _frozen_array,
     adjoint,
     eigh_blocks,
-    embed_blocks,
     gemm,
 )
 
@@ -90,8 +89,7 @@ class TransitionGraph:
 
     ``blocks`` holds the eigenbasis per m block, in eigenstate order:
     block k covers the next ``blocks[k].states.size`` eigenstates.  The
-    dense views ``energies`` and ``transform`` (columns are eigenstates
-    in the Zeeman basis) are assembled from it on first use.
+    dense view ``energies`` is assembled from it on first use.
     """
 
     m_values: np.ndarray = field(repr=False)
@@ -121,10 +119,6 @@ class TransitionGraph:
     @cached_property
     def energies(self) -> np.ndarray:
         return _frozen_array(np.concatenate([block.eigenvalues for block in self.blocks]))
-
-    @cached_property
-    def transform(self) -> np.ndarray:
-        return _frozen_array(embed_blocks(self.blocks, self.n_states))
 
     @property
     def n_edges(self) -> int:

@@ -31,6 +31,7 @@ import numpy as np
 from . import hamiltonians, mq, nonunitary, spectrum as spec
 from .evolution import (
     SweepTable,
+    _phase_scale,
     diag_pair_extractor,
     diagonalize,
     evolve,
@@ -208,16 +209,17 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     filter_n = config.filter_n if config.filter_n is not None else n
     if not 1 <= filter_n <= n:
         raise ValueError(f"filter order {filter_n} out of range [1, {n}]")
-    if not hamiltonians.homq_excitable(n):
-        warnings.warn(
-            f"{n}-spin cluster cannot reach order {n} under the double-quantum "
-            "Hamiltonian (needs 2 + 4k spins); lower even orders still appear",
-            RuntimeWarning,
-            stacklevel=2,
+    if filter_n == n and not hamiltonians.homq_excitable(n):
+        raise ValueError(
+            f"order {n} is unreachable: the double-quantum Hamiltonian excites the "
+            "top order only for 2 + 4k spins; set a lower even filter_n"
         )
 
     h_av = hamiltonians.dq_hamiltonian(system, basis)
     eig = diagonalize(h_av)
+    top = float(max(np.abs(block.eigenvalues).max(initial=0.0) for block in eig.blocks))
+    if not np.isfinite(_phase_scale(config.unit) * max(config.t_max, config.t_prep) * top):
+        raise NumericalInvariantError(f"propagation phases overflow (largest |E| = {top})")
     rho_thermal = thermal_state(basis)
     norm_thermal = rho_thermal.purity()
 

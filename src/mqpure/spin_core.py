@@ -153,8 +153,11 @@ class Operator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("operator matrix must be square")
         if self.hermitian:
-            scale = np.linalg.norm(mat)
-            if np.linalg.norm(mat - mat.conj().T) > HERMITICITY_RTOL * max(scale, 1e-300):
+            # dividing by the largest entry keeps the norms of finite entries
+            # from overflowing; below 1e100 they cannot, so no scaled copy is made
+            peak = np.abs(mat).max(initial=0.0)
+            unit = mat / peak if peak > 1e100 else mat
+            if np.linalg.norm(unit - unit.conj().T) > HERMITICITY_RTOL * np.linalg.norm(unit):
                 raise ValueError("matrix flagged hermitian is not hermitian")
         object.__setattr__(self, "matrix", _frozen_array(mat))
 
@@ -253,22 +256,6 @@ def eigh_blocks(matrix: np.ndarray, groups) -> tuple:
         blocks.append(EigenBlock(_frozen_array(states), _frozen_array(values),
                                  _frozen_array(vectors)))
     return tuple(blocks)
-
-
-def embed_blocks(blocks, dim: int) -> np.ndarray:
-    """All block eigenvectors as one dense matrix over the full basis.
-
-    Columns follow the blocks in order; each column is zero outside the
-    states of its block.
-    """
-    dtype = np.result_type(*(block.eigenvectors for block in blocks))
-    dense = np.zeros((dim, dim), dtype=dtype)
-    start = 0
-    for block in blocks:
-        stop = start + block.states.size
-        dense[block.states, start:stop] = block.eigenvectors
-        start = stop
-    return dense
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

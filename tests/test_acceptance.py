@@ -235,7 +235,7 @@ def test_criterion_9_oracle_equivalences():
         direct = decompose(rho, basis)
         cycled = phase_cycle_decompose(rho, basis, 2 * n + 2)
         for order in range(-n, n + 1):
-            gap = np.abs(direct.order(order) - cycled.order(order)).max()
+            gap = np.abs(direct[order] - cycled[order]).max()
             worst_cycle = max(worst_cycle, float(gap))
         total = sum(mq_intensity(direct, order) for order in range(n + 1))
         worst_sum = max(worst_sum, abs(total - rho.purity()) / rho.purity())

@@ -1,10 +1,11 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from mqpure import NumericalInvariantError
+from mqpure import NumericalInvariantError, mq
 from mqpure.cli import main
 
 
@@ -124,10 +125,24 @@ class TestPipelineCommand:
         np.savetxt(system, couplings, header=str(n_spins), comments="")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"system": str(system), "t_step": 0.01}))
-        assert main(["pipeline", "--config", str(config)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["pipeline", "--config", str(config)]) == 2
         err = capsys.readouterr().err
+        # outside the test harness every warning would be printed to stderr too
+        assert [str(w.message) for w in caught] == []
         assert err.startswith("numerical invariant violated: ")
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_unreachable_top_order_exit_1(self, tmp_path, capsys):
+        system = tmp_path / "chain4.txt"
+        system.write_text("4\n0 1 0 0\n1 0 1 0\n0 1 0 1\n0 0 1 0\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"system": str(system), "t_step": 0.01}))
+        assert main(["pipeline", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: order 4 is unreachable")
+        assert len(err.splitlines()) == 1
 
 
 class TestSpectrumCommand:
@@ -207,3 +222,9 @@ class TestFilterCheckCommand:
     def test_aliasing_k_steps_rejected(self):
         assert main(["filter-check", "--n-spins", "3", "--k-steps", "6",
                      "--trials", "2"]) == 1
+
+    def test_misordered_phase_cycling_fails(self, monkeypatch):
+        cycled = mq.phase_cycle_decompose
+        monkeypatch.setattr(mq, "phase_cycle_decompose",
+                            lambda *args: np.roll(cycled(*args), 1, axis=0))
+        assert main(["filter-check", "--seed", "3", "--n-spins", "4", "--trials", "2"]) == 2

@@ -23,24 +23,24 @@ def random_state(rng, dim):
 class TestDecompose:
     def test_thermal_is_pure_order_zero(self, basis6, thermal6):
         dec = decompose(thermal6, basis6)
-        assert np.abs(dec.order(0) - thermal6.matrix).max() == 0.0
+        assert np.abs(dec[0] - thermal6.matrix).max() == 0.0
         for n in range(1, 7):
-            assert np.abs(dec.order(n)).max() == 0.0
+            assert np.abs(dec[n]).max() == 0.0
 
     def test_homq_state_is_pure_order_six(self, basis6):
         dec = decompose(homq_coherence_state(basis6), basis6)
-        assert dec.order(6)[63, 0] == 1j
-        assert dec.order(-6)[0, 63] == -1j
+        assert dec[6][63, 0] == 1j
+        assert dec[-6][0, 63] == -1j
         for n in range(-5, 6):
-            assert np.abs(dec.order(n)).max() == 0.0
+            assert np.abs(dec[n]).max() == 0.0
 
     def test_components_partition_exactly(self, basis6):
         rng = np.random.default_rng(21)
         rho = random_state(rng, 64)
         dec = decompose(rho, basis6)
-        assert np.abs(dec.total() - rho.matrix).max() == 0.0
+        assert np.abs(dec.sum(axis=0) - rho.matrix).max() == 0.0
         for n in range(-6, 7):
-            assert np.abs(dec.order(n).conj().T - dec.order(-n)).max() == 0.0
+            assert np.abs(dec[n].conj().T - dec[-n]).max() == 0.0
 
     def test_completeness_of_intensities(self, basis6):
         rng = np.random.default_rng(22)
@@ -51,8 +51,7 @@ class TestDecompose:
 
     def test_order_out_of_range(self, basis6, thermal6):
         dec = decompose(thermal6, basis6)
-        with pytest.raises(ValueError):
-            dec.order(7)
+        assert dec.shape == (13, 64, 64)  # one entry per order -6..6, none beyond
         with pytest.raises(ValueError):
             mq_intensity(dec, -1)
         with pytest.raises(ValueError):
@@ -105,6 +104,25 @@ class TestIntensitiesInOnePass:
             mq_intensities(thermal6, build_basis(4))
 
 
+class TestOrderStack:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_phase_cycling_matches_direct_stack(self, data):
+        n = data.draw(st.integers(1, 6))
+        k_steps = data.draw(st.integers(2 * n + 1, 3 * n + 3))
+        basis = build_basis(n)
+        rho = random_state(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                           basis.dim)
+        direct = decompose(rho, basis)
+        cycled = phase_cycle_decompose(rho, basis, k_steps)
+        assert direct.shape == cycled.shape == (2 * n + 1, basis.dim, basis.dim)
+        assert np.abs(cycled - direct).max() <= 1e-12 * np.abs(rho.matrix).max()
+        assert np.array_equal(direct.sum(axis=0), rho.matrix)
+        intensities = mq_intensities(rho, basis)
+        for order in range(n + 1):
+            assert abs(mq_intensity(direct, order) - intensities[order]) <= 1e-12 * rho.purity()
+
+
 class TestFilter:
     def test_keeps_only_requested_pair(self, basis6, thermal6):
         mat = thermal6.matrix.copy()
@@ -152,7 +170,7 @@ class TestPhaseCycle:
         direct = decompose(rho, basis6)
         cycled = phase_cycle_decompose(rho, basis6, 2 * 6 + 2)
         for n in range(-6, 7):
-            assert np.abs(direct.order(n) - cycled.order(n)).max() < 1e-10
+            assert np.abs(direct[n] - cycled[n]).max() < 1e-10
 
     def test_too_few_steps_alias(self, basis6, thermal6):
         with pytest.raises(ValueError):
@@ -164,9 +182,9 @@ class TestPhaseCycle:
     def test_thermal_is_order_zero_for_any_valid_k(self, basis6, thermal6):
         for k in (13, 20, 64):
             dec = phase_cycle_decompose(thermal6, basis6, k)
-            assert np.abs(dec.order(0) - thermal6.matrix).max() < 1e-12
+            assert np.abs(dec[0] - thermal6.matrix).max() < 1e-12
             for n in range(1, 7):
-                assert np.abs(dec.order(n)).max() < 1e-12
+                assert np.abs(dec[n]).max() < 1e-12
 
     def test_intensity_sum_conserved_under_evolution(self, basis6, eig6, thermal6):
         for t in (0.3, 0.973, 1.6):

@@ -18,12 +18,13 @@ from mqpure import (
 )
 from mqpure.spin_core import EigenBlock
 
+from dense_eigen import dense_transform
 from test_hamiltonians import random_systems
 
 
 def dense_populations(graph, rho):
     """Diagonal of rho in the eigenbasis from the dense transform."""
-    v = graph.transform
+    v = dense_transform(graph.blocks)
     return np.real(np.einsum("ia,ij,ja->a", v.conj(), rho.matrix, v))
 
 
@@ -35,7 +36,8 @@ def loop_edges(graph, basis, threshold=1e-10):
         for site in range(basis.n_spins):
             if not state & (1 << site):
                 raising[state | (1 << site), state] += 1.0
-    s = graph.transform.conj().T @ raising @ graph.transform
+    v = dense_transform(graph.blocks)
+    s = v.conj().T @ raising @ v
     upper, lower, freqs, strengths = [], [], [], []
     for a in range(dim):
         for b in range(dim):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mqpure import (
     PipelineConfig,
@@ -26,10 +27,19 @@ from mqpure import (
     thermal_state,
 )
 
+from test_hamiltonians import random_systems
+
 
 def write_two_spin_file(tmp_path):
     path = tmp_path / "pair.txt"
     path.write_text("2\n0 1\n1 0\n")
+    return path
+
+
+def write_four_chain(tmp_path):
+    """A 4-spin open chain: order 4 cannot be excited, orders 0 and 2 can."""
+    path = tmp_path / "chain4.txt"
+    path.write_text("4\n0 1 0 0\n1 0 1 0\n0 1 0 1\n0 0 1 0\n")
     return path
 
 
@@ -98,14 +108,36 @@ class TestTwoSpinPipeline:
         assert report.peak_counts["saturated"] == 1
         assert report.pseudopure_fidelity >= 0.9
 
-    def test_warns_when_top_order_unreachable(self, tmp_path):
-        path = tmp_path / "chain4.txt"
-        path.write_text(
-            "4\n0 1 0 0\n1 0 1 0\n0 1 0 1\n0 0 1 0\n"
-        )
-        config = PipelineConfig(system=str(path), t_prep=0.3, t_max=0.4, t_step=0.01)
-        with pytest.warns(RuntimeWarning):
+    @pytest.mark.parametrize("filter_n", [None, 4])
+    def test_rejects_unreachable_top_order(self, tmp_path, filter_n):
+        config = PipelineConfig(system=str(write_four_chain(tmp_path)), t_prep=0.3,
+                                t_max=0.4, t_step=0.01, filter_n=filter_n)
+        with pytest.raises(ValueError, match=r"order 4 is unreachable.*2 \+ 4k spins"):
             run_pipeline(config)
+
+    @pytest.mark.filterwarnings("ignore:sweep maximum")
+    def test_lower_even_order_runs_when_top_unreachable(self, tmp_path):
+        config = PipelineConfig(system=str(write_four_chain(tmp_path)), t_prep=0.3,
+                                t_max=0.4, t_step=0.01, filter_n=2)
+        report = run_pipeline(config)
+        assert report.f_homq > 1e-3
+        assert report.f_overall == pytest.approx(report.f_homq * report.f_convert, rel=1e-12)
+
+
+class TestProductRuleProperty:
+    @pytest.mark.filterwarnings("ignore:sweep maximum")
+    @settings(max_examples=12, deadline=None)
+    @given(st.one_of(random_systems(2, 2), random_systems(6, 6)), st.floats(0.05, 1.0))
+    def test_random_couplings_at_excitable_sizes(self, tmp_path_factory, system, t_prep):
+        path = tmp_path_factory.mktemp("couplings") / "couplings.txt"
+        np.savetxt(path, system.couplings, header=str(system.n_spins), comments="")
+        config = PipelineConfig(
+            system=str(path), t_prep=t_prep, t_max=0.5, t_step=0.05,
+            saturation=SaturationParams(center_frequency=0.0, width_sigma=1.0),
+        )
+        report = run_pipeline(config)
+        gap = abs(report.f_overall - report.f_homq * report.f_convert)
+        assert gap <= 1e-12 * report.f_overall
 
 
 class TestLocateMaximum:

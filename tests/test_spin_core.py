@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,16 @@ class TestContainers:
         with pytest.raises(ValueError):
             Operator(matrix=bad, hermitian=True)
         Operator(matrix=bad, hermitian=False)  # fine unflagged
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e308])
+    def test_hermiticity_check_does_not_overflow(self, scale):
+        hermitian = scale * np.array([[0.0, 1.0 + 0.5j], [1.0 - 0.5j, 0.75]])
+        skewed = scale * np.array([[0.0, 1.0], [0.9, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow on finite entries
+            Operator(matrix=hermitian)
+            with pytest.raises(ValueError):
+                Operator(matrix=skewed)
 
     def test_density_matrix_must_be_hermitian(self):
         with pytest.raises(ValueError):
