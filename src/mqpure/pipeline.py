@@ -217,9 +217,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 
     h_av = hamiltonians.dq_hamiltonian(system, basis)
     eig = diagonalize(h_av)
-    top = float(max(np.abs(block.eigenvalues).max(initial=0.0) for block in eig.blocks))
+    # np.max, unlike the builtin, propagates a NaN from any block
+    top = float(np.max([np.abs(block.eigenvalues).max(initial=0.0) for block in eig.blocks]))
     if not np.isfinite(_phase_scale(config.unit) * max(config.t_max, config.t_prep) * top):
-        raise NumericalInvariantError(f"propagation phases overflow (largest |E| = {top})")
+        raise NumericalInvariantError(f"propagation phases are not finite (largest |E| = {top})")
     rho_thermal = thermal_state(basis)
     norm_thermal = rho_thermal.purity()
 

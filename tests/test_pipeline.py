@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mqpure import pipeline
 from mqpure import (
+    NumericalInvariantError,
     PipelineConfig,
     SaturationParams,
     SpinSystem,
@@ -122,6 +125,20 @@ class TestTwoSpinPipeline:
         report = run_pipeline(config)
         assert report.f_homq > 1e-3
         assert report.f_overall == pytest.approx(report.f_homq * report.f_convert, rel=1e-12)
+
+
+    def test_rejects_nan_spectrum_in_a_later_block(self, tmp_path, monkeypatch):
+        def diagonalize_with_nan(h):
+            eig = diagonalize(h)
+            *head, last = eig.blocks
+            nan = np.full_like(last.eigenvalues, np.nan)
+            return dataclasses.replace(eig, blocks=(*head, last._replace(eigenvalues=nan)))
+
+        monkeypatch.setattr(pipeline, "diagonalize", diagonalize_with_nan)
+        config = PipelineConfig(system=str(write_two_spin_file(tmp_path)), t_prep=0.25,
+                                t_max=0.5, t_step=0.01)
+        with pytest.raises(NumericalInvariantError, match="not finite"):
+            run_pipeline(config)
 
 
 class TestProductRuleProperty:
