@@ -215,6 +215,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             "top order only for 2 + 4k spins; set a lower even filter_n"
         )
 
+    # the transition graph and the saturation envelope square secular
+    # frequencies (up to 4 times the summed |couplings|) and add up dim
+    # squared energies; reject couplings for which that could overflow
+    peak = float(np.abs(system.couplings).max())
+    if not peak < np.sqrt(np.finfo(float).max) / (2 * n * (n - 1) * np.sqrt(basis.dim)):
+        raise NumericalInvariantError(
+            f"squared secular frequencies overflow (largest |coupling| = {peak})"
+        )
+
     h_av = hamiltonians.dq_hamiltonian(system, basis)
     eig = diagonalize(h_av)
     # np.max, unlike the builtin, propagates a NaN from any block

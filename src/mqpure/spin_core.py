@@ -153,10 +153,11 @@ class Operator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("operator matrix must be square")
         if self.hermitian:
-            # dividing by the largest entry keeps the norms of finite entries
-            # from overflowing; below 1e100 they cannot, so no scaled copy is made
+            # dividing by the largest entry keeps the squared norms of finite
+            # entries from overflowing or underflowing to 0; between 1e-100
+            # and 1e100 they cannot, so no scaled copy is made
             peak = np.abs(mat).max(initial=0.0)
-            unit = mat / peak if peak > 1e100 else mat
+            unit = mat / peak if peak > 1e100 or 0 < peak < 1e-100 else mat
             if np.linalg.norm(unit - unit.conj().T) > HERMITICITY_RTOL * np.linalg.norm(unit):
                 raise ValueError("matrix flagged hermitian is not hermitian")
         object.__setattr__(self, "matrix", _frozen_array(mat))
@@ -237,11 +238,28 @@ class EigenBlock(NamedTuple):
     ``states`` are the Zeeman indices spanning the block; the columns of
     ``eigenvectors`` are expressed over those states only and are real
     whenever the block is.
+
+    A spin-flip sector block (``flip`` +1 or -1, 0 for a plain block) is
+    spanned by (|s> + flip |s'>)/sqrt(2), where s' is s with every spin
+    flipped.  Its ``states`` list the states s and then their partners s'
+    in the same order, and its eigenvectors are expressed over the s.
     """
 
     states: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    flip: int = 0
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Coefficient of each equal slice of ``states`` in the block's vectors.
+
+        Over slice k of ``states``, an eigenvector of the full basis is
+        ``weights[k]`` times the matching column of ``eigenvectors``.
+        """
+        if self.flip == 0:
+            return np.ones(1)
+        return np.array([1.0, self.flip]) / np.sqrt(2.0)
 
 
 def eigh_blocks(matrix: np.ndarray, groups) -> tuple:

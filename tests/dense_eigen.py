@@ -12,15 +12,18 @@ def dense_transform(blocks) -> np.ndarray:
     """All block eigenvectors as one dense matrix over the full basis.
 
     Columns follow the blocks in order; each column is zero outside the
-    states of its block.
+    states of its block.  Over slice k of a block's states a column is
+    ``weights[k]`` times the block eigenvector, which embeds spin-flip
+    sector blocks as (|s> + flip |s'>)/sqrt(2) combinations.
     """
-    dim = sum(block.states.size for block in blocks)
+    dim = sum(block.eigenvalues.size for block in blocks)
     dtype = np.result_type(*(block.eigenvectors for block in blocks))
     dense = np.zeros((dim, dim), dtype=dtype)
     start = 0
     for block in blocks:
-        stop = start + block.states.size
-        dense[block.states, start:stop] = block.eigenvectors
+        stop = start + block.eigenvalues.size
+        dense[block.states, start:stop] = np.kron(block.weights[:, np.newaxis],
+                                                  block.eigenvectors)
         start = stop
     return dense
 

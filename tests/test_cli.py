@@ -116,10 +116,12 @@ class TestPipelineCommand:
         monkeypatch.setattr(cli, "run_pipeline", explode)
         assert main(["pipeline"]) == 2
 
-    @pytest.mark.parametrize("n_spins", [2, 6])
-    def test_overflowing_couplings_exit_2(self, tmp_path, capsys, n_spins):
-        # phases of 1e308 couplings overflow, so the evolved state is NaN
-        couplings = np.full((n_spins, n_spins), 1e308)
+    # phases of 1e308 couplings overflow; with 1e305 (N = 2) or 1e300 (N = 6)
+    # the phases stay finite, but squared secular frequencies do not
+    @pytest.mark.parametrize("n_spins, coupling", [(2, 1e308), (6, 1e308), (2, 1e305), (6, 1e300)],
+                             ids=["2", "6", "2-1e305", "6-1e300"])
+    def test_overflowing_couplings_exit_2(self, tmp_path, capsys, n_spins, coupling):
+        couplings = np.full((n_spins, n_spins), coupling)
         np.fill_diagonal(couplings, 0.0)
         system = tmp_path / "couplings.txt"
         np.savetxt(system, couplings, header=str(n_spins), comments="")

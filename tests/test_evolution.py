@@ -16,10 +16,13 @@ from mqpure import (
     mq_intensity_extractor,
     negated,
     population_extractor,
+    secular_dipolar_hamiltonian,
     sweep,
     thermal_state,
 )
-from mqpure.evolution import TWO_PI, SweepTable
+from mqpure.evolution import TWO_PI, EigenSystem, SweepTable, _eigenbasis_parts
+from mqpure.mq import mq_intensities
+from mqpure.spin_core import eigh_blocks, popcounts
 
 from dense_eigen import dense_eigen
 from test_hamiltonians import random_systems
@@ -53,6 +56,15 @@ def random_hamiltonian(rng, dim):
     return Operator(matrix=raw + raw.conj().T)
 
 
+def parity_eigensystem(h):
+    """The two popcount-parity blocks of h, without the spin-flip split."""
+    odd = popcounts(np.arange(h.dim)) & 1 == 1
+    return EigenSystem(blocks=eigh_blocks(h.matrix, (np.flatnonzero(~odd), np.flatnonzero(odd))))
+
+
+HAMILTONIANS = st.sampled_from([dq_hamiltonian, secular_dipolar_hamiltonian])
+
+
 class TestDiagonalize:
     def test_sorts_eigenvalues(self):
         eig = diagonalize(Operator(matrix=np.diag([3.0, 1.0, 2.0])))
@@ -84,19 +96,36 @@ class TestParityBlocks:
     @settings(max_examples=20, deadline=None)
     @given(random_systems())
     def test_dq_splits_into_real_parity_blocks(self, system):
+        # at even N each parity block splits into its two spin-flip sectors
         basis = build_basis(system.n_spins)
         h = dq_hamiltonian(system, basis).matrix
         eig = diagonalize(Operator(matrix=h))
-        assert len(eig.blocks) == 2
         parity = [np.unique(np.round(basis.m[b.states] + system.n_spins / 2) % 2)
                   for b in eig.blocks]
-        assert [list(p) for p in parity] == [[0.0], [1.0]]
+        if system.n_spins % 2 == 0:
+            assert [list(p) for p in parity] == [[0.0], [0.0], [1.0], [1.0]]
+            assert [b.flip for b in eig.blocks] == [1, -1, 1, -1]
+            assert all(b.eigenvalues.size == basis.dim // 4 for b in eig.blocks)
+        else:
+            assert [list(p) for p in parity] == [[0.0], [1.0]]
+            assert [b.flip for b in eig.blocks] == [0, 0]
         assert all(b.eigenvectors.dtype == np.float64 for b in eig.blocks)
         w, v = dense_eigen(eig.blocks)
         scale = max(np.linalg.norm(h), 1.0)
         assert np.all(np.diff(w) >= 0)
         assert np.linalg.norm(h @ v - v * w) < 1e-12 * scale
         assert np.linalg.norm(v.T @ v - np.eye(basis.dim)) < 1e-12 * basis.dim
+
+    @pytest.mark.parametrize("n_spins", [2, 4, 6])
+    def test_flip_breaking_matrix_keeps_parity_blocks(self, n_spins):
+        # a Zeeman offset conserves parity but changes sign under the flip
+        basis = build_basis(n_spins)
+        system = SpinSystem(n_spins=n_spins, couplings=1.0 - np.eye(n_spins))
+        h = dq_hamiltonian(system, basis).matrix + 0.3 * np.diag(basis.m)
+        eig = diagonalize(Operator(matrix=h))
+        assert [b.flip for b in eig.blocks] == [0, 0]
+        w, v = dense_eigen(eig.blocks)
+        assert np.linalg.norm(h @ v - v * w) < 1e-12 * np.linalg.norm(h)
 
     def test_random_complex_matrix_is_one_block(self):
         rng = np.random.default_rng(3)
@@ -123,6 +152,52 @@ class TestParityBlocks:
         for t, value in zip(times, table.column("im_ud")):
             assert value == pytest.approx(evolve(thermal6, eig6, t).matrix[cell].imag,
                                           abs=1e-13)
+
+
+class TestFlipSectors:
+    @settings(max_examples=25, deadline=None)
+    @given(random_systems(2, 8), HAMILTONIANS)
+    def test_sectors_reproduce_spectrum(self, system, build):
+        basis = build_basis(system.n_spins)
+        h = build(system, basis).matrix
+        eig = diagonalize(Operator(matrix=h))
+        assert len(eig.blocks) == (4 if system.n_spins % 2 == 0 else 2)
+        w, v = dense_eigen(eig.blocks)
+        scale = max(np.linalg.norm(h), 1.0)
+        assert np.abs(w - np.linalg.eigvalsh(h)).max() < 1e-12 * scale
+        assert np.linalg.norm(h @ v - v * w) < 1e-12 * scale
+        assert np.linalg.norm(v.T @ v - np.eye(basis.dim)) < 1e-12 * basis.dim
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_systems(2, 8), HAMILTONIANS, st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+    def test_propagation_matches_parity_blocks(self, system, build, t, seed):
+        basis = build_basis(system.n_spins)
+        h = build(system, basis)
+        sectors, parity = diagonalize(h), parity_eigensystem(h)
+        times = np.unique([0.0, 0.5 * t, t])
+        observables = {f"I{k}": mq_intensity_extractor(basis, k)
+                       for k in range(basis.n_spins + 1)}
+        observables["diag_pair"] = diag_pair_extractor(basis)
+        observables["im_ud"] = lambda rho: rho[basis.index_all_up, basis.index_all_down].imag
+        thermal = thermal_state(basis)
+        noisy = random_state(np.random.default_rng(seed), basis.dim)
+        for rho in (thermal, noisy):
+            scale = np.abs(rho.matrix).max()
+            there = evolve(rho, sectors, t).matrix
+            assert np.abs(there - evolve(rho, parity, t).matrix).max() <= 1e-12 * scale
+            assert np.array_equal(there, there.conj().T)
+            fast = sweep(rho, sectors, times, observables)
+            slow = sweep(rho, parity, times, observables)
+            for name in observables:
+                gap = np.abs(fast.column(name) - slow.column(name)).max()
+                assert gap <= 1e-12 * max(rho.purity(), scale)
+        # the random state populates every sector pair; the thermal state,
+        # odd under the flip, only the pairs of opposite flip parity
+        pairs = len(sectors.blocks) * (len(sectors.blocks) + 1) // 2
+        assert len(_eigenbasis_parts(noisy, sectors)) == pairs
+        if system.n_spins % 2 == 0:
+            flips = {(a.flip, b.flip) for a, b, *_ in _eigenbasis_parts(thermal, sectors)}
+            assert flips == {(1, -1)}
 
 
 class TestEvolve:
@@ -183,6 +258,14 @@ class TestEvolve:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("n_spins", [1, 2, 3, 6])
+    def test_order_extractor_matches_bincount(self, n_spins):
+        basis = build_basis(n_spins)
+        rho = random_state(np.random.default_rng(n_spins), basis.dim)
+        expected = mq_intensities(rho, basis)
+        got = [mq_intensity_extractor(basis, k)(rho.matrix) for k in range(n_spins + 1)]
+        assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+
     def test_single_point_grid_matches_initial_state(self):
         basis, h = two_spin_setup()
         rho = thermal_state(basis)

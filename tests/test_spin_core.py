@@ -148,8 +148,9 @@ class TestContainers:
             Operator(matrix=bad, hermitian=True)
         Operator(matrix=bad, hermitian=False)  # fine unflagged
 
-    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e308])
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e308, 1e-200, 1e-300])
     def test_hermiticity_check_does_not_overflow(self, scale):
+        # nor underflow: squared entries below about 1e-154 would flush to 0
         hermitian = scale * np.array([[0.0, 1.0 + 0.5j], [1.0 - 0.5j, 0.75]])
         skewed = scale * np.array([[0.0, 1.0], [0.9, 0.0]])
         with warnings.catch_warnings():
