@@ -9,6 +9,7 @@ identification.
 
 from .evolution import (
     EigenSystem,
+    Observable,
     SweepTable,
     diag_pair_extractor,
     diagonalize,
@@ -78,6 +79,7 @@ __all__ = [
     "MAX_SPINS",
     "MaximumLocation",
     "NumericalInvariantError",
+    "Observable",
     "Operator",
     "PipelineConfig",
     "PipelineReport",

@@ -25,6 +25,7 @@ from .evolution import (
     mq_intensity_extractor,
     population_extractor,
     sweep,
+    time_grid,
 )
 from .pipeline import PipelineConfig, run_pipeline
 from .spin_core import (
@@ -53,11 +54,11 @@ def _parse_observables(tokens: str, basis, norm_thermal: float):
         elif token == "diag_pair_frac":
             observables[token] = diag_pair_extractor(basis, normalize=norm_thermal)
         elif token == "pop_u":
-            observables[token] = population_extractor(basis.index_all_up)
+            observables[token] = population_extractor(basis, basis.index_all_up)
         elif token == "pop_d":
-            observables[token] = population_extractor(basis.index_all_down)
+            observables[token] = population_extractor(basis, basis.index_all_down)
         elif token.startswith("pop:"):
-            observables[token] = population_extractor(int(token[4:]))
+            observables[token] = population_extractor(basis, int(token[4:]))
         else:
             raise ValueError(f"unknown observable {token!r}")
     if not observables:
@@ -66,6 +67,7 @@ def _parse_observables(tokens: str, basis, norm_thermal: float):
 
 
 def cmd_sweep(args) -> int:
+    times = time_grid(args.t_max, args.t_step)
     system = hamiltonians.build_system(args.system, args.d12)
     basis = build_basis(system.n_spins)
     if args.state == "thermal":
@@ -79,7 +81,6 @@ def cmd_sweep(args) -> int:
     if names is None:
         names = ",".join([f"I{k}" for k in range(basis.n_spins + 1)] + ["diag_pair"])
     observables = _parse_observables(names, basis, rho0.purity())
-    times = np.arange(0.0, args.t_max + 0.5 * args.t_step, args.t_step)
     table = sweep(rho0, h, times, observables, unit=args.unit)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,14 @@ pairs in which the state has nonzero elements; the thermal state I_z
 changes sign under the flip, so it has none between sectors of equal
 flip parity.
 
+A sweep never assembles the dense rho(t).  Its observables are data
+(:class:`Observable`: weighted matrix elements, squared or real part),
+and it evaluates them in the block layout: for a chunk of time points at
+once it rotates and transforms every block pair with two GEMMs, then
+reduces each pair's block against precomputed per-element weights.
+:func:`evolve` runs the same kernel for one time point and scatters the
+pair blocks into the dense matrix.
+
 Couplings are cyclic frequencies, so the default propagation phase for a
 dimensionless time t (units of the inverse reference coupling) is
 2*pi*H*t.  Pass ``unit="angular"`` to interpret matrix elements as
@@ -24,9 +32,10 @@ reproduced.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -46,7 +55,12 @@ TWO_PI = 2.0 * np.pi
 
 _UNIT_SCALES = {"cyclic": TWO_PI, "angular": 1.0}
 
-Extractor = Callable[[np.ndarray], float]
+# bytes of one complex (r_a, K, r_b) block-pair stack in a sweep; K, the
+# number of time points per chunk, follows from the largest block pair
+CHUNK_BYTES = 1 << 17
+
+# largest time grid ``time_grid`` builds
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -121,6 +135,25 @@ def _as_eigensystem(h: Operator | EigenSystem) -> EigenSystem:
     return h if isinstance(h, EigenSystem) else diagonalize(h)
 
 
+def time_grid(t_max: float, t_step: float) -> np.ndarray:
+    """The grid 0, t_step, 2 t_step, ... up to t_max (within half a step).
+
+    The points are counted before any is allocated; a grid of more than
+    ``MAX_GRID_POINTS`` points is a ``ValueError``.
+    """
+    if not (t_max > 0 and t_step > 0):
+        raise ValueError("sweep bounds must be positive")
+    stop = t_max + 0.5 * t_step
+    count = stop / t_step  # np.arange makes ceil(count) points
+    if not count <= MAX_GRID_POINTS:
+        points = math.ceil(count) if math.isfinite(count) else count
+        raise ValueError(
+            f"time grid of t_max {t_max} and t_step {t_step} would have {points} points; "
+            f"the limit is {MAX_GRID_POINTS}"
+        )
+    return np.arange(0.0, stop, t_step)
+
+
 class _Part(NamedTuple):
     """One nonzero block pair (a, b) of a Hermitian state, a not after b.
 
@@ -171,7 +204,7 @@ def _eigenbasis_parts(rho: DensityMatrix, eig: EigenSystem) -> list:
             if not part.any():
                 continue
             moved = gemm(gemm(adjoint(a.eigenvectors), part), b.eigenvectors)
-            key = (a.states.tobytes(), b.states.tobytes())
+            key = _support(a, b)
             mirror = None
             if key[0] != key[1]:
                 mirror = (a.states[:, np.newaxis] + rho.dim * b.states).ravel()
@@ -181,6 +214,30 @@ def _eigenbasis_parts(rho: DensityMatrix, eig: EigenSystem) -> list:
             ))
             written.add(key)
     return parts
+
+
+def _support(a: EigenBlock, b: EigenBlock) -> tuple:
+    """Key of the dense elements a block pair writes."""
+    return a.states.tobytes(), b.states.tobytes()
+
+
+def _transform(parts: list, phases: np.ndarray) -> list:
+    """y = V_a e^{-i phase E_a} X_ab e^{i phase E_b} V_b+ of each pair, per phase.
+
+    V is a block's eigenvectors over its first slice of states.  Each
+    result is a stack shaped (r_a, K, r_b) for K phases; two GEMMs per
+    pair cover the whole stack.
+    """
+    out = []
+    for part in parts:
+        a, b = part.a, part.b
+        left = np.exp(-1j * np.multiply.outer(a.eigenvalues, phases))
+        y = part.moved[:, np.newaxis, :] * left[:, :, np.newaxis]
+        y *= np.exp(1j * np.multiply.outer(phases, b.eigenvalues))
+        r_a, k, r_b = y.shape
+        y = gemm(a.eigenvectors, y.reshape(r_a, k * r_b)).reshape(r_a * k, r_b)
+        out.append(gemm(y, adjoint(b.eigenvectors)).reshape(r_a, k, r_b))
+    return out
 
 
 def _spread(y: np.ndarray, weights: np.ndarray, with_adjoint: bool) -> np.ndarray:
@@ -212,14 +269,10 @@ def _propagate(parts: list, dim: int, phase: float) -> np.ndarray:
     """
     rho_t = np.zeros((dim, dim), dtype=complex)
     flat_rho_t = rho_t.ravel()
-    for a, b, moved, weights, flat, mirror, add in parts:
-        left = np.exp(-1j * phase * a.eigenvalues)
-        right = np.exp(1j * phase * b.eigenvalues)
-        rotated = moved * np.outer(left, right)
-        # with real eigenvectors gemm returns a transpose; one small copy
-        # here keeps the spread and the row-by-row scatter contiguous
-        y = np.ascontiguousarray(gemm(gemm(a.eigenvectors, rotated), adjoint(b.eigenvectors)))
-        block = _spread(y, weights, mirror is None).ravel()
+    ys = _transform(parts, np.array([phase]))
+    for (_, _, _, weights, flat, mirror, add), y in zip(parts, ys):
+        # one small copy keeps the spread and the row-by-row scatter contiguous
+        block = _spread(np.ascontiguousarray(y[:, 0, :]), weights, mirror is None).ravel()
         writes = [(flat, block)] if mirror is None else [(flat, block), (mirror, block.conj())]
         for where, values in writes:
             if add:
@@ -247,6 +300,27 @@ def evolve(
     eig = _as_eigensystem(h)
     scale = _phase_scale(unit)
     return DensityMatrix(matrix=_propagate(_eigenbasis_parts(rho, eig), rho.dim, scale * t))
+
+
+@dataclass(frozen=True)
+class Observable:
+    """A sweep observable: weight * sum_k f(rho.ravel()[flat[k]]) / normalize.
+
+    ``flat`` indexes elements of the raveled dense matrix (row * dim +
+    column); an element listed twice counts twice.  f is |.|^2 when
+    ``squared`` is set and the real part otherwise.
+    """
+
+    flat: np.ndarray = field(repr=False)
+    weight: float = 1.0
+    squared: bool = True
+    normalize: float = 1.0
+
+    def __post_init__(self):
+        flat = np.asarray(self.flat, dtype=np.intp)
+        if flat.ndim != 1 or (flat < 0).any():
+            raise ValueError("observable elements must be a vector of nonnegative indices")
+        object.__setattr__(self, "flat", _frozen_array(flat))
 
 
 @dataclass(frozen=True)
@@ -285,35 +359,150 @@ class SweepTable:
                 writer.writerow([repr(float(t))] + [repr(float(self.columns[n][k])) for n in names])
 
 
+class _Source(NamedTuple):
+    """One (r_a, K, r_b) stack a sweep reduces, and what its elements weigh.
+
+    The stack is the sum over ``terms`` (part index, sign, coefficient) of
+    coefficient times y (sign 0), y + y+ (sign 1) or y - y+ (sign -1) of
+    that part.  Each of ``reads`` is (squared, weights, columns):
+    weights[p, q, c] weighs |stack[p, k, q]|^2 (squared) or its real part
+    in observable columns[c].
+    """
+
+    terms: tuple
+    reads: tuple
+
+
+def _sources(parts: list, observables: list, dim: int) -> list:
+    """The stacks a sweep reduces, as (part indices, sources) per group of pairs.
+
+    Quadrant (i, j) of a pair's dense block is weights[i, j] times y, or
+    y +- y+ when a and b span the same states.  Pairs that write the same
+    elements form one group and are summed per quadrant before squaring.
+    Quadrants whose sums are proportional share one stack: the sector
+    pair of a flip-odd state needs y + y+ and y - y+, not four quadrants.
+    """
+    groups = {}
+    for index, part in enumerate(parts):
+        groups.setdefault(_support(part.a, part.b), []).append(index)
+    images = {}  # normalized terms -> [(scale, flat positions of the stack's elements)]
+    for members in groups.values():
+        a, b, mirror = parts[members[0]].a, parts[members[0]].b, parts[members[0]].mirror
+        r_a, r_b = a.eigenvalues.size, b.eigenvalues.size
+        for i in range(a.weights.size):
+            rows = a.states[i * r_a:(i + 1) * r_a, np.newaxis]
+            for j in range(b.weights.size):
+                cols = b.states[j * r_b:(j + 1) * r_b]
+                terms = []
+                for index in members:
+                    w = parts[index].weights
+                    sign = 0 if mirror is not None else (1 if w[j, i] == w[i, j] else -1)
+                    terms.append((index, sign, w[i, j]))
+                lead = terms[0][2]
+                flats = [rows * dim + cols] + ([cols * dim + rows] if mirror is not None else [])
+                key = tuple((index, sign, w / lead) for index, sign, w in terms)
+                images.setdefault(key, []).append((lead, flats))
+
+    # per stack and kind: observable column -> (nonzero elements, their weights)
+    found = {key: {True: {}, False: {}} for key in images}
+    for column, obs in enumerate(observables):
+        if obs.flat.size and obs.flat.max() >= dim * dim:
+            raise ValueError(f"observable element out of range for dimension {dim}")
+        dense = np.zeros(dim * dim)
+        np.add.at(dense, obs.flat, obs.weight)
+        for key, placed in images.items():
+            weight = sum((scale ** 2 if obs.squared else scale) * dense[flat]
+                         for scale, flats in placed for flat in flats).ravel()
+            nonzero = np.flatnonzero(weight)
+            if nonzero.size:
+                found[key][bool(obs.squared)][column] = (nonzero, weight[nonzero])
+
+    by_group = {tuple(members): [] for members in groups.values()}
+    for key, kinds in found.items():
+        shape = parts[key[0][0]].moved.shape
+        reads = tuple((squared, *_weight_matrix(columns, shape))
+                      for squared, columns in kinds.items() if columns)
+        if reads:
+            by_group[tuple(index for index, _, _ in key)].append(_Source(key, reads))
+    return [(members, sources) for members, sources in by_group.items() if sources]
+
+
+def _weight_matrix(columns: dict, shape: tuple) -> tuple:
+    """(r_a, r_b, n) weights from sparse columns, which are consumed, and
+    the observable column of each."""
+    order = sorted(columns)
+    out = np.zeros((shape[0] * shape[1], len(order)))
+    for c, column in enumerate(order):
+        nonzero, weights = columns.pop(column)
+        out[nonzero, c] = weights
+    return out.reshape(shape + (-1,)), np.array(order, dtype=np.intp)
+
+
+def _reduce(source: _Source, ys: dict, values: np.ndarray) -> None:
+    """Add a source's contribution for one chunk of time points to ``values``."""
+    stack = None
+    for index, sign, coefficient in source.terms:
+        term = y = ys[index]
+        if sign:
+            term = y.transpose(2, 1, 0).conj()
+            if sign > 0:
+                term += y
+            else:
+                np.subtract(y, term, out=term)
+        if coefficient != 1:
+            term = coefficient * term
+        stack = term if stack is None else stack + term
+    for squared, weights, columns in source.reads:
+        value = stack.real
+        if squared:
+            value = np.square(value)
+            value += np.square(stack.imag)
+        values[:, columns] += np.tensordot(value, weights, ([0, 2], [0, 1]))
+
+
+def _chunk_length(parts: list) -> int:
+    """Time points per sweep chunk: one complex stack of the largest pair in CHUNK_BYTES."""
+    largest = max((part.moved.size for part in parts), default=1)
+    return max(1, CHUNK_BYTES // (16 * largest))
+
+
 def sweep(
     rho0: DensityMatrix,
     h: Operator | EigenSystem,
     times: np.ndarray,
-    observables: Mapping[str, Extractor],
+    observables: Mapping[str, Observable],
     unit: str = "cyclic",
 ) -> SweepTable:
-    """Evaluate extractors on rho(t) across a time grid.
+    """Evaluate observables on rho(t) across a time grid.
 
     The Hamiltonian is diagonalized once and rho0 is moved into its
-    eigenbasis once; each grid point applies the spectral propagator to
-    the nonzero block pairs and hands the dense rho(t) (Zeeman basis) to
-    every extractor.
+    eigenbasis once.  Each chunk of grid points is propagated in the
+    block layout and reduced there, one group of block pairs at a time;
+    the dense rho(t) is never built.  Only the fields of each observable
+    are read.
     """
     eig = _as_eigensystem(h)
     parts = _eigenbasis_parts(rho0, eig)
     times = np.asarray(times, dtype=float)
-    scale = _phase_scale(unit)
-    data = {name: np.empty(times.size) for name in observables}
-    for k, t in enumerate(times):
-        rho_t = _propagate(parts, rho0.dim, scale * t)
-        for name, extract in observables.items():
-            data[name][k] = extract(rho_t)
+    phases = _phase_scale(unit) * times
+    specs = list(observables.values())
+    groups = _sources(parts, specs, rho0.dim)
+    values = np.zeros((times.size, len(specs)))
+    chunk = _chunk_length(parts)
+    for start in range(0, times.size, chunk):
+        window = slice(start, start + chunk)
+        for members, sources in groups:
+            ys = dict(zip(members, _transform([parts[i] for i in members], phases[window])))
+            for source in sources:
+                _reduce(source, ys, values[window])
+    data = {name: values[:, c] / obs.normalize
+            for c, (name, obs) in enumerate(observables.items())}
     return SweepTable(times=times, columns=data)
 
 
 def mq_intensity_extractor(
     basis: ZeemanBasis, n: int, normalize: float | None = None
-) -> Extractor:
+) -> Observable:
     """Observable: intensity of coherence order n (paired with -n for n > 0).
 
     Order 0 gives Tr(rho_0^2); positive n gives 2 * Tr(rho_n rho_n+), so
@@ -323,31 +512,18 @@ def mq_intensity_extractor(
     if not 0 <= n <= basis.n_spins:
         raise ValueError(f"order {n} out of range [0, {basis.n_spins}]")
     flat = np.flatnonzero(basis.coherence_orders() == n)
-    weight = 1.0 if n == 0 else 2.0
-    denom = 1.0 if normalize is None else normalize
-
-    def extract(rho_t: np.ndarray) -> float:
-        values = np.take(rho_t, flat)
-        return weight * float(np.vdot(values, values).real) / denom
-
-    return extract
+    normalize = 1.0 if normalize is None else normalize
+    return Observable(flat, 1.0 if n == 0 else 2.0, normalize=normalize)
 
 
-def diag_pair_extractor(basis: ZeemanBasis, normalize: float | None = None) -> Extractor:
+def diag_pair_extractor(basis: ZeemanBasis, normalize: float | None = None) -> Observable:
     """Observable: |rho_uu|^2 + |rho_dd|^2 for the all-up/all-down pair."""
-    up, down = basis.index_all_up, basis.index_all_down
-    denom = 1.0 if normalize is None else normalize
-
-    def extract(rho_t: np.ndarray) -> float:
-        return (abs(rho_t[up, up]) ** 2 + abs(rho_t[down, down]) ** 2) / denom
-
-    return extract
+    flat = (basis.dim + 1) * np.array([basis.index_all_up, basis.index_all_down])
+    return Observable(flat, normalize=1.0 if normalize is None else normalize)
 
 
-def population_extractor(state: int) -> Extractor:
+def population_extractor(basis: ZeemanBasis, state: int) -> Observable:
     """Observable: diagonal element (population) of one Zeeman state."""
-
-    def extract(rho_t: np.ndarray) -> float:
-        return float(rho_t[state, state].real)
-
-    return extract
+    if not 0 <= state < basis.dim:
+        raise ValueError(f"state {state} out of range [0, {basis.dim})")
+    return Observable([(basis.dim + 1) * state], squared=False)

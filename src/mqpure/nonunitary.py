@@ -16,6 +16,7 @@ only part of the spectrum.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -60,8 +61,18 @@ class SaturationParams:
     envelope_floor: float = 1e-3
 
     def __post_init__(self):
-        if self.width_sigma <= 0:
+        if not self.width_sigma > 0:
             raise ValueError("width_sigma must be positive")
+        try:
+            spread = 2.0 * self.width_sigma**2
+        except OverflowError:
+            spread = math.inf
+        # the envelope divides by 2 width_sigma^2
+        if not 0 < spread < math.inf:
+            raise ValueError(
+                f"width_sigma {self.width_sigma!r} gives 2*width_sigma**2 = {spread!r}; "
+                "it must be positive and finite"
+            )
         if self.rate_scale <= 0:
             raise ValueError("rate_scale must be positive")
         if self.duration <= 0:

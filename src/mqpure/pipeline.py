@@ -37,6 +37,7 @@ from .evolution import (
     evolve,
     mq_intensity_extractor,
     sweep,
+    time_grid,
 )
 from .spin_core import (
     NumericalInvariantError,
@@ -215,6 +216,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             "top order only for 2 + 4k spins; set a lower even filter_n"
         )
 
+    times = time_grid(config.t_max, config.t_step)
+
     # the transition graph and the saturation envelope square secular
     # frequencies (up to 4 times the summed |couplings|) and add up dim
     # squared energies; reject couplings for which that could overflow
@@ -233,12 +236,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     rho_thermal = thermal_state(basis)
     norm_thermal = rho_thermal.purity()
 
-    times = np.arange(0.0, config.t_max + 0.5 * config.t_step, config.t_step)
-    observables = {
-        f"I{k}": mq_intensity_extractor(basis, k) for k in range(n + 1)
-    }
+    observables = {f"I{k}": mq_intensity_extractor(basis, k) for k in range(n + 1)}
     observables["diag_pair"] = diag_pair_extractor(basis)
     table = sweep(rho_thermal, eig, times, observables, unit=config.unit)
+    del observables  # their element indices take dim^2 / 2 integers
     located = locate_maximum(table, f"I{filter_n}")
     if not located.interior:
         warnings.warn(
@@ -301,7 +302,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     peak_counts = {
         name: spec.count_peaks(s, config.intensity_floor) for name, s in spectra.items()
     }
-    u_peak_gain = _u_peak_gain(spectra["saturated"], spectra["thermal"], graph)
+    u_peak_gain = _u_peak_gain(spectra["saturated"], spectra["thermal"], graph,
+                               config.merge_tolerance)
 
     report = PipelineReport(
         t_star=located.t_star,
@@ -349,12 +351,31 @@ def _u_peak_gain(
     saturated: spec.StickSpectrum,
     thermal: spec.StickSpectrum,
     graph: nonunitary.TransitionGraph,
+    tolerance: float,
 ) -> float:
+    """|saturated| over |thermal| intensity of the line into ``|u>``.
+
+    Each spectrum's line must lie within ``tolerance`` of the strongest
+    transition into ``|u>``; where one has no such line the gain is NaN,
+    with a ``RuntimeWarning``.
+    """
     if saturated.n_lines == 0 or thermal.n_lines == 0:
         return float("nan")
     f_u = _strongest_frequency(graph, graph.upper == graph.index_all_up)
-    sat = saturated.intensities[np.argmin(np.abs(saturated.frequencies - f_u))]
-    ref = thermal.intensities[np.argmin(np.abs(thermal.frequencies - f_u))]
+    lines = []
+    for name, stick in (("saturated", saturated), ("thermal", thermal)):
+        gaps = np.abs(stick.frequencies - f_u)
+        k = int(np.argmin(gaps))
+        if not gaps[k] <= tolerance:
+            warnings.warn(
+                f"the {name} spectrum has no line within {tolerance} of the |u> "
+                f"transition at {f_u}; u_peak_gain is NaN",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return float("nan")
+        lines.append(stick.intensities[k])
+    sat, ref = lines
     if ref == 0:
         return float("nan")
     return float(abs(sat) / abs(ref))

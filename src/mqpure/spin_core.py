@@ -152,7 +152,9 @@ class Operator:
         mat = _real_or_complex(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("operator matrix must be square")
-        if self.hermitian:
+        # a matrix equal to its adjoint passes the norm test below exactly,
+        # so the norms are only taken when that test can fail
+        if self.hermitian and not np.array_equal(mat, adjoint(mat)):
             # dividing by the largest entry keeps the squared norms of finite
             # entries from overflowing or underflowing to 0; between 1e-100
             # and 1e100 they cannot, so no scaled copy is made

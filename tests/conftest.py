@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mqpure import (
+    Observable,
     PipelineConfig,
+    SweepTable,
     build_basis,
     build_transition_graph,
     diag_pair_extractor,
@@ -56,8 +58,9 @@ def thermal_sweep(thermal6, eig6, basis6):
     up, down = basis6.index_all_up, basis6.index_all_down
     observables = {f"I{k}": mq_intensity_extractor(basis6, k) for k in range(7)}
     observables["diag_pair"] = diag_pair_extractor(basis6)
-    observables["re_ud"] = lambda rho: abs(rho[up, down].real)
-    return sweep(thermal6, eig6, ACCEPTANCE_GRID, observables)
+    observables["re_ud"] = Observable([up * basis6.dim + down], squared=False)
+    table = sweep(thermal6, eig6, ACCEPTANCE_GRID, observables)
+    return SweepTable(table.times, {**table.columns, "re_ud": np.abs(table.column("re_ud"))})
 
 
 @pytest.fixture(scope="session")

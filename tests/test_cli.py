@@ -64,6 +64,16 @@ class TestSweepCommand:
     def test_bad_flag(self):
         assert main(["sweep", "--no-such-flag"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--t-step", "1e-15"], "error: time grid of t_max 2.0 and t_step 1e-15 would have "
+                                "2000000000000001 points; the limit is 1000000"),
+        (["--t-step", "0"], "error: sweep bounds must be positive"),
+        (["--observables", "pop:64"], "error: state 64 out of range [0, 64)"),
+    ], ids=["huge-grid", "zero-step", "population-index"])
+    def test_bad_grid_or_observable_is_one_line_error(self, tmp_path, capsys, argv, message):
+        assert main(["sweep", "--out", str(tmp_path / "o"), *argv]) == 1
+        assert capsys.readouterr().err == message + "\n"
+
     def test_missing_coupling_file(self, tmp_path):
         code = main([
             "sweep", "--system", str(tmp_path / "nope.txt"), "--out", str(tmp_path),
@@ -106,6 +116,21 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"t_step": 1e-15}, "error: time grid of t_max 2.0 and t_step 1e-15 would have "
+                            "2000000000000001 points; the limit is 1000000"),
+        ({"saturation": {"center_frequency": 0.0, "width_sigma": 1e-200}},
+         "error: width_sigma 1e-200 gives 2*width_sigma**2 = 0.0; it must be positive and finite"),
+    ], ids=["huge-grid", "tiny-width"])
+    def test_degenerate_config_is_one_line_error(self, tmp_path, capsys, payload, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["pipeline", "--config", str(config)]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == message + "\n"
 
     def test_invariant_violation_exit_code(self, monkeypatch, tmp_path):
         from mqpure import cli

@@ -1,4 +1,5 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mqpure import (
     DensityMatrix,
+    Observable,
     Operator,
     SpinSystem,
     build_basis,
@@ -20,11 +22,13 @@ from mqpure import (
     sweep,
     thermal_state,
 )
-from mqpure.evolution import TWO_PI, EigenSystem, SweepTable, _eigenbasis_parts
+from mqpure import evolution
+from mqpure.evolution import TWO_PI, EigenSystem, SweepTable, _chunk_length, _eigenbasis_parts
 from mqpure.mq import mq_intensities
 from mqpure.spin_core import eigh_blocks, popcounts
 
 from dense_eigen import dense_eigen
+from dense_observables import dense_sweep, evaluate
 from test_hamiltonians import random_systems
 
 
@@ -63,6 +67,33 @@ def parity_eigensystem(h):
 
 
 HAMILTONIANS = st.sampled_from([dq_hamiltonian, secular_dipolar_hamiltonian])
+
+
+def every_kind_of_observable(basis, purity):
+    """Order intensities raw and normalized, the diagonal pair both ways,
+    populations, and the real part of one off-diagonal element."""
+    up, down = basis.index_all_up, basis.index_all_down
+    observables = {}
+    for k in range(basis.n_spins + 1):
+        observables[f"I{k}"] = mq_intensity_extractor(basis, k)
+        observables[f"F{k}"] = mq_intensity_extractor(basis, k, normalize=purity)
+    observables["diag_pair"] = diag_pair_extractor(basis)
+    observables["diag_pair_frac"] = diag_pair_extractor(basis, normalize=purity)
+    observables["pop_u"] = population_extractor(basis, up)
+    observables["pop_d"] = population_extractor(basis, down)
+    observables["pop_1"] = population_extractor(basis, 1)
+    observables["re_ud"] = Observable([up * basis.dim + down], squared=False, normalize=purity)
+    # a negative weight, with an element listed twice
+    observables["weighted"] = Observable([0, 5, 5, basis.dim], -1.5)
+    return observables
+
+
+def assert_matches_reference(table, reference, observables, rho):
+    """Each column equals its dense reference to 1e-12 of the column's scale."""
+    for name, obs in observables.items():
+        floor = (rho.purity() if obs.squared else np.abs(rho.matrix).max()) / obs.normalize
+        gap = np.abs(table.column(name) - reference[name]).max()
+        assert gap <= 1e-12 * max(np.abs(reference[name]).max(), floor), name
 
 
 class TestDiagonalize:
@@ -147,11 +178,13 @@ class TestParityBlocks:
 
     def test_sweep_matches_evolve_with_zero_blocks(self, basis6, eig6, thermal6):
         times = np.array([0.0, 0.31, 0.973])
-        cell = (basis6.index_all_up, basis6.index_all_down)
-        table = sweep(thermal6, eig6, times, {"im_ud": lambda rho: rho[cell].imag})
-        for t, value in zip(times, table.column("im_ud")):
-            assert value == pytest.approx(evolve(thermal6, eig6, t).matrix[cell].imag,
-                                          abs=1e-13)
+        up, down = basis6.index_all_up, basis6.index_all_down
+        observables = {"I6": mq_intensity_extractor(basis6, 6),
+                       "re_ud": Observable([up * basis6.dim + down], squared=False)}
+        table = sweep(thermal6, eig6, times, observables)
+        reference = dense_sweep(thermal6, eig6, times, observables)
+        for name in observables:
+            assert np.allclose(table.column(name), reference[name], rtol=0.0, atol=1e-13)
 
 
 class TestFlipSectors:
@@ -178,7 +211,9 @@ class TestFlipSectors:
         observables = {f"I{k}": mq_intensity_extractor(basis, k)
                        for k in range(basis.n_spins + 1)}
         observables["diag_pair"] = diag_pair_extractor(basis)
-        observables["im_ud"] = lambda rho: rho[basis.index_all_up, basis.index_all_down].imag
+        observables["pop_u"] = population_extractor(basis, basis.index_all_up)
+        observables["re_ud"] = Observable(
+            [basis.index_all_up * basis.dim + basis.index_all_down], squared=False)
         thermal = thermal_state(basis)
         noisy = random_state(np.random.default_rng(seed), basis.dim)
         for rho in (thermal, noisy):
@@ -198,6 +233,65 @@ class TestFlipSectors:
         if system.n_spins % 2 == 0:
             flips = {(a.flip, b.flip) for a, b, *_ in _eigenbasis_parts(thermal, sectors)}
             assert flips == {(1, -1)}
+
+
+class TestBatchedSweep:
+    """The block-layout sweep against evolve plus a dense evaluation."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_systems(2, 7), HAMILTONIANS, st.booleans(), st.integers(0, 2**32 - 1),
+           st.integers(1, 5), st.sampled_from([None, -1, 0, 1]), st.floats(0.1, 2.0))
+    def test_matches_dense_reference(self, system, build, thermal, seed, chunk, offset, t_end):
+        basis = build_basis(system.n_spins)
+        eig = diagonalize(build(system, basis))
+        rho = thermal_state(basis) if thermal else random_state(np.random.default_rng(seed),
+                                                                 basis.dim)
+        parts = _eigenbasis_parts(rho, eig)
+        # pairs that share a support are summed before squaring; a random
+        # state has them between the sectors of even N, odd N has plain blocks
+        sectors = system.n_spins % 2 == 0
+        assert any(part.add for part in parts) == (sectors and not thermal)
+        assert all((part.a.flip != 0) == sectors for part in parts)
+        observables = every_kind_of_observable(basis, rho.purity())
+        # a small chunk budget puts chunk boundaries inside short grids
+        largest = max(part.moved.size for part in parts)
+        with mock.patch.object(evolution, "CHUNK_BYTES", 16 * largest * chunk):
+            assert _chunk_length(parts) == chunk
+            length = 1 if offset is None else max(1, chunk + offset)
+            times = t_end * np.arange(1, length + 1) / length
+            table = sweep(rho, eig, times, observables)
+        reference = dense_sweep(rho, eig, times, observables)
+        assert_matches_reference(table, reference, observables, rho)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_hexagon_grid_around_one_chunk(self, basis6, eig6, thermal6, offset):
+        parts = _eigenbasis_parts(thermal6, eig6)
+        # the budget over one complex 16 x 16 sector pair per time point
+        chunk = _chunk_length(parts)
+        assert chunk == evolution.CHUNK_BYTES // (16 * 16 * 16) > 1
+        times = np.linspace(0.0, 2.0, chunk + offset)
+        observables = every_kind_of_observable(basis6, thermal6.purity())
+        table = sweep(thermal6, eig6, times, observables)
+        reference = dense_sweep(thermal6, eig6, times, observables)
+        assert_matches_reference(table, reference, observables, thermal6)
+
+    def test_complex_eigenvectors(self):
+        rng = np.random.default_rng(5)
+        basis = build_basis(4)
+        h = random_hamiltonian(rng, basis.dim)
+        rho = random_state(rng, basis.dim)
+        observables = every_kind_of_observable(basis, rho.purity())
+        times = np.array([0.0, 0.2, 0.7, 1.3])
+        table = sweep(rho, h, times, observables, unit="angular")
+        reference = dense_sweep(rho, h, times, observables, unit="angular")
+        assert_matches_reference(table, reference, observables, rho)
+
+    def test_rejects_element_outside_the_matrix(self):
+        basis, h = two_spin_setup()
+        with pytest.raises(ValueError, match="out of range"):
+            population_extractor(basis, 4)
+        with pytest.raises(ValueError, match="out of range"):
+            sweep(thermal_state(basis), h, np.array([0.0]), {"p": Observable([16])})
 
 
 class TestEvolve:
@@ -263,7 +357,7 @@ class TestSweep:
         basis = build_basis(n_spins)
         rho = random_state(np.random.default_rng(n_spins), basis.dim)
         expected = mq_intensities(rho, basis)
-        got = [mq_intensity_extractor(basis, k)(rho.matrix) for k in range(n_spins + 1)]
+        got = [evaluate(mq_intensity_extractor(basis, k), rho.matrix) for k in range(n_spins + 1)]
         assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
 
     def test_single_point_grid_matches_initial_state(self):
@@ -272,7 +366,7 @@ class TestSweep:
         observables = {
             "I2": mq_intensity_extractor(basis, 2),
             "diag_pair": diag_pair_extractor(basis),
-            "p_u": population_extractor(basis.index_all_up),
+            "p_u": population_extractor(basis, basis.index_all_up),
         }
         table = sweep(rho, h, np.array([0.0]), observables)
         assert table.column("I2")[0] < 1e-30

@@ -70,3 +70,18 @@ def test_install_then_uninstall_restores_originals(tracing):
     after = bindings(tracing)
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_traced_pipeline_gives_the_untraced_report(tracing):
+    # traced, the extractor factories hand sweep wrapper functions that
+    # carry the observables' fields
+    config = mqpure.PipelineConfig(t_max=1.2, t_step=0.01)
+    untraced = mqpure.pipeline.run_pipeline(config)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = mqpure.pipeline.run_pipeline(config)
+    finally:
+        tracer.uninstall()
+    assert "evolution.sweep" in [span[3] for span in tracer.spans]
+    assert traced.to_json() == untraced.to_json()

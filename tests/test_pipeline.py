@@ -12,6 +12,7 @@ from mqpure import (
     PipelineConfig,
     SaturationParams,
     SpinSystem,
+    StickSpectrum,
     SweepTable,
     build_basis,
     decompose,
@@ -122,7 +123,10 @@ class TestTwoSpinPipeline:
     def test_lower_even_order_runs_when_top_unreachable(self, tmp_path):
         config = PipelineConfig(system=str(write_four_chain(tmp_path)), t_prep=0.3,
                                 t_max=0.4, t_step=0.01, filter_n=2)
-        report = run_pipeline(config)
+        # saturation leaves no line at the |u> transition here
+        with pytest.warns(RuntimeWarning, match="saturated spectrum has no line"):
+            report = run_pipeline(config)
+        assert np.isnan(report.u_peak_gain)
         assert report.f_homq > 1e-3
         assert report.f_overall == pytest.approx(report.f_homq * report.f_convert, rel=1e-12)
 
@@ -239,9 +243,32 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(merge_tolerance=0.0)
 
+    @pytest.mark.parametrize("width", [1e-200, 1e200, float("nan")])
+    def test_width_whose_envelope_denominator_is_not_finite(self, tmp_path, width):
+        # 2 * 1e-200**2 underflows to 0 and 2 * 1e200**2 overflows
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            {"saturation": {"center_frequency": 0.0, "width_sigma": width}}))
+        with pytest.raises(ValueError, match="width_sigma"):
+            PipelineConfig.from_file(config_path)
+
     def test_filter_order_out_of_range(self):
         with pytest.raises(ValueError):
             run_pipeline(PipelineConfig(filter_n=9, t_max=0.01, t_step=0.001))
+
+
+class TestUPeakGain:
+    def test_spectrum_without_the_u_line_gives_nan(self, graph6):
+        f_u = pipeline._strongest_frequency(graph6, graph6.upper == graph6.index_all_up)
+        with_u = StickSpectrum(np.array([f_u - 1.0, f_u]), np.array([1.0, 2.0]))
+        # the nearest line is 1e-3 away, above the 1e-6 tolerance
+        without_u = StickSpectrum(np.array([f_u - 1.0, f_u + 1e-3]), np.array([1.0, 4.0]))
+        assert pipeline._u_peak_gain(with_u, with_u, graph6, 1e-6) == 1.0
+        for saturated, thermal in ((without_u, with_u), (with_u, without_u)):
+            with pytest.warns(RuntimeWarning, match="no line within 1e-06"):
+                gain = pipeline._u_peak_gain(saturated, thermal, graph6, 1e-6)
+            assert np.isnan(gain)
+        assert pipeline._u_peak_gain(without_u, with_u, graph6, 2e-3) == 2.0
 
 
 class TestPseudopureFidelity:

@@ -13,6 +13,22 @@ from mqpure import (
     single_spin_op,
     thermal_state,
 )
+from mqpure.spin_core import HERMITICITY_RTOL
+
+
+def norm_rule(mat):
+    """The Hermiticity decision from the scaled norms alone."""
+    peak = np.abs(mat).max(initial=0.0)
+    unit = mat / peak if peak > 1e100 or 0 < peak < 1e-100 else mat
+    return not np.linalg.norm(unit - unit.conj().T) > HERMITICITY_RTOL * np.linalg.norm(unit)
+
+
+def accepted(mat):
+    try:
+        Operator(matrix=mat)
+    except ValueError:
+        return False
+    return True
 
 
 class TestBasis:
@@ -158,6 +174,36 @@ class TestContainers:
             Operator(matrix=hermitian)
             with pytest.raises(ValueError):
                 Operator(matrix=skewed)
+
+    @pytest.mark.parametrize("factor, inside", [(0.99, True), (1.01, False)])
+    def test_hermiticity_tolerance_boundary(self, factor, inside):
+        # H + cA with H Hermitian and A anti-Hermitian: the residual is 2c|A|,
+        # and |H + cA| exceeds |H| by a relative 1e-25 only
+        rng = np.random.default_rng(4)
+        raw = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        herm, anti = raw + raw.conj().T, raw - raw.conj().T
+        c = factor * HERMITICITY_RTOL * np.linalg.norm(herm) / (2 * np.linalg.norm(anti))
+        assert accepted(herm + c * anti) == inside
+
+    @pytest.mark.parametrize("mat", [
+        np.array([[1.0, 2.0], [2.0, -1.0]]),
+        np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 0.0]]),
+        np.array([[0.0, -0.0], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, 1.0 + 1e-14j]]),
+        np.array([[np.nan, 1.0], [1.0, 0.0]]),
+        np.array([[0.0, np.nan], [1.0, 0.0]]),
+        np.array([[np.inf, 1.0], [1.0, -np.inf]]),
+        np.array([[0.0, np.inf], [1.0, 0.0]]),
+        1e300 * np.array([[1.0, 0.5], [0.5, 1.0]]),
+        1e150 * np.array([[0.0, 1.0], [0.9, 0.0]]),
+        1e-300 * np.array([[1.0, 0.5j], [-0.5j, 1.0]]),
+        1e-300 * np.array([[0.0, 1.0], [0.9, 0.0]]),
+    ], ids=["real", "complex", "signed-zero", "tiny-skew", "nan-diagonal", "nan-corner",
+            "inf", "inf-corner", "1e300", "1e150-skewed", "1e-300", "1e-300-skewed"])
+    def test_exact_adjoint_shortcut_keeps_every_decision(self, mat):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # inf / inf in the norm rule
+            assert accepted(mat) == norm_rule(mat)
 
     def test_density_matrix_must_be_hermitian(self):
         with pytest.raises(ValueError):
