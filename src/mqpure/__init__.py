@@ -65,9 +65,7 @@ from .spin_core import (
     SpinSystem,
     ZeemanBasis,
     build_basis,
-    collective_op,
     homq_coherence_state,
-    single_spin_op,
     thermal_state,
 )
 
@@ -92,7 +90,6 @@ __all__ = [
     "broaden",
     "build_basis",
     "build_transition_graph",
-    "collective_op",
     "count_peaks",
     "crush",
     "curve_to_csv",
@@ -120,7 +117,6 @@ __all__ = [
     "run_pipeline",
     "saturate",
     "secular_dipolar_hamiltonian",
-    "single_spin_op",
     "sweep",
     "thermal_state",
 ]

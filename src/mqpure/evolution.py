@@ -18,8 +18,8 @@ A sweep never assembles the dense rho(t).  Its observables are data
 and it evaluates them in the block layout: for a chunk of time points at
 once it rotates and transforms every block pair with two GEMMs, then
 reduces each pair's block against precomputed per-element weights.
-:func:`evolve` runs the same kernel for one time point and scatters the
-pair blocks into the dense matrix.
+:func:`evolve` runs the same kernel for one time point and writes each
+stack into the dense matrix through the quadrant map the sweep reduces.
 
 Couplings are cyclic frequencies, so the default propagation phase for a
 dimensionless time t (units of the inverse reference coupling) is
@@ -158,22 +158,11 @@ class _Part(NamedTuple):
     """One nonzero block pair (a, b) of a Hermitian state, a not after b.
 
     ``moved`` is the pair's part in the eigenbasis, halved when a is b.
-    ``weights`` is outer(a.weights, b.weights).  ``flat`` places the
-    pair's dense block over (a.states, b.states) in the raveled dense
-    matrix, and ``mirror`` places the transposed conjugate of the block,
-    which is the (b, a) pair, over (b.states, a.states); it is None when
-    a and b span the same states, where the (b, a) pair lands on the
-    block itself.  ``add`` is set when an earlier pair writes the same
-    elements.
     """
 
     a: EigenBlock
     b: EigenBlock
     moved: np.ndarray
-    weights: np.ndarray
-    flat: np.ndarray
-    mirror: np.ndarray | None
-    add: bool
 
 
 def _fold(matrix: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
@@ -196,29 +185,56 @@ def _eigenbasis_parts(rho: DensityMatrix, eig: EigenSystem) -> list:
     """
     if eig.dim != rho.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, hamiltonian {eig.dim}")
-    parts, written = [], set()
+    parts = []
     for i, a in enumerate(eig.blocks):
         for b in eig.blocks[i:]:
             part = rho.matrix[np.ix_(a.states, b.states)]
             part = _fold(_fold(part, a.weights, 0), b.weights, 1)
-            if not part.any():
-                continue
-            moved = gemm(gemm(adjoint(a.eigenvectors), part), b.eigenvectors)
-            key = _support(a, b)
-            mirror = None
-            if key[0] != key[1]:
-                mirror = (a.states[:, np.newaxis] + rho.dim * b.states).ravel()
-            parts.append(_Part(
-                a, b, 0.5 * moved if a is b else moved, np.outer(a.weights, b.weights),
-                (rho.dim * a.states[:, np.newaxis] + b.states).ravel(), mirror, key in written,
-            ))
-            written.add(key)
+            if part.any():
+                moved = gemm(gemm(adjoint(a.eigenvectors), part), b.eigenvectors)
+                parts.append(_Part(a, b, 0.5 * moved if a is b else moved))
     return parts
 
 
-def _support(a: EigenBlock, b: EigenBlock) -> tuple:
-    """Key of the dense elements a block pair writes."""
-    return a.states.tobytes(), b.states.tobytes()
+def _layout(parts: list, dim: int) -> list:
+    """Where the block pairs land in the raveled dense matrix, per group of pairs.
+
+    Quadrant (i, j) of a pair's dense block over (a.states, b.states) is
+    w[i, j] y, with w = outer(a.weights, b.weights) and y the pair's
+    (r_a, r_b) block from :func:`_transform`; the (b, a) pair adds the
+    adjoint over (b.states, a.states).  Where a and b span the same
+    states that adjoint lands on the block itself, and the quadrant is
+    w[i, j] times y + y+ (w symmetric) or y - y+ (w antisymmetric).
+    Pairs that span the same states form a group and are summed.
+
+    Returns (members, stacks) per group.  ``stacks`` maps the terms
+    (member position, sign, coefficient) of a stack, the sum of
+    coefficient times y (sign 0), y + y+ (1) or y - y+ (-1), to the
+    (scale, flat, mirror) of each quadrant it fills: the quadrant is
+    scale times the stack at the raveled positions ``flat``, and its
+    conjugate at ``mirror``, None where the group spans the same states
+    on both sides.  Quadrants whose sums are proportional share a stack,
+    and every element is placed at most once.
+    """
+    groups = {}
+    for part in parts:
+        groups.setdefault((part.a.states.tobytes(), part.b.states.tobytes()), []).append(part)
+    layout = []
+    for (left, right), members in groups.items():
+        a, b = members[0].a, members[0].b
+        r_a, r_b = a.eigenvalues.size, b.eigenvalues.size
+        weights = [np.outer(part.a.weights, part.b.weights) for part in members]
+        stacks = {}
+        for i, j in np.ndindex(weights[0].shape):
+            rows = a.states[i * r_a:(i + 1) * r_a, np.newaxis]
+            cols = b.states[j * r_b:(j + 1) * r_b]
+            lead = weights[0][i, j]
+            key = tuple((k, 0 if left != right else (1 if w[j, i] == w[i, j] else -1),
+                         w[i, j] / lead) for k, w in enumerate(weights))
+            mirror = cols * dim + rows if left != right else None
+            stacks.setdefault(key, []).append((lead, rows * dim + cols, mirror))
+        layout.append((members, stacks))
+    return layout
 
 
 def _transform(parts: list, phases: np.ndarray) -> list:
@@ -240,46 +256,21 @@ def _transform(parts: list, phases: np.ndarray) -> list:
     return out
 
 
-def _spread(y: np.ndarray, weights: np.ndarray, with_adjoint: bool) -> np.ndarray:
-    """kron(weights, y), plus its adjoint when ``with_adjoint`` is set.
-
-    Every entry of ``weights`` has the same magnitude, so quadrant (i, j)
-    of the sum is weights[i, j] times y + y+ or y - y+.
-    """
-    (la, lb), (ra, rb) = weights.shape, y.shape
-    out = np.empty((la, ra, lb, rb), dtype=complex)
-    if with_adjoint:
-        y_adjoint = adjoint(y)
-        sym, anti = y + y_adjoint, y - y_adjoint
-    for i in range(la):
-        for j in range(lb):
-            source = y
-            if with_adjoint:
-                source = sym if weights[j, i] == weights[i, j] else anti
-            np.multiply(source, weights[i, j], out=out[i, :, j, :])
-    return out.reshape(la * ra, lb * rb)
-
-
-def _propagate(parts: list, dim: int, phase: float) -> np.ndarray:
-    """Dense rho(t), the sum over pairs of W_a e^{-i phase E_a} X_ab e^{i phase E_b} W_b+.
-
-    W is a block's eigenvectors over its states.  Each kept pair also
-    writes its adjoint, the (b, a) pair, so the result is exactly
-    Hermitian.
-    """
-    rho_t = np.zeros((dim, dim), dtype=complex)
-    flat_rho_t = rho_t.ravel()
-    ys = _transform(parts, np.array([phase]))
-    for (_, _, _, weights, flat, mirror, add), y in zip(parts, ys):
-        # one small copy keeps the spread and the row-by-row scatter contiguous
-        block = _spread(np.ascontiguousarray(y[:, 0, :]), weights, mirror is None).ravel()
-        writes = [(flat, block)] if mirror is None else [(flat, block), (mirror, block.conj())]
-        for where, values in writes:
-            if add:
-                flat_rho_t[where] += values
+def _stack(terms: tuple, ys: list) -> np.ndarray:
+    """The sum over ``terms`` of coefficient times y, y + y+ or y - y+ (see :func:`_layout`)."""
+    stack = None
+    for k, sign, coefficient in terms:
+        term = y = ys[k]
+        if sign:
+            term = y.transpose(2, 1, 0).conj()
+            if sign > 0:
+                term += y
             else:
-                flat_rho_t[where] = values
-    return rho_t
+                np.subtract(y, term, out=term)
+        if coefficient != 1:
+            term = coefficient * term
+        stack = term if stack is None else stack + term
+    return stack
 
 
 def evolve(
@@ -298,8 +289,19 @@ def evolve(
         unit: "cyclic" (phase 2*pi*H*t, default) or "angular" (phase H*t).
     """
     eig = _as_eigensystem(h)
-    scale = _phase_scale(unit)
-    return DensityMatrix(matrix=_propagate(_eigenbasis_parts(rho, eig), rho.dim, scale * t))
+    phase = np.array([_phase_scale(unit) * t])
+    rho_t = np.zeros((rho.dim, rho.dim), dtype=complex)
+    flat_rho_t = rho_t.ravel()
+    for members, stacks in _layout(_eigenbasis_parts(rho, eig), rho.dim):
+        ys = _transform(members, phase)
+        for terms, placed in stacks.items():
+            stack = _stack(terms, ys)[:, 0, :]
+            for scale, flat, mirror in placed:
+                values = scale * stack
+                flat_rho_t[flat] = values
+                if mirror is not None:
+                    flat_rho_t[mirror] = values.conj()
+    return DensityMatrix(matrix=rho_t)
 
 
 @dataclass(frozen=True)
@@ -362,11 +364,9 @@ class SweepTable:
 class _Source(NamedTuple):
     """One (r_a, K, r_b) stack a sweep reduces, and what its elements weigh.
 
-    The stack is the sum over ``terms`` (part index, sign, coefficient) of
-    coefficient times y (sign 0), y + y+ (sign 1) or y - y+ (sign -1) of
-    that part.  Each of ``reads`` is (squared, weights, columns):
-    weights[p, q, c] weighs |stack[p, k, q]|^2 (squared) or its real part
-    in observable columns[c].
+    ``terms`` define the stack as in :func:`_layout`; each of ``reads`` is
+    (squared, weights, columns), where weights[p, q, c] weighs
+    |stack[p, k, q]|^2 (squared) or its real part in observable columns[c].
     """
 
     terms: tuple
@@ -374,57 +374,38 @@ class _Source(NamedTuple):
 
 
 def _sources(parts: list, observables: list, dim: int) -> list:
-    """The stacks a sweep reduces, as (part indices, sources) per group of pairs.
+    """The stacks a sweep reduces, as (members, sources) per group of pairs.
 
-    Quadrant (i, j) of a pair's dense block is weights[i, j] times y, or
-    y +- y+ when a and b span the same states.  Pairs that write the same
-    elements form one group and are summed per quadrant before squaring.
-    Quadrants whose sums are proportional share one stack: the sector
-    pair of a flip-odd state needs y + y+ and y - y+, not four quadrants.
+    Each observable element weighs the stack of :func:`_layout` that
+    fills it, times the quadrant's scale (squared for |.|^2); a mirror
+    element weighs the same, since its value is the conjugate.
     """
-    groups = {}
-    for index, part in enumerate(parts):
-        groups.setdefault(_support(part.a, part.b), []).append(index)
-    images = {}  # normalized terms -> [(scale, flat positions of the stack's elements)]
-    for members in groups.values():
-        a, b, mirror = parts[members[0]].a, parts[members[0]].b, parts[members[0]].mirror
-        r_a, r_b = a.eigenvalues.size, b.eigenvalues.size
-        for i in range(a.weights.size):
-            rows = a.states[i * r_a:(i + 1) * r_a, np.newaxis]
-            for j in range(b.weights.size):
-                cols = b.states[j * r_b:(j + 1) * r_b]
-                terms = []
-                for index in members:
-                    w = parts[index].weights
-                    sign = 0 if mirror is not None else (1 if w[j, i] == w[i, j] else -1)
-                    terms.append((index, sign, w[i, j]))
-                lead = terms[0][2]
-                flats = [rows * dim + cols] + ([cols * dim + rows] if mirror is not None else [])
-                key = tuple((index, sign, w / lead) for index, sign, w in terms)
-                images.setdefault(key, []).append((lead, flats))
-
-    # per stack and kind: observable column -> (nonzero elements, their weights)
-    found = {key: {True: {}, False: {}} for key in images}
+    layout = _layout(parts, dim)
+    # per group and stack, per kind: observable column -> (nonzero elements, their weights)
+    found = [{terms: {True: {}, False: {}} for terms in stacks} for _, stacks in layout]
     for column, obs in enumerate(observables):
         if obs.flat.size and obs.flat.max() >= dim * dim:
             raise ValueError(f"observable element out of range for dimension {dim}")
         dense = np.zeros(dim * dim)
         np.add.at(dense, obs.flat, obs.weight)
-        for key, placed in images.items():
-            weight = sum((scale ** 2 if obs.squared else scale) * dense[flat]
-                         for scale, flats in placed for flat in flats).ravel()
-            nonzero = np.flatnonzero(weight)
-            if nonzero.size:
-                found[key][bool(obs.squared)][column] = (nonzero, weight[nonzero])
+        for (_, stacks), kinds_by_terms in zip(layout, found):
+            for terms, placed in stacks.items():
+                weight = sum((scale ** 2 if obs.squared else scale) * dense[where]
+                             for scale, *wheres in placed for where in wheres
+                             if where is not None).ravel()
+                nonzero = np.flatnonzero(weight)
+                if nonzero.size:
+                    kinds_by_terms[terms][bool(obs.squared)][column] = (nonzero, weight[nonzero])
 
-    by_group = {tuple(members): [] for members in groups.values()}
-    for key, kinds in found.items():
-        shape = parts[key[0][0]].moved.shape
-        reads = tuple((squared, *_weight_matrix(columns, shape))
-                      for squared, columns in kinds.items() if columns)
-        if reads:
-            by_group[tuple(index for index, _, _ in key)].append(_Source(key, reads))
-    return [(members, sources) for members, sources in by_group.items() if sources]
+    groups = []
+    for (members, _), kinds_by_terms in zip(layout, found):
+        shape = members[0].moved.shape
+        sources = [_Source(terms, tuple((squared, *_weight_matrix(columns, shape))
+                                        for squared, columns in kinds.items() if columns))
+                   for terms, kinds in kinds_by_terms.items() if any(kinds.values())]
+        if sources:
+            groups.append((members, sources))
+    return groups
 
 
 def _weight_matrix(columns: dict, shape: tuple) -> tuple:
@@ -438,20 +419,9 @@ def _weight_matrix(columns: dict, shape: tuple) -> tuple:
     return out.reshape(shape + (-1,)), np.array(order, dtype=np.intp)
 
 
-def _reduce(source: _Source, ys: dict, values: np.ndarray) -> None:
+def _reduce(source: _Source, ys: list, values: np.ndarray) -> None:
     """Add a source's contribution for one chunk of time points to ``values``."""
-    stack = None
-    for index, sign, coefficient in source.terms:
-        term = y = ys[index]
-        if sign:
-            term = y.transpose(2, 1, 0).conj()
-            if sign > 0:
-                term += y
-            else:
-                np.subtract(y, term, out=term)
-        if coefficient != 1:
-            term = coefficient * term
-        stack = term if stack is None else stack + term
+    stack = _stack(source.terms, ys)
     for squared, weights, columns in source.reads:
         value = stack.real
         if squared:
@@ -492,7 +462,7 @@ def sweep(
     for start in range(0, times.size, chunk):
         window = slice(start, start + chunk)
         for members, sources in groups:
-            ys = dict(zip(members, _transform([parts[i] for i in members], phases[window])))
+            ys = _transform(members, phases[window])
             for source in sources:
                 _reduce(source, ys, values[window])
     data = {name: values[:, c] / obs.normalize
@@ -511,7 +481,11 @@ def mq_intensity_extractor(
     """
     if not 0 <= n <= basis.n_spins:
         raise ValueError(f"order {n} out of range [0, {basis.n_spins}]")
-    flat = np.flatnonzero(basis.coherence_orders() == n)
+    # the elements from each spin-up level to the level n above it
+    ups = popcounts(np.arange(basis.dim))
+    levels = [np.flatnonzero(ups == k) for k in range(basis.n_spins + 1)]
+    flat = np.concatenate([(basis.dim * high[:, np.newaxis] + low).ravel()
+                           for low, high in zip(levels, levels[n:])])
     normalize = 1.0 if normalize is None else normalize
     return Observable(flat, 1.0 if n == 0 else 2.0, normalize=normalize)
 

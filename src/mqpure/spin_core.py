@@ -15,7 +15,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -23,14 +22,6 @@ import numpy as np
 MAX_SPINS = 12
 
 HERMITICITY_RTOL = 1e-12
-
-_HALF_SPIN = {
-    "x": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
-    "y": np.array([[0.0, 0.5j], [-0.5j, 0.0]], dtype=complex),
-    "z": np.array([[-0.5, 0.0], [0.0, 0.5]], dtype=complex),
-    "+": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
-    "-": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-}
 
 
 class NumericalInvariantError(RuntimeError):
@@ -185,36 +176,6 @@ class DensityMatrix(Operator):
     def purity(self) -> float:
         """Tr(rho^2), the conserved intensity measure."""
         return float(np.sum(np.abs(self.matrix) ** 2))
-
-
-def single_spin_op(basis: ZeemanBasis, site: int, kind: str) -> Operator:
-    """Embed a single-site spin-1/2 operator into the full product space.
-
-    Built by Kronecker products, independently of the bit-pattern
-    Hamiltonians in :mod:`mqpure.hamiltonians`; the tests compare those
-    with operators assembled from these.
-
-    Args:
-        basis: Zeeman basis of the cluster.
-        site: Site index, 0 <= site < n_spins (site 0 is the least
-            significant bit).
-        kind: One of "x", "y", "z", "+", "-".
-    """
-    if not 0 <= site < basis.n_spins:
-        raise ValueError(f"site {site} out of range for {basis.n_spins} spins")
-    if kind not in _HALF_SPIN:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    eye = np.eye(2, dtype=complex)
-    factors = [_HALF_SPIN[kind] if i == site else eye
-               for i in range(basis.n_spins - 1, -1, -1)]
-    mat = reduce(np.kron, factors)
-    return Operator(matrix=mat, hermitian=kind in ("x", "y", "z"))
-
-
-def collective_op(basis: ZeemanBasis, kind: str) -> Operator:
-    """Sum of ``single_spin_op`` over all sites."""
-    total = sum(single_spin_op(basis, i, kind).matrix for i in range(basis.n_spins))
-    return Operator(matrix=total, hermitian=kind in ("x", "y", "z"))
 
 
 def thermal_state(basis: ZeemanBasis) -> DensityMatrix:

@@ -23,7 +23,14 @@ from mqpure import (
     thermal_state,
 )
 from mqpure import evolution
-from mqpure.evolution import TWO_PI, EigenSystem, SweepTable, _chunk_length, _eigenbasis_parts
+from mqpure.evolution import (
+    TWO_PI,
+    EigenSystem,
+    SweepTable,
+    _chunk_length,
+    _eigenbasis_parts,
+    _layout,
+)
 from mqpure.mq import mq_intensities
 from mqpure.spin_core import eigh_blocks, popcounts
 
@@ -250,7 +257,8 @@ class TestBatchedSweep:
         # pairs that share a support are summed before squaring; a random
         # state has them between the sectors of even N, odd N has plain blocks
         sectors = system.n_spins % 2 == 0
-        assert any(part.add for part in parts) == (sectors and not thermal)
+        shared = any(len(members) > 1 for members, _ in _layout(parts, basis.dim))
+        assert shared == (sectors and not thermal)
         assert all((part.a.flip != 0) == sectors for part in parts)
         observables = every_kind_of_observable(basis, rho.purity())
         # a small chunk budget puts chunk boundaries inside short grids
@@ -295,6 +303,22 @@ class TestBatchedSweep:
 
 
 class TestEvolve:
+    @settings(max_examples=40, deadline=None)
+    @given(random_systems(2, 7), HAMILTONIANS, st.booleans(), st.integers(0, 2**32 - 1),
+           st.floats(-2.0, 2.0))
+    def test_matches_dense_eigenbasis(self, system, build, thermal, seed, t):
+        # the dense V e^{-i phase E} V+ sandwich shares no code with the
+        # block-pair layout that evolve writes through
+        basis = build_basis(system.n_spins)
+        eig = diagonalize(build(system, basis))
+        rho = thermal_state(basis) if thermal else random_state(np.random.default_rng(seed),
+                                                                 basis.dim)
+        values, vectors = dense_eigen(eig.blocks)
+        u = (vectors * np.exp(-1j * TWO_PI * t * values)) @ vectors.conj().T
+        expected = u @ rho.matrix @ u.conj().T
+        gap = np.abs(evolve(rho, eig, t).matrix - expected).max()
+        assert gap <= 1e-12 * np.abs(rho.matrix).max()
+
     def test_time_zero_is_identity(self):
         basis, h = two_spin_setup()
         rho = thermal_state(basis)
@@ -352,7 +376,7 @@ class TestEvolve:
 
 
 class TestSweep:
-    @pytest.mark.parametrize("n_spins", [1, 2, 3, 6])
+    @pytest.mark.parametrize("n_spins", [1, 2, 3, 6, 8])
     def test_order_extractor_matches_bincount(self, n_spins):
         basis = build_basis(n_spins)
         rho = random_state(np.random.default_rng(n_spins), basis.dim)

@@ -6,8 +6,6 @@ from mqpure import (
     DensityMatrix,
     SpinSystem,
     build_basis,
-    collective_op,
-    single_spin_op,
     thermal_state,
     decompose,
     diagonalize,
@@ -22,6 +20,7 @@ from mqpure import (
 from mqpure.hamiltonians import HEXAGON_RATIOS
 
 from dense_eigen import dense_eigen
+from kron_oracle import collective_op, single_spin_op
 
 
 def brute_force_dq(system, basis):

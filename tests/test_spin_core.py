@@ -8,12 +8,12 @@ from mqpure import (
     Operator,
     SpinSystem,
     build_basis,
-    collective_op,
     homq_coherence_state,
-    single_spin_op,
     thermal_state,
 )
 from mqpure.spin_core import HERMITICITY_RTOL
+
+from kron_oracle import collective_op, single_spin_op
 
 
 def norm_rule(mat):
