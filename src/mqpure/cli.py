@@ -36,6 +36,9 @@ from .spin_core import (
     thermal_state,
 )
 
+# largest number of bytes one filter-check trial may hold at once
+FILTER_CHECK_BYTES = 2 << 30
+
 
 def _parse_observables(tokens: str, basis, norm_thermal: float):
     observables = {}
@@ -157,16 +160,35 @@ def _load_populations(path: str, expected: int) -> np.ndarray:
 
 
 def cmd_filter_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     basis = build_basis(args.n_spins)
     k_steps = args.k_steps if args.k_steps is not None else 2 * basis.n_spins + 2
-    worst = max((_filter_check_trial(rng, basis, k_steps) for _ in range(args.trials)),
-                default=0.0)
+    held = _trial_bytes(basis, k_steps)
+    if held > FILTER_CHECK_BYTES:
+        raise ValueError(
+            f"a filter-check trial of {basis.n_spins} spins with {k_steps} phase steps "
+            f"would hold {held / 1e9:.1f} GB at once; the limit is "
+            f"{FILTER_CHECK_BYTES / 1e9:.1f} GB"
+        )
+    rng = np.random.default_rng(args.seed)
+    worst = max(_filter_check_trial(rng, basis, k_steps) for _ in range(args.trials))
     print(f"max elementwise deviation over {args.trials} trials: {worst:.3e}")
     if worst > 1e-10:
         print("filter-check FAILED", file=sys.stderr)
         return 2
     return 0
+
+
+def _trial_bytes(basis, k_steps: int) -> int:
+    """Bytes of complex d x d matrices one trial holds at its peak.
+
+    The random draw and the state, the direct order stack (2N+1
+    matrices), and phase cycling's k_steps rotated copies next to the
+    2N+1 orders it returns.
+    """
+    matrices = 2 + 2 * (2 * basis.n_spins + 1) + k_steps
+    return 16 * basis.dim**2 * matrices
 
 
 def _filter_check_trial(rng, basis, k_steps: int) -> float:

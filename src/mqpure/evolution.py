@@ -13,13 +13,19 @@ pairs in which the state has nonzero elements; the thermal state I_z
 changes sign under the flip, so it has none between sectors of equal
 flip parity.
 
+The state enters the eigenbasis from one gather per pair of block
+supports (the two flip sectors of a parity share theirs), which each
+block pair of that support pair folds.
+
 A sweep never assembles the dense rho(t).  Its observables are data
 (:class:`Observable`: weighted matrix elements, squared or real part),
 and it evaluates them in the block layout: for a chunk of time points at
 once it rotates and transforms every block pair with two GEMMs, then
 reduces each pair's block against precomputed per-element weights.
-:func:`evolve` runs the same kernel for one time point and writes each
-stack into the dense matrix through the quadrant map the sweep reduces.
+Those weights are placed through per-state tables, one observable at a
+time, so the set-up holds no d x d scratch.  :func:`evolve` runs the
+same kernel for one time point and writes each stack into the dense
+matrix through the quadrant map the sweep reduces.
 
 Couplings are cyclic frequencies, so the default propagation phase for a
 dimensionless time t (units of the inverse reference coupling) is
@@ -31,7 +37,6 @@ reproduced.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +44,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from .output import write_csv
 from .spin_core import (
     DensityMatrix,
     EigenBlock,
@@ -182,25 +188,38 @@ def _eigenbasis_parts(rho: DensityMatrix, eig: EigenSystem) -> list:
     basis vectors; for spin-flip sectors those are the (|s> + flip |s'>)
     combinations, so a state that is odd under the flip has no element
     between sectors of equal flip parity.
+
+    The two flip sectors of a parity share their states, so rho is
+    gathered once per pair of distinct supports and each block pair folds
+    that one gather; the pairs of a support pair come out consecutively.
     """
     if eig.dim != rho.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, hamiltonian {eig.dim}")
+    supports = {}
+    for block in eig.blocks:
+        supports.setdefault(block.states.tobytes(), []).append(block)
+    supports = list(supports.values())
     parts = []
-    for i, a in enumerate(eig.blocks):
-        for b in eig.blocks[i:]:
-            part = rho.matrix[np.ix_(a.states, b.states)]
-            part = _fold(_fold(part, a.weights, 0), b.weights, 1)
-            if part.any():
-                moved = gemm(gemm(adjoint(a.eigenvectors), part), b.eigenvectors)
-                parts.append(_Part(a, b, 0.5 * moved if a is b else moved))
+    for i, left in enumerate(supports):
+        for right in supports[i:]:
+            gathered = rho.matrix[np.ix_(left[0].states, right[0].states)]
+            if not gathered.any():
+                continue
+            for k, a in enumerate(left):
+                for b in right[k:] if right is left else right:
+                    part = _fold(_fold(gathered, a.weights, 0), b.weights, 1)
+                    if part.any():
+                        moved = gemm(gemm(adjoint(a.eigenvectors), part), b.eigenvectors)
+                        parts.append(_Part(a, b, 0.5 * moved if a is b else moved))
     return parts
 
 
-def _layout(parts: list, dim: int) -> list:
-    """Where the block pairs land in the raveled dense matrix, per group of pairs.
+def _layout(parts: list) -> list:
+    """Where the block pairs land in the dense matrix, per group of pairs.
 
-    Quadrant (i, j) of a pair's dense block over (a.states, b.states) is
-    w[i, j] y, with w = outer(a.weights, b.weights) and y the pair's
+    Quadrant (i, j) of a pair's dense block over (a.states, b.states),
+    rows from slice i of a.states and columns from slice j of b.states,
+    is w[i, j] y, with w = outer(a.weights, b.weights) and y the pair's
     (r_a, r_b) block from :func:`_transform`; the (b, a) pair adds the
     adjoint over (b.states, a.states).  Where a and b span the same
     states that adjoint lands on the block itself, and the quadrant is
@@ -210,29 +229,24 @@ def _layout(parts: list, dim: int) -> list:
     Returns (members, stacks) per group.  ``stacks`` maps the terms
     (member position, sign, coefficient) of a stack, the sum of
     coefficient times y (sign 0), y + y+ (1) or y - y+ (-1), to the
-    (scale, flat, mirror) of each quadrant it fills: the quadrant is
-    scale times the stack at the raveled positions ``flat``, and its
-    conjugate at ``mirror``, None where the group spans the same states
-    on both sides.  Quadrants whose sums are proportional share a stack,
-    and every element is placed at most once.
+    quadrants (scale, i, j) it fills: the quadrant is scale times the
+    stack, and where the group spans different states on its two sides
+    the mirror quadrant over (b.states, a.states) is its adjoint.
+    Quadrants whose sums are proportional share a stack, and every
+    element is placed at most once.
     """
     groups = {}
     for part in parts:
         groups.setdefault((part.a.states.tobytes(), part.b.states.tobytes()), []).append(part)
     layout = []
     for (left, right), members in groups.items():
-        a, b = members[0].a, members[0].b
-        r_a, r_b = a.eigenvalues.size, b.eigenvalues.size
         weights = [np.outer(part.a.weights, part.b.weights) for part in members]
         stacks = {}
         for i, j in np.ndindex(weights[0].shape):
-            rows = a.states[i * r_a:(i + 1) * r_a, np.newaxis]
-            cols = b.states[j * r_b:(j + 1) * r_b]
             lead = weights[0][i, j]
             key = tuple((k, 0 if left != right else (1 if w[j, i] == w[i, j] else -1),
                          w[i, j] / lead) for k, w in enumerate(weights))
-            mirror = cols * dim + rows if left != right else None
-            stacks.setdefault(key, []).append((lead, rows * dim + cols, mirror))
+            stacks.setdefault(key, []).append((lead, i, j))
         layout.append((members, stacks))
     return layout
 
@@ -291,16 +305,19 @@ def evolve(
     eig = _as_eigensystem(h)
     phase = np.array([_phase_scale(unit) * t])
     rho_t = np.zeros((rho.dim, rho.dim), dtype=complex)
-    flat_rho_t = rho_t.ravel()
-    for members, stacks in _layout(_eigenbasis_parts(rho, eig), rho.dim):
+    for members, stacks in _layout(_eigenbasis_parts(rho, eig)):
+        a, b = members[0].a, members[0].b
+        r_a, r_b = members[0].moved.shape
+        mirrored = not np.array_equal(a.states, b.states)
         ys = _transform(members, phase)
-        for terms, placed in stacks.items():
+        for terms, quadrants in stacks.items():
             stack = _stack(terms, ys)[:, 0, :]
-            for scale, flat, mirror in placed:
+            for scale, i, j in quadrants:
+                rows, cols = a.states[i * r_a:(i + 1) * r_a], b.states[j * r_b:(j + 1) * r_b]
                 values = scale * stack
-                flat_rho_t[flat] = values
-                if mirror is not None:
-                    flat_rho_t[mirror] = values.conj()
+                rho_t[np.ix_(rows, cols)] = values
+                if mirrored:
+                    rho_t[np.ix_(cols, rows)] = values.T.conj()
     return DensityMatrix(matrix=rho_t)
 
 
@@ -353,12 +370,7 @@ class SweepTable:
 
     def to_csv(self, path: str | Path) -> None:
         """Write `t` plus one column per observable, with a header row."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            names = list(self.columns)
-            writer.writerow(["t"] + names)
-            for k, t in enumerate(self.times):
-                writer.writerow([repr(float(t))] + [repr(float(self.columns[n][k])) for n in names])
+        write_csv(path, ["t", *self.columns], [self.times, *self.columns.values()])
 
 
 class _Source(NamedTuple):
@@ -378,24 +390,33 @@ def _sources(parts: list, observables: list, dim: int) -> list:
 
     Each observable element weighs the stack of :func:`_layout` that
     fills it, times the quadrant's scale (squared for |.|^2); a mirror
-    element weighs the same, since its value is the conjugate.
+    element weighs the same, since its value is the conjugate.  Elements
+    are placed through the per-state codes of :func:`_codes`, one
+    observable at a time, so no table or temporary has dim^2 entries.
     """
-    layout = _layout(parts, dim)
-    # per group and stack, per kind: observable column -> (nonzero elements, their weights)
+    layout = _layout(parts)
+    # per group and stack, per kind: observable column -> (positions, weights)
     found = [{terms: {True: {}, False: {}} for terms in stacks} for _, stacks in layout]
+    plans = [_codes(members[0], stacks, dim) for members, stacks in layout]
     for column, obs in enumerate(observables):
         if obs.flat.size and obs.flat.max() >= dim * dim:
             raise ValueError(f"observable element out of range for dimension {dim}")
-        dense = np.zeros(dim * dim)
-        np.add.at(dense, obs.flat, obs.weight)
-        for (_, stacks), kinds_by_terms in zip(layout, found):
-            for terms, placed in stacks.items():
-                weight = sum((scale ** 2 if obs.squared else scale) * dense[where]
-                             for scale, *wheres in placed for where in wheres
-                             if where is not None).ravel()
-                nonzero = np.flatnonzero(weight)
-                if nonzero.size:
-                    kinds_by_terms[terms][bool(obs.squared)][column] = (nonzero, weight[nonzero])
+        rows, cols = np.divmod(obs.flat, dim)
+        squared = bool(obs.squared)
+        for (members, _), (row_code, col_code, slot, scale), kinds_by_terms in zip(
+                layout, plans, found):
+            placed = row_code[rows] + col_code[cols]
+            if not np.array_equal(members[0].a.states, members[0].b.states):
+                # the mirror elements, conjugates of the group's own
+                placed = np.concatenate([placed, row_code[cols] + col_code[rows]])
+            placed = placed[placed < slot.size * members[0].moved.size]
+            quadrant, position = np.divmod(placed, members[0].moved.size)
+            weight = obs.weight * (scale[quadrant] ** 2 if squared else scale[quadrant])
+            stack = slot[quadrant]
+            for k, kinds in enumerate(kinds_by_terms.values()):
+                chosen = stack == k
+                if chosen.any():
+                    kinds[squared][column] = (position[chosen], weight[chosen])
 
     groups = []
     for (members, _), kinds_by_terms in zip(layout, found):
@@ -408,14 +429,40 @@ def _sources(parts: list, observables: list, dim: int) -> list:
     return groups
 
 
+def _codes(part: _Part, stacks: dict, dim: int) -> tuple:
+    """Per-state codes and per-quadrant stacks that place elements in a pair's group.
+
+    Returns (row_code, col_code, slot, scale).  For a row state at place
+    p of slice i of a.states and a column state at place q of slice j of
+    b.states, row_code plus col_code is (i * nj + j) * r_a * r_b + p *
+    r_b + q: the quadrant and the position in the stack.  A state on
+    neither side puts the sum past the last quadrant.  ``slot`` and
+    ``scale`` give each quadrant's stack (in the order of ``stacks``) and
+    scale, raveled in quadrant order (see :func:`_layout`).
+    """
+    (r_a, r_b), nj = part.moved.shape, len(part.b.weights)
+    slot = np.zeros((len(part.a.weights), nj), dtype=np.intp)
+    scale = np.zeros(slot.shape)
+    for k, quadrants in enumerate(stacks.values()):
+        for lead, i, j in quadrants:
+            slot[i, j], scale[i, j] = k, lead
+    outside = slot.size * part.moved.size
+    row_code = np.full(dim, outside, dtype=np.intp)
+    col_code = np.full(dim, outside, dtype=np.intp)
+    i, p = np.divmod(np.arange(part.a.states.size), r_a)
+    row_code[part.a.states] = (i * nj * r_a + p) * r_b
+    j, q = np.divmod(np.arange(part.b.states.size), r_b)
+    col_code[part.b.states] = j * part.moved.size + q
+    return row_code, col_code, slot.ravel(), scale.ravel()
+
+
 def _weight_matrix(columns: dict, shape: tuple) -> tuple:
     """(r_a, r_b, n) weights from sparse columns, which are consumed, and
-    the observable column of each."""
+    the observable column of each; repeated positions add up."""
     order = sorted(columns)
     out = np.zeros((shape[0] * shape[1], len(order)))
     for c, column in enumerate(order):
-        nonzero, weights = columns.pop(column)
-        out[nonzero, c] = weights
+        np.add.at(out[:, c], *columns.pop(column))
     return out.reshape(shape + (-1,)), np.array(order, dtype=np.intp)
 
 
@@ -482,8 +529,7 @@ def mq_intensity_extractor(
     if not 0 <= n <= basis.n_spins:
         raise ValueError(f"order {n} out of range [0, {basis.n_spins}]")
     # the elements from each spin-up level to the level n above it
-    ups = popcounts(np.arange(basis.dim))
-    levels = [np.flatnonzero(ups == k) for k in range(basis.n_spins + 1)]
+    levels = basis.levels()
     flat = np.concatenate([(basis.dim * high[:, np.newaxis] + low).ravel()
                            for low, high in zip(levels, levels[n:])])
     normalize = 1.0 if normalize is None else normalize

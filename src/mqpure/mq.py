@@ -5,6 +5,12 @@ n = m(a) - m(b).  Intensities follow the Tr(rho_n^2) bookkeeping with
 Hermitian pairing: order 0 counts Tr(rho_0^2), order n > 0 counts
 Tr((rho_n + rho_-n)^2) = 2 Tr(rho_n rho_n+), so the total over n >= 0
 is exactly Tr(rho^2).
+
+The intensities and the filter work on the element blocks between
+spin-up levels (``ZeemanBasis.levels``): order n is the blocks between
+level k and level k + n, so no d x d order matrix is built.  The full
+order stacks of :func:`decompose` and :func:`phase_cycle_decompose`
+serve as two independent cross-checking oracles.
 """
 
 from __future__ import annotations
@@ -42,14 +48,20 @@ def mq_intensity(components: np.ndarray, n: int) -> float:
 def mq_intensities(rho: DensityMatrix, basis: ZeemanBasis) -> np.ndarray:
     """Intensities of orders 0..N in one pass, Hermitian-paired for n > 0.
 
-    Entry n equals ``mq_intensity(decompose(rho, basis), n)``: a single
-    ``bincount`` of |rho_ab|^2 over |m(a) - m(b)| with no per-order copy.
+    Entry n equals ``mq_intensity(decompose(rho, basis), n)``.  With L
+    the (d, N+1) one-hot matrix of the spin-up levels, L+ |rho|^2 L sums
+    |rho_ab|^2 over each pair of levels (k, l), and order n collects the
+    pairs with |k - l| = n; no order matrix and no per-order copy is made.
     """
     if rho.dim != basis.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, basis {basis.dim}")
-    orders = np.abs(basis.coherence_orders()).ravel()
-    weights = (np.abs(rho.matrix) ** 2).ravel()
-    return np.bincount(orders, weights=weights, minlength=basis.n_spins + 1)
+    n_spins = basis.n_spins
+    one_hot = np.equal.outer(basis.spins_up(), np.arange(n_spins + 1)).astype(float)
+    squares = np.abs(rho.matrix)
+    squares *= squares
+    per_levels = one_hot.T @ squares @ one_hot
+    return np.array([np.trace(per_levels, n) + (n > 0) * np.trace(per_levels, -n)
+                     for n in range(n_spins + 1)])
 
 
 def filter_order(rho: DensityMatrix, basis: ZeemanBasis, n: int) -> DensityMatrix:
@@ -62,8 +74,12 @@ def filter_order(rho: DensityMatrix, basis: ZeemanBasis, n: int) -> DensityMatri
         raise ValueError(f"filter order {n} out of range [1, {basis.n_spins}]")
     if rho.dim != basis.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, basis {basis.dim}")
-    orders = basis.coherence_orders()
-    mat = np.where(np.abs(orders) == n, rho.matrix, 0.0)
+    # copy the element blocks between each spin-up level and the level n above it
+    levels = basis.levels()
+    mat = np.zeros_like(rho.matrix)
+    for low, high in zip(levels, levels[n:]):
+        for block in (np.ix_(high, low), np.ix_(low, high)):
+            mat[block] = rho.matrix[block]
     return DensityMatrix(matrix=mat)
 
 

@@ -15,7 +15,6 @@ only part of the spectrum.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .output import write_csv
 from .spin_core import (
     DensityMatrix,
     Operator,
@@ -159,15 +159,9 @@ class TransitionGraph:
         return np.concatenate(populations)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["a", "b", "m_a", "m_b", "frequency", "strength"])
-            for k in range(self.n_edges):
-                a, b = int(self.upper[k]), int(self.lower[k])
-                writer.writerow(
-                    [a, b, self.m_values[a], self.m_values[b],
-                     repr(float(self.frequencies[k])), repr(float(self.strengths[k]))]
-                )
+        write_csv(path, ["a", "b", "m_a", "m_b", "frequency", "strength"],
+                  [self.upper, self.lower, self.m_values[self.upper],
+                   self.m_values[self.lower], self.frequencies, self.strengths])
 
 
 def crush(rho: DensityMatrix) -> DensityMatrix:

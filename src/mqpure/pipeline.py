@@ -17,7 +17,6 @@ diagonal-pair intensity after reversal over the filtered purity, and
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import typing
@@ -39,6 +38,7 @@ from .evolution import (
     sweep,
     time_grid,
 )
+from .output import write_csv
 from .spin_core import (
     NumericalInvariantError,
     build_basis,
@@ -400,24 +400,14 @@ def _write_outputs(
     for name, stick in spectra.items():
         stick.to_csv(out_dir / f"spectrum_{name}.csv")
 
+    # the crushed and saturated stages keep only populations: all order 0
     n = basis.n_spins
-    stage_names = ("thermal", "excited", "filtered", "reversed")
-    with open(out_dir / "stage_mq_intensities.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage"] + [f"I{k}" for k in range(n + 1)])
-        for name, rho in zip(stage_names, unitary_stages):
-            intensities = mq.mq_intensities(rho, basis)
-            writer.writerow([name] + [repr(float(x)) for x in intensities])
-        for name, pops in (("crushed", pops_crushed), ("saturated", pops_final)):
-            row = [repr(float(np.sum(pops**2)))] + [repr(0.0)] * n
-            writer.writerow([name] + row)
-
-    with open(out_dir / "stage_populations.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eigenstate", "m", "energy", "thermal", "crushed", "saturated"])
-        for a in range(graph.n_states):
-            writer.writerow(
-                [a, graph.m_values[a], repr(float(graph.energies[a])),
-                 repr(float(pops_thermal[a])), repr(float(pops_crushed[a])),
-                 repr(float(pops_final[a]))]
-            )
+    intensities = [mq.mq_intensities(rho, basis) for rho in unitary_stages]
+    intensities += [[np.sum(pops**2)] + [0.0] * n for pops in (pops_crushed, pops_final)]
+    write_csv(out_dir / "stage_mq_intensities.csv", ["stage"] + [f"I{k}" for k in range(n + 1)],
+              np.array(intensities).T,
+              labels=["thermal", "excited", "filtered", "reversed", "crushed", "saturated"])
+    write_csv(out_dir / "stage_populations.csv",
+              ["eigenstate", "m", "energy", "thermal", "crushed", "saturated"],
+              [np.arange(graph.n_states), graph.m_values, graph.energies,
+               pops_thermal, pops_crushed, pops_final])

@@ -9,13 +9,13 @@ the more populated one.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .nonunitary import TransitionGraph
+from .output import write_csv
 from .spin_core import _frozen_array
 
 ZERO_SUM_DROP = 1e-8
@@ -45,11 +45,7 @@ class StickSpectrum:
         return self.frequencies.shape[0]
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["frequency", "intensity"])
-            for f, i in zip(self.frequencies, self.intensities):
-                writer.writerow([repr(float(f)), repr(float(i))])
+        write_csv(path, ["frequency", "intensity"], [self.frequencies, self.intensities])
 
 
 def linear_response(populations: np.ndarray, graph: TransitionGraph) -> StickSpectrum:
@@ -120,8 +116,5 @@ def broaden(spectrum: StickSpectrum, linewidth: float, grid: np.ndarray) -> np.n
 
 def curve_to_csv(grid: np.ndarray, amplitudes: np.ndarray, path: str | Path) -> None:
     """Write a broadened curve as (frequency, amplitude) CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frequency", "amplitude"])
-        for f, a in zip(grid, amplitudes):
-            writer.writerow([repr(float(f)), repr(float(a))])
+    write_csv(path, ["frequency", "amplitude"],
+              [np.asarray(grid, dtype=float), np.asarray(amplitudes, dtype=float)])

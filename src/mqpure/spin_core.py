@@ -23,6 +23,10 @@ MAX_SPINS = 12
 
 HERMITICITY_RTOL = 1e-12
 
+# side of the square tiles in which the exact adjoint check compares a
+# matrix with its conjugate transpose
+ADJOINT_TILE = 128
+
 
 class NumericalInvariantError(RuntimeError):
     """A quantity that must be conserved or bounded numerically is not."""
@@ -104,6 +108,19 @@ class ZeemanBasis:
         """Integer matrix n[a, b] = m(a) - m(b) classifying every element."""
         return np.rint(np.subtract.outer(self.m, self.m)).astype(int)
 
+    def spins_up(self) -> np.ndarray:
+        """Number of spins up, m + N/2, of every state."""
+        return np.rint(self.m + self.n_spins / 2).astype(int)
+
+    def levels(self) -> list:
+        """The ascending state indices of each spin-up count k = 0..N.
+
+        Element (a, b) with a in level k and b in level l has coherence
+        order k - l.
+        """
+        ups = self.spins_up()
+        return [np.flatnonzero(ups == k) for k in range(self.n_spins + 1)]
+
 
 def build_basis(n_spins: int) -> ZeemanBasis:
     """Construct the Zeeman basis for ``n_spins`` spin-1/2 sites.
@@ -145,7 +162,7 @@ class Operator:
             raise ValueError("operator matrix must be square")
         # a matrix equal to its adjoint passes the norm test below exactly,
         # so the norms are only taken when that test can fail
-        if self.hermitian and not np.array_equal(mat, adjoint(mat)):
+        if self.hermitian and not _equals_adjoint(mat):
             # dividing by the largest entry keeps the squared norms of finite
             # entries from overflowing or underflowing to 0; between 1e-100
             # and 1e100 they cannot, so no scaled copy is made
@@ -158,6 +175,21 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _equals_adjoint(mat: np.ndarray) -> bool:
+    """Whether ``mat`` equals its conjugate transpose exactly (NaN never does).
+
+    Each tile on or above the diagonal is compared with the adjoint of
+    its mirror tile, so no temporary is larger than a tile.
+    """
+    for i in range(0, mat.shape[0], ADJOINT_TILE):
+        rows = slice(i, i + ADJOINT_TILE)
+        for j in range(i, mat.shape[0], ADJOINT_TILE):
+            cols = slice(j, j + ADJOINT_TILE)
+            if not np.array_equal(mat[rows, cols], adjoint(mat[cols, rows])):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mqpure import NumericalInvariantError, mq
-from mqpure.cli import main
+from mqpure import NumericalInvariantError, build_basis, mq
+from mqpure.cli import FILTER_CHECK_BYTES, _trial_bytes, main
 
 
 def read_csv(path):
@@ -249,6 +249,25 @@ class TestFilterCheckCommand:
     def test_aliasing_k_steps_rejected(self):
         assert main(["filter-check", "--n-spins", "3", "--k-steps", "6",
                      "--trials", "2"]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n-spins", "12", "--trials", "1"], "12 spins with 26 phase steps would hold 20.9 GB"),
+        (["--n-spins", "10", "--k-steps", "200"], "10 spins with 200 phase steps"),
+        (["--n-spins", "4", "--trials", "0"], "--trials must be at least 1, got 0"),
+    ], ids=["twelve-spins", "many-steps", "no-trials"])
+    def test_refused_before_any_work(self, monkeypatch, capsys, argv, message):
+        def unreachable(*args):
+            raise AssertionError("a refused check built an order stack")
+        monkeypatch.setattr(mq, "decompose", unreachable)
+        monkeypatch.setattr(mq, "phase_cycle_decompose", unreachable)
+        assert main(["filter-check"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_ten_spins_fit_the_budget(self):
+        # without running it: ten spins need about 1.1 GB per trial
+        assert _trial_bytes(build_basis(10), 22) <= FILTER_CHECK_BYTES
+        assert _trial_bytes(build_basis(11), 24) > FILTER_CHECK_BYTES
 
     def test_misordered_phase_cycling_fails(self, monkeypatch):
         cycled = mq.phase_cycle_decompose

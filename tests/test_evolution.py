@@ -257,7 +257,7 @@ class TestBatchedSweep:
         # pairs that share a support are summed before squaring; a random
         # state has them between the sectors of even N, odd N has plain blocks
         sectors = system.n_spins % 2 == 0
-        shared = any(len(members) > 1 for members, _ in _layout(parts, basis.dim))
+        shared = any(len(members) > 1 for members, _ in _layout(parts))
         assert shared == (sectors and not thermal)
         assert all((part.a.flip != 0) == sectors for part in parts)
         observables = every_kind_of_observable(basis, rho.purity())

@@ -104,6 +104,19 @@ class TestIntensitiesInOnePass:
             mq_intensities(thermal6, build_basis(4))
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_level_paths_match_decompose(n):
+    # the spin-up level blocks against the order stack, at every size up
+    # to 9 spins, odd included
+    basis = build_basis(n)
+    rho = random_state(np.random.default_rng(100 + n), basis.dim)
+    dec = decompose(rho, basis)
+    expected = [mq_intensity(dec, k) for k in range(n + 1)]
+    assert np.abs(mq_intensities(rho, basis) - expected).max() <= 1e-12 * rho.purity()
+    for k in range(1, n + 1):
+        assert np.array_equal(filter_order(rho, basis, k).matrix, dec[k] + dec[-k])
+
+
 class TestOrderStack:
     @settings(max_examples=30, deadline=None)
     @given(st.data())

@@ -5,6 +5,7 @@ a renamed or deleted function would only surface as a ``KeyError`` in a
 traced benchmark run.  The file is loaded as is and never modified.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -72,16 +73,25 @@ def test_install_then_uninstall_restores_originals(tracing):
     assert [key for key in before if after[key] is not before[key]] == []
 
 
-def test_traced_pipeline_gives_the_untraced_report(tracing):
+def test_traced_pipeline_gives_the_untraced_report(tracing, tmp_path):
     # traced, the extractor factories hand sweep wrapper functions that
-    # carry the observables' fields
+    # carry the observables' fields, and the writers run inside spans
     config = mqpure.PipelineConfig(t_max=1.2, t_step=0.01)
-    untraced = mqpure.pipeline.run_pipeline(config)
+    untraced = mqpure.pipeline.run_pipeline(
+        dataclasses.replace(config, out_dir=str(tmp_path / "untraced")))
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        traced = mqpure.pipeline.run_pipeline(config)
+        traced = mqpure.pipeline.run_pipeline(
+            dataclasses.replace(config, out_dir=str(tmp_path / "traced")))
     finally:
         tracer.uninstall()
     assert "evolution.sweep" in [span[3] for span in tracer.spans]
+    assert "output.to_csv" in [span[3] for span in tracer.spans]
     assert traced.to_json() == untraced.to_json()
+    names = sorted(path.name for path in (tmp_path / "untraced").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "traced").iterdir())
+    assert len(names) == 8
+    for name in names:
+        assert (tmp_path / "traced" / name).read_bytes() == \
+            (tmp_path / "untraced" / name).read_bytes(), name

@@ -11,7 +11,7 @@ from mqpure import (
     homq_coherence_state,
     thermal_state,
 )
-from mqpure.spin_core import HERMITICITY_RTOL
+from mqpure.spin_core import ADJOINT_TILE, HERMITICITY_RTOL
 
 from kron_oracle import collective_op, single_spin_op
 
@@ -21,6 +21,18 @@ def norm_rule(mat):
     peak = np.abs(mat).max(initial=0.0)
     unit = mat / peak if peak > 1e100 or 0 < peak < 1e-100 else mat
     return not np.linalg.norm(unit - unit.conj().T) > HERMITICITY_RTOL * np.linalg.norm(unit)
+
+
+def tiled(where=None, change=0.0):
+    """A Hermitian matrix over several adjoint tiles, with ``change`` added
+    at the single element ``where``."""
+    rng = np.random.default_rng(9)
+    dim = 3 * ADJOINT_TILE + 5
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    mat = raw + raw.conj().T
+    if where is not None:
+        mat[where] += change
+    return mat
 
 
 def accepted(mat):
@@ -178,12 +190,21 @@ class TestContainers:
     @pytest.mark.parametrize("factor, inside", [(0.99, True), (1.01, False)])
     def test_hermiticity_tolerance_boundary(self, factor, inside):
         # H + cA with H Hermitian and A anti-Hermitian: the residual is 2c|A|,
-        # and |H + cA| exceeds |H| by a relative 1e-25 only
+        # and |H + cA| exceeds |H| by a relative 1e-25 only.  A is dense, or
+        # (over several tiles) lives in one tile far off the diagonal, above
+        # or below it, plus that tile's mirror
         rng = np.random.default_rng(4)
-        raw = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        herm, anti = raw + raw.conj().T, raw - raw.conj().T
-        c = factor * HERMITICITY_RTOL * np.linalg.norm(herm) / (2 * np.linalg.norm(anti))
-        assert accepted(herm + c * anti) == inside
+        tile = slice(0, ADJOINT_TILE), slice(2 * ADJOINT_TILE, 3 * ADJOINT_TILE)
+        for dim, where in [(8, None), (3 * ADJOINT_TILE + 5, tile), (3 * ADJOINT_TILE + 5,
+                                                                      tile[::-1])]:
+            raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            skew = raw
+            if where is not None:
+                skew = np.zeros_like(raw)
+                skew[where] = raw[where]
+            herm, anti = raw + raw.conj().T, skew - skew.conj().T
+            c = factor * HERMITICITY_RTOL * np.linalg.norm(herm) / (2 * np.linalg.norm(anti))
+            assert accepted(herm + c * anti) == inside, (dim, where)
 
     @pytest.mark.parametrize("mat", [
         np.array([[1.0, 2.0], [2.0, -1.0]]),
@@ -198,8 +219,16 @@ class TestContainers:
         1e150 * np.array([[0.0, 1.0], [0.9, 0.0]]),
         1e-300 * np.array([[1.0, 0.5j], [-0.5j, 1.0]]),
         1e-300 * np.array([[0.0, 1.0], [0.9, 0.0]]),
+        tiled(),
+        tiled((3, 2 * ADJOINT_TILE + 7), 1e-3),
+        tiled((2 * ADJOINT_TILE + 7, 3), 1e-3),
+        tiled((3, 2 * ADJOINT_TILE + 7), 1e-15j),
+        tiled((2 * ADJOINT_TILE + 7, 3), 1e-15j),
+        tiled((3 * ADJOINT_TILE + 1, 3 * ADJOINT_TILE + 1), np.nan),
     ], ids=["real", "complex", "signed-zero", "tiny-skew", "nan-diagonal", "nan-corner",
-            "inf", "inf-corner", "1e300", "1e150-skewed", "1e-300", "1e-300-skewed"])
+            "inf", "inf-corner", "1e300", "1e150-skewed", "1e-300", "1e-300-skewed",
+            "tiles", "tiles-upper-skew", "tiles-lower-skew", "tiles-upper-tiny",
+            "tiles-lower-tiny", "tiles-nan-last"])
     def test_exact_adjoint_shortcut_keeps_every_decision(self, mat):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # inf / inf in the norm rule
