@@ -25,6 +25,7 @@ from .hamiltonians import (
     load_couplings,
     negated,
     secular_dipolar_hamiltonian,
+    site_symmetry,
 )
 from .mq import (
     decompose,
@@ -117,6 +118,7 @@ __all__ = [
     "run_pipeline",
     "saturate",
     "secular_dipolar_hamiltonian",
+    "site_symmetry",
     "sweep",
     "thermal_state",
 ]

@@ -22,6 +22,7 @@ import numpy as np
 from . import hamiltonians, mq, nonunitary, spectrum as spec
 from .evolution import (
     diag_pair_extractor,
+    diagonalize,
     mq_intensity_extractor,
     population_extractor,
     sweep,
@@ -78,13 +79,14 @@ def cmd_sweep(args) -> int:
     else:
         rho0 = homq_coherence_state(basis)
     h = hamiltonians.dq_hamiltonian(system, basis)
+    eig = diagonalize(h, hamiltonians.site_symmetry(system))
     if args.state == "homq":
-        h = hamiltonians.negated(h)  # reversal-period evolution
+        eig = eig.negated()  # reversal-period evolution
     names = args.observables
     if names is None:
         names = ",".join([f"I{k}" for k in range(basis.n_spins + 1)] + ["diag_pair"])
     observables = _parse_observables(names, basis, rho0.purity())
-    table = sweep(rho0, h, times, observables, unit=args.unit)
+    table = sweep(rho0, eig, times, observables, unit=args.unit)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table.to_csv(out / "sweep.csv")

@@ -17,6 +17,30 @@ The state enters the eigenbasis from one gather per pair of block
 supports (the two flip sectors of a parity share theirs), which each
 block pair of that support pair folds.
 
+Given a site symmetry (a cyclic relabelling sigma of the sites, found
+from the couplings by :func:`~mqpure.hamiltonians.site_symmetry`) whose
+state permutation P leaves the Hamiltonian exactly unchanged,
+:func:`diagonalize` splits each parity block into momentum sectors
+instead: sector k of the order-L cycle is spanned by
+sqrt(p)/L sum_j exp(-2 pi i k j / L) P^j |a> over the orbit
+representatives a whose period p allows k.  Each sector matrix is
+gathered from H, one (r, L, r) gather per parity.  A state that P leaves
+exactly unchanged (the thermal state, the top-order coherence, every
+state the pipeline evolves from them) has no element between different
+momenta, so propagation runs sector by sector and :func:`evolve` writes
+the dense result from the representatives' elements.  A sweep reads
+each observable whose weight is constant on every pair of orbits (the
+order intensities, ``diag_pair``, populations of the all-up and all-down
+states) straight from the sector blocks.  Where the symmetry's
+reflection also leaves the state and those weights unchanged, it maps
+sector k onto sector -k with equal contributions, so only k = 0 .. L/2
+run and the ones in between count twice.  Everything else falls back
+exactly: a Hamiltonian that fails the check gets the parity and flip
+blocks, and a state that P changes, or an observable that is not
+constant on orbit pairs (``pop:<i>`` of another state, a single
+off-diagonal element), runs on the eigensystem without sectors, built
+on first use.
+
 A sweep never assembles the dense rho(t).  Its observables are data
 (:class:`Observable`: weighted matrix elements, squared or real part),
 and it evaluates them in the block layout: for a chunk of time points at
@@ -39,11 +63,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
+from .hamiltonians import SiteSymmetry
 from .output import write_csv
 from .spin_core import (
     DensityMatrix,
@@ -52,6 +78,7 @@ from .spin_core import (
     ZeemanBasis,
     _frozen_array,
     adjoint,
+    cyclic_phases,
     eigh_blocks,
     gemm,
     popcounts,
@@ -63,10 +90,40 @@ _UNIT_SCALES = {"cyclic": TWO_PI, "angular": 1.0}
 
 # bytes of one complex (r_a, K, r_b) block-pair stack in a sweep; K, the
 # number of time points per chunk, follows from the largest block pair
+# (each momentum sector pair takes its own K)
 CHUNK_BYTES = 1 << 17
 
 # largest time grid ``time_grid`` builds
 MAX_GRID_POINTS = 1_000_000
+
+# rows per band in which a matrix is compared with its permuted copy
+INVARIANCE_BAND = 256
+
+
+class _Orbits(NamedTuple):
+    """The orbits of the basis states under the state permutation of a site cycle.
+
+    ``table[o, j]`` is P^j of the representative (smallest state) of orbit
+    o, for j below the order L of P; orbits ascend by representative.
+    State s is ``table[of[s], step[s]]`` with ``step[s]`` below the orbit's
+    ``period``.  ``shift`` is P and ``reflect`` the state permutation of
+    the symmetry's reflection (None without one).
+    """
+
+    shift: np.ndarray
+    reflect: np.ndarray | None
+    table: np.ndarray
+    of: np.ndarray
+    step: np.ndarray
+    period: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return self.table.shape[1]
+
+    def members(self, block: EigenBlock) -> np.ndarray:
+        """The orbits of a momentum sector block, in its order."""
+        return self.of[block.states[:block.eigenvalues.size]]
 
 
 @dataclass(frozen=True)
@@ -75,39 +132,168 @@ class EigenSystem:
 
     ``blocks`` is a tuple of :class:`~mqpure.spin_core.EigenBlock` whose
     vectors together form an orthonormal basis; each block's eigenvalues
-    ascend.
+    ascend.  When they are momentum sectors, ``orbits`` describes the
+    site symmetry behind them, the blocks come group by group with k
+    ascending from 0 in each, and ``plain`` builds the eigensystem
+    without momentum sectors for states the sectors cannot carry.
     """
 
     blocks: tuple = field(repr=False)
+    orbits: _Orbits | None = field(default=None, repr=False)
+    plain: Callable[[], EigenSystem] | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return sum(block.eigenvalues.size for block in self.blocks)
 
+    @cached_property
+    def fallback(self) -> EigenSystem:
+        """The eigensystem without momentum sectors (built once, on first use)."""
+        return self if self.plain is None else self.plain()
 
-def diagonalize(h: Operator) -> EigenSystem:
+    def negated(self) -> EigenSystem:
+        """The eigensystem of -H, in O(dim): each block's eigenvalues negated
+        and, with its vectors, reversed so that they still ascend."""
+        blocks = tuple(block._replace(eigenvalues=-block.eigenvalues[::-1],
+                                      eigenvectors=block.eigenvectors[:, ::-1])
+                       for block in self.blocks)
+        plain = None if self.plain is None else (lambda: self.fallback.negated())
+        return EigenSystem(blocks, self.orbits, plain)
+
+
+def diagonalize(h: Operator, symmetry: SiteSymmetry | None = None) -> EigenSystem:
     """Eigendecompose a Hermitian operator (ascending within each block).
 
     When every element between an even- and an odd-popcount state is
     exactly zero, the two parity blocks are diagonalized separately;
-    otherwise the whole matrix is one block.  When, in addition, the flip
-    of every spin (state s to 2^N - 1 - s, the reversal of the index
-    order) keeps parity, which it does at even N, and leaves the matrix
-    exactly unchanged, each parity block splits into the two sectors
-    spanned by (|s> + |s'>)/sqrt(2) and (|s> - |s'>)/sqrt(2), so there
-    are four blocks.
+    otherwise the whole matrix is one block.
+
+    Given a site ``symmetry`` whose state permutation P leaves the matrix
+    exactly unchanged (H[P][:, P] == H), each block splits into its
+    momentum sectors, gathered from the matrix (see
+    :func:`_momentum_blocks`).  Otherwise, when the flip of every spin
+    (state s to 2^N - 1 - s, the reversal of the index order) keeps
+    parity, which it does at even N, and leaves the matrix exactly
+    unchanged, each parity block splits into the two sectors spanned by
+    (|s> + |s'>)/sqrt(2) and (|s> - |s'>)/sqrt(2), so there are four
+    blocks.
     """
     if not h.hermitian:
         raise ValueError("diagonalize requires an operator flagged hermitian")
     mat = h.matrix
     odd = popcounts(np.arange(h.dim)) & 1 == 1
     if not odd.any() or mat[np.ix_(~odd, odd)].any():
-        return EigenSystem(blocks=eigh_blocks(mat, (np.arange(h.dim),)))
-    groups = (np.flatnonzero(~odd), np.flatnonzero(odd))
+        groups = (np.arange(h.dim),)
+    else:
+        groups = (np.flatnonzero(~odd), np.flatnonzero(odd))
+    if symmetry is not None:
+        orbits = _orbits(symmetry, h.dim)
+        if _invariant(mat, orbits.shift):
+            return EigenSystem(_momentum_blocks(mat, groups, orbits), orbits,
+                               partial(diagonalize, h))
     # the flip, which reverses the index order, keeps parity only at even N
-    if not np.array_equal(odd, odd[::-1]) or not np.array_equal(mat, mat[::-1, ::-1]):
+    if (len(groups) == 1 or not np.array_equal(odd, odd[::-1])
+            or not np.array_equal(mat, mat[::-1, ::-1])):
         return EigenSystem(blocks=eigh_blocks(mat, groups))
     return EigenSystem(blocks=_flip_sector_blocks(mat, groups))
+
+
+def _state_permutation(sites: np.ndarray, dim: int) -> np.ndarray:
+    """The basis-state permutation that moves the spin on site i to site sites[i]."""
+    sites = np.asarray(sites)
+    if sites.size != dim.bit_length() - 1 or not np.array_equal(np.sort(sites),
+                                                                  np.arange(sites.size)):
+        raise ValueError(f"site permutation {sites} does not fit dimension {dim}")
+    states = np.arange(dim)
+    moved = np.zeros(dim, dtype=np.intp)
+    for site, target in enumerate(sites):
+        moved |= ((states >> site) & 1) << target
+    return moved
+
+
+def _orbits(symmetry: SiteSymmetry, dim: int) -> _Orbits:
+    shift = _state_permutation(symmetry.cycle, dim)
+    reflect = (None if symmetry.reflection is None
+               else _state_permutation(symmetry.reflection, dim))
+    powers = [np.arange(dim)]
+    while not np.array_equal(next_power := shift[powers[-1]], powers[0]):
+        powers.append(next_power)
+    powers = np.array(powers)
+    representative = powers.min(axis=0)
+    reps = np.unique(representative)
+    table = powers[:, reps].T
+    returns = table[:, 1:] == table[:, :1]
+    period = np.where(returns.any(axis=1), returns.argmax(axis=1) + 1, table.shape[1])
+    step = np.zeros(dim, dtype=np.intp)
+    for j in range(table.shape[1] - 1, -1, -1):
+        step[table[:, j]] = j
+    of = np.searchsorted(reps, representative)
+    return _Orbits(shift, reflect, table, of, step, period)
+
+
+def _invariant(matrix: np.ndarray, perm: np.ndarray) -> bool:
+    """Whether matrix[perm][:, perm] equals matrix exactly, a band of rows at a time."""
+    for start in range(0, matrix.shape[0], INVARIANCE_BAND):
+        rows = slice(start, start + INVARIANCE_BAND)
+        if not np.array_equal(np.take(matrix[perm[rows]], perm, axis=1), matrix[rows]):
+            return False
+    return True
+
+
+def _sector_matrix(gathered: np.ndarray, k: int) -> np.ndarray:
+    """sum_l exp(-2 pi i k l / L) gathered[:, l, :], real where 2k is a multiple of L.
+
+    The phase of l is looked up at k l mod L, so it repeats exactly with
+    any period of l that k allows.
+    """
+    order = gathered.shape[1]
+    phases = cyclic_phases(order)[k * np.arange(order) % order]
+    if 2 * k % order == 0:
+        phases = phases.real
+    return np.einsum("alb,l->ab", gathered, phases)
+
+
+def _group_orbits(groups, orbits: _Orbits) -> list:
+    """The orbits whose states lie in each group, ascending."""
+    group_of = np.empty(orbits.of.size, dtype=np.intp)
+    for g, group in enumerate(groups):
+        group_of[group] = g
+    owner = group_of[orbits.table[:, 0]]
+    return [np.flatnonzero(owner == g) for g in range(len(groups))]
+
+
+def _momentum_blocks(matrix: np.ndarray, groups, orbits: _Orbits) -> tuple:
+    """Eigenblocks of the momentum sectors of each group.
+
+    With H[P s, P t] = H[s, t], sector k has the matrix
+    L c_a c_b sum_l exp(-2 pi i k l / L) H[a, P^l b] over the
+    representatives a, b allowed in it, c = sqrt(period)/L: one gather
+    of (r, L, r) elements per group.  For a real H sector L - k is the
+    conjugate of sector k and reuses its eigenpairs.
+    """
+    order = orbits.order
+    blocks = []
+    for members in _group_orbits(groups, orbits):
+        table = orbits.table[members]
+        gathered = matrix[table[:, :1, np.newaxis], table.T[np.newaxis]]
+        scale = np.sqrt(orbits.period[members]) / order
+        sectors = {}
+        for k in range(order):
+            keep = k * orbits.period[members] % order == 0
+            if not keep.any():
+                continue
+            if 2 * k > order and not np.iscomplexobj(matrix):
+                values, vectors = sectors[order - k]
+                vectors = vectors.conj()
+            else:
+                sector = _sector_matrix(gathered[keep][:, :, keep], k)
+                values, vectors = np.linalg.eigh(sector * (order * np.outer(scale[keep],
+                                                                            scale[keep])))
+                sectors[k] = values, vectors
+            blocks.append(EigenBlock(_frozen_array(table[keep].T.ravel()), _frozen_array(values),
+                                     _frozen_array(vectors), momentum=k,
+                                     scale=_frozen_array(scale[keep])))
+    return tuple(blocks)
 
 
 def _flip_sector_blocks(matrix: np.ndarray, groups) -> tuple:
@@ -179,6 +365,11 @@ def _fold(matrix: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
     return sum(w * part for w, part in zip(weights, np.split(matrix, weights.size, axis=axis)))
 
 
+def _check_dim(rho: DensityMatrix, eig: EigenSystem) -> None:
+    if eig.dim != rho.dim:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, hamiltonian {eig.dim}")
+
+
 def _eigenbasis_parts(rho: DensityMatrix, eig: EigenSystem) -> list:
     """The nonzero block pairs of rho, moved into the eigenbasis.
 
@@ -193,8 +384,7 @@ def _eigenbasis_parts(rho: DensityMatrix, eig: EigenSystem) -> list:
     gathered once per pair of distinct supports and each block pair folds
     that one gather; the pairs of a support pair come out consecutively.
     """
-    if eig.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, hamiltonian {eig.dim}")
+    _check_dim(rho, eig)
     supports = {}
     for block in eig.blocks:
         supports.setdefault(block.states.tobytes(), []).append(block)
@@ -270,21 +460,28 @@ def _transform(parts: list, phases: np.ndarray) -> list:
     return out
 
 
-def _stack(terms: tuple, ys: list) -> np.ndarray:
-    """The sum over ``terms`` of coefficient times y, y + y+ or y - y+ (see :func:`_layout`)."""
-    stack = None
-    for k, sign, coefficient in terms:
-        term = y = ys[k]
+def _stack(terms: tuple, ys: list, out: np.ndarray) -> None:
+    """Write the sum over ``terms`` of coefficient times y, y + y+ or y - y+
+    (see :func:`_layout`) into ``out``, shaped like each y.
+
+    y+ is conjugated straight from a transposed view of y into ``out``,
+    so no conjugate copy is made.
+    """
+    for n, (k, sign, coefficient) in enumerate(terms):
+        y = ys[k]
+        term = out if n == 0 else np.empty_like(out)
         if sign:
-            term = y.transpose(2, 1, 0).conj()
+            np.conjugate(y.transpose(2, 1, 0), out=term)
             if sign > 0:
                 term += y
             else:
                 np.subtract(y, term, out=term)
+        else:
+            np.copyto(term, y)
         if coefficient != 1:
-            term = coefficient * term
-        stack = term if stack is None else stack + term
-    return stack
+            term *= coefficient
+        if n:
+            out += term
 
 
 def evolve(
@@ -301,9 +498,18 @@ def evolve(
         t: Time, negative for backward evolution (exp(-i(-H)t) equals
             exp(-iH(-t)), so reversal reuses the forward eigensystem).
         unit: "cyclic" (phase 2*pi*H*t, default) or "angular" (phase H*t).
+
+    With momentum sectors, a state that the site cycle leaves exactly
+    unchanged is propagated sector by sector (:func:`_sector_evolve`);
+    any other state takes the eigensystem without sectors.
     """
     eig = _as_eigensystem(h)
     phase = np.array([_phase_scale(unit) * t])
+    if eig.orbits is not None:
+        _check_dim(rho, eig)
+        if _invariant(rho.matrix, eig.orbits.shift):
+            return _sector_evolve(rho, eig, phase)
+        eig = eig.fallback
     rho_t = np.zeros((rho.dim, rho.dim), dtype=complex)
     for members, stacks in _layout(_eigenbasis_parts(rho, eig)):
         a, b = members[0].a, members[0].b
@@ -311,7 +517,9 @@ def evolve(
         mirrored = not np.array_equal(a.states, b.states)
         ys = _transform(members, phase)
         for terms, quadrants in stacks.items():
-            stack = _stack(terms, ys)[:, 0, :]
+            stack = np.empty(ys[0].shape, dtype=complex)
+            _stack(terms, ys, stack)
+            stack = stack[:, 0, :]
             for scale, i, j in quadrants:
                 rows, cols = a.states[i * r_a:(i + 1) * r_a], b.states[j * r_b:(j + 1) * r_b]
                 values = scale * stack
@@ -399,8 +607,6 @@ def _sources(parts: list, observables: list, dim: int) -> list:
     found = [{terms: {True: {}, False: {}} for terms in stacks} for _, stacks in layout]
     plans = [_codes(members[0], stacks, dim) for members, stacks in layout]
     for column, obs in enumerate(observables):
-        if obs.flat.size and obs.flat.max() >= dim * dim:
-            raise ValueError(f"observable element out of range for dimension {dim}")
         rows, cols = np.divmod(obs.flat, dim)
         squared = bool(obs.squared)
         for (members, _), (row_code, col_code, slot, scale), kinds_by_terms in zip(
@@ -467,14 +673,23 @@ def _weight_matrix(columns: dict, shape: tuple) -> tuple:
 
 
 def _reduce(source: _Source, ys: list, values: np.ndarray) -> None:
-    """Add a source's contribution for one chunk of time points to ``values``."""
-    stack = _stack(source.terms, ys)
+    """Add a source's contribution for one chunk of time points to ``values``.
+
+    The stack is written time-major, (K, r_a, r_b), so each read is one
+    product of a (K, r_a r_b) matrix with the weights.
+    """
+    r_a, k, r_b = ys[0].shape
+    stack = np.empty((k, r_a, r_b), dtype=complex)
+    _stack(source.terms, ys, stack.transpose(1, 0, 2))
+    value, imag = np.empty((k, r_a, r_b)), None
     for squared, weights, columns in source.reads:
-        value = stack.real
         if squared:
-            value = np.square(value)
-            value += np.square(stack.imag)
-        values[:, columns] += np.tensordot(value, weights, ([0, 2], [0, 1]))
+            imag = np.square(stack.imag, out=imag)
+            np.square(stack.real, out=value)
+            value += imag
+        else:
+            np.copyto(value, stack.real)
+        values[:, columns] += np.dot(value.reshape(k, -1), weights.reshape(-1, columns.size))
 
 
 def _chunk_length(parts: list) -> int:
@@ -497,24 +712,288 @@ def sweep(
     block layout and reduced there, one group of block pairs at a time;
     the dense rho(t) is never built.  Only the fields of each observable
     are read.
+
+    With momentum sectors and a rho0 that the site cycle leaves exactly
+    unchanged, the observables readable in the sectors are evaluated
+    there (:func:`_sector_sweep`); the others, and every observable of
+    any other rho0, take the eigensystem without sectors.
     """
     eig = _as_eigensystem(h)
-    parts = _eigenbasis_parts(rho0, eig)
+    _check_dim(rho0, eig)
     times = np.asarray(times, dtype=float)
     phases = _phase_scale(unit) * times
     specs = list(observables.values())
-    groups = _sources(parts, specs, rho0.dim)
+    for obs in specs:
+        if obs.flat.size and obs.flat.max() >= rho0.dim**2:
+            raise ValueError(f"observable element out of range for dimension {rho0.dim}")
     values = np.zeros((times.size, len(specs)))
+    general = list(range(len(specs)))
+    if eig.orbits is not None and _invariant(rho0.matrix, eig.orbits.shift):
+        general = _sector_sweep(rho0, eig, phases, specs, values)
+    if general:
+        values[:, general] = _block_sweep(rho0, eig.fallback, phases,
+                                          [specs[c] for c in general])
+    data = {name: values[:, c] / obs.normalize
+            for c, (name, obs) in enumerate(observables.items())}
+    return SweepTable(times=times, columns=data)
+
+
+def _block_sweep(rho0: DensityMatrix, eig: EigenSystem, phases: np.ndarray,
+                 observables: list) -> np.ndarray:
+    """Observable values (time, observable) from the block pairs of rho0."""
+    parts = _eigenbasis_parts(rho0, eig)
+    groups = _sources(parts, observables, rho0.dim)
+    values = np.zeros((phases.size, len(observables)))
     chunk = _chunk_length(parts)
-    for start in range(0, times.size, chunk):
+    for start in range(0, phases.size, chunk):
         window = slice(start, start + chunk)
         for members, sources in groups:
             ys = _transform(members, phases[window])
             for source in sources:
                 _reduce(source, ys, values[window])
-    data = {name: values[:, c] / obs.normalize
-            for c, (name, obs) in enumerate(observables.items())}
-    return SweepTable(times=times, columns=data)
+    return values
+
+
+def _sector_groups(eig: EigenSystem) -> list:
+    """The momentum blocks of each group, as {k: block}."""
+    groups = []
+    for block in eig.blocks:
+        if block.momentum == 0:
+            groups.append({})
+        groups[-1][block.momentum] = block
+    return groups
+
+
+def _sector_parts(rho: DensityMatrix, eig: EigenSystem, momenta) -> list:
+    """The nonzero sector pairs of a state that P leaves unchanged, in the eigenbasis.
+
+    Such a state has no element between different momenta.  Its sector
+    k block between groups A and B is
+    rho_k[a, b] = L c_a c_b sum_l exp(-2 pi i k l / L) rho[a, P^l b],
+    from one gather of rho per pair of groups.  Returns (left, right,
+    parts) for each pair of groups, left not after right, whose gather
+    is not all zero; each part is a :class:`_Part` (a, b, V_a+ rho_k V_b)
+    of one k in ``momenta``, never halved.
+    """
+    orbits = eig.orbits
+    groups = _sector_groups(eig)
+    found = []
+    for i, left in enumerate(groups):
+        for right in groups[i:]:
+            outer, inner = orbits.members(left[0]), orbits.members(right[0])
+            table = orbits.table[inner]
+            gathered = rho.matrix[orbits.table[outer, :1, np.newaxis], table.T[np.newaxis]]
+            if not gathered.any():
+                continue
+            parts = []
+            for k in momenta:
+                if k not in left or k not in right:
+                    continue
+                a, b = left[k], right[k]
+                keep_a = k * orbits.period[outer] % orbits.order == 0
+                keep_b = k * orbits.period[inner] % orbits.order == 0
+                sector = _sector_matrix(gathered[keep_a][:, :, keep_b], k)
+                sector = sector * (orbits.order * np.outer(a.scale, b.scale))
+                if sector.any():
+                    moved = gemm(gemm(adjoint(a.eigenvectors), sector), b.eigenvectors)
+                    parts.append(_Part(a, b, moved))
+            found.append((left, right, parts))
+    return found
+
+
+def _interleaved(right: np.ndarray) -> np.ndarray:
+    """The real (2r, 2r) matrix that right-multiplies complex rows, viewed as
+    interleaved real and imaginary parts, by ``right``.
+
+    One real GEMM on the float view computes the complex product; unlike
+    a complex GEMM of many rows by few columns, OpenBLAS does not split it
+    across threads at a loss.
+    """
+    r = right.shape[0]
+    out = np.empty((2 * r, 2 * r))
+    out[0::2, 0::2] = out[1::2, 1::2] = right.real
+    out[0::2, 1::2] = right.imag
+    out[1::2, 0::2] = -right.imag
+    return out
+
+
+def _sector_transform(part: _Part, phases: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """V_a e^{-i phase E_a} X_ab e^{i phase E_b} V_b+ per phase, shaped (K, r_a, r_b).
+
+    ``right`` is V_b+ in the form of :func:`_interleaved`.  The left
+    product runs once per phase, the right one as a single GEMM over all
+    phases, so the result is time-major.
+    """
+    a, b = part.a, part.b
+    y = np.multiply(part.moved, np.exp(-1j * np.multiply.outer(phases, a.eigenvalues))[
+        :, :, np.newaxis], order="C")
+    y *= np.exp(1j * np.multiply.outer(phases, b.eigenvalues))[:, np.newaxis, :]
+    if np.iscomplexobj(a.eigenvectors):
+        y = (a.eigenvectors @ y).view(np.float64)
+    else:
+        y = a.eigenvectors @ y.view(np.float64)
+    return (y.reshape(-1, right.shape[0]) @ right).view(np.complex128).reshape(
+        phases.size, *part.moved.shape)
+
+
+def _sector_evolve(rho: DensityMatrix, eig: EigenSystem, phase: np.ndarray) -> DensityMatrix:
+    """rho(t) of a state that P leaves unchanged, from every momentum sector.
+
+    Such a state is fixed by its elements rho[a, P^l b] between orbit
+    representatives: rho[P^i a, P^j b] = rho[a, P^(j-i) b].  Those
+    follow from the sectors as
+    rho[a, P^l b] = sum_k exp(2 pi i k l / L) rho_k[a, b] / sqrt(p_a p_b),
+    and each is written to all the elements it stands for.  The phases
+    repeat exactly with each orbit's period and are exact conjugates
+    for -l, so the result is exactly Hermitian and exactly unchanged by P.
+    """
+    orbits = eig.orbits
+    order = orbits.order
+    back = cyclic_phases(order).conj()
+    rho_t = np.zeros((rho.dim, rho.dim), dtype=complex)
+    for left, right, parts in _sector_parts(rho, eig, range(order)):
+        outer, inner = orbits.members(left[0]), orbits.members(right[0])
+        reduced = np.zeros((outer.size, order, inner.size), dtype=complex)
+        for part in parts:
+            y = _sector_transform(part, phase, _interleaved(adjoint(part.b.eigenvectors)))[0]
+            if left is right:
+                y = 0.5 * (y + adjoint(y))
+            k = part.a.momentum
+            rows = np.searchsorted(outer, orbits.members(part.a))
+            cols = np.searchsorted(inner, orbits.members(part.b))
+            turn = back[k * np.arange(order) % order]
+            reduced[rows[:, None, None], np.arange(order)[:, None], cols] += (
+                y[:, np.newaxis, :] * turn[:, np.newaxis])
+        reduced *= np.multiply.outer(1 / np.sqrt(orbits.period[outer]),
+                                     1 / np.sqrt(orbits.period[inner]))[:, np.newaxis, :]
+        # row i of representative a is P^i a; column j * inner.size + b is P^j b
+        row_states, col_states = orbits.table[outer], orbits.table[inner].T.ravel()
+        for i in range(order):
+            values = np.roll(reduced, i, axis=1).reshape(outer.size, -1)
+            rho_t[np.ix_(row_states[:, i], col_states)] = values
+            if left is not right:
+                rho_t[np.ix_(col_states, row_states[:, i])] = values.T.conj()
+    return DensityMatrix(matrix=rho_t)
+
+
+def _orbit_weights(obs: Observable, orbits: _Orbits, dim: int) -> np.ndarray | None:
+    """An observable's weight on each pair of orbits, or None where it has none.
+
+    The weight exists when every orbit pair O1 x O2 the observable
+    touches lists each of its p1 p2 elements equally often; it is then
+    the observable's weight times that count.  Counting goes through a
+    position within the touched pairs, so nothing has dim^2 entries.
+    """
+    rows, cols = np.divmod(obs.flat, dim)
+    first, second = orbits.of[rows], orbits.of[cols]
+    count = orbits.period.size
+    pair = first * count + second
+    listed = np.bincount(pair, minlength=count * count)
+    size = np.multiply.outer(orbits.period, orbits.period).ravel()
+    if (listed % size).any():
+        return None
+    touched = np.where(listed > 0, size, 0)
+    place = (np.cumsum(touched) - touched)[pair] + orbits.step[rows] * orbits.period[second]
+    place += orbits.step[cols]
+    repeats = listed // size
+    if not np.array_equal(np.bincount(place)[place], repeats[pair]):
+        return None
+    return (obs.weight * repeats).reshape(count, count)
+
+
+def _reflected(weights: np.ndarray, orbits: _Orbits) -> bool:
+    """Whether orbit-pair weights are unchanged by the reflection."""
+    mirror = orbits.of[orbits.reflect[orbits.table[:, 0]]]
+    return np.array_equal(weights[np.ix_(mirror, mirror)], weights)
+
+
+def _sector_sweep(rho0: DensityMatrix, eig: EigenSystem, phases: np.ndarray,
+                  observables: list, values: np.ndarray) -> list:
+    """Add the observables readable in the momentum sectors to ``values``.
+
+    rho0 is unchanged by P.  An observable is readable when its weight is
+    constant on each orbit pair (:func:`_orbit_weights`):
+    - squared, sum over O1 x O2 of |rho|^2 is the sum over k of
+      |rho_k[O1, O2]|^2;
+    - real part, sum over O1 x O2 of rho is sqrt(p1 p2) rho_0[O1, O2].
+    Where the reflection R leaves rho0 and every squared weight
+    unchanged, R maps sector k onto sector -k with equal contributions,
+    so only k = 0 .. L/2 run, the ones in between counted twice.  A pair
+    of different groups also stands for its mirror, whose elements are
+    the conjugates.
+
+    Returns the columns of the observables that are not readable.
+    """
+    orbits = eig.orbits
+    order = orbits.order
+    tables = [_orbit_weights(obs, orbits, rho0.dim) for obs in observables]
+    squared = [c for c, table in enumerate(tables) if table is not None
+               and observables[c].squared]
+    real = [c for c, table in enumerate(tables) if table is not None
+            and not observables[c].squared]
+    paired = (orbits.reflect is not None and _invariant(rho0.matrix, orbits.reflect)
+              and all(_reflected(tables[c], orbits) for c in squared))
+    momenta = (range(order // 2 + 1) if paired else range(order)) if squared else [0]
+    if squared or real:
+        for left, right, parts in _sector_parts(rho0, eig, momenta):
+            for part in parts:
+                k = part.a.momentum
+                count = 2 if paired and 2 * k % order else 1
+                reads = _sector_reads(part, tables, squared, real if k == 0 else [],
+                                      left is not right, count, orbits)
+                _sector_reduce(part, reads, phases, values)
+    return [c for c, table in enumerate(tables) if table is None]
+
+
+def _sector_reads(part: _Part, tables: list, squared: list, real: list, mirrored: bool,
+                  count: int, orbits: _Orbits) -> list:
+    """(squared, columns, weights) per read of a sector pair, the real read first.
+
+    The weights apply to the time-major stack viewed as float, which
+    interleaves real and imaginary parts: a squared read weighs both of
+    them, a real read only the first.
+    """
+    first, second = orbits.members(part.a), orbits.members(part.b)
+
+    def weights(columns, factor):
+        out = np.zeros((first.size, second.size, 2, len(columns)))
+        for i, c in enumerate(columns):
+            w = tables[c][np.ix_(first, second)]
+            if mirrored:
+                w = w + tables[c][np.ix_(second, first)].T
+            out[:, :, 0, i] = w * factor
+        return out
+
+    reads = []
+    if real:
+        out = weights(real, np.sqrt(np.multiply.outer(orbits.period[first],
+                                                      orbits.period[second])))
+        reads.append((False, np.array(real), out.reshape(-1, len(real))))
+    if squared:
+        out = weights(squared, count)
+        out[:, :, 1] = out[:, :, 0]
+        reads.append((True, np.array(squared), out.reshape(-1, len(squared))))
+    return reads
+
+
+def _sector_reduce(part: _Part, reads: list, phases: np.ndarray, values: np.ndarray) -> None:
+    """Add a sector pair's reads over the whole grid to ``values``.
+
+    Chunks of time points fill one CHUNK_BYTES stack each, which the
+    squared read squares in place after any real read.
+    """
+    if not reads:
+        return
+    right = _interleaved(adjoint(part.b.eigenvectors))
+    chunk = max(1, CHUNK_BYTES // (16 * part.moved.size))
+    for start in range(0, phases.size, chunk):
+        window = slice(start, start + chunk)
+        y = _sector_transform(part, phases[window], right)
+        flat = y.view(np.float64).reshape(y.shape[0], -1)
+        for squared, columns, weights in reads:
+            if squared:
+                np.square(flat, out=flat)
+            values[window, columns] += flat @ weights
 
 
 def mq_intensity_extractor(

@@ -8,12 +8,16 @@ frequencies come out in units of D12.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .spin_core import Operator, SpinSystem, ZeemanBasis
 
 HEXAGON_RATIOS = {1: 1.0, 2: 1.0 / (3.0 * np.sqrt(3.0)), 3: 1.0 / 8.0}
+
+# site orders the symmetry search may try before it reports no symmetry
+SYMMETRY_SEARCH_NODES = 100_000
 
 
 def hexagon_couplings(d12: float = 1.0) -> SpinSystem:
@@ -101,6 +105,84 @@ def secular_dipolar_hamiltonian(system: SpinSystem, basis: ZeemanBasis) -> Opera
         h[differ ^ ((1 << i) | (1 << j)), differ] = -0.5 * coupling
     h[np.diag_indices(basis.dim)] = diagonal
     return Operator(matrix=h)
+
+
+class SiteSymmetry(NamedTuple):
+    """Relabellings of the sites that leave the couplings exactly unchanged.
+
+    ``cycle[i]`` is the site that site i moves to; it runs through all N
+    sites in one cycle.  ``reflection`` is an involution R of the sites
+    with R cycle R = cycle^-1, or None where no such R keeps the couplings.
+    """
+
+    cycle: np.ndarray
+    reflection: np.ndarray | None
+
+
+def site_symmetry(system: SpinSystem) -> SiteSymmetry | None:
+    """A cyclic relabelling sigma of all sites with D[sigma][:, sigma] == D exactly.
+
+    sigma exists when some order v of the sites makes the coupling matrix
+    circulant, D[v_i, v_j] depending only on (j - i) mod N; then sigma
+    maps v_j to v_{j+1}, and the reflection v_j -> v_{-j} inverts it.
+    The orders are searched depth first from site 0, pruned by exact
+    equality, so site labels do not matter.  Every site of such a cycle
+    sees the same couplings, which rules most matrices out before any
+    search; a search that tries more than ``SYMMETRY_SEARCH_NODES`` orders
+    gives up.  Returns None when no cycle is found.
+    """
+    couplings = system.couplings
+    n = system.n_spins
+    rows = np.sort(couplings, axis=1)
+    if not (rows == rows[0]).all():
+        return None
+    order = _circulant_order(couplings.tolist())
+    if order is None:
+        return None
+    order = np.array(order)
+    cycle = np.empty(n, dtype=np.intp)
+    cycle[order] = np.roll(order, -1)
+    reflection = np.empty(n, dtype=np.intp)
+    reflection[order] = order[-np.arange(n) % n]
+    if not np.array_equal(couplings[np.ix_(reflection, reflection)], couplings):
+        reflection = None
+    return SiteSymmetry(cycle, reflection)
+
+
+def _circulant_order(d: list) -> list | None:
+    """An order v of the sites, v_0 = 0, with d[v_i][v_j] == d[0][v_{(j - i) mod n}]."""
+    n = len(d)
+    order, used = [0], [False] * n
+    used[0] = True
+    budget = SYMMETRY_SEARCH_NODES
+
+    def extend() -> bool:
+        nonlocal budget
+        m = len(order)
+        if m == n:
+            return all(d[order[i]][order[j]] == d[0][order[(j - i) % n]]
+                       for i in range(n) for j in range(n))
+        for site in range(n):
+            if used[site]:
+                continue
+            budget -= 1
+            if budget < 0:
+                return False
+            # the new column must repeat the first row's entries, and the
+            # first row must read the same forwards and backwards
+            if any(d[order[i]][site] != d[0][order[m - i]] for i in range(1, m)):
+                continue
+            if 2 * m > n and d[0][site] != d[0][order[n - m]]:
+                continue
+            order.append(site)
+            used[site] = True
+            if extend():
+                return True
+            order.pop()
+            used[site] = False
+        return False
+
+    return order if extend() else None
 
 
 def homq_excitable(n_spins: int) -> bool:

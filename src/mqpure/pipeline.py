@@ -228,7 +228,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         )
 
     h_av = hamiltonians.dq_hamiltonian(system, basis)
-    eig = diagonalize(h_av)
+    eig = diagonalize(h_av, hamiltonians.site_symmetry(system))
     # np.max, unlike the builtin, propagates a NaN from any block
     top = float(np.max([np.abs(block.eigenvalues).max(initial=0.0) for block in eig.blocks]))
     if not np.isfinite(_phase_scale(config.unit) * max(config.t_max, config.t_prep) * top):

@@ -207,7 +207,7 @@ class DensityMatrix(Operator):
 
     def purity(self) -> float:
         """Tr(rho^2), the conserved intensity measure."""
-        return float(np.sum(np.abs(self.matrix) ** 2))
+        return float(np.vdot(self.matrix, self.matrix).real)
 
 
 def thermal_state(basis: ZeemanBasis) -> DensityMatrix:
@@ -238,23 +238,54 @@ class EigenBlock(NamedTuple):
     spanned by (|s> + flip |s'>)/sqrt(2), where s' is s with every spin
     flipped.  Its ``states`` list the states s and then their partners s'
     in the same order, and its eigenvectors are expressed over the s.
+
+    A momentum sector block (``momentum`` k, None otherwise) of a state
+    permutation P of order L is spanned by the vectors
+    sqrt(p)/L sum_j exp(-2 pi i k j / L) P^j |a>, one per orbit
+    representative a of period p with k p a multiple of L.  Its
+    ``states`` list L slices, slice j holding P^j of each representative,
+    so an orbit shorter than L lists each of its states L/p times;
+    ``scale`` holds sqrt(p)/L per representative, and the eigenvectors
+    are expressed over the representatives.
     """
 
     states: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     flip: int = 0
+    momentum: int | None = None
+    scale: np.ndarray | None = None
 
     @property
     def weights(self) -> np.ndarray:
         """Coefficient of each equal slice of ``states`` in the block's vectors.
 
         Over slice k of ``states``, an eigenvector of the full basis is
-        ``weights[k]`` times the matching column of ``eigenvectors``.
+        ``weights[k]`` times the matching column of ``eigenvectors``, times
+        ``scale`` per row where the block has one; a state listed in
+        several slices collects the sum of its entries.
         """
+        if self.momentum is not None:
+            slices = self.states.size // self.eigenvalues.size
+            return cyclic_phases(slices)[self.momentum * np.arange(slices) % slices]
         if self.flip == 0:
             return np.ones(1)
         return np.array([1.0, self.flip]) / np.sqrt(2.0)
+
+
+def cyclic_phases(order: int) -> np.ndarray:
+    """exp(-2 pi i m / order) for m = 0 .. order - 1.
+
+    Entry order - m is the exact conjugate of entry m, and the entries
+    for m = 0 and 2 m = order are exactly 1 and -1.
+    """
+    phases = np.exp(-2j * np.pi * np.arange(order) / order)
+    phases[0] = 1.0
+    mirrored = np.arange(1, (order + 1) // 2)
+    phases[order - mirrored] = phases[mirrored].conj()
+    if order % 2 == 0:
+        phases[order // 2] = -1.0
+    return phases
 
 
 def eigh_blocks(matrix: np.ndarray, groups) -> tuple:

@@ -13,17 +13,24 @@ def dense_transform(blocks) -> np.ndarray:
 
     Columns follow the blocks in order; each column is zero outside the
     states of its block.  Over slice k of a block's states a column is
-    ``weights[k]`` times the block eigenvector, which embeds spin-flip
-    sector blocks as (|s> + flip |s'>)/sqrt(2) combinations.
+    ``weights[k]`` times the block eigenvector, times the block's
+    ``scale`` per row where it has one, and a state listed in several
+    slices sums its entries.  This embeds spin-flip sector blocks as
+    (|s> + flip |s'>)/sqrt(2) combinations and momentum sector blocks as
+    phased sums over orbits.
     """
     dim = sum(block.eigenvalues.size for block in blocks)
-    dtype = np.result_type(*(block.eigenvectors for block in blocks))
+    dtype = np.result_type(*(block.eigenvectors for block in blocks),
+                           *(block.weights for block in blocks))
     dense = np.zeros((dim, dim), dtype=dtype)
     start = 0
     for block in blocks:
         stop = start + block.eigenvalues.size
-        dense[block.states, start:stop] = np.kron(block.weights[:, np.newaxis],
-                                                  block.eigenvectors)
+        vectors = block.eigenvectors
+        if block.scale is not None:
+            vectors = block.scale[:, np.newaxis] * vectors
+        np.add.at(dense, (block.states[:, np.newaxis], np.arange(start, stop)),
+                  np.kron(block.weights[:, np.newaxis], vectors))
         start = stop
     return dense
 

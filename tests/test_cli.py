@@ -5,8 +5,18 @@ import warnings
 import numpy as np
 import pytest
 
-from mqpure import NumericalInvariantError, build_basis, mq
-from mqpure.cli import FILTER_CHECK_BYTES, _trial_bytes, main
+from mqpure import (
+    NumericalInvariantError,
+    build_basis,
+    diagonalize,
+    dq_hamiltonian,
+    hexagon_couplings,
+    homq_coherence_state,
+    mq,
+    negated,
+    sweep,
+)
+from mqpure.cli import FILTER_CHECK_BYTES, _parse_observables, _trial_bytes, main
 
 
 def read_csv(path):
@@ -53,6 +63,26 @@ class TestSweepCommand:
         rows = read_csv(out / "sweep.csv")
         assert float(rows[1][1]) == pytest.approx(3.0)
         assert float(rows[1][2]) == pytest.approx(-3.0)
+
+    @pytest.mark.parametrize("observables", ["I0,I6,F6,diag_pair", "pop_u,pop:5,I2"])
+    def test_homq_sweeps_the_negated_hamiltonian(self, tmp_path, observables):
+        # the forward eigensystem with negated eigenvalues against a second
+        # diagonalization of -H
+        out = tmp_path / "out"
+        code = main(["sweep", "--state", "homq", "--out", str(out), "--t-max", "0.9",
+                     "--t-step", "0.1", "--observables", observables])
+        assert code == 0
+        rows = read_csv(out / "sweep.csv")
+        basis = build_basis(6)
+        system = hexagon_couplings()
+        rho = homq_coherence_state(basis)
+        reference = sweep(rho, diagonalize(negated(dq_hamiltonian(system, basis))),
+                          np.array([float(row[0]) for row in rows[1:]]),
+                          _parse_observables(observables, basis, rho.purity()))
+        for c, name in enumerate(rows[0][1:], start=1):
+            column = np.array([float(row[c]) for row in rows[1:]])
+            scale = max(np.abs(reference.column(name)).max(), 1.0)
+            assert np.abs(column - reference.column(name)).max() <= 1e-12 * scale, name
 
     def test_unknown_observable(self, tmp_path):
         code = main([

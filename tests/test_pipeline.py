@@ -132,8 +132,8 @@ class TestTwoSpinPipeline:
 
 
     def test_rejects_nan_spectrum_in_a_later_block(self, tmp_path, monkeypatch):
-        def diagonalize_with_nan(h):
-            eig = diagonalize(h)
+        def diagonalize_with_nan(h, symmetry=None):
+            eig = diagonalize(h, symmetry)
             *head, last = eig.blocks
             nan = np.full_like(last.eigenvalues, np.nan)
             return dataclasses.replace(eig, blocks=(*head, last._replace(eigenvalues=nan)))

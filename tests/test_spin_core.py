@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -142,6 +143,20 @@ class TestCollectiveOps:
         iz = collective_op(basis, "z").matrix
         different = np.subtract.outer(basis.m, basis.m) != 0
         assert np.abs(iz[different]).max() == 0.0
+
+
+class TestPurity:
+    @pytest.mark.parametrize("complex_state", [False, True])
+    @pytest.mark.parametrize("dim", [1, 4, 64])
+    def test_matches_fsum_of_squares(self, complex_state, dim):
+        rng = np.random.default_rng(dim + complex_state)
+        raw = rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-3, 3, (dim, dim))
+        if complex_state:
+            raw = raw + 1j * rng.standard_normal((dim, dim))
+        rho = DensityMatrix(matrix=raw + raw.conj().T)
+        parts = [rho.matrix.real.ravel(), rho.matrix.imag.ravel()]
+        exact = math.fsum(float(x) ** 2 for part in parts for x in part)
+        assert rho.purity() == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 class TestStates:

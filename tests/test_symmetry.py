@@ -1,0 +1,343 @@
+"""Site symmetries found from the couplings, and the momentum sectors built on them.
+
+Every sector result is checked against the eigensystem without symmetry
+(the parity and flip-sector path) or against the dense oracle of
+``dense_eigen``; neither shares the sector code.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from mqpure import (
+    DensityMatrix,
+    Observable,
+    PipelineConfig,
+    SpinSystem,
+    build_basis,
+    diag_pair_extractor,
+    diagonalize,
+    dq_hamiltonian,
+    evolve,
+    hexagon_couplings,
+    homq_coherence_state,
+    mq_intensity_extractor,
+    negated,
+    population_extractor,
+    run_pipeline,
+    secular_dipolar_hamiltonian,
+    site_symmetry,
+    sweep,
+    thermal_state,
+)
+from mqpure import evolution, hamiltonians
+from mqpure.evolution import TWO_PI, _orbit_weights, _sector_sweep
+
+from dense_eigen import dense_eigen
+from dense_observables import dense_sweep
+
+
+def ring_system(n, seed=None, jitter=None):
+    """A regular n-ring, couplings (sin(pi/n) / sin(pi d/n))^3, sites relabelled by seed."""
+    label = np.arange(n) if seed is None else np.random.default_rng(seed).permutation(n)
+    couplings = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            d = min(abs(i - j), n - abs(i - j))
+            if d:
+                couplings[label[i], label[j]] = (np.sin(np.pi / n) / np.sin(np.pi * d / n)) ** 3
+    if jitter is not None:
+        i, j = jitter
+        couplings[i, j] = couplings[j, i] = np.nextafter(couplings[i, j], 2.0)
+    return SpinSystem(n_spins=n, couplings=couplings)
+
+
+@st.composite
+def circulant_systems(draw, min_spins=2, max_spins=8):
+    """Couplings that depend only on ring distance, zeros included, sites relabelled."""
+    n = draw(st.integers(min_spins, max_spins))
+    by_distance = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_subnormal=False)),
+        min_size=n // 2, max_size=n // 2,
+    ))
+    label = draw(st.permutations(range(n)))
+    couplings = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            d = min(abs(i - j), n - abs(i - j))
+            if d:
+                couplings[label[i], label[j]] = by_distance[d - 1]
+    return SpinSystem(n_spins=n, couplings=couplings)
+
+
+def sweep_observables(basis, purity, population):
+    observables = {f"I{k}": mq_intensity_extractor(basis, k) for k in range(basis.n_spins + 1)}
+    observables.update({f"F{k}": mq_intensity_extractor(basis, k, normalize=purity)
+                        for k in range(basis.n_spins + 1)})
+    observables["diag_pair"] = diag_pair_extractor(basis)
+    observables["pop_u"] = population_extractor(basis, basis.index_all_up)
+    observables[f"pop:{population}"] = population_extractor(basis, population)
+    return observables
+
+
+def assert_columns_close(table, reference, observables, rho):
+    """Each column within 1e-12 of its maximum (the state's scale where that is zero)."""
+    for name, obs in observables.items():
+        floor = (rho.purity() if obs.squared else np.abs(rho.matrix).max()) / obs.normalize
+        gap = np.abs(table.column(name) - reference[name]).max()
+        assert gap <= 1e-12 * max(np.abs(reference[name]).max(), floor), name
+
+
+def dense_evolve(rho, eig, t):
+    values, vectors = dense_eigen(eig.blocks)
+    u = (vectors * np.exp(-1j * TWO_PI * t * values)) @ vectors.conj().T
+    return u @ rho.matrix @ u.conj().T
+
+
+def is_single_cycle(perm):
+    site, seen = 0, set()
+    while site not in seen:
+        seen.add(site)
+        site = perm[site]
+    return len(seen) == len(perm)
+
+
+class TestDetection:
+    def test_hexagon_cyclic_generator(self):
+        system = hexagon_couplings()
+        symmetry = site_symmetry(system)
+        d = system.couplings
+        assert is_single_cycle(symmetry.cycle)
+        assert np.array_equal(d[np.ix_(symmetry.cycle, symmetry.cycle)], d)
+        reflection = symmetry.reflection
+        assert np.array_equal(reflection[reflection], np.arange(6))
+        assert np.array_equal(d[np.ix_(reflection, reflection)], d)
+        # R sigma R = sigma^-1
+        assert np.array_equal(symmetry.cycle[reflection[symmetry.cycle[reflection]]],
+                              np.arange(6))
+
+    @pytest.mark.parametrize("n, seed", [(2, 1), (3, 2), (5, 3), (8, 4), (10, 7), (12, 5)])
+    def test_relabelled_rings(self, n, seed):
+        system = ring_system(n, seed)
+        symmetry = site_symmetry(system)
+        d = system.couplings
+        assert is_single_cycle(symmetry.cycle)
+        assert np.array_equal(d[np.ix_(symmetry.cycle, symmetry.cycle)], d)
+        inverse = np.argsort(symmetry.cycle)
+        reflection = symmetry.reflection
+        assert np.array_equal(symmetry.cycle[reflection[symmetry.cycle[reflection]]],
+                              np.arange(n))
+        assert np.array_equal(reflection[symmetry.cycle[reflection]], inverse)
+
+    def test_uniform_couplings_at_the_size_limit(self):
+        # every order of the 12 sites is circulant; the first one found does
+        symmetry = site_symmetry(SpinSystem(n_spins=12, couplings=1.0 - np.eye(12)))
+        assert is_single_cycle(symmetry.cycle)
+
+    def test_one_ulp_off_has_none(self):
+        assert site_symmetry(ring_system(10, 7, jitter=(0, 1))) is None
+
+    def test_random_couplings_have_none(self):
+        rng = np.random.default_rng(4)
+        raw = rng.standard_normal((7, 7))
+        couplings = raw + raw.T
+        np.fill_diagonal(couplings, 0.0)
+        assert site_symmetry(SpinSystem(n_spins=7, couplings=couplings)) is None
+
+    def test_petersen_graph_has_no_ten_cycle(self):
+        # vertex-transitive, so every row has the same entries, but its
+        # automorphisms (S5) have no element of order 10
+        outer = [(i, (i + 1) % 5) for i in range(5)]
+        spokes = [(i, i + 5) for i in range(5)]
+        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        couplings = np.zeros((10, 10))
+        for i, j in outer + spokes + inner:
+            couplings[i, j] = couplings[j, i] = 1.0
+        assert site_symmetry(SpinSystem(n_spins=10, couplings=couplings)) is None
+
+    def test_search_gives_up_past_its_budget(self, monkeypatch):
+        system = ring_system(8, 3)
+        monkeypatch.setattr(hamiltonians, "SYMMETRY_SEARCH_NODES", 3)
+        assert site_symmetry(system) is None
+
+
+class TestSectors:
+    @pytest.mark.parametrize("build", [dq_hamiltonian, secular_dipolar_hamiltonian])
+    @pytest.mark.parametrize("n, seed", [(2, 1), (4, 2), (5, 3), (6, 7)])
+    def test_sectors_reproduce_the_spectrum(self, build, n, seed):
+        # short orbits such as |0101> and the all-up state included; the
+        # secular diagonal is summed in pair order, so on a relabelled
+        # ring it may miss invariance by an ulp and take the plain path
+        system = ring_system(n, seed)
+        h = build(system, build_basis(n)).matrix
+        eig = diagonalize(build(system, build_basis(n)), site_symmetry(system))
+        if build is dq_hamiltonian:
+            assert eig.orbits is not None
+            assert {block.momentum for block in eig.blocks} == set(range(n))
+        values, vectors = dense_eigen(eig.blocks)
+        scale = max(np.linalg.norm(h), 1.0)
+        assert np.abs(values - np.linalg.eigvalsh(h)).max() < 1e-12 * scale
+        assert np.linalg.norm(h @ vectors - vectors * values) < 1e-12 * scale
+        assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(2**n)) < 1e-12 * 2**n
+
+    def test_ring10_sector_sizes(self):
+        system = ring_system(10, 7)
+        eig = diagonalize(dq_hamiltonian(system, build_basis(10)), site_symmetry(system))
+        sizes = [block.eigenvalues.size for block in eig.blocks]
+        assert len(sizes) == 20 and sum(sizes) == 1024
+        assert min(sizes) == 48 and max(sizes) == 56
+        # the k = 0 and k = 5 sectors of a real H are real
+        assert all(np.isrealobj(b.eigenvectors) == (b.momentum in (0, 5)) for b in eig.blocks)
+
+    def test_matrix_check_falls_back(self):
+        # the exact ring's symmetry does not hold for a coupling one ulp off
+        exact, jittered = ring_system(6, 2), ring_system(6, 2, jitter=(0, 3))
+        basis = build_basis(6)
+        h = dq_hamiltonian(jittered, basis)
+        eig = diagonalize(h, site_symmetry(exact))
+        assert eig.orbits is None
+        assert [block.flip for block in eig.blocks] == [1, -1, 1, -1]
+        rho = thermal_state(basis)
+        times = np.array([0.0, 0.4, 1.1])
+        observables = sweep_observables(basis, rho.purity(), 5)
+        assert_columns_close(sweep(rho, eig, times, observables),
+                             dense_sweep(rho, eig, times, observables), observables, rho)
+        gap = np.abs(evolve(rho, eig, 0.7).matrix - dense_evolve(rho, eig, 0.7)).max()
+        assert gap <= 1e-12 * np.abs(rho.matrix).max()
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_non_invariant_state_falls_back(self, n):
+        system = ring_system(n, 1)
+        basis = build_basis(n)
+        eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
+        rng = np.random.default_rng(n)
+        raw = rng.standard_normal((basis.dim,) * 2) + 1j * rng.standard_normal((basis.dim,) * 2)
+        rho = DensityMatrix(matrix=raw + raw.conj().T)
+        # the dense oracle is built from the momentum sectors themselves
+        gap = np.abs(evolve(rho, eig, 0.83).matrix - dense_evolve(rho, eig, 0.83)).max()
+        assert gap <= 1e-12 * np.abs(rho.matrix).max()
+        assert "fallback" in vars(eig)
+        times = np.array([0.0, 0.3, 0.9])
+        observables = sweep_observables(basis, rho.purity(), 3)
+        assert_columns_close(sweep(rho, eig, times, observables),
+                             dense_sweep(rho, eig, times, observables), observables, rho)
+
+    def test_invariant_state_does_not_fall_back(self):
+        system = ring_system(6, 3)
+        basis = build_basis(6)
+        eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
+        rho = evolve(thermal_state(basis), eig, 0.9)
+        # the sector evolve is exactly Hermitian and exactly unchanged by P
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        shift = eig.orbits.shift
+        assert np.array_equal(rho.matrix[np.ix_(shift, shift)], rho.matrix)
+        evolve(rho, eig, -0.9)
+        observables = {"I6": mq_intensity_extractor(basis, 6)}
+        sweep(rho, eig, np.array([0.0, 0.5]), observables)
+        assert "fallback" not in vars(eig)
+
+    def test_negated_matches_a_second_diagonalization(self):
+        system = ring_system(6, 4)
+        basis = build_basis(6)
+        h = dq_hamiltonian(system, basis)
+        eig = diagonalize(h, site_symmetry(system)).negated()
+        assert all(np.all(np.diff(block.eigenvalues) >= 0) for block in eig.blocks)
+        rho = homq_coherence_state(basis)
+        times = np.array([0.0, 0.2, 0.7])
+        observables = sweep_observables(basis, rho.purity(), 9)
+        reference = sweep(rho, diagonalize(negated(h)), times, observables)
+        assert_columns_close(sweep(rho, eig, times, observables), reference.columns,
+                             observables, rho)
+        noisy = DensityMatrix(matrix=np.diag(np.arange(basis.dim, dtype=float)))
+        gap = np.abs(evolve(noisy, eig, 0.4).matrix
+                     - evolve(noisy, diagonalize(negated(h)), 0.4).matrix).max()
+        assert gap <= 1e-12 * basis.dim
+
+    def test_chunks_of_one_point(self, monkeypatch):
+        system = ring_system(5, 2)
+        basis = build_basis(5)
+        h = dq_hamiltonian(system, basis)
+        eig = diagonalize(h, site_symmetry(system))
+        rho = thermal_state(basis)
+        observables = sweep_observables(basis, rho.purity(), 7)
+        times = np.linspace(0.0, 1.5, 5)
+        reference = sweep(rho, diagonalize(h), times, observables)
+        monkeypatch.setattr(evolution, "CHUNK_BYTES", 1)
+        assert_columns_close(sweep(rho, eig, times, observables), reference.columns,
+                             observables, rho)
+
+    @settings(max_examples=12, deadline=None)
+    @given(circulant_systems(), st.floats(0.05, 3.0), st.integers(0, 2**10 - 1))
+    @example(ring_system(10, 7), 5.39, 341)
+    def test_symmetric_path_matches_plain(self, system, t, population):
+        basis = build_basis(system.n_spins)
+        population %= basis.dim
+        h = dq_hamiltonian(system, basis)
+        symmetry = site_symmetry(system)
+        assert symmetry is not None
+        eig, plain = diagonalize(h, symmetry), diagonalize(h)
+        assert eig.orbits is not None
+        times = np.array([0.0, 0.5 * t, t])
+        for rho in (thermal_state(basis), homq_coherence_state(basis)):
+            observables = sweep_observables(basis, rho.purity(), population)
+            reference = sweep(rho, plain, times, observables)
+            assert_columns_close(sweep(rho, eig, times, observables), reference.columns,
+                                 observables, rho)
+            there = evolve(rho, eig, t).matrix
+            gap = np.abs(there - evolve(rho, plain, t).matrix).max()
+            assert gap <= 1e-12 * np.abs(rho.matrix).max()
+            assert np.array_equal(there, there.conj().T)
+
+
+class TestReadableObservables:
+    def orbits(self, n=4):
+        system = ring_system(n)
+        eig = diagonalize(dq_hamiltonian(system, build_basis(n)), site_symmetry(system))
+        return eig.orbits
+
+    def test_order_intensities_and_extreme_states(self):
+        basis, orbits = build_basis(4), self.orbits()
+        for k in range(5):
+            weights = _orbit_weights(mq_intensity_extractor(basis, k), orbits, basis.dim)
+            assert weights is not None
+            assert set(np.unique(weights)) <= {0.0, 1.0 if k == 0 else 2.0}
+        assert _orbit_weights(diag_pair_extractor(basis), orbits, basis.dim) is not None
+        up = population_extractor(basis, basis.index_all_up)
+        assert _orbit_weights(up, orbits, basis.dim) is not None
+
+    def test_partial_orbit_pairs_are_not_readable(self):
+        basis, orbits = build_basis(4), self.orbits()
+        assert _orbit_weights(population_extractor(basis, 1), orbits, basis.dim) is None
+        # orbit {1, 2, 4, 8} x {0}: one element listed twice and one missing
+        assert _orbit_weights(Observable([16, 16, 32, 64]), orbits, basis.dim) is None
+
+    def test_repeated_full_orbit_pair(self):
+        basis, orbits = build_basis(4), self.orbits()
+        column = [16 * s for s in (1, 2, 4, 8)]
+        weights = _orbit_weights(Observable(column * 2, 0.5), orbits, basis.dim)
+        assert weights[orbits.of[1], orbits.of[0]] == 1.0
+        assert np.count_nonzero(weights) == 1
+
+    def test_unreadable_columns_are_returned(self):
+        system = ring_system(4, 1)
+        basis = build_basis(4)
+        eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
+        observables = [mq_intensity_extractor(basis, 2), population_extractor(basis, 3)]
+        values = np.zeros((2, 2))
+        general = _sector_sweep(thermal_state(basis), eig, np.array([0.0, 1.0]),
+                                observables, values)
+        assert general == [1]
+        assert np.all(values[:, 1] == 0.0)
+
+
+class TestPipelineSymmetry:
+    def test_report_matches_the_path_without_symmetry(self, pipeline_report, monkeypatch):
+        report, _ = pipeline_report
+        monkeypatch.setattr(hamiltonians, "site_symmetry", lambda system: None)
+        plain = run_pipeline(PipelineConfig())
+        assert plain.peak_counts == report.peak_counts
+        for key in ("t_star", "f_homq", "f_convert", "f_overall", "p_u_drift"):
+            assert math.isclose(getattr(plain, key), getattr(report, key), rel_tol=1e-12,
+                                abs_tol=1e-15), key
