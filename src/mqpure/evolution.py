@@ -529,6 +529,39 @@ def evolve(
     return DensityMatrix(matrix=rho_t)
 
 
+def propagate(
+    vectors: np.ndarray,
+    h: Operator | EigenSystem,
+    t: float,
+    unit: str = "cyclic",
+) -> np.ndarray:
+    """U v for each column v of a (dim, r) matrix, U = exp(-i * scale * H * t).
+
+    Each eigenblock moves the columns into its eigenbasis (the slices of
+    its states folded with the conjugate weights, times ``scale`` per
+    row, then V+), applies the phases and writes back slice by slice; no
+    state repeats within a slice.  Blocks in which every column is zero
+    are skipped, so exact zeros stay exact, and no d x d array is made.
+    """
+    eig = _as_eigensystem(h)
+    vectors = np.asarray(vectors)
+    if vectors.ndim != 2 or vectors.shape[0] != eig.dim:
+        raise ValueError(f"vectors of shape {vectors.shape} do not fit dimension {eig.dim}")
+    phase = _phase_scale(unit) * t
+    out = np.zeros(vectors.shape, dtype=complex)
+    for block in eig.blocks:
+        gathered = vectors[block.states]
+        if not gathered.any():
+            continue
+        scale = 1.0 if block.scale is None else block.scale[:, np.newaxis]
+        moved = gemm(adjoint(block.eigenvectors), scale * _fold(gathered, block.weights.conj(), 0))
+        moved = moved * np.exp(-1j * phase * block.eigenvalues)[:, np.newaxis]
+        moved = scale * gemm(block.eigenvectors, moved)
+        for states, weight in zip(np.split(block.states, block.weights.size), block.weights):
+            out[states] += weight * moved
+    return out
+
+
 @dataclass(frozen=True)
 class Observable:
     """A sweep observable: weight * sum_k f(rho.ravel()[flat[k]]) / normalize.
@@ -552,10 +585,16 @@ class Observable:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Named observable values on a strictly increasing time grid."""
+    """Named observable values on a strictly increasing time grid.
+
+    ``points`` holds the values at the extra times a sweep was asked
+    for (see :func:`sweep`), as a table of its own; it is not written
+    by :meth:`to_csv`.
+    """
 
     times: np.ndarray = field(repr=False)
     columns: dict = field(repr=False)
+    points: SweepTable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -704,6 +743,8 @@ def sweep(
     times: np.ndarray,
     observables: Mapping[str, Observable],
     unit: str = "cyclic",
+    *,
+    points=(),
 ) -> SweepTable:
     """Evaluate observables on rho(t) across a time grid.
 
@@ -713,6 +754,10 @@ def sweep(
     the dense rho(t) is never built.  Only the fields of each observable
     are read.
 
+    ``points``, extra times in increasing order, are evaluated from the
+    same set-up in chunks of their own, so the grid's values do not
+    depend on them; their values are the table's ``points``.
+
     With momentum sectors and a rho0 that the site cycle leaves exactly
     unchanged, the observables readable in the sectors are evaluated
     there (:func:`_sector_sweep`); the others, and every observable of
@@ -721,37 +766,50 @@ def sweep(
     eig = _as_eigensystem(h)
     _check_dim(rho0, eig)
     times = np.asarray(times, dtype=float)
-    phases = _phase_scale(unit) * times
+    points = np.asarray(points, dtype=float).reshape(-1)
+    phases = _phase_scale(unit) * np.concatenate([times, points])
+    runs = (slice(0, times.size), slice(times.size, phases.size))
     specs = list(observables.values())
     for obs in specs:
         if obs.flat.size and obs.flat.max() >= rho0.dim**2:
             raise ValueError(f"observable element out of range for dimension {rho0.dim}")
-    values = np.zeros((times.size, len(specs)))
+    values = np.zeros((phases.size, len(specs)))
     general = list(range(len(specs)))
     if eig.orbits is not None and _invariant(rho0.matrix, eig.orbits.shift):
-        general = _sector_sweep(rho0, eig, phases, specs, values)
+        general = _sector_sweep(rho0, eig, phases, specs, values, runs)
     if general:
         values[:, general] = _block_sweep(rho0, eig.fallback, phases,
-                                          [specs[c] for c in general])
+                                          [specs[c] for c in general], runs)
     data = {name: values[:, c] / obs.normalize
             for c, (name, obs) in enumerate(observables.items())}
-    return SweepTable(times=times, columns=data)
+    extra = None
+    if points.size:
+        extra = SweepTable(points, {name: column[runs[1]] for name, column in data.items()})
+    return SweepTable(times, {name: column[runs[0]] for name, column in data.items()}, extra)
 
 
 def _block_sweep(rho0: DensityMatrix, eig: EigenSystem, phases: np.ndarray,
-                 observables: list) -> np.ndarray:
-    """Observable values (time, observable) from the block pairs of rho0."""
+                 observables: list, runs) -> np.ndarray:
+    """Observable values (time, observable) from the block pairs of rho0.
+
+    ``runs``, slices of the phases, are each cut into chunks of their own.
+    """
     parts = _eigenbasis_parts(rho0, eig)
     groups = _sources(parts, observables, rho0.dim)
     values = np.zeros((phases.size, len(observables)))
-    chunk = _chunk_length(parts)
-    for start in range(0, phases.size, chunk):
-        window = slice(start, start + chunk)
+    for window in _windows(runs, _chunk_length(parts)):
         for members, sources in groups:
             ys = _transform(members, phases[window])
             for source in sources:
                 _reduce(source, ys, values[window])
     return values
+
+
+def _windows(runs, chunk: int):
+    """Consecutive slices of at most ``chunk`` points, none spanning two runs."""
+    for run in runs:
+        for start in range(run.start, run.stop, chunk):
+            yield slice(start, min(start + chunk, run.stop))
 
 
 def _sector_groups(eig: EigenSystem) -> list:
@@ -817,23 +875,31 @@ def _interleaved(right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sector_transform(part: _Part, phases: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _sector_transform(part: _Part, phases: np.ndarray, right: np.ndarray,
+                      work: tuple | None = None) -> np.ndarray:
     """V_a e^{-i phase E_a} X_ab e^{i phase E_b} V_b+ per phase, shaped (K, r_a, r_b).
 
     ``right`` is V_b+ in the form of :func:`_interleaved`.  The left
     product runs once per phase, the right one as a single GEMM over all
-    phases, so the result is time-major.
+    phases, so the result is time-major.  ``work``, two flat complex
+    buffers of at least K r_a r_b elements, takes the products, and the
+    result is a view of the first: a sweep then allocates no stack per
+    chunk, which would make the heap grow and shrink with every chunk.
     """
     a, b = part.a, part.b
-    y = np.multiply(part.moved, np.exp(-1j * np.multiply.outer(phases, a.eigenvalues))[
-        :, :, np.newaxis], order="C")
-    y *= np.exp(1j * np.multiply.outer(phases, b.eigenvalues))[:, np.newaxis, :]
+    shape = (phases.size, *part.moved.shape)
+    first, second = ((np.empty(shape, dtype=complex) for _ in range(2)) if work is None
+                     else (buffer[:math.prod(shape)].reshape(shape) for buffer in work))
+    np.multiply(part.moved, np.exp(-1j * np.multiply.outer(phases, a.eigenvalues))[
+        :, :, np.newaxis], out=first)
+    first *= np.exp(1j * np.multiply.outer(phases, b.eigenvalues))[:, np.newaxis, :]
     if np.iscomplexobj(a.eigenvectors):
-        y = (a.eigenvectors @ y).view(np.float64)
+        np.matmul(a.eigenvectors, first, out=second)
     else:
-        y = a.eigenvectors @ y.view(np.float64)
-    return (y.reshape(-1, right.shape[0]) @ right).view(np.complex128).reshape(
-        phases.size, *part.moved.shape)
+        np.matmul(a.eigenvectors, first.view(np.float64), out=second.view(np.float64))
+    np.matmul(second.view(np.float64).reshape(-1, right.shape[0]), right,
+              out=first.view(np.float64).reshape(-1, right.shape[0]))
+    return first
 
 
 def _sector_evolve(rho: DensityMatrix, eig: EigenSystem, phase: np.ndarray) -> DensityMatrix:
@@ -908,7 +974,7 @@ def _reflected(weights: np.ndarray, orbits: _Orbits) -> bool:
 
 
 def _sector_sweep(rho0: DensityMatrix, eig: EigenSystem, phases: np.ndarray,
-                  observables: list, values: np.ndarray) -> list:
+                  observables: list, values: np.ndarray, runs) -> list:
     """Add the observables readable in the momentum sectors to ``values``.
 
     rho0 is unchanged by P.  An observable is readable when its weight is
@@ -921,6 +987,9 @@ def _sector_sweep(rho0: DensityMatrix, eig: EigenSystem, phases: np.ndarray,
     so only k = 0 .. L/2 run, the ones in between counted twice.  A pair
     of different groups also stands for its mirror, whose elements are
     the conjugates.
+
+    Each sector pair is set up once and reduced over ``runs``, slices of
+    the phases, each in chunks of its own.
 
     Returns the columns of the observables that are not readable.
     """
@@ -935,13 +1004,17 @@ def _sector_sweep(rho0: DensityMatrix, eig: EigenSystem, phases: np.ndarray,
               and all(_reflected(tables[c], orbits) for c in squared))
     momenta = (range(order // 2 + 1) if paired else range(order)) if squared else [0]
     if squared or real:
+        # a chunk of any sector pair fits CHUNK_BYTES, or is one point
+        largest = max(block.eigenvalues.size for block in eig.blocks) ** 2
+        work = tuple(np.empty(max(CHUNK_BYTES // 16, largest), dtype=complex)
+                     for _ in range(2))
         for left, right, parts in _sector_parts(rho0, eig, momenta):
             for part in parts:
                 k = part.a.momentum
                 count = 2 if paired and 2 * k % order else 1
                 reads = _sector_reads(part, tables, squared, real if k == 0 else [],
                                       left is not right, count, orbits)
-                _sector_reduce(part, reads, phases, values)
+                _sector_reduce(part, reads, phases, runs, values, work)
     return [c for c, table in enumerate(tables) if table is None]
 
 
@@ -976,19 +1049,19 @@ def _sector_reads(part: _Part, tables: list, squared: list, real: list, mirrored
     return reads
 
 
-def _sector_reduce(part: _Part, reads: list, phases: np.ndarray, values: np.ndarray) -> None:
-    """Add a sector pair's reads over the whole grid to ``values``.
+def _sector_reduce(part: _Part, reads: list, phases: np.ndarray, runs, values: np.ndarray,
+                   work: tuple) -> None:
+    """Add a sector pair's reads over each run of phases to ``values``.
 
-    Chunks of time points fill one CHUNK_BYTES stack each, which the
-    squared read squares in place after any real read.
+    Chunks of time points fill one CHUNK_BYTES stack each, in the
+    buffers ``work`` (see :func:`_sector_transform`), which the squared
+    read squares in place after any real read.
     """
     if not reads:
         return
     right = _interleaved(adjoint(part.b.eigenvectors))
-    chunk = max(1, CHUNK_BYTES // (16 * part.moved.size))
-    for start in range(0, phases.size, chunk):
-        window = slice(start, start + chunk)
-        y = _sector_transform(part, phases[window], right)
+    for window in _windows(runs, max(1, CHUNK_BYTES // (16 * part.moved.size))):
+        y = _sector_transform(part, phases[window], right, work)
         flat = y.view(np.float64).reshape(y.shape[0], -1)
         for squared, columns, weights in reads:
             if squared:

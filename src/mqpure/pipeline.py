@@ -3,11 +3,22 @@
 The pipeline executes the four experimental steps on the deviation
 density matrix:
 
-1. excitation under the double-quantum Hamiltonian for ``t_prep``,
-2. filtering of the highest-order coherence pair,
+1. excitation under the double-quantum Hamiltonian for ``t_prep``.  The
+   excited state is never formed: its order intensities are one more
+   point of the thermal sweep, evaluated from the same set-up;
+2. filtering of one coherence order n.  The filtered state keeps the
+   level blocks (k + n, k) of the excited state and their adjoints, each
+   of rank at most the smaller level's size, so it is held as factors
+   a b+ + b a+ of rank sum_k min(C(N, k), C(N, k + n)) (1 for the top
+   order: c |u><d| + h.c.).  The factors come from the columns of the
+   excited state on the smaller levels, U I_z U+ e_s, propagated block by
+   block through the eigensystem;
 3. time reversal (same duration under the negated Hamiltonian, which is
-   the forward eigensystem propagated for -t_prep),
-4. crusher dephasing in the secular eigenbasis, then partial saturation.
+   the forward eigensystem propagated for -t_prep), applied to the two
+   factors;
+4. crusher dephasing in the secular eigenbasis, whose populations are
+   read from the reversed factors one m block at a time, then partial
+   saturation.
 
 Efficiencies are purity fractions: ``f_homq`` is the filtered-order
 intensity over the thermal purity, ``f_convert`` the all-up/all-down
@@ -33,14 +44,16 @@ from .evolution import (
     _phase_scale,
     diag_pair_extractor,
     diagonalize,
-    evolve,
     mq_intensity_extractor,
+    propagate,
     sweep,
     time_grid,
 )
 from .output import write_csv
 from .spin_core import (
+    LowRankState,
     NumericalInvariantError,
+    ZeemanBasis,
     build_basis,
     thermal_state,
 )
@@ -238,7 +251,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 
     observables = {f"I{k}": mq_intensity_extractor(basis, k) for k in range(n + 1)}
     observables["diag_pair"] = diag_pair_extractor(basis)
-    table = sweep(rho_thermal, eig, times, observables, unit=config.unit)
+    table = sweep(rho_thermal, eig, times, observables, unit=config.unit,
+                  points=[config.t_prep])
     del observables  # their element indices take dim^2 / 2 integers
     located = locate_maximum(table, f"I{filter_n}")
     if not located.interior:
@@ -249,32 +263,26 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
             stacklevel=2,
         )
 
-    # (1) excitation, (2) filter, (3) time reversal on the same eigensystem
-    rho_excited = evolve(rho_thermal, eig, config.t_prep, unit=config.unit)
-    f_homq = mq.mq_intensities(rho_excited, basis)[filter_n] / norm_thermal
-    rho_filtered = mq.filter_order(rho_excited, basis, filter_n)
-    norm_filtered = rho_filtered.purity()
-    rho_reversed = evolve(rho_filtered, eig, -config.t_prep, unit=config.unit)
-    _check_purity(rho_excited.purity(), norm_thermal, "excitation")
-    _check_purity(rho_reversed.purity(), norm_filtered, "time reversal")
+    # (1) excitation: the intensities at t_prep are the sweep's extra point
+    excited = np.array([table.points.column(f"I{k}")[0] for k in range(n + 1)])
+    _check_purity(excited.sum(), norm_thermal, "excitation")
 
-    up, down = basis.index_all_up, basis.index_all_down
-    pair = (
-        abs(rho_reversed.matrix[up, up]) ** 2 + abs(rho_reversed.matrix[down, down]) ** 2
-    )
-    f_convert = pair / norm_filtered if norm_filtered > 0 else 0.0
-    f_overall = pair / norm_thermal
+    # (2) filter and (3) time reversal on factors, (4) the crush reads
+    # their populations in the secular eigenbasis
+    h_secular = hamiltonians.secular_dipolar_hamiltonian(system, basis)
+    graph = nonunitary.build_transition_graph(h_secular, basis)
+    after = _after_filter(eig, basis, graph, filter_n, config.t_prep, config.unit)
+    norm_filtered, norm_reversed = (float(row.sum()) for row in after.intensities)
+    _check_purity(norm_reversed, norm_filtered, "time reversal")
+    f_homq = norm_filtered / norm_thermal
+    f_convert = after.pair / norm_filtered if norm_filtered > 0 else 0.0
+    f_overall = after.pair / norm_thermal
     if not abs(f_overall - f_homq * f_convert) <= PRODUCT_RULE_RTOL * max(f_overall, 1e-30):
         raise NumericalInvariantError(
             f"efficiency product rule violated: {f_overall} != {f_homq} * {f_convert}"
         )
-
-    # (4) crush in the secular eigenbasis (keep only the eigenstate
-    # populations), then saturate
-    h_secular = hamiltonians.secular_dipolar_hamiltonian(system, basis)
-    graph = nonunitary.build_transition_graph(h_secular, basis)
-    pops_crushed = graph.populations(rho_reversed)
-    if not np.sum(pops_crushed**2) <= rho_reversed.purity() * (1.0 + PURITY_DRIFT_RTOL):
+    pops_crushed = after.populations
+    if not np.sum(pops_crushed**2) <= norm_reversed * (1.0 + PURITY_DRIFT_RTOL):
         raise NumericalInvariantError("crush increased the state purity")
 
     params = config.saturation if config.saturation is not None else default_saturation(graph)
@@ -317,12 +325,68 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     )
 
     if config.out_dir is not None:
+        # the thermal state is diagonal: all order 0
+        intensities = [[norm_thermal] + [0.0] * n, excited, *after.intensities]
         _write_outputs(
-            Path(config.out_dir), report, table, basis,
-            (rho_thermal, rho_excited, rho_filtered, rho_reversed),
+            Path(config.out_dir), report, table, intensities,
             pops_thermal, pops_crushed, pops_final, graph, spectra,
         )
     return report
+
+
+class _AfterFilter(NamedTuple):
+    """What the report reads from the filtered and the reversed state.
+
+    ``intensities`` holds the order intensities of each of the two (they
+    sum to its purity); ``pair`` is |rho_uu|^2 + |rho_dd|^2 and
+    ``populations`` the secular eigenstate populations (the crush) of the
+    reversed state.
+    """
+
+    intensities: tuple
+    pair: float
+    populations: np.ndarray
+
+
+def _after_filter(eig, basis: ZeemanBasis, graph: nonunitary.TransitionGraph, n: int,
+                  t: float, unit: str) -> _AfterFilter:
+    """Excite the thermal state for t, filter order n, reverse, and read the results."""
+    filtered, reversed_ = _filter_and_reverse(eig, basis, n, t, unit)
+    up, down = basis.index_all_up, basis.index_all_down
+    return _AfterFilter(
+        intensities=tuple(mq.low_rank_intensities(s, basis) for s in (filtered, reversed_)),
+        pair=float(np.sum(reversed_.diagonal([up, down]) ** 2)),
+        populations=graph.low_rank_populations(reversed_),
+    )
+
+
+def _filter_and_reverse(eig, basis: ZeemanBasis, n: int, t: float, unit: str) -> tuple:
+    """The thermal state excited for t and filtered to order n, then reversed, as factors.
+
+    The level block (k + n, k) of rho_e = U I_z U+ has rank at most the
+    size of its smaller level s; with l the other level, it is read from
+    the columns rho_e e_s = U (m * U+ e_s) restricted to the rows of l.
+    So the filtered state is a b+ + b a+ with a = P_l rho_e E_s and
+    b = E_s over all level pairs, a tie going to the lower level, and
+    the reversed one is U+ a (U+ b)+ + h.c., where U+ b = U+ E_s is
+    already at hand.  Returns the two :class:`LowRankState`.
+    """
+    levels = basis.levels()
+    pairs = [(low, high) if low.size <= high.size else (high, low)
+             for low, high in zip(levels, levels[n:])]
+    small = np.concatenate([s for s, _ in pairs])
+    units = np.zeros((basis.dim, small.size))
+    units[small, np.arange(small.size)] = 1.0
+    back = propagate(units, eig, -t, unit)
+    columns = propagate(basis.m[:, np.newaxis] * back, eig, t, unit)
+    a = np.zeros_like(columns)
+    start = 0
+    for s, large in pairs:
+        cols = slice(start, start + s.size)
+        a[large, cols] = columns[large, cols]
+        start = cols.stop
+    del columns  # d x r, freed before the reversal allocates its own
+    return LowRankState(a, units), LowRankState(propagate(a, eig, -t, unit), back)
 
 
 def pseudopure_fidelity(populations: np.ndarray, index_up: int) -> float:
@@ -385,8 +449,7 @@ def _write_outputs(
     out_dir: Path,
     report: PipelineReport,
     table: SweepTable,
-    basis,
-    unitary_stages,
+    stage_intensities: list,
     pops_thermal: np.ndarray,
     pops_crushed: np.ndarray,
     pops_final: np.ndarray,
@@ -400,12 +463,13 @@ def _write_outputs(
     for name, stick in spectra.items():
         stick.to_csv(out_dir / f"spectrum_{name}.csv")
 
-    # the crushed and saturated stages keep only populations: all order 0
-    n = basis.n_spins
-    intensities = [mq.mq_intensities(rho, basis) for rho in unitary_stages]
-    intensities += [[np.sum(pops**2)] + [0.0] * n for pops in (pops_crushed, pops_final)]
+    # the crushed and saturated stages keep only populations: all order 0;
+    # the other four stages' intensities are given
+    n = len(stage_intensities[0]) - 1
+    rows = [*stage_intensities] + [[np.sum(pops**2)] + [0.0] * n
+                                   for pops in (pops_crushed, pops_final)]
     write_csv(out_dir / "stage_mq_intensities.csv", ["stage"] + [f"I{k}" for k in range(n + 1)],
-              np.array(intensities).T,
+              np.array(rows).T,
               labels=["thermal", "excited", "filtered", "reversed", "crushed", "saturated"])
     write_csv(out_dir / "stage_populations.csv",
               ["eigenstate", "m", "energy", "thermal", "crushed", "saturated"],

@@ -210,6 +210,37 @@ class DensityMatrix(Operator):
         return float(np.vdot(self.matrix, self.matrix).real)
 
 
+@dataclass(frozen=True)
+class LowRankState:
+    """Hermitian deviation state a b+ + b a+ held as two (d, r) factors.
+
+    A state with few nonzero level blocks, such as one filtered
+    coherence order, has a small r: it is propagated and read through
+    its factors, never as a d x d matrix.  A real factor stays float64,
+    and each factor is kept as a read-only view, not a copy.
+    """
+
+    a: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        a, b = (_real_or_complex(x).view() for x in (self.a, self.b))
+        if a.ndim != 2 or a.shape != b.shape:
+            raise ValueError("factors must be two matrices of one shape")
+        for name, factor in (("a", a), ("b", b)):
+            factor.setflags(write=False)
+            object.__setattr__(self, name, factor)
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
+
+    def diagonal(self, states) -> np.ndarray:
+        """The elements rho[s, s] = 2 Re sum_c a[s, c] conj(b[s, c])."""
+        a, b = self.a[states], self.b[states]
+        return 2.0 * np.einsum("...c,...c->...", a, b.conj()).real
+
+
 def thermal_state(basis: ZeemanBasis) -> DensityMatrix:
     """High-temperature equilibrium deviation state: collective I_z = diag(m)."""
     return DensityMatrix(matrix=np.diag(basis.m))

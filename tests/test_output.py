@@ -25,6 +25,8 @@ from mqpure.hamiltonians import build_system
 from mqpure.output import write_csv
 from mqpure.spin_core import DensityMatrix
 
+from dense_observables import mq_intensities
+
 # every float the writers must not reformat: signed zeros, the specials,
 # subnormals and the extremes of the normal range
 AWKWARD = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, -2.2250738585072014e-308,
@@ -106,12 +108,12 @@ def test_stage_csvs(tmp_path):
     spectra = {"thermal": StickSpectrum(frequencies=[], intensities=[], merged=True)}
     table = SweepTable(times=[0.0], columns={"I0": [1.0]})
     report = pipeline.PipelineReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    pipeline._write_outputs(tmp_path, report, table, basis, stages, *pops, graph, spectra)
+    intensities = [mq_intensities(rho, basis) for rho in stages]
+    pipeline._write_outputs(tmp_path, report, table, intensities, *pops, graph, spectra)
 
     n = basis.n_spins
     names = ("thermal", "excited", "filtered", "reversed")
-    rows = [[name] + [repr(float(x)) for x in pipeline.mq.mq_intensities(rho, basis)]
-            for name, rho in zip(names, stages)]
+    rows = [[name] + [repr(float(x)) for x in row] for name, row in zip(names, intensities)]
     rows += [[name, repr(float(np.sum(p**2)))] + [repr(0.0)] * n
              for name, p in (("crushed", pops[1]), ("saturated", pops[2]))]
     reference(tmp_path / "old.csv", ["stage"] + [f"I{k}" for k in range(n + 1)], rows)

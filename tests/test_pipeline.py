@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mqpure import pipeline
+from mqpure import nonunitary, pipeline
 from mqpure import (
+    LowRankState,
     NumericalInvariantError,
     PipelineConfig,
     SaturationParams,
@@ -159,6 +160,60 @@ class TestProductRuleProperty:
         report = run_pipeline(config)
         gap = abs(report.f_overall - report.f_homq * report.f_convert)
         assert gap <= 1e-12 * report.f_overall
+
+
+class TestInvariantChecks:
+    """Each conserved-quantity check fires when the step it guards is broken."""
+
+    CONFIG = {"t_max": 1.2, "t_step": 0.01}
+
+    def run(self, message):
+        with pytest.raises(NumericalInvariantError, match=message):
+            run_pipeline(PipelineConfig(**self.CONFIG))
+
+    def test_excitation_purity(self, monkeypatch):
+        def sweep_with_a_leaky_point(*args, **kwargs):
+            table = sweep(*args, **kwargs)
+            points = SweepTable(table.points.times,
+                                {name: 1.01 * col for name, col in table.points.columns.items()})
+            return dataclasses.replace(table, points=points)
+
+        monkeypatch.setattr(pipeline, "sweep", sweep_with_a_leaky_point)
+        self.run("purity drifted through excitation")
+
+    def test_reversal_purity(self, monkeypatch):
+        original = pipeline._filter_and_reverse
+
+        def lossy_reversal(*args):
+            filtered, reversed_ = original(*args)
+            return filtered, LowRankState(1.01 * reversed_.a, reversed_.b)
+
+        monkeypatch.setattr(pipeline, "_filter_and_reverse", lossy_reversal)
+        self.run("purity drifted through time reversal")
+
+    def test_product_rule(self, monkeypatch):
+        original = pipeline._after_filter
+
+        def lost_pair(*args):
+            return original(*args)._replace(pair=float("nan"))
+
+        monkeypatch.setattr(pipeline, "_after_filter", lost_pair)
+        self.run("efficiency product rule violated")
+
+    def test_crush_purity(self, monkeypatch):
+        original = pipeline._after_filter
+
+        def heating_crush(*args):
+            after = original(*args)
+            return after._replace(populations=10.0 * after.populations)
+
+        monkeypatch.setattr(pipeline, "_after_filter", heating_crush)
+        self.run("crush increased the state purity")
+
+    def test_population_conservation(self, monkeypatch):
+        original = nonunitary.saturate
+        monkeypatch.setattr(nonunitary, "saturate", lambda *args: original(*args) + 1.0)
+        self.run("saturation did not conserve total population")
 
 
 class TestLocateMaximum:

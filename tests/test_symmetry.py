@@ -327,7 +327,7 @@ class TestReadableObservables:
         observables = [mq_intensity_extractor(basis, 2), population_extractor(basis, 3)]
         values = np.zeros((2, 2))
         general = _sector_sweep(thermal_state(basis), eig, np.array([0.0, 1.0]),
-                                observables, values)
+                                observables, values, (slice(0, 2),))
         assert general == [1]
         assert np.all(values[:, 1] == 0.0)
 
