@@ -31,6 +31,7 @@ from .mq import (
     decompose,
     filter_order,
     mq_intensity,
+    mq_intensities,
     phase_cycle_decompose,
 )
 from .nonunitary import (
@@ -60,7 +61,6 @@ from .spectrum import (
 from .spin_core import (
     MAX_SPINS,
     DensityMatrix,
-    LowRankState,
     NumericalInvariantError,
     Operator,
     SpinSystem,
@@ -75,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DensityMatrix",
     "EigenSystem",
-    "LowRankState",
     "MAX_SPINS",
     "MaximumLocation",
     "NumericalInvariantError",
@@ -109,6 +108,7 @@ __all__ = [
     "load_couplings",
     "locate_maximum",
     "merge_peaks",
+    "mq_intensities",
     "mq_intensity",
     "mq_intensity_extractor",
     "negated",

@@ -876,7 +876,7 @@ def _interleaved(right: np.ndarray) -> np.ndarray:
 
 
 def _sector_transform(part: _Part, phases: np.ndarray, right: np.ndarray,
-                      work: tuple | None = None) -> np.ndarray:
+                      work: tuple) -> np.ndarray:
     """V_a e^{-i phase E_a} X_ab e^{i phase E_b} V_b+ per phase, shaped (K, r_a, r_b).
 
     ``right`` is V_b+ in the form of :func:`_interleaved`.  The left
@@ -888,8 +888,7 @@ def _sector_transform(part: _Part, phases: np.ndarray, right: np.ndarray,
     """
     a, b = part.a, part.b
     shape = (phases.size, *part.moved.shape)
-    first, second = ((np.empty(shape, dtype=complex) for _ in range(2)) if work is None
-                     else (buffer[:math.prod(shape)].reshape(shape) for buffer in work))
+    first, second = (buffer[:math.prod(shape)].reshape(shape) for buffer in work)
     np.multiply(part.moved, np.exp(-1j * np.multiply.outer(phases, a.eigenvalues))[
         :, :, np.newaxis], out=first)
     first *= np.exp(1j * np.multiply.outer(phases, b.eigenvalues))[:, np.newaxis, :]
@@ -921,7 +920,9 @@ def _sector_evolve(rho: DensityMatrix, eig: EigenSystem, phase: np.ndarray) -> D
         outer, inner = orbits.members(left[0]), orbits.members(right[0])
         reduced = np.zeros((outer.size, order, inner.size), dtype=complex)
         for part in parts:
-            y = _sector_transform(part, phase, _interleaved(adjoint(part.b.eigenvectors)))[0]
+            work = tuple(np.empty(part.moved.size, dtype=complex) for _ in range(2))
+            y = _sector_transform(part, phase, _interleaved(adjoint(part.b.eigenvectors)),
+                                  work)[0]
             if left is right:
                 y = 0.5 * (y + adjoint(y))
             k = part.a.momentum

@@ -6,13 +6,13 @@ Hermitian pairing: order 0 counts Tr(rho_0^2), order n > 0 counts
 Tr((rho_n + rho_-n)^2) = 2 Tr(rho_n rho_n+), so the total over n >= 0
 is exactly Tr(rho^2).
 
-The filter works on the element blocks between spin-up levels
-(``ZeemanBasis.levels``): order n is the blocks between level k and
-level k + n, so no d x d order matrix is built.  The intensities of a
-state held as low-rank factors are read from small per-level triangles
-of its factors.  The full order stacks of :func:`decompose` and
-:func:`phase_cycle_decompose` serve as two independent cross-checking
-oracles.
+The intensities and the filter work on the element blocks between
+spin-up levels (``ZeemanBasis.levels``): order n is the blocks between
+level k and level k + n, so no d x d order matrix is built.  The
+intensities of a state held as low-rank factors are read from small
+per-level triangles of its factors.  The full order stacks of
+:func:`decompose` and :func:`phase_cycle_decompose` serve as two
+independent cross-checking oracles.
 """
 
 from __future__ import annotations
@@ -45,6 +45,25 @@ def mq_intensity(components: np.ndarray, n: int) -> float:
         raise ValueError(f"order {n} out of range [0, {n_spins}]")
     weight = 1.0 if n == 0 else 2.0
     return weight * float(np.sum(np.abs(components[n]) ** 2))
+
+
+def mq_intensities(rho: DensityMatrix, basis: ZeemanBasis) -> np.ndarray:
+    """Intensities of orders 0..N in one pass, Hermitian-paired for n > 0.
+
+    Entry n equals ``mq_intensity(decompose(rho, basis), n)``.  With L
+    the (d, N+1) one-hot matrix of the spin-up levels, L+ |rho|^2 L sums
+    |rho_ab|^2 over each pair of levels (k, l), and order n collects the
+    pairs with |k - l| = n; no order matrix and no per-order copy is made.
+    """
+    if rho.dim != basis.dim:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, basis {basis.dim}")
+    n_spins = basis.n_spins
+    one_hot = np.equal.outer(basis.spins_up(), np.arange(n_spins + 1)).astype(float)
+    squares = np.abs(rho.matrix)
+    squares *= squares
+    per_levels = one_hot.T @ squares @ one_hot
+    return np.array([np.trace(per_levels, n) + (n > 0) * np.trace(per_levels, -n)
+                     for n in range(n_spins + 1)])
 
 
 def low_rank_intensities(state: LowRankState, basis: ZeemanBasis) -> np.ndarray:

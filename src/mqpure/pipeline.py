@@ -3,27 +3,33 @@
 The pipeline executes the four experimental steps on the deviation
 density matrix:
 
-1. excitation under the double-quantum Hamiltonian for ``t_prep``.  The
-   excited state is never formed: its order intensities are one more
-   point of the thermal sweep, evaluated from the same set-up;
+1. excitation under the double-quantum Hamiltonian for ``t_prep``.  Its
+   order intensities are one more point of the thermal sweep, evaluated
+   from the same set-up;
 2. filtering of one coherence order n.  The filtered state keeps the
    level blocks (k + n, k) of the excited state and their adjoints, each
-   of rank at most the smaller level's size, so it is held as factors
-   a b+ + b a+ of rank sum_k min(C(N, k), C(N, k + n)) (1 for the top
-   order: c |u><d| + h.c.).  The factors come from the columns of the
-   excited state on the smaller levels, U I_z U+ e_s, propagated block by
-   block through the eigensystem;
+   of rank at most the smaller level's size, so its rank is
+   r = sum_k min(C(N, k), C(N, k + n)) (1 for the top order:
+   c |u><d| + h.c.).  Where r is a small share of the dimension it is
+   held as factors a b+ + b a+, which come from the columns of the
+   excited state on the smaller levels, U I_z U+ e_s, propagated block
+   by block through the eigensystem; no dense excited, filtered or
+   reversed state is made.  At the low orders, where r nears d / 2,
+   the dense excited state is evolved and filtered instead;
 3. time reversal (same duration under the negated Hamiltonian, which is
    the forward eigensystem propagated for -t_prep), applied to the two
-   factors;
+   factors or to the dense filtered state;
 4. crusher dephasing in the secular eigenbasis, whose populations are
-   read from the reversed factors one m block at a time, then partial
+   read from the reversed state one m block at a time, then partial
    saturation.
 
 Efficiencies are purity fractions: ``f_homq`` is the filtered-order
 intensity over the thermal purity, ``f_convert`` the all-up/all-down
 diagonal-pair intensity after reversal over the filtered purity, and
-``f_overall`` their product by construction.
+``f_overall`` their product by construction.  The product-rule check
+takes the filtered-order intensity from the sweep's point instead, so
+it fails when the filtered or the reversed state loses or gains
+intensity against the excited state.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .evolution import (
     _phase_scale,
     diag_pair_extractor,
     diagonalize,
+    evolve,
     mq_intensity_extractor,
     propagate,
     sweep,
@@ -51,6 +58,7 @@ from .evolution import (
 )
 from .output import write_csv
 from .spin_core import (
+    DensityMatrix,
     LowRankState,
     NumericalInvariantError,
     ZeemanBasis,
@@ -61,6 +69,17 @@ from .spin_core import (
 PURITY_DRIFT_RTOL = 1e-9
 
 PRODUCT_RULE_RTOL = 1e-6
+
+# two computations of an intensity fraction f (over the thermal purity)
+# differ by the roundoff of its elements, which reaches about eps sqrt(f);
+# the product rule allows this much times sqrt(f) on top of its rtol
+INTENSITY_ROUNDOFF = 1e-12
+
+# the filtered state is carried as factors while their rank is below this
+# share of the dimension; above it, reading the reversed factors (d^2 r)
+# and moving r columns through every eigenblock cost more than evolving
+# the dense states (see :func:`_after_filter`)
+FACTOR_RANK_SHARE = 1 / 12
 
 
 @dataclass(frozen=True)
@@ -267,19 +286,24 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     excited = np.array([table.points.column(f"I{k}")[0] for k in range(n + 1)])
     _check_purity(excited.sum(), norm_thermal, "excitation")
 
-    # (2) filter and (3) time reversal on factors, (4) the crush reads
-    # their populations in the secular eigenbasis
+    # (2) filter and (3) time reversal, (4) the crush reads the reversed
+    # state's populations in the secular eigenbasis
     h_secular = hamiltonians.secular_dipolar_hamiltonian(system, basis)
     graph = nonunitary.build_transition_graph(h_secular, basis)
-    after = _after_filter(eig, basis, graph, filter_n, config.t_prep, config.unit)
+    after = _after_filter(rho_thermal, eig, basis, graph, filter_n, config.t_prep, config.unit)
     norm_filtered, norm_reversed = (float(row.sum()) for row in after.intensities)
     _check_purity(norm_reversed, norm_filtered, "time reversal")
-    f_homq = norm_filtered / norm_thermal
+    f_homq = after.kept / norm_thermal
     f_convert = after.pair / norm_filtered if norm_filtered > 0 else 0.0
     f_overall = after.pair / norm_thermal
-    if not abs(f_overall - f_homq * f_convert) <= PRODUCT_RULE_RTOL * max(f_overall, 1e-30):
+    # the check reads f_homq from the sweep's point, which is computed
+    # apart from the filtered and the reversed state
+    swept = excited[filter_n] / norm_thermal
+    slack = (PRODUCT_RULE_RTOL * f_overall
+             + f_convert * INTENSITY_ROUNDOFF * np.sqrt(max(swept, f_homq)))
+    if not abs(f_overall - swept * f_convert) <= slack:
         raise NumericalInvariantError(
-            f"efficiency product rule violated: {f_overall} != {f_homq} * {f_convert}"
+            f"efficiency product rule violated: {f_overall} != {swept} * {f_convert}"
         )
     pops_crushed = after.populations
     if not np.sum(pops_crushed**2) <= norm_reversed * (1.0 + PURITY_DRIFT_RTOL):
@@ -337,26 +361,65 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 class _AfterFilter(NamedTuple):
     """What the report reads from the filtered and the reversed state.
 
-    ``intensities`` holds the order intensities of each of the two (they
-    sum to its purity); ``pair`` is |rho_uu|^2 + |rho_dd|^2 and
-    ``populations`` the secular eigenstate populations (the crush) of the
-    reversed state.
+    ``kept`` is the excited state's order-n intensity, summed over the
+    elements the filter keeps.  ``intensities`` holds the order
+    intensities of the filtered and the reversed state (they sum to its
+    purity); ``pair`` is |rho_uu|^2 + |rho_dd|^2 and ``populations`` the
+    secular eigenstate populations (the crush) of the reversed state.
     """
 
+    kept: float
     intensities: tuple
     pair: float
     populations: np.ndarray
 
 
-def _after_filter(eig, basis: ZeemanBasis, graph: nonunitary.TransitionGraph, n: int,
-                  t: float, unit: str) -> _AfterFilter:
-    """Excite the thermal state for t, filter order n, reverse, and read the results."""
+def _after_filter(rho_thermal: DensityMatrix, eig, basis: ZeemanBasis,
+                  graph: nonunitary.TransitionGraph, n: int, t: float,
+                  unit: str) -> _AfterFilter:
+    """Excite the thermal state for t, filter order n, reverse, and read the results.
+
+    The filtered state has rank r = sum_k min(C(N, k), C(N, k + n)).
+    Below ``FACTOR_RANK_SHARE`` of the dimension it is carried as factors
+    (:func:`_low_rank_after_filter`); at the low orders, where r nears
+    d / 2, the dense states are evolved (:func:`_dense_after_filter`).
+    """
+    levels = basis.levels()
+    rank = sum(min(low.size, high.size) for low, high in zip(levels, levels[n:]))
+    if rank < FACTOR_RANK_SHARE * basis.dim:
+        return _low_rank_after_filter(eig, basis, graph, n, t, unit)
+    return _dense_after_filter(rho_thermal, eig, basis, graph, n, t, unit)
+
+
+def _low_rank_after_filter(eig, basis: ZeemanBasis, graph: nonunitary.TransitionGraph,
+                           n: int, t: float, unit: str) -> _AfterFilter:
+    """:func:`_after_filter` on the factors of :func:`_filter_and_reverse`."""
     filtered, reversed_ = _filter_and_reverse(eig, basis, n, t, unit)
     up, down = basis.index_all_up, basis.index_all_down
     return _AfterFilter(
+        # each kept element of the excited state is an entry of a, once
+        kept=2.0 * float(np.vdot(filtered.a, filtered.a).real),
         intensities=tuple(mq.low_rank_intensities(s, basis) for s in (filtered, reversed_)),
         pair=float(np.sum(reversed_.diagonal([up, down]) ** 2)),
         populations=graph.low_rank_populations(reversed_),
+    )
+
+
+def _dense_after_filter(rho_thermal: DensityMatrix, eig, basis: ZeemanBasis,
+                        graph: nonunitary.TransitionGraph, n: int, t: float,
+                        unit: str) -> _AfterFilter:
+    """:func:`_after_filter` on dense states, each evolved through the eigensystem."""
+    excited = evolve(rho_thermal, eig, t, unit=unit)
+    kept = mq.mq_intensities(excited, basis)[n]
+    filtered = mq.filter_order(excited, basis, n)
+    del excited
+    reversed_ = evolve(filtered, eig, -t, unit=unit)
+    up, down = basis.index_all_up, basis.index_all_down
+    return _AfterFilter(
+        kept=kept,
+        intensities=(mq.mq_intensities(filtered, basis), mq.mq_intensities(reversed_, basis)),
+        pair=abs(reversed_.matrix[up, up]) ** 2 + abs(reversed_.matrix[down, down]) ** 2,
+        populations=graph.populations(reversed_),
     )
 
 

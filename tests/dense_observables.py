@@ -1,14 +1,12 @@
-"""Dense evaluation of sweep observables and of the pipeline's states, the
-references for the block-layout sweep and the low-rank pipeline path.
+"""Dense evaluation of sweep observables, the reference for the block-layout sweep.
 
-``mqpure.sweep`` never builds rho(t), and the pipeline never builds its
-excited, filtered or reversed state; these helpers evaluate the same
-quantities on dense matrices, from ``evolve`` and ``filter_order``.
+``mqpure.sweep`` never builds rho(t); these helpers evaluate the same
+observables on a dense matrix, and on ``evolve`` at each grid time.
 """
 
 import numpy as np
 
-from mqpure import evolve, filter_order, pipeline, thermal_state
+from mqpure import evolve
 
 
 def evaluate(observable, matrix) -> float:
@@ -23,40 +21,3 @@ def dense_sweep(rho, h, times, observables, unit="cyclic") -> dict:
     states = [evolve(rho, h, t, unit=unit).matrix for t in times]
     return {name: np.array([evaluate(obs, state) for state in states])
             for name, obs in observables.items()}
-
-
-def mq_intensities(rho, basis) -> np.ndarray:
-    """Intensities of orders 0..N in one pass, Hermitian-paired for n > 0.
-
-    Entry n equals ``mq_intensity(decompose(rho, basis), n)``.  With L
-    the (d, N+1) one-hot matrix of the spin-up levels, L+ |rho|^2 L sums
-    |rho_ab|^2 over each pair of levels (k, l), and order n collects the
-    pairs with |k - l| = n; no order matrix and no per-order copy is made.
-    """
-    if rho.dim != basis.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, basis {basis.dim}")
-    n_spins = basis.n_spins
-    one_hot = np.equal.outer(basis.spins_up(), np.arange(n_spins + 1)).astype(float)
-    squares = np.abs(rho.matrix)
-    squares *= squares
-    per_levels = one_hot.T @ squares @ one_hot
-    return np.array([np.trace(per_levels, n) + (n > 0) * np.trace(per_levels, -n)
-                     for n in range(n_spins + 1)])
-
-
-def dense_after_filter(eig, basis, graph, n, t, unit="cyclic"):
-    """The pipeline's reads of its filtered and reversed states, from dense matrices.
-
-    The dense path the pipeline no longer takes: ``evolve`` the thermal
-    state, ``filter_order`` it, ``evolve`` it back, then take the order
-    intensities, the |u>/|d> diagonal pair and the secular populations.
-    """
-    excited = evolve(thermal_state(basis), eig, t, unit=unit)
-    filtered = filter_order(excited, basis, n)
-    reversed_ = evolve(filtered, eig, -t, unit=unit)
-    up, down = basis.index_all_up, basis.index_all_down
-    return pipeline._AfterFilter(
-        intensities=(mq_intensities(filtered, basis), mq_intensities(reversed_, basis)),
-        pair=abs(reversed_.matrix[up, up]) ** 2 + abs(reversed_.matrix[down, down]) ** 2,
-        populations=graph.populations(reversed_),
-    )

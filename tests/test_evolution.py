@@ -31,10 +31,11 @@ from mqpure.evolution import (
     _eigenbasis_parts,
     _layout,
 )
+from mqpure.mq import mq_intensities
 from mqpure.spin_core import eigh_blocks, popcounts
 
 from dense_eigen import dense_eigen
-from dense_observables import dense_sweep, evaluate, mq_intensities
+from dense_observables import dense_sweep, evaluate
 from test_hamiltonians import random_systems
 
 

@@ -1,11 +1,12 @@
-"""The pipeline's low-rank path against the dense oracle.
+"""The pipeline's low-rank path against the dense one.
 
 After the filter the pipeline holds its states as factors a b+ + b a+
-(:class:`mqpure.LowRankState`), propagates them with
-:func:`mqpure.evolution.propagate` and reads the excited state's order
-intensities from an extra point of its sweep.  The oracle in
-``dense_observables`` takes the dense path it replaced: ``evolve``,
-``filter_order``, dense order intensities and ``populations``.
+(:class:`mqpure.spin_core.LowRankState`) where their rank is small,
+propagates them with :func:`mqpure.evolution.propagate` and reads the
+excited state's order intensities from an extra point of its sweep.
+The oracle is the dense path it takes at the low orders,
+``pipeline._dense_after_filter``: ``evolve``, ``filter_order``,
+``mq_intensities`` and ``populations``.
 """
 
 import math
@@ -16,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mqpure import (
-    LowRankState,
     evolve,
     PipelineConfig,
     build_basis,
@@ -24,6 +24,7 @@ from mqpure import (
     diagonalize,
     dq_hamiltonian,
     homq_excitable,
+    mq_intensities,
     mq_intensity_extractor,
     pipeline,
     run_pipeline,
@@ -34,10 +35,9 @@ from mqpure import (
 )
 from mqpure.evolution import TWO_PI, propagate
 from mqpure.mq import low_rank_intensities
-from mqpure.spin_core import DensityMatrix
+from mqpure.spin_core import DensityMatrix, LowRankState
 
 from dense_eigen import dense_eigen
-from dense_observables import dense_after_filter, mq_intensities
 from test_hamiltonians import random_systems
 from test_symmetry import circulant_systems, ring_system
 
@@ -169,10 +169,11 @@ class TestFactorPathProperty:
         h = dq_hamiltonian(system, basis)
         eig = diagonalize(h, site_symmetry(system))
         graph = build_transition_graph(secular_dipolar_hamiltonian(system, basis), basis)
+        thermal = thermal_state(basis)
         for n in accepted_orders(system.n_spins):
             filtered, reversed_ = pipeline._filter_and_reverse(eig, basis, n, t, "cyclic")
-            after = pipeline._after_filter(eig, basis, graph, n, t, "cyclic")
-            oracle = dense_after_filter(eig, basis, graph, n, t)
+            after = pipeline._low_rank_after_filter(eig, basis, graph, n, t, "cyclic")
+            oracle = pipeline._dense_after_filter(thermal, eig, basis, graph, n, t, "cyclic")
             if n % 2:
                 # the thermal state has even orders only, and so has every
                 # state the double-quantum Hamiltonian makes from it
@@ -208,12 +209,23 @@ class TestFactorPathProperty:
         got = [table.points.column(f"I{k}")[0] for k in range(basis.n_spins + 1)]
         assert_close(got, excited, thermal.purity(), "excited intensities")
 
-    def test_odd_order_pipeline_converts_nothing(self):
+    @pytest.mark.parametrize("share", [1.0, 0.0], ids=["factors", "dense"])
+    def test_odd_order_pipeline_converts_nothing(self, monkeypatch, share):
+        monkeypatch.setattr(pipeline, "FACTOR_RANK_SHARE", share)
         config = PipelineConfig(filter_n=3, t_max=0.5, t_step=0.05)
         with np.errstate(divide="raise", invalid="raise"):
             with pytest.warns(RuntimeWarning, match="grid boundary"):
                 report = run_pipeline(config)
         assert report.f_homq == report.f_convert == report.f_overall == 0.0
+
+
+@pytest.mark.parametrize("n, path", [(10, "low_rank"), (8, "low_rank"), (6, "low_rank"),
+                                     (4, "dense"), (2, "dense")])
+def test_the_filter_rank_picks_the_path(monkeypatch, n, path):
+    # at N = 10 the filtered state has rank 1, 12, 67, 232 and 562 of 1024
+    for name in ("low_rank", "dense"):
+        monkeypatch.setattr(pipeline, f"_{name}_after_filter", lambda *args, name=name: name)
+    assert pipeline._after_filter(None, None, build_basis(10), None, n, 1.0, "cyclic") == path
 
 
 class TestRing10Oracle:
@@ -227,7 +239,7 @@ class TestRing10Oracle:
             return run_pipeline(PipelineConfig(system=path, out_dir=str(tmp_path / out), **RING10))
 
         got = run("factors")
-        monkeypatch.setattr(pipeline, "_after_filter", dense_after_filter)
+        monkeypatch.setattr(pipeline, "FACTOR_RANK_SHARE", 0.0)
         want = run("dense")
         assert got.peak_counts == want.peak_counts
         for key in ("t_star", "f_homq", "f_convert", "f_overall", "p_u_drift",

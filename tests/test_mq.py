@@ -9,11 +9,10 @@ from mqpure import (
     evolve,
     filter_order,
     homq_coherence_state,
+    mq_intensities,
     mq_intensity,
     phase_cycle_decompose,
 )
-
-from dense_observables import mq_intensities
 
 
 def random_state(rng, dim):

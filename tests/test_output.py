@@ -25,8 +25,6 @@ from mqpure.hamiltonians import build_system
 from mqpure.output import write_csv
 from mqpure.spin_core import DensityMatrix
 
-from dense_observables import mq_intensities
-
 # every float the writers must not reformat: signed zeros, the specials,
 # subnormals and the extremes of the normal range
 AWKWARD = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, -2.2250738585072014e-308,
@@ -108,7 +106,7 @@ def test_stage_csvs(tmp_path):
     spectra = {"thermal": StickSpectrum(frequencies=[], intensities=[], merged=True)}
     table = SweepTable(times=[0.0], columns={"I0": [1.0]})
     report = pipeline.PipelineReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    intensities = [mq_intensities(rho, basis) for rho in stages]
+    intensities = [pipeline.mq.mq_intensities(rho, basis) for rho in stages]
     pipeline._write_outputs(tmp_path, report, table, intensities, *pops, graph, spectra)
 
     n = basis.n_spins

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mqpure import nonunitary, pipeline
+from mqpure import mq, nonunitary, pipeline
 from mqpure import (
-    LowRankState,
     NumericalInvariantError,
     PipelineConfig,
     SaturationParams,
@@ -31,6 +30,7 @@ from mqpure import (
     sweep,
     thermal_state,
 )
+from mqpure.spin_core import DensityMatrix, LowRankState
 
 from test_hamiltonians import random_systems
 
@@ -163,13 +163,16 @@ class TestProductRuleProperty:
 
 
 class TestInvariantChecks:
-    """Each conserved-quantity check fires when the step it guards is broken."""
+    """Each conserved-quantity check fires when the step it guards is broken.
+
+    The hexagon's top order runs on factors and its order 2 on dense states.
+    """
 
     CONFIG = {"t_max": 1.2, "t_step": 0.01}
 
-    def run(self, message):
+    def run(self, message, **config):
         with pytest.raises(NumericalInvariantError, match=message):
-            run_pipeline(PipelineConfig(**self.CONFIG))
+            run_pipeline(PipelineConfig(**self.CONFIG, **config))
 
     def test_excitation_purity(self, monkeypatch):
         def sweep_with_a_leaky_point(*args, **kwargs):
@@ -192,13 +195,21 @@ class TestInvariantChecks:
         self.run("purity drifted through time reversal")
 
     def test_product_rule(self, monkeypatch):
-        original = pipeline._after_filter
+        # both states scaled alike pass the reversal check; the filtered
+        # purity then no longer equals the excited state's order intensity
+        original = pipeline._filter_and_reverse
 
-        def lost_pair(*args):
-            return original(*args)._replace(pair=float("nan"))
+        def scaled_filter(*args):
+            return tuple(LowRankState(1.01 * state.a, state.b) for state in original(*args))
 
-        monkeypatch.setattr(pipeline, "_after_filter", lost_pair)
+        monkeypatch.setattr(pipeline, "_filter_and_reverse", scaled_filter)
         self.run("efficiency product rule violated")
+
+    def test_product_rule_on_dense_states(self, monkeypatch):
+        original = mq.filter_order
+        monkeypatch.setattr(mq, "filter_order",
+                            lambda *args: DensityMatrix(1.01 * original(*args).matrix))
+        self.run("efficiency product rule violated", filter_n=2)
 
     def test_crush_purity(self, monkeypatch):
         original = pipeline._after_filter
