@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -384,8 +385,8 @@ def _after_filter(rho_thermal: DensityMatrix, eig, basis: ZeemanBasis,
     (:func:`_low_rank_after_filter`); at the low orders, where r nears
     d / 2, the dense states are evolved (:func:`_dense_after_filter`).
     """
-    levels = basis.levels()
-    rank = sum(min(low.size, high.size) for low, high in zip(levels, levels[n:]))
+    sizes = [math.comb(basis.n_spins, k) for k in range(basis.n_spins + 1)]
+    rank = sum(map(min, sizes, sizes[n:]))
     if rank < FACTOR_RANK_SHARE * basis.dim:
         return _low_rank_after_filter(eig, basis, graph, n, t, unit)
     return _dense_after_filter(rho_thermal, eig, basis, graph, n, t, unit)
