@@ -21,6 +21,7 @@ import numpy as np
 
 from . import hamiltonians, mq, nonunitary, spectrum as spec
 from .evolution import (
+    SweepTable,
     diag_pair_extractor,
     diagonalize,
     mq_intensity_extractor,
@@ -41,22 +42,16 @@ from .spin_core import (
 FILTER_CHECK_BYTES = 2 << 30
 
 
-def _parse_observables(tokens: str, basis, norm_thermal: float):
+def _parse_observables(tokens: str, basis):
     observables = {}
     for token in tokens.split(","):
         token = token.strip()
         if not token:
             continue
-        if token.startswith("I") and token[1:].isdigit():
+        if token[:1] in "IF" and token[1:].isdigit():
             observables[token] = mq_intensity_extractor(basis, int(token[1:]))
-        elif token.startswith("F") and token[1:].isdigit():
-            observables[token] = mq_intensity_extractor(
-                basis, int(token[1:]), normalize=norm_thermal
-            )
-        elif token == "diag_pair":
+        elif token in ("diag_pair", "diag_pair_frac"):
             observables[token] = diag_pair_extractor(basis)
-        elif token == "diag_pair_frac":
-            observables[token] = diag_pair_extractor(basis, normalize=norm_thermal)
         elif token == "pop_u":
             observables[token] = population_extractor(basis, basis.index_all_up)
         elif token == "pop_d":
@@ -85,8 +80,11 @@ def cmd_sweep(args) -> int:
     names = args.observables
     if names is None:
         names = ",".join([f"I{k}" for k in range(basis.n_spins + 1)] + ["diag_pair"])
-    observables = _parse_observables(names, basis, rho0.purity())
-    table = sweep(rho0, eig, times, observables, unit=args.unit)
+    table = sweep(rho0, eig, times, _parse_observables(names, basis), unit=args.unit)
+    purity = rho0.purity()  # F<n> and diag_pair_frac are fractions of it
+    table = SweepTable(table.times, {
+        name: column / purity if name[0] == "F" or name == "diag_pair_frac" else column
+        for name, column in table.columns.items()})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table.to_csv(out / "sweep.csv")
@@ -112,7 +110,7 @@ def cmd_spectrum(args) -> int:
     h_secular = hamiltonians.secular_dipolar_hamiltonian(system, basis)
     graph = nonunitary.build_transition_graph(h_secular, basis)
     if args.state == "thermal":
-        populations = graph.populations(thermal_state(basis))
+        populations = graph.m_values  # I_z is m on every m block
     elif args.state == "cat-diag":
         populations = np.zeros(graph.n_states)
         populations[graph.index_all_up] = 1.0

@@ -193,7 +193,7 @@ def diagonalize(h: Operator, symmetry: SiteSymmetry | None = None) -> EigenSyste
                                partial(diagonalize, h))
     # the flip, which reverses the index order, keeps parity only at even N
     if (len(groups) == 1 or not np.array_equal(odd, odd[::-1])
-            or not np.array_equal(mat, mat[::-1, ::-1])):
+            or not _invariant(mat, np.arange(h.dim)[::-1])):
         return EigenSystem(blocks=eigh_blocks(mat, groups))
     return EigenSystem(blocks=_flip_sector_blocks(mat, groups))
 
@@ -240,17 +240,27 @@ def _invariant(matrix: np.ndarray, perm: np.ndarray) -> bool:
     return True
 
 
-def _sector_matrix(gathered: np.ndarray, k: int) -> np.ndarray:
-    """sum_l exp(-2 pi i k l / L) gathered[:, l, :], real where 2k is a multiple of L.
+def _sector_reader(matrix: np.ndarray, orbits: _Orbits, outer: np.ndarray,
+                   inner: np.ndarray) -> tuple:
+    """The (r, L, r) gather matrix[a, P^l b], a and b the representatives of
+    the ``outer`` and ``inner`` orbits, and sector(k), its momentum-k matrix
+    L c_a c_b sum_l exp(-2 pi i k l / L) matrix[a, P^l b] over the a and b
+    whose period allows k (c = sqrt(period) / L), real where 2k is a
+    multiple of L.  The phase of l is looked up at k l mod L, so it repeats
+    exactly with any period of l that k allows."""
+    order = orbits.order
+    gathered = matrix[orbits.table[outer, :1, np.newaxis], orbits.table[inner].T[np.newaxis]]
+    scale_a, scale_b = (np.sqrt(orbits.period[side]) / order for side in (outer, inner))
 
-    The phase of l is looked up at k l mod L, so it repeats exactly with
-    any period of l that k allows.
-    """
-    order = gathered.shape[1]
-    phases = cyclic_phases(order)[k * np.arange(order) % order]
-    if 2 * k % order == 0:
-        phases = phases.real
-    return np.einsum("alb,l->ab", gathered, phases)
+    def sector(k: int) -> np.ndarray:
+        keep_a, keep_b = (k * orbits.period[side] % order == 0 for side in (outer, inner))
+        phases = cyclic_phases(order)[k * np.arange(order) % order]
+        if 2 * k % order == 0:
+            phases = phases.real
+        summed = np.einsum("alb,l->ab", gathered[keep_a][:, :, keep_b], phases)
+        return summed * (order * np.outer(scale_a[keep_a], scale_b[keep_b]))
+
+    return gathered, sector
 
 
 def _group_orbits(groups, orbits: _Orbits) -> list:
@@ -275,7 +285,7 @@ def _momentum_blocks(matrix: np.ndarray, groups, orbits: _Orbits) -> tuple:
     blocks = []
     for members in _group_orbits(groups, orbits):
         table = orbits.table[members]
-        gathered = matrix[table[:, :1, np.newaxis], table.T[np.newaxis]]
+        _, sector = _sector_reader(matrix, orbits, members, members)
         scale = np.sqrt(orbits.period[members]) / order
         sectors = {}
         for k in range(order):
@@ -286,9 +296,7 @@ def _momentum_blocks(matrix: np.ndarray, groups, orbits: _Orbits) -> tuple:
                 values, vectors = sectors[order - k]
                 vectors = vectors.conj()
             else:
-                sector = _sector_matrix(gathered[keep][:, :, keep], k)
-                values, vectors = np.linalg.eigh(sector * (order * np.outer(scale[keep],
-                                                                            scale[keep])))
+                values, vectors = np.linalg.eigh(sector(k))
                 sectors[k] = values, vectors
             blocks.append(EigenBlock(_frozen_array(table[keep].T.ravel()), _frozen_array(values),
                                      _frozen_array(vectors), momentum=k,
@@ -564,7 +572,7 @@ def propagate(
 
 @dataclass(frozen=True)
 class Observable:
-    """A sweep observable: weight * sum_k f(rho.ravel()[flat[k]]) / normalize.
+    """A sweep observable: weight * sum_k f(rho.ravel()[flat[k]]).
 
     ``flat`` indexes elements of the raveled dense matrix (row * dim +
     column); an element listed twice counts twice.  f is |.|^2 when
@@ -574,7 +582,6 @@ class Observable:
     flat: np.ndarray = field(repr=False)
     weight: float = 1.0
     squared: bool = True
-    normalize: float = 1.0
 
     def __post_init__(self):
         flat = np.asarray(self.flat, dtype=np.intp)
@@ -780,8 +787,7 @@ def sweep(
     if general:
         values[:, general] = _block_sweep(rho0, eig.fallback, phases,
                                           [specs[c] for c in general], runs)
-    data = {name: values[:, c] / obs.normalize
-            for c, (name, obs) in enumerate(observables.items())}
+    data = dict(zip(observables, values.T))
     extra = None
     if points.size:
         extra = SweepTable(points, {name: column[runs[1]] for name, column in data.items()})
@@ -839,8 +845,7 @@ def _sector_parts(rho: DensityMatrix, eig: EigenSystem, momenta) -> list:
     for i, left in enumerate(groups):
         for right in groups[i:]:
             outer, inner = orbits.members(left[0]), orbits.members(right[0])
-            table = orbits.table[inner]
-            gathered = rho.matrix[orbits.table[outer, :1, np.newaxis], table.T[np.newaxis]]
+            gathered, sector = _sector_reader(rho.matrix, orbits, outer, inner)
             if not gathered.any():
                 continue
             parts = []
@@ -848,12 +853,9 @@ def _sector_parts(rho: DensityMatrix, eig: EigenSystem, momenta) -> list:
                 if k not in left or k not in right:
                     continue
                 a, b = left[k], right[k]
-                keep_a = k * orbits.period[outer] % orbits.order == 0
-                keep_b = k * orbits.period[inner] % orbits.order == 0
-                sector = _sector_matrix(gathered[keep_a][:, :, keep_b], k)
-                sector = sector * (orbits.order * np.outer(a.scale, b.scale))
-                if sector.any():
-                    moved = gemm(gemm(adjoint(a.eigenvectors), sector), b.eigenvectors)
+                block = sector(k)
+                if block.any():
+                    moved = gemm(gemm(adjoint(a.eigenvectors), block), b.eigenvectors)
                     parts.append(_Part(a, b, moved))
             found.append((left, right, parts))
     return found
@@ -1070,14 +1072,11 @@ def _sector_reduce(part: _Part, reads: list, phases: np.ndarray, runs, values: n
             values[window, columns] += flat @ weights
 
 
-def mq_intensity_extractor(
-    basis: ZeemanBasis, n: int, normalize: float | None = None
-) -> Observable:
+def mq_intensity_extractor(basis: ZeemanBasis, n: int) -> Observable:
     """Observable: intensity of coherence order n (paired with -n for n > 0).
 
     Order 0 gives Tr(rho_0^2); positive n gives 2 * Tr(rho_n rho_n+), so
-    the sum over n >= 0 equals Tr(rho^2).  ``normalize`` divides the
-    result, e.g. by the initial-state purity to get Fig.-style fractions.
+    the sum over n >= 0 equals Tr(rho^2).
     """
     if not 0 <= n <= basis.n_spins:
         raise ValueError(f"order {n} out of range [0, {basis.n_spins}]")
@@ -1085,14 +1084,13 @@ def mq_intensity_extractor(
     levels = basis.levels()
     flat = np.concatenate([(basis.dim * high[:, np.newaxis] + low).ravel()
                            for low, high in zip(levels, levels[n:])])
-    normalize = 1.0 if normalize is None else normalize
-    return Observable(flat, 1.0 if n == 0 else 2.0, normalize=normalize)
+    return Observable(flat, 1.0 if n == 0 else 2.0)
 
 
-def diag_pair_extractor(basis: ZeemanBasis, normalize: float | None = None) -> Observable:
+def diag_pair_extractor(basis: ZeemanBasis) -> Observable:
     """Observable: |rho_uu|^2 + |rho_dd|^2 for the all-up/all-down pair."""
     flat = (basis.dim + 1) * np.array([basis.index_all_up, basis.index_all_down])
-    return Observable(flat, normalize=1.0 if normalize is None else normalize)
+    return Observable(flat)
 
 
 def population_extractor(basis: ZeemanBasis, state: int) -> Observable:

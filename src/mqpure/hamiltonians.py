@@ -58,9 +58,12 @@ def load_couplings(path: str | Path, label: str = "") -> SpinSystem:
 
 def build_system(name: str, d12: float) -> SpinSystem:
     """The hexagon with nearest-neighbor coupling ``d12`` when ``name`` is
-    "hexagon", otherwise the coupling file at path ``name``."""
+    "hexagon", otherwise the coupling file at path ``name``, whose couplings
+    are taken as written: there ``d12`` must be 1."""
     if name == "hexagon":
         return hexagon_couplings(d12)
+    if d12 != 1.0:
+        raise ValueError(f"d12 scales only the hexagon, not {name} (got d12={d12})")
     return load_couplings(name)
 
 

@@ -200,22 +200,21 @@ def build_transition_graph(h_secular: Operator, basis: ZeemanBasis) -> Transitio
 
     Args:
         h_secular: Hamiltonian commuting with collective I_z.
-        basis: Zeeman basis (defines the m blocks).
+        basis: Zeeman basis; its spin-up levels are the m blocks.
     """
     if h_secular.dim != basis.dim:
         raise ValueError("hamiltonian dimension does not match basis")
     mat = h_secular.matrix
     scale = max(np.linalg.norm(mat), 1e-300)
-    block_m = np.rint(2 * basis.m) / 2.0
-    off_block = np.subtract.outer(block_m, block_m) != 0
-    if np.abs(mat[off_block]).max(initial=0.0) > 1e-12 * scale:
+    rows, cols = np.nonzero(mat)
+    off_block = basis.m[rows] != basis.m[cols]
+    if np.abs(mat[rows[off_block], cols[off_block]]).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("hamiltonian does not conserve collective I_z")
 
-    levels = np.unique(block_m)  # ascending m
-    blocks = eigh_blocks(mat, [np.flatnonzero(block_m == m) for m in levels])
+    blocks = eigh_blocks(mat, basis.levels())  # ascending m
     sizes = [block.states.size for block in blocks]
     starts = np.cumsum([0] + sizes)
-    m_values = np.repeat(levels, sizes)
+    m_values = basis.m[np.concatenate([block.states for block in blocks])]
     position = np.empty(basis.dim, dtype=int)  # index of a Zeeman state in its block
     for block in blocks:
         position[block.states] = np.arange(block.states.size)

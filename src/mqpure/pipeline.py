@@ -7,15 +7,13 @@ density matrix:
    order intensities are one more point of the thermal sweep, evaluated
    from the same set-up;
 2. filtering of one coherence order n.  The filtered state keeps the
-   level blocks (k + n, k) of the excited state and their adjoints, each
-   of rank at most the smaller level's size, so its rank is
-   r = sum_k min(C(N, k), C(N, k + n)) (1 for the top order:
-   c |u><d| + h.c.).  Where r is a small share of the dimension it is
-   held as factors a b+ + b a+, which come from the columns of the
-   excited state on the smaller levels, U I_z U+ e_s, propagated block
-   by block through the eigensystem; no dense excited, filtered or
-   reversed state is made.  At the low orders, where r nears d / 2,
-   the dense excited state is evolved and filtered instead;
+   level blocks (k + n, k) of the excited state and their adjoints, so
+   its rank is r = sum_k min(C(N, k), C(N, k + n)) (1 for the top
+   order: c |u><d| + h.c.).  Where r is a small share of the dimension
+   it is held as factors a b+ + b a+, the excited state's columns on the
+   smaller levels, U I_z U+ e_s, propagated block by block; no dense
+   excited, filtered or reversed state is made.  At the low orders,
+   where r nears d / 2, the dense excited state is evolved and filtered;
 3. time reversal (same duration under the negated Hamiltonian, which is
    the forward eigensystem propagated for -t_prep), applied to the two
    factors or to the dense filtered state;
@@ -23,13 +21,24 @@ density matrix:
    read from the reversed state one m block at a time, then partial
    saturation.
 
-Efficiencies are purity fractions: ``f_homq`` is the filtered-order
-intensity over the thermal purity, ``f_convert`` the all-up/all-down
-diagonal-pair intensity after reversal over the filtered purity, and
-``f_overall`` their product by construction.  The product-rule check
-takes the filtered-order intensity from the sweep's point instead, so
-it fails when the filtered or the reversed state loses or gains
-intensity against the excited state.
+The thermal state I_z is m on every m block of the secular eigenbasis,
+so its purity is sum m^2 and its eigenstate populations are the m
+values.  The filtered state is all order n, so its purity ``kept`` is
+its one intensity read.  Each stage check compares two numbers:
+
+- excitation: the sweep point's intensity sum against sum m^2;
+- filter ("efficiency product rule"): ``kept`` against the sweep
+  point's order-n intensity, so a filter that loses or gains intensity
+  fails it;
+- time reversal: the reversed state's intensity sum against ``kept``;
+- crush: the crushed populations' squared sum, at most the reversed
+  purity;
+- saturation: the total population before and after.
+
+Efficiencies are purity fractions: ``f_homq`` is ``kept`` over the
+thermal purity, ``f_convert`` the all-up/all-down diagonal-pair
+intensity after reversal over ``kept``, and ``f_overall`` their product
+by construction.
 """
 
 from __future__ import annotations
@@ -267,7 +276,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     if not np.isfinite(_phase_scale(config.unit) * max(config.t_max, config.t_prep) * top):
         raise NumericalInvariantError(f"propagation phases are not finite (largest |E| = {top})")
     rho_thermal = thermal_state(basis)
-    norm_thermal = rho_thermal.purity()
+    norm_thermal = float(np.sum(basis.m**2))
 
     observables = {f"I{k}": mq_intensity_extractor(basis, k) for k in range(n + 1)}
     observables["diag_pair"] = diag_pair_extractor(basis)
@@ -292,20 +301,17 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     h_secular = hamiltonians.secular_dipolar_hamiltonian(system, basis)
     graph = nonunitary.build_transition_graph(h_secular, basis)
     after = _after_filter(rho_thermal, eig, basis, graph, filter_n, config.t_prep, config.unit)
-    norm_filtered, norm_reversed = (float(row.sum()) for row in after.intensities)
-    _check_purity(norm_reversed, norm_filtered, "time reversal")
     f_homq = after.kept / norm_thermal
-    f_convert = after.pair / norm_filtered if norm_filtered > 0 else 0.0
-    f_overall = after.pair / norm_thermal
-    # the check reads f_homq from the sweep's point, which is computed
-    # apart from the filtered and the reversed state
+    # the sweep's point is computed apart from the filtered state
     swept = excited[filter_n] / norm_thermal
-    slack = (PRODUCT_RULE_RTOL * f_overall
-             + f_convert * INTENSITY_ROUNDOFF * np.sqrt(max(swept, f_homq)))
-    if not abs(f_overall - swept * f_convert) <= slack:
-        raise NumericalInvariantError(
-            f"efficiency product rule violated: {f_overall} != {swept} * {f_convert}"
-        )
+    slack = PRODUCT_RULE_RTOL * swept + INTENSITY_ROUNDOFF * np.sqrt(max(swept, f_homq))
+    if not abs(f_homq - swept) <= slack:
+        raise NumericalInvariantError(f"efficiency product rule violated: filtered f_homq "
+                                      f"{f_homq} != swept {swept}")
+    norm_reversed = float(after.intensities.sum())
+    _check_purity(norm_reversed, after.kept, "time reversal")
+    f_convert = after.pair / after.kept if after.kept > 0 else 0.0
+    f_overall = after.pair / norm_thermal
     pops_crushed = after.populations
     if not np.sum(pops_crushed**2) <= norm_reversed * (1.0 + PURITY_DRIFT_RTOL):
         raise NumericalInvariantError("crush increased the state purity")
@@ -320,10 +326,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     p_u_drift = float(pops_final[graph_up] - pops_crushed[graph_up])
     fidelity = pseudopure_fidelity(pops_final, graph_up)
 
-    pops_thermal = graph.populations(rho_thermal)
     spectra = {
         "thermal": spec.merge_peaks(
-            spec.linear_response(pops_thermal, graph), config.merge_tolerance
+            spec.linear_response(graph.m_values, graph), config.merge_tolerance
         ),
         "crushed": spec.merge_peaks(
             spec.linear_response(pops_crushed, graph), config.merge_tolerance
@@ -350,27 +355,26 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     )
 
     if config.out_dir is not None:
-        # the thermal state is diagonal: all order 0
-        intensities = [[norm_thermal] + [0.0] * n, excited, *after.intensities]
-        _write_outputs(
-            Path(config.out_dir), report, table, intensities,
-            pops_thermal, pops_crushed, pops_final, graph, spectra,
-        )
+        # the thermal state is diagonal: all order 0; the filtered one is all order n
+        orders = np.eye(n + 1)
+        intensities = [norm_thermal * orders[0], excited, after.kept * orders[filter_n],
+                       after.intensities]
+        _write_outputs(Path(config.out_dir), report, table, intensities,
+                       graph.m_values, pops_crushed, pops_final, graph, spectra)
     return report
 
 
 class _AfterFilter(NamedTuple):
     """What the report reads from the filtered and the reversed state.
 
-    ``kept`` is the excited state's order-n intensity, summed over the
-    elements the filter keeps.  ``intensities`` holds the order
-    intensities of the filtered and the reversed state (they sum to its
-    purity); ``pair`` is |rho_uu|^2 + |rho_dd|^2 and ``populations`` the
-    secular eigenstate populations (the crush) of the reversed state.
+    ``kept`` is the filtered state's purity, its one read.  Of the
+    reversed state, ``intensities`` holds the order intensities, ``pair``
+    |rho_uu|^2 + |rho_dd|^2 and ``populations`` the secular eigenstate
+    populations (the crush).
     """
 
     kept: float
-    intensities: tuple
+    intensities: np.ndarray
     pair: float
     populations: np.ndarray
 
@@ -400,7 +404,7 @@ def _low_rank_after_filter(eig, basis: ZeemanBasis, graph: nonunitary.Transition
     return _AfterFilter(
         # each kept element of the excited state is an entry of a, once
         kept=2.0 * float(np.vdot(filtered.a, filtered.a).real),
-        intensities=tuple(mq.low_rank_intensities(s, basis) for s in (filtered, reversed_)),
+        intensities=mq.low_rank_intensities(reversed_, basis),
         pair=float(np.sum(reversed_.diagonal([up, down]) ** 2)),
         populations=graph.low_rank_populations(reversed_),
     )
@@ -410,15 +414,12 @@ def _dense_after_filter(rho_thermal: DensityMatrix, eig, basis: ZeemanBasis,
                         graph: nonunitary.TransitionGraph, n: int, t: float,
                         unit: str) -> _AfterFilter:
     """:func:`_after_filter` on dense states, each evolved through the eigensystem."""
-    excited = evolve(rho_thermal, eig, t, unit=unit)
-    kept = mq.mq_intensities(excited, basis)[n]
-    filtered = mq.filter_order(excited, basis, n)
-    del excited
+    filtered = mq.filter_order(evolve(rho_thermal, eig, t, unit=unit), basis, n)
     reversed_ = evolve(filtered, eig, -t, unit=unit)
     up, down = basis.index_all_up, basis.index_all_down
     return _AfterFilter(
-        kept=kept,
-        intensities=(mq.mq_intensities(filtered, basis), mq.mq_intensities(reversed_, basis)),
+        kept=filtered.purity(),
+        intensities=mq.mq_intensities(reversed_, basis),
         pair=abs(reversed_.matrix[up, up]) ** 2 + abs(reversed_.matrix[down, down]) ** 2,
         populations=graph.populations(reversed_),
     )

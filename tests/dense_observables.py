@@ -10,10 +10,17 @@ from mqpure import evolve
 
 
 def evaluate(observable, matrix) -> float:
-    """weight * sum_k f(matrix.ravel()[flat[k]]) / normalize, f = |.|^2 or Re."""
+    """weight * sum_k f(matrix.ravel()[flat[k]]), f = |.|^2 or Re."""
     values = np.asarray(matrix).ravel()[observable.flat]
     picked = np.abs(values) ** 2 if observable.squared else values.real
-    return observable.weight * float(np.sum(picked)) / observable.normalize
+    return observable.weight * float(np.sum(picked))
+
+
+def divisor(name, purity) -> float:
+    """``purity`` for a column that is a fraction of the initial purity
+    (``F<n>``, ``*_frac``), which a caller divides after the sweep as
+    ``mqpure sweep`` does; 1.0 for the others."""
+    return purity if name[0] == "F" or name.endswith("_frac") else 1.0
 
 
 def dense_sweep(rho, h, times, observables, unit="cyclic") -> dict:

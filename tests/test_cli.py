@@ -78,11 +78,13 @@ class TestSweepCommand:
         rho = homq_coherence_state(basis)
         reference = sweep(rho, diagonalize(negated(dq_hamiltonian(system, basis))),
                           np.array([float(row[0]) for row in rows[1:]]),
-                          _parse_observables(observables, basis, rho.purity()))
+                          _parse_observables(observables, basis))
         for c, name in enumerate(rows[0][1:], start=1):
             column = np.array([float(row[c]) for row in rows[1:]])
-            scale = max(np.abs(reference.column(name)).max(), 1.0)
-            assert np.abs(column - reference.column(name)).max() <= 1e-12 * scale, name
+            # F<n> is a fraction of the initial purity
+            want = reference.column(name) / (rho.purity() if name[0] == "F" else 1.0)
+            scale = max(np.abs(want).max(), 1.0)
+            assert np.abs(column - want).max() <= 1e-12 * scale, name
 
     def test_unknown_observable(self, tmp_path):
         code = main([
@@ -202,7 +204,52 @@ class TestPipelineCommand:
         assert len(err.splitlines()) == 1
 
 
+class TestD12WithCouplingFile:
+    """d12 scales the hexagon only; a coupling file with any other d12 is refused."""
+
+    @pytest.mark.parametrize("command", [["sweep", "--t-max", "0.02", "--t-step", "0.01"],
+                                         ["spectrum"]], ids=["sweep", "spectrum"])
+    @pytest.mark.parametrize("d12", ["2", "0.5", "nan"])
+    def test_one_line_error(self, tmp_path, capsys, command, d12):
+        system = tmp_path / "pair.txt"
+        system.write_text("2\n0 1\n1 0\n")
+        out = tmp_path / "out"
+        assert main([*command, "--system", str(system), "--d12", d12, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: d12 scales only the hexagon") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_pipeline_config(self, tmp_path, capsys):
+        system = tmp_path / "pair.txt"
+        system.write_text("2\n0 1\n1 0\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"system": str(system), "d12": 2.0, "t_step": 0.01}))
+        assert main(["pipeline", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: d12 scales only the hexagon") and err.count("\n") == 1
+
+    def test_unit_d12_and_the_hexagon_still_run(self, tmp_path):
+        system = tmp_path / "pair.txt"
+        system.write_text("2\n0 1\n1 0\n")
+        assert main(["spectrum", "--system", str(system), "--d12", "1.0",
+                     "--out", str(tmp_path / "file")]) == 0
+        assert main(["spectrum", "--d12", "2", "--out", str(tmp_path / "hexagon")]) == 0
+
+
 class TestSpectrumCommand:
+    def test_thermal_populations_are_the_m_values(self, tmp_path, monkeypatch):
+        # I_z is m on every m block: no dense thermal state, no purity and
+        # no eigenbasis read
+        from mqpure import cli, nonunitary, spin_core
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the thermal spectrum read a state")
+
+        monkeypatch.setattr(cli, "thermal_state", refuse)
+        monkeypatch.setattr(nonunitary.TransitionGraph, "populations", refuse)
+        monkeypatch.setattr(spin_core.DensityMatrix, "purity", refuse)
+        assert main(["spectrum", "--state", "thermal", "--out", str(tmp_path)]) == 0
+
     def test_thermal_spectrum(self, tmp_path):
         out = tmp_path / "out"
         code = main(["spectrum", "--state", "thermal", "--out", str(out)])

@@ -35,7 +35,7 @@ from mqpure.mq import mq_intensities
 from mqpure.spin_core import eigh_blocks, popcounts
 
 from dense_eigen import dense_eigen
-from dense_observables import dense_sweep, evaluate
+from dense_observables import dense_sweep, divisor, evaluate
 from test_hamiltonians import random_systems
 
 
@@ -76,20 +76,23 @@ def parity_eigensystem(h):
 HAMILTONIANS = st.sampled_from([dq_hamiltonian, secular_dipolar_hamiltonian])
 
 
-def every_kind_of_observable(basis, purity):
-    """Order intensities raw and normalized, the diagonal pair both ways,
-    populations, and the real part of one off-diagonal element."""
+def every_kind_of_observable(basis):
+    """Order intensities raw and as fractions, the diagonal pair both ways,
+    populations, and the real part of one off-diagonal element as a fraction.
+
+    A fraction (see :func:`dense_observables.divisor`) is divided by the
+    initial purity after the sweep."""
     up, down = basis.index_all_up, basis.index_all_down
     observables = {}
     for k in range(basis.n_spins + 1):
         observables[f"I{k}"] = mq_intensity_extractor(basis, k)
-        observables[f"F{k}"] = mq_intensity_extractor(basis, k, normalize=purity)
+        observables[f"F{k}"] = mq_intensity_extractor(basis, k)
     observables["diag_pair"] = diag_pair_extractor(basis)
-    observables["diag_pair_frac"] = diag_pair_extractor(basis, normalize=purity)
+    observables["diag_pair_frac"] = diag_pair_extractor(basis)
     observables["pop_u"] = population_extractor(basis, up)
     observables["pop_d"] = population_extractor(basis, down)
     observables["pop_1"] = population_extractor(basis, 1)
-    observables["re_ud"] = Observable([up * basis.dim + down], squared=False, normalize=purity)
+    observables["re_ud_frac"] = Observable([up * basis.dim + down], squared=False)
     # a negative weight, with an element listed twice
     observables["weighted"] = Observable([0, 5, 5, basis.dim], -1.5)
     return observables
@@ -98,9 +101,11 @@ def every_kind_of_observable(basis, purity):
 def assert_matches_reference(table, reference, observables, rho):
     """Each column equals its dense reference to 1e-12 of the column's scale."""
     for name, obs in observables.items():
-        floor = (rho.purity() if obs.squared else np.abs(rho.matrix).max()) / obs.normalize
-        gap = np.abs(table.column(name) - reference[name]).max()
-        assert gap <= 1e-12 * max(np.abs(reference[name]).max(), floor), name
+        scale = divisor(name, rho.purity())
+        got, want = table.column(name) / scale, reference[name] / scale
+        floor = (rho.purity() if obs.squared else np.abs(rho.matrix).max()) / scale
+        gap = np.abs(got - want).max()
+        assert gap <= 1e-12 * max(np.abs(want).max(), floor), name
 
 
 class TestDiagonalize:
@@ -260,7 +265,7 @@ class TestBatchedSweep:
         shared = any(len(members) > 1 for members, _ in _layout(parts))
         assert shared == (sectors and not thermal)
         assert all((part.a.flip != 0) == sectors for part in parts)
-        observables = every_kind_of_observable(basis, rho.purity())
+        observables = every_kind_of_observable(basis)
         # a small chunk budget puts chunk boundaries inside short grids
         largest = max(part.moved.size for part in parts)
         with mock.patch.object(evolution, "CHUNK_BYTES", 16 * largest * chunk):
@@ -278,7 +283,7 @@ class TestBatchedSweep:
         chunk = _chunk_length(parts)
         assert chunk == evolution.CHUNK_BYTES // (16 * 16 * 16) > 1
         times = np.linspace(0.0, 2.0, chunk + offset)
-        observables = every_kind_of_observable(basis6, thermal6.purity())
+        observables = every_kind_of_observable(basis6)
         table = sweep(thermal6, eig6, times, observables)
         reference = dense_sweep(thermal6, eig6, times, observables)
         assert_matches_reference(table, reference, observables, thermal6)
@@ -288,7 +293,7 @@ class TestBatchedSweep:
         basis = build_basis(4)
         h = random_hamiltonian(rng, basis.dim)
         rho = random_state(rng, basis.dim)
-        observables = every_kind_of_observable(basis, rho.purity())
+        observables = every_kind_of_observable(basis)
         times = np.array([0.0, 0.2, 0.7, 1.3])
         table = sweep(rho, h, times, observables, unit="angular")
         reference = dense_sweep(rho, h, times, observables, unit="angular")
@@ -401,12 +406,12 @@ class TestSweep:
         basis, h = two_spin_setup()
         rho = thermal_state(basis)
         times = np.arange(0.0, 0.5005, 0.001)
-        observables = {"F2": mq_intensity_extractor(basis, 2, normalize=rho.purity())}
-        table = sweep(rho, h, times, observables)
-        assert np.abs(table.column("F2") - np.sin(TWO_PI * times) ** 2).max() < 1e-10
-        k = np.argmax(table.column("F2"))
+        observables = {"I2": mq_intensity_extractor(basis, 2)}
+        fraction = sweep(rho, h, times, observables).column("I2") / rho.purity()
+        assert np.abs(fraction - np.sin(TWO_PI * times) ** 2).max() < 1e-10
+        k = np.argmax(fraction)
         assert times[k] == pytest.approx(0.25, abs=0.001)
-        assert table.column("F2")[k] == pytest.approx(1.0, abs=1e-10)
+        assert fraction[k] == pytest.approx(1.0, abs=1e-10)
 
     def test_hexagon_six_quantum_fraction(self, thermal_sweep):
         fraction = thermal_sweep.column("I6") / 96.0

@@ -178,13 +178,17 @@ class TestFactorPathProperty:
                 # the thermal state has even orders only, and so has every
                 # state the double-quantum Hamiltonian makes from it
                 assert not filtered.a.any() and not reversed_.a.any()
-                assert after.pair == 0.0
+                assert after.kept == after.pair == 0.0
                 assert not after.populations.any()
-                assert all(not row.any() for row in after.intensities)
+                assert not after.intensities.any()
                 continue
             element = basis.n_spins / 2
-            for got, want in zip(after.intensities, oracle.intensities):
-                assert_close(got, want, squared_scale(want, element), f"intensities, order {n}")
+            # the excited state's order-n intensity, which the filter keeps
+            excited = mq_intensities(evolve(thermal, eig, t), basis)[n]
+            for want in (oracle.kept, excited):
+                assert_close(after.kept, want, squared_scale(want, element), f"kept, order {n}")
+            assert_close(after.intensities, oracle.intensities,
+                         squared_scale(oracle.intensities, element), f"intensities, order {n}")
             assert_close(after.pair, oracle.pair, squared_scale(oracle.pair, element),
                          f"pair, order {n}")
             assert_close(after.populations, oracle.populations,
@@ -217,6 +221,31 @@ class TestFactorPathProperty:
             with pytest.warns(RuntimeWarning, match="grid boundary"):
                 report = run_pipeline(config)
         assert report.f_homq == report.f_convert == report.f_overall == 0.0
+
+
+class TestClosedForms:
+    """The pipeline's closed forms against the reads they replace."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(random_systems(2, 8), st.floats(0.05, 2.0))
+    @example(ring_system(6, 1), 0.973)
+    def test_thermal_and_filtered_stages(self, system, t):
+        basis = build_basis(system.n_spins)
+        thermal = thermal_state(basis)
+        graph = build_transition_graph(secular_dipolar_hamiltonian(system, basis), basis)
+        purity = float(np.sum(basis.m**2))
+        # I_z is m on every m block of the secular eigenbasis
+        assert_close(graph.populations(thermal), graph.m_values, 1.0, "thermal populations")
+        assert abs(thermal.purity() - purity) <= 1e-12 * purity
+        eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
+        for n in accepted_orders(system.n_spins):
+            filtered, _ = pipeline._filter_and_reverse(eig, basis, n, t, "cyclic")
+            kept = 2.0 * float(np.vdot(filtered.a, filtered.a).real)
+            want = np.zeros(basis.n_spins + 1)
+            want[n] = kept
+            # the filtered state is all order n, of intensity its purity
+            assert_close(low_rank_intensities(filtered, basis), want, purity,
+                         f"filtered intensities, order {n}")
 
 
 @pytest.mark.parametrize("n, path", [(10, "low_rank"), (8, "low_rank"), (6, "low_rank"),

@@ -132,6 +132,26 @@ class TestTransitionGraph:
         with pytest.raises(ValueError):
             build_transition_graph(h_av6, basis6)
 
+    # states 0 and 1 lie in different m blocks, states 1 and 2 in one
+    @pytest.mark.parametrize("value, pair", [
+        (1e-13, (0, 1)), (1e-9, (0, 1)), (np.nan, (0, 1)), (np.nan, (1, 2)), (np.inf, (0, 1)),
+    ], ids=["tiny", "leak", "nan-off-block", "nan-in-block", "inf-off-block"])
+    def test_conservation_check_matches_the_dense_mask(self, hexagon_system, basis6, value,
+                                                       pair):
+        h = secular_dipolar_hamiltonian(hexagon_system, basis6).matrix.copy()
+        h[pair] = h[pair[::-1]] = value
+        # the check as a d x d mask over every off-block element; a NaN
+        # residual compares False, so it passes
+        off_block = np.subtract.outer(basis6.m, basis6.m) != 0
+        refused = np.abs(h[off_block]).max() > 1e-12 * max(np.linalg.norm(h), 1e-300)
+        try:
+            with np.errstate(invalid="ignore"):
+                build_transition_graph(Operator(matrix=h), basis6)
+        except ValueError as exc:  # eigh of a NaN or inf matrix fails too
+            assert ("does not conserve" in str(exc)) == refused
+        else:
+            assert not refused
+
     def test_populations_of_thermal_state(self, graph6, thermal6):
         populations = graph6.populations(thermal6)
         assert np.allclose(populations, graph6.m_values, atol=1e-12)

@@ -211,6 +211,24 @@ class TestInvariantChecks:
                             lambda *args: DensityMatrix(1.01 * original(*args).matrix))
         self.run("efficiency product rule violated", filter_n=2)
 
+    def test_filter_that_loses_the_whole_state(self, monkeypatch):
+        # zero filtered and reversed states pass the reversal check (0 = 0);
+        # the sweep point still holds 14% of the thermal purity in order 6
+        original = pipeline._filter_and_reverse
+
+        def empty_filter(*args):
+            return tuple(LowRankState(np.zeros_like(state.a), state.b)
+                         for state in original(*args))
+
+        monkeypatch.setattr(pipeline, "_filter_and_reverse", empty_filter)
+        self.run("efficiency product rule violated")
+
+    def test_filter_that_loses_the_whole_dense_state(self, monkeypatch):
+        original = mq.filter_order
+        monkeypatch.setattr(mq, "filter_order",
+                            lambda *args: DensityMatrix(np.zeros_like(original(*args).matrix)))
+        self.run("efficiency product rule violated", filter_n=2)
+
     def test_crush_purity(self, monkeypatch):
         original = pipeline._after_filter
 
@@ -227,6 +245,68 @@ class TestInvariantChecks:
         self.run("saturation did not conserve total population")
 
 
+class TestEachStageIsReadOnce:
+    """The thermal stage is read from its closed forms and the filtered
+    state once, as ``kept``; the readers see only the reversed state."""
+
+    CONFIG = {"t_max": 1.2, "t_step": 0.01}
+
+    def spy(self, monkeypatch, owner, name, calls, position=0):
+        """Record (name, the argument at ``position``) of each call."""
+        original = getattr(owner, name)
+
+        def spied(*args, **kwargs):
+            calls.append((name, args[position]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spied)
+
+    def capture(self, monkeypatch, owner, name, found):
+        original = getattr(owner, name)
+
+        def captured(*args, **kwargs):
+            result = original(*args, **kwargs)
+            found[name] = result
+            return result
+
+        monkeypatch.setattr(owner, name, captured)
+
+    def readers(self, monkeypatch):
+        calls = []
+        self.spy(monkeypatch, mq, "low_rank_intensities", calls)
+        self.spy(monkeypatch, mq, "mq_intensities", calls)
+        self.spy(monkeypatch, DensityMatrix, "purity", calls)
+        self.spy(monkeypatch, LowRankState, "diagonal", calls)
+        self.spy(monkeypatch, nonunitary.TransitionGraph, "populations", calls, 1)
+        self.spy(monkeypatch, nonunitary.TransitionGraph, "low_rank_populations", calls, 1)
+        return calls
+
+    def test_factor_path(self, monkeypatch):
+        found = {}
+        self.capture(monkeypatch, pipeline, "thermal_state", found)
+        self.capture(monkeypatch, pipeline, "_filter_and_reverse", found)
+        calls = self.readers(monkeypatch)
+        run_pipeline(PipelineConfig(**self.CONFIG))
+        _, reversed_ = found["_filter_and_reverse"]
+        assert sorted(name for name, _ in calls) == [
+            "diagonal", "low_rank_intensities", "low_rank_populations"]
+        assert all(state is reversed_ for _, state in calls)
+        assert all(state is not found["thermal_state"] for _, state in calls)
+
+    def test_dense_path(self, monkeypatch):
+        found = {}
+        self.capture(monkeypatch, pipeline, "thermal_state", found)
+        self.capture(monkeypatch, mq, "filter_order", found)
+        self.capture(monkeypatch, pipeline, "evolve", found)  # last, the reversal
+        calls = self.readers(monkeypatch)
+        run_pipeline(PipelineConfig(filter_n=2, **self.CONFIG))
+        filtered, reversed_ = found["filter_order"], found["evolve"]
+        assert sorted((name, state is filtered) for name, state in calls) == [
+            ("mq_intensities", False), ("populations", False), ("purity", True)]
+        assert all(state is reversed_ for name, state in calls if name != "purity")
+        assert all(state is not found["thermal_state"] for _, state in calls)
+
+
 class TestLocateMaximum:
     def test_hexagon_sixth_order(self, thermal_sweep):
         located = locate_maximum(thermal_sweep, "I6")
@@ -239,11 +319,10 @@ class TestLocateMaximum:
         system = SpinSystem(n_spins=2, couplings=np.array([[0.0, 1.0], [1.0, 0.0]]))
         h = dq_hamiltonian(system, basis)
         rho = thermal_state(basis)
-        table = sweep(
-            rho, h, np.arange(0.0, 0.5005, 0.001),
-            {"F2": mq_intensity_extractor(basis, 2, normalize=rho.purity())},
-        )
-        located = locate_maximum(table, "F2")
+        table = sweep(rho, h, np.arange(0.0, 0.5005, 0.001),
+                      {"I2": mq_intensity_extractor(basis, 2)})
+        located = locate_maximum(
+            SweepTable(table.times, {"F2": table.column("I2") / rho.purity()}), "F2")
         assert located.interior
         assert located.t_star == pytest.approx(0.25, abs=0.01)
         assert located.value == pytest.approx(1.0, abs=1e-6)
@@ -317,6 +396,11 @@ class TestConfig:
             {"saturation": {"center_frequency": 0.0, "width_sigma": width}}))
         with pytest.raises(ValueError, match="width_sigma"):
             PipelineConfig.from_file(config_path)
+
+    def test_d12_with_a_coupling_file(self, tmp_path):
+        config = PipelineConfig(system=str(write_two_spin_file(tmp_path)), d12=2.0)
+        with pytest.raises(ValueError, match="d12 scales only the hexagon"):
+            run_pipeline(config)
 
     def test_filter_order_out_of_range(self):
         with pytest.raises(ValueError):

@@ -36,7 +36,7 @@ from mqpure import evolution, hamiltonians
 from mqpure.evolution import TWO_PI, _orbit_weights, _sector_sweep
 
 from dense_eigen import dense_eigen
-from dense_observables import dense_sweep
+from dense_observables import dense_sweep, divisor
 
 
 def ring_system(n, seed=None, jitter=None):
@@ -72,9 +72,11 @@ def circulant_systems(draw, min_spins=2, max_spins=8):
     return SpinSystem(n_spins=n, couplings=couplings)
 
 
-def sweep_observables(basis, purity, population):
+def sweep_observables(basis, population):
+    """Order intensities raw and as fractions (see :func:`dense_observables.divisor`),
+    the diagonal pair and populations."""
     observables = {f"I{k}": mq_intensity_extractor(basis, k) for k in range(basis.n_spins + 1)}
-    observables.update({f"F{k}": mq_intensity_extractor(basis, k, normalize=purity)
+    observables.update({f"F{k}": mq_intensity_extractor(basis, k)
                         for k in range(basis.n_spins + 1)})
     observables["diag_pair"] = diag_pair_extractor(basis)
     observables["pop_u"] = population_extractor(basis, basis.index_all_up)
@@ -85,9 +87,11 @@ def sweep_observables(basis, purity, population):
 def assert_columns_close(table, reference, observables, rho):
     """Each column within 1e-12 of its maximum (the state's scale where that is zero)."""
     for name, obs in observables.items():
-        floor = (rho.purity() if obs.squared else np.abs(rho.matrix).max()) / obs.normalize
-        gap = np.abs(table.column(name) - reference[name]).max()
-        assert gap <= 1e-12 * max(np.abs(reference[name]).max(), floor), name
+        scale = divisor(name, rho.purity())
+        got, want = table.column(name) / scale, reference[name] / scale
+        floor = (rho.purity() if obs.squared else np.abs(rho.matrix).max()) / scale
+        gap = np.abs(got - want).max()
+        assert gap <= 1e-12 * max(np.abs(want).max(), floor), name
 
 
 def dense_evolve(rho, eig, t):
@@ -201,7 +205,7 @@ class TestSectors:
         assert [block.flip for block in eig.blocks] == [1, -1, 1, -1]
         rho = thermal_state(basis)
         times = np.array([0.0, 0.4, 1.1])
-        observables = sweep_observables(basis, rho.purity(), 5)
+        observables = sweep_observables(basis, 5)
         assert_columns_close(sweep(rho, eig, times, observables),
                              dense_sweep(rho, eig, times, observables), observables, rho)
         gap = np.abs(evolve(rho, eig, 0.7).matrix - dense_evolve(rho, eig, 0.7)).max()
@@ -220,7 +224,7 @@ class TestSectors:
         assert gap <= 1e-12 * np.abs(rho.matrix).max()
         assert "fallback" in vars(eig)
         times = np.array([0.0, 0.3, 0.9])
-        observables = sweep_observables(basis, rho.purity(), 3)
+        observables = sweep_observables(basis, 3)
         assert_columns_close(sweep(rho, eig, times, observables),
                              dense_sweep(rho, eig, times, observables), observables, rho)
 
@@ -246,7 +250,7 @@ class TestSectors:
         assert all(np.all(np.diff(block.eigenvalues) >= 0) for block in eig.blocks)
         rho = homq_coherence_state(basis)
         times = np.array([0.0, 0.2, 0.7])
-        observables = sweep_observables(basis, rho.purity(), 9)
+        observables = sweep_observables(basis, 9)
         reference = sweep(rho, diagonalize(negated(h)), times, observables)
         assert_columns_close(sweep(rho, eig, times, observables), reference.columns,
                              observables, rho)
@@ -261,7 +265,7 @@ class TestSectors:
         h = dq_hamiltonian(system, basis)
         eig = diagonalize(h, site_symmetry(system))
         rho = thermal_state(basis)
-        observables = sweep_observables(basis, rho.purity(), 7)
+        observables = sweep_observables(basis, 7)
         times = np.linspace(0.0, 1.5, 5)
         reference = sweep(rho, diagonalize(h), times, observables)
         monkeypatch.setattr(evolution, "CHUNK_BYTES", 1)
@@ -281,7 +285,7 @@ class TestSectors:
         assert eig.orbits is not None
         times = np.array([0.0, 0.5 * t, t])
         for rho in (thermal_state(basis), homq_coherence_state(basis)):
-            observables = sweep_observables(basis, rho.purity(), population)
+            observables = sweep_observables(basis, population)
             reference = sweep(rho, plain, times, observables)
             assert_columns_close(sweep(rho, eig, times, observables), reference.columns,
                                  observables, rho)
