@@ -63,6 +63,7 @@ from .spin_core import (
     DensityMatrix,
     NumericalInvariantError,
     Operator,
+    SparseOperator,
     SpinSystem,
     ZeemanBasis,
     build_basis,
@@ -83,6 +84,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineReport",
     "SaturationParams",
+    "SparseOperator",
     "SpinSystem",
     "StickSpectrum",
     "SweepTable",

@@ -120,19 +120,19 @@ def cmd_spectrum(args) -> int:
             raise ValueError("--state pseudopure-file requires --state-file PATH")
         populations = _load_populations(args.state_file, graph.n_states)
     sticks = spec.merge_peaks(spec.linear_response(populations, graph), args.merge_tol)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    sticks.to_csv(out / "spectrum_sticks.csv")
+    peaks = spec.count_peaks(sticks, args.floor)
     span = graph.frequencies.max() - graph.frequencies.min()
     lo = graph.frequencies.min() - 0.1 * span - 5 * args.linewidth
     hi = graph.frequencies.max() + 0.1 * span + 5 * args.linewidth
     grid = np.linspace(lo, hi, args.grid_points)
     curve = spec.broaden(sticks, args.linewidth, grid)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    sticks.to_csv(out / "spectrum_sticks.csv")
     spec.curve_to_csv(grid, curve, out / "spectrum_broadened.csv")
     print(
         f"wrote {out / 'spectrum_sticks.csv'} ({sticks.n_lines} lines, "
-        f"{spec.count_peaks(sticks, args.floor)} peaks above floor) and "
-        f"{out / 'spectrum_broadened.csv'}"
+        f"{peaks} peaks above floor) and {out / 'spectrum_broadened.csv'}"
     )
     return 0
 

@@ -2,7 +2,11 @@
 
 Propagation uses one Hermitian eigendecomposition per Hamiltonian, which
 is exact for time-independent generators and lets a whole sweep reuse a
-single factorization.  The decomposition is kept per invariant block:
+single factorization.  Each block is gathered from the Hamiltonian's
+nonzero elements (:class:`~mqpure.spin_core.SparseOperator`), and the
+symmetry checks compare those elements, sorted, with their permuted
+copies, so no d x d matrix is made.  The decomposition is kept per
+invariant block:
 a Hamiltonian with no element between even- and odd-popcount states
 (the double-quantum one flips spins in pairs) splits into two half-size
 real blocks.  At even N the flip of every spin keeps popcount parity, and
@@ -15,7 +19,10 @@ flip parity.
 
 The state enters the eigenbasis from one gather per pair of block
 supports (the two flip sectors of a parity share theirs), which each
-block pair of that support pair folds.
+block pair of that support pair folds.  A state is dense
+(:class:`~mqpure.spin_core.DensityMatrix`) or, like the thermal state
+diag(m), held as its nonzero elements; both give the same gathered
+blocks.
 
 Given a site symmetry (a cyclic relabelling sigma of the sites, found
 from the couplings by :func:`~mqpure.hamiltonians.site_symmetry`) whose
@@ -24,7 +31,7 @@ state permutation P leaves the Hamiltonian exactly unchanged,
 instead: sector k of the order-L cycle is spanned by
 sqrt(p)/L sum_j exp(-2 pi i k j / L) P^j |a> over the orbit
 representatives a whose period p allows k.  Each sector matrix is
-gathered from H, one (r, L, r) gather per parity.  A state that P leaves
+folded from one (r, L, r) gather of H per parity.  A state that P leaves
 exactly unchanged (the thermal state, the top-order coherence, every
 state the pipeline evolves from them) has no element between different
 momenta, so propagation runs sector by sector and :func:`evolve` writes
@@ -75,6 +82,7 @@ from .spin_core import (
     DensityMatrix,
     EigenBlock,
     Operator,
+    SparseOperator,
     ZeemanBasis,
     _frozen_array,
     adjoint,
@@ -95,9 +103,6 @@ CHUNK_BYTES = 1 << 17
 
 # largest time grid ``time_grid`` builds
 MAX_GRID_POINTS = 1_000_000
-
-# rows per band in which a matrix is compared with its permuted copy
-INVARIANCE_BAND = 256
 
 
 class _Orbits(NamedTuple):
@@ -161,41 +166,44 @@ class EigenSystem:
         return EigenSystem(blocks, self.orbits, plain)
 
 
-def diagonalize(h: Operator, symmetry: SiteSymmetry | None = None) -> EigenSystem:
+def diagonalize(h: Operator | SparseOperator,
+                symmetry: SiteSymmetry | None = None) -> EigenSystem:
     """Eigendecompose a Hermitian operator (ascending within each block).
 
-    When every element between an even- and an odd-popcount state is
-    exactly zero, the two parity blocks are diagonalized separately;
-    otherwise the whole matrix is one block.
+    Every block is gathered from the operator's nonzero elements; a dense
+    :class:`Operator` is turned into them once (``SparseOperator.of``).
+    When no nonzero element joins an even- and an odd-popcount state, the
+    two parity blocks are diagonalized separately; otherwise the whole
+    operator is one block.
 
-    Given a site ``symmetry`` whose state permutation P leaves the matrix
-    exactly unchanged (H[P][:, P] == H), each block splits into its
-    momentum sectors, gathered from the matrix (see
+    Given a site ``symmetry`` whose state permutation P leaves the operator
+    exactly unchanged (H[P][:, P] == H, its sorted nonzeros mapped onto
+    themselves), each block splits into its momentum sectors (see
     :func:`_momentum_blocks`).  Otherwise, when the flip of every spin
     (state s to 2^N - 1 - s, the reversal of the index order) keeps
-    parity, which it does at even N, and leaves the matrix exactly
+    parity, which it does at even N, and leaves the operator exactly
     unchanged, each parity block splits into the two sectors spanned by
     (|s> + |s'>)/sqrt(2) and (|s> - |s'>)/sqrt(2), so there are four
     blocks.
     """
-    if not h.hermitian:
+    if isinstance(h, Operator) and not h.hermitian:
         raise ValueError("diagonalize requires an operator flagged hermitian")
-    mat = h.matrix
+    h = SparseOperator.of(h)
     odd = popcounts(np.arange(h.dim)) & 1 == 1
-    if not odd.any() or mat[np.ix_(~odd, odd)].any():
+    if not odd.any() or (odd[h.rows] != odd[h.cols]).any():
         groups = (np.arange(h.dim),)
     else:
         groups = (np.flatnonzero(~odd), np.flatnonzero(odd))
     if symmetry is not None:
         orbits = _orbits(symmetry, h.dim)
-        if _invariant(mat, orbits.shift):
-            return EigenSystem(_momentum_blocks(mat, groups, orbits), orbits,
+        if h.invariant(orbits.shift):
+            return EigenSystem(_momentum_blocks(h, groups, orbits), orbits,
                                partial(diagonalize, h))
     # the flip, which reverses the index order, keeps parity only at even N
     if (len(groups) == 1 or not np.array_equal(odd, odd[::-1])
-            or not _invariant(mat, np.arange(h.dim)[::-1])):
-        return EigenSystem(blocks=eigh_blocks(mat, groups))
-    return EigenSystem(blocks=_flip_sector_blocks(mat, groups))
+            or not h.invariant(np.arange(h.dim)[::-1])):
+        return EigenSystem(blocks=eigh_blocks(h, groups))
+    return EigenSystem(blocks=_flip_sector_blocks(h, groups))
 
 
 def _state_permutation(sites: np.ndarray, dim: int) -> np.ndarray:
@@ -231,25 +239,16 @@ def _orbits(symmetry: SiteSymmetry, dim: int) -> _Orbits:
     return _Orbits(shift, reflect, table, of, step, period)
 
 
-def _invariant(matrix: np.ndarray, perm: np.ndarray) -> bool:
-    """Whether matrix[perm][:, perm] equals matrix exactly, a band of rows at a time."""
-    for start in range(0, matrix.shape[0], INVARIANCE_BAND):
-        rows = slice(start, start + INVARIANCE_BAND)
-        if not np.array_equal(np.take(matrix[perm[rows]], perm, axis=1), matrix[rows]):
-            return False
-    return True
-
-
-def _sector_reader(matrix: np.ndarray, orbits: _Orbits, outer: np.ndarray,
+def _sector_reader(op: Operator | SparseOperator, orbits: _Orbits, outer: np.ndarray,
                    inner: np.ndarray) -> tuple:
-    """The (r, L, r) gather matrix[a, P^l b], a and b the representatives of
+    """The (r, L, r) gather op[a, P^l b], a and b the representatives of
     the ``outer`` and ``inner`` orbits, and sector(k), its momentum-k matrix
-    L c_a c_b sum_l exp(-2 pi i k l / L) matrix[a, P^l b] over the a and b
+    L c_a c_b sum_l exp(-2 pi i k l / L) op[a, P^l b] over the a and b
     whose period allows k (c = sqrt(period) / L), real where 2k is a
     multiple of L.  The phase of l is looked up at k l mod L, so it repeats
     exactly with any period of l that k allows."""
     order = orbits.order
-    gathered = matrix[orbits.table[outer, :1, np.newaxis], orbits.table[inner].T[np.newaxis]]
+    gathered = op.gather(orbits.table[outer, 0], orbits.table[inner].T)
     scale_a, scale_b = (np.sqrt(orbits.period[side]) / order for side in (outer, inner))
 
     def sector(k: int) -> np.ndarray:
@@ -272,7 +271,7 @@ def _group_orbits(groups, orbits: _Orbits) -> list:
     return [np.flatnonzero(owner == g) for g in range(len(groups))]
 
 
-def _momentum_blocks(matrix: np.ndarray, groups, orbits: _Orbits) -> tuple:
+def _momentum_blocks(h: SparseOperator, groups, orbits: _Orbits) -> tuple:
     """Eigenblocks of the momentum sectors of each group.
 
     With H[P s, P t] = H[s, t], sector k has the matrix
@@ -285,14 +284,14 @@ def _momentum_blocks(matrix: np.ndarray, groups, orbits: _Orbits) -> tuple:
     blocks = []
     for members in _group_orbits(groups, orbits):
         table = orbits.table[members]
-        _, sector = _sector_reader(matrix, orbits, members, members)
+        _, sector = _sector_reader(h, orbits, members, members)
         scale = np.sqrt(orbits.period[members]) / order
         sectors = {}
         for k in range(order):
             keep = k * orbits.period[members] % order == 0
             if not keep.any():
                 continue
-            if 2 * k > order and not np.iscomplexobj(matrix):
+            if 2 * k > order and not np.iscomplexobj(h.values):
                 values, vectors = sectors[order - k]
                 vectors = vectors.conj()
             else:
@@ -304,18 +303,18 @@ def _momentum_blocks(matrix: np.ndarray, groups, orbits: _Orbits) -> tuple:
     return tuple(blocks)
 
 
-def _flip_sector_blocks(matrix: np.ndarray, groups) -> tuple:
+def _flip_sector_blocks(h: SparseOperator, groups) -> tuple:
     """Eigenblocks of the flip-parity sectors of each flip-closed group.
 
     With H[s', t'] = H[s, t], the sector of flip parity f has the matrix
     H[s, t] + f H[s, t'] over the states s < s' of the group.
     """
-    partner = matrix.shape[0] - 1
+    partner = h.dim - 1
     blocks = []
     for group in groups:
         states = group[group < partner - group]
-        direct = matrix[np.ix_(states, states)]
-        crossed = matrix[np.ix_(states, partner - states)]
+        direct = h.gather(states, states)
+        crossed = h.gather(states, partner - states)
         support = _frozen_array(np.concatenate([states, partner - states]))
         for flip in (1, -1):
             values, vectors = np.linalg.eigh(direct + flip * crossed)
@@ -331,7 +330,7 @@ def _phase_scale(unit: str) -> float:
         raise ValueError(f"unknown frequency unit {unit!r}") from None
 
 
-def _as_eigensystem(h: Operator | EigenSystem) -> EigenSystem:
+def _as_eigensystem(h: Operator | SparseOperator | EigenSystem) -> EigenSystem:
     return h if isinstance(h, EigenSystem) else diagonalize(h)
 
 
@@ -373,12 +372,12 @@ def _fold(matrix: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
     return sum(w * part for w, part in zip(weights, np.split(matrix, weights.size, axis=axis)))
 
 
-def _check_dim(rho: DensityMatrix, eig: EigenSystem) -> None:
+def _check_dim(rho: DensityMatrix | SparseOperator, eig: EigenSystem) -> None:
     if eig.dim != rho.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, hamiltonian {eig.dim}")
 
 
-def _eigenbasis_parts(rho: DensityMatrix, eig: EigenSystem) -> list:
+def _eigenbasis_parts(rho: DensityMatrix | SparseOperator, eig: EigenSystem) -> list:
     """The nonzero block pairs of rho, moved into the eigenbasis.
 
     rho is Hermitian, so its (b, a) pair is the adjoint of its (a, b)
@@ -400,7 +399,7 @@ def _eigenbasis_parts(rho: DensityMatrix, eig: EigenSystem) -> list:
     parts = []
     for i, left in enumerate(supports):
         for right in supports[i:]:
-            gathered = rho.matrix[np.ix_(left[0].states, right[0].states)]
+            gathered = rho.gather(left[0].states, right[0].states)
             if not gathered.any():
                 continue
             for k, a in enumerate(left):
@@ -493,15 +492,15 @@ def _stack(terms: tuple, ys: list, out: np.ndarray) -> None:
 
 
 def evolve(
-    rho: DensityMatrix,
-    h: Operator | EigenSystem,
+    rho: DensityMatrix | SparseOperator,
+    h: Operator | SparseOperator | EigenSystem,
     t: float,
     unit: str = "cyclic",
 ) -> DensityMatrix:
     """Propagate rho(t) = U rho U+ with U = exp(-i * scale * H * t).
 
     Args:
-        rho: Deviation state to propagate.
+        rho: Deviation state to propagate, dense or as its nonzero elements.
         h: Hamiltonian, or a precomputed :class:`EigenSystem` to reuse.
         t: Time, negative for backward evolution (exp(-i(-H)t) equals
             exp(-iH(-t)), so reversal reuses the forward eigensystem).
@@ -515,7 +514,7 @@ def evolve(
     phase = np.array([_phase_scale(unit) * t])
     if eig.orbits is not None:
         _check_dim(rho, eig)
-        if _invariant(rho.matrix, eig.orbits.shift):
+        if rho.invariant(eig.orbits.shift):
             return _sector_evolve(rho, eig, phase)
         eig = eig.fallback
     rho_t = np.zeros((rho.dim, rho.dim), dtype=complex)
@@ -539,7 +538,7 @@ def evolve(
 
 def propagate(
     vectors: np.ndarray,
-    h: Operator | EigenSystem,
+    h: Operator | SparseOperator | EigenSystem,
     t: float,
     unit: str = "cyclic",
 ) -> np.ndarray:
@@ -745,8 +744,8 @@ def _chunk_length(parts: list) -> int:
 
 
 def sweep(
-    rho0: DensityMatrix,
-    h: Operator | EigenSystem,
+    rho0: DensityMatrix | SparseOperator,
+    h: Operator | SparseOperator | EigenSystem,
     times: np.ndarray,
     observables: Mapping[str, Observable],
     unit: str = "cyclic",
@@ -782,7 +781,7 @@ def sweep(
             raise ValueError(f"observable element out of range for dimension {rho0.dim}")
     values = np.zeros((phases.size, len(specs)))
     general = list(range(len(specs)))
-    if eig.orbits is not None and _invariant(rho0.matrix, eig.orbits.shift):
+    if eig.orbits is not None and rho0.invariant(eig.orbits.shift):
         general = _sector_sweep(rho0, eig, phases, specs, values, runs)
     if general:
         values[:, general] = _block_sweep(rho0, eig.fallback, phases,
@@ -794,7 +793,7 @@ def sweep(
     return SweepTable(times, {name: column[runs[0]] for name, column in data.items()}, extra)
 
 
-def _block_sweep(rho0: DensityMatrix, eig: EigenSystem, phases: np.ndarray,
+def _block_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, phases: np.ndarray,
                  observables: list, runs) -> np.ndarray:
     """Observable values (time, observable) from the block pairs of rho0.
 
@@ -828,7 +827,7 @@ def _sector_groups(eig: EigenSystem) -> list:
     return groups
 
 
-def _sector_parts(rho: DensityMatrix, eig: EigenSystem, momenta) -> list:
+def _sector_parts(rho: DensityMatrix | SparseOperator, eig: EigenSystem, momenta) -> list:
     """The nonzero sector pairs of a state that P leaves unchanged, in the eigenbasis.
 
     Such a state has no element between different momenta.  Its sector
@@ -845,7 +844,7 @@ def _sector_parts(rho: DensityMatrix, eig: EigenSystem, momenta) -> list:
     for i, left in enumerate(groups):
         for right in groups[i:]:
             outer, inner = orbits.members(left[0]), orbits.members(right[0])
-            gathered, sector = _sector_reader(rho.matrix, orbits, outer, inner)
+            gathered, sector = _sector_reader(rho, orbits, outer, inner)
             if not gathered.any():
                 continue
             parts = []
@@ -903,7 +902,7 @@ def _sector_transform(part: _Part, phases: np.ndarray, right: np.ndarray,
     return first
 
 
-def _sector_evolve(rho: DensityMatrix, eig: EigenSystem, phase: np.ndarray) -> DensityMatrix:
+def _sector_evolve(rho: DensityMatrix | SparseOperator, eig: EigenSystem, phase: np.ndarray) -> DensityMatrix:
     """rho(t) of a state that P leaves unchanged, from every momentum sector.
 
     Such a state is fixed by its elements rho[a, P^l b] between orbit
@@ -976,7 +975,7 @@ def _reflected(weights: np.ndarray, orbits: _Orbits) -> bool:
     return np.array_equal(weights[np.ix_(mirror, mirror)], weights)
 
 
-def _sector_sweep(rho0: DensityMatrix, eig: EigenSystem, phases: np.ndarray,
+def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, phases: np.ndarray,
                   observables: list, values: np.ndarray, runs) -> list:
     """Add the observables readable in the momentum sectors to ``values``.
 
@@ -1003,7 +1002,7 @@ def _sector_sweep(rho0: DensityMatrix, eig: EigenSystem, phases: np.ndarray,
                and observables[c].squared]
     real = [c for c, table in enumerate(tables) if table is not None
             and not observables[c].squared]
-    paired = (orbits.reflect is not None and _invariant(rho0.matrix, orbits.reflect)
+    paired = (orbits.reflect is not None and rho0.invariant(orbits.reflect)
               and all(_reflected(tables[c], orbits) for c in squared))
     momenta = (range(order // 2 + 1) if paired else range(order)) if squared else [0]
     if squared or real:

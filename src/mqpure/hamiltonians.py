@@ -3,6 +3,11 @@
 Couplings are cyclic frequencies normalized to the nearest-neighbor
 value (D12 = 1), so simulated times are in units of 1/D12 and spectrum
 frequencies come out in units of D12.
+
+Both Hamiltonians are built from bit patterns as their nonzero elements
+(:class:`~mqpure.spin_core.SparseOperator`), about N (N - 1) / 4 per
+basis state, and never as a dense d x d matrix: the eigensolvers gather
+each symmetry sector or m block they need straight from those elements.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spin_core import Operator, SpinSystem, ZeemanBasis
+from .spin_core import SparseOperator, SpinSystem, ZeemanBasis
 
 HEXAGON_RATIOS = {1: 1.0, 2: 1.0 / (3.0 * np.sqrt(3.0)), 3: 1.0 / 8.0}
 
@@ -67,47 +72,59 @@ def build_system(name: str, d12: float) -> SpinSystem:
     return load_couplings(name)
 
 
-def dq_hamiltonian(system: SpinSystem, basis: ZeemanBasis) -> Operator:
-    """Double-quantum effective Hamiltonian.
+def dq_hamiltonian(system: SpinSystem, basis: ZeemanBasis) -> SparseOperator:
+    """Double-quantum effective Hamiltonian, held as its nonzero elements.
 
     H = -(1/2) sum_{i<j} D_ij (I_i+ I_j+ + I_i- I_j-); every nonzero
     element connects states whose magnetization differs by exactly 2.
     Built in float64 straight from bit patterns: the pair (i, j) flips
-    both spins of every state in which they are aligned.
+    both spins of every state in which they are aligned, an element
+    -D_ij / 2 that no other pair reaches.
     """
     _check_sizes(system, basis)
     states = np.arange(basis.dim)
-    h = np.zeros((basis.dim, basis.dim))
+    elements = []
     for i, j, coupling in _coupled_pairs(system):
         aligned = states[_bit(states, i) == _bit(states, j)]
-        h[aligned ^ ((1 << i) | (1 << j)), aligned] -= 0.5 * coupling
-    return Operator(matrix=h)
+        elements.append((aligned ^ ((1 << i) | (1 << j)), aligned,
+                         np.full(aligned.size, -0.5 * coupling)))
+    return _sparse(basis.dim, elements)
 
 
-def negated(h: Operator) -> Operator:
+def negated(h: SparseOperator) -> SparseOperator:
     """Elementwise negation, the time-reversal effective Hamiltonian."""
-    return Operator(matrix=-h.matrix, hermitian=h.hermitian)
+    return SparseOperator(h.dim, h.rows, h.cols, -h.values)
 
 
-def secular_dipolar_hamiltonian(system: SpinSystem, basis: ZeemanBasis) -> Operator:
-    """Truncated dipolar Hamiltonian that commutes with collective I_z.
+def secular_dipolar_hamiltonian(system: SpinSystem, basis: ZeemanBasis) -> SparseOperator:
+    """Truncated dipolar Hamiltonian that commutes with collective I_z,
+    held as its nonzero elements.
 
     H = sum_{i<j} D_ij (2 I_iz I_jz - (1/2)(I_i+ I_j- + I_i- I_j+)).
     Built in float64 from bit patterns: 2 I_iz I_jz is +-1/2 on the diagonal
-    as spins i and j are aligned or not, and the flip-flop term swaps
-    the two spins of every state in which they differ.
+    as spins i and j are aligned or not, summed over the pairs in order,
+    and the flip-flop term swaps the two spins of every state in which
+    they differ, an element -D_ij / 2 that no other pair reaches.
     """
     _check_sizes(system, basis)
     states = np.arange(basis.dim)
-    h = np.zeros((basis.dim, basis.dim))
     diagonal = np.zeros(basis.dim)
+    elements = []
     for i, j, coupling in _coupled_pairs(system):
         aligned = _bit(states, i) == _bit(states, j)
         diagonal += coupling * np.where(aligned, 0.5, -0.5)
         differ = states[~aligned]
-        h[differ ^ ((1 << i) | (1 << j)), differ] = -0.5 * coupling
-    h[np.diag_indices(basis.dim)] = diagonal
-    return Operator(matrix=h)
+        elements.append((differ ^ ((1 << i) | (1 << j)), differ,
+                         np.full(differ.size, -0.5 * coupling)))
+    elements.append((states, states, diagonal))
+    return _sparse(basis.dim, elements)
+
+
+def _sparse(dim: int, elements: list) -> SparseOperator:
+    """The operator made of (rows, cols, values) element groups."""
+    rows, cols, values = (np.concatenate([group[k] for group in elements] or [np.empty(0)])
+                          for k in range(3))
+    return SparseOperator(dim, rows, cols, values)
 
 
 class SiteSymmetry(NamedTuple):

@@ -27,6 +27,7 @@ from .spin_core import (
     DensityMatrix,
     LowRankState,
     Operator,
+    SparseOperator,
     ZeemanBasis,
     _frozen_array,
     adjoint,
@@ -144,7 +145,7 @@ class TransitionGraph:
     def index_all_down(self) -> int:
         return int(np.argmin(self.m_values))
 
-    def populations(self, rho: DensityMatrix) -> np.ndarray:
+    def populations(self, rho: DensityMatrix | SparseOperator) -> np.ndarray:
         """Eigenstate populations: diagonal of rho in the eigenbasis.
 
         Computed block by block, so the elements of rho between different
@@ -155,7 +156,7 @@ class TransitionGraph:
         populations = []
         for block in self.blocks:
             v = block.eigenvectors
-            part = gemm(rho.matrix[np.ix_(block.states, block.states)], v)
+            part = gemm(rho.gather(block.states, block.states), v)
             populations.append(np.real(np.einsum("ia,ia->a", v.conj(), part)))
         return np.concatenate(populations)
 
@@ -189,14 +190,17 @@ def crush(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(matrix=np.diag(np.diag(rho.matrix)))
 
 
-def build_transition_graph(h_secular: Operator, basis: ZeemanBasis) -> TransitionGraph:
+def build_transition_graph(h_secular: Operator | SparseOperator,
+                           basis: ZeemanBasis) -> TransitionGraph:
     """Eigendecompose blockwise by m and enumerate allowed transitions.
 
-    The collective raising operator only links block m to block m+1, so
-    it is formed between adjacent blocks alone, as V_{m+1}+ R V_m.
-    Edges with strength at most ``STRENGTH_THRESHOLD`` times the
-    strongest one are dropped: that separates symmetry-forbidden zeros
-    from roundoff.
+    Each m block is gathered from the Hamiltonian's nonzero elements; a
+    dense :class:`Operator` is turned into them once
+    (``SparseOperator.of``).  The collective raising operator only links
+    block m to block m+1, so it is formed between adjacent blocks alone,
+    as V_{m+1}+ R V_m.  Edges with strength at most
+    ``STRENGTH_THRESHOLD`` times the strongest one are dropped: that
+    separates symmetry-forbidden zeros from roundoff.
 
     Args:
         h_secular: Hamiltonian commuting with collective I_z.
@@ -204,14 +208,13 @@ def build_transition_graph(h_secular: Operator, basis: ZeemanBasis) -> Transitio
     """
     if h_secular.dim != basis.dim:
         raise ValueError("hamiltonian dimension does not match basis")
-    mat = h_secular.matrix
-    scale = max(np.linalg.norm(mat), 1e-300)
-    rows, cols = np.nonzero(mat)
-    off_block = basis.m[rows] != basis.m[cols]
-    if np.abs(mat[rows[off_block], cols[off_block]]).max(initial=0.0) > 1e-12 * scale:
+    h = SparseOperator.of(h_secular)
+    scale = max(np.linalg.norm(h.values), 1e-300)
+    off_block = basis.m[h.rows] != basis.m[h.cols]
+    if np.abs(h.values[off_block]).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("hamiltonian does not conserve collective I_z")
 
-    blocks = eigh_blocks(mat, basis.levels())  # ascending m
+    blocks = eigh_blocks(h, basis.levels())  # ascending m
     sizes = [block.states.size for block in blocks]
     starts = np.cumsum([0] + sizes)
     m_values = basis.m[np.concatenate([block.states for block in blocks])]

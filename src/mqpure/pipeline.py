@@ -21,9 +21,12 @@ density matrix:
    read from the reversed state one m block at a time, then partial
    saturation.
 
-The thermal state I_z is m on every m block of the secular eigenbasis,
-so its purity is sum m^2 and its eigenstate populations are the m
-values.  The filtered state is all order n, so its purity ``kept`` is
+The thermal state I_z is held as its diagonal m (``thermal_state``),
+from which the sweep and the dense path's ``evolve`` gather their
+blocks, and the two Hamiltonians as their nonzero elements, so the run
+makes no d x d array at the high orders.  I_z is m on every m block of
+the secular eigenbasis, so its purity is sum m^2 and its eigenstate
+populations are the m values.  The filtered state is all order n, so its purity ``kept`` is
 its one intensity read.  Each stage check compares two numbers:
 
 - excitation: the sweep point's intensity sum against sum m^2;
@@ -68,9 +71,9 @@ from .evolution import (
 )
 from .output import write_csv
 from .spin_core import (
-    DensityMatrix,
     LowRankState,
     NumericalInvariantError,
+    SparseOperator,
     ZeemanBasis,
     build_basis,
     thermal_state,
@@ -116,12 +119,12 @@ class PipelineConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.t_prep <= 0:
-            raise ValueError("t_prep must be positive")
-        if self.t_max <= 0 or self.t_step <= 0:
-            raise ValueError("sweep bounds must be positive")
-        if self.merge_tolerance <= 0:
-            raise ValueError("merge_tolerance must be positive")
+        # each guard is written so that NaN fails it
+        for name in ("t_prep", "t_max", "t_step", "merge_tolerance"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.intensity_floor >= 0:
+            raise ValueError(f"intensity_floor must be nonnegative, got {self.intensity_floor}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -379,7 +382,7 @@ class _AfterFilter(NamedTuple):
     populations: np.ndarray
 
 
-def _after_filter(rho_thermal: DensityMatrix, eig, basis: ZeemanBasis,
+def _after_filter(rho_thermal: SparseOperator, eig, basis: ZeemanBasis,
                   graph: nonunitary.TransitionGraph, n: int, t: float,
                   unit: str) -> _AfterFilter:
     """Excite the thermal state for t, filter order n, reverse, and read the results.
@@ -410,7 +413,7 @@ def _low_rank_after_filter(eig, basis: ZeemanBasis, graph: nonunitary.Transition
     )
 
 
-def _dense_after_filter(rho_thermal: DensityMatrix, eig, basis: ZeemanBasis,
+def _dense_after_filter(rho_thermal: SparseOperator, eig, basis: ZeemanBasis,
                         graph: nonunitary.TransitionGraph, n: int, t: float,
                         unit: str) -> _AfterFilter:
     """:func:`_after_filter` on dense states, each evolved through the eigensystem."""

@@ -66,8 +66,8 @@ def merge_peaks(spectrum: StickSpectrum, tolerance: float) -> StickSpectrum:
     frequency with the summed intensity; clusters whose sum cancels below
     ``ZERO_SUM_DROP`` of the largest merged line are dropped.
     """
-    if tolerance <= 0:
-        raise ValueError("merge tolerance must be positive")
+    if not tolerance > 0:
+        raise ValueError(f"merge tolerance must be positive, got {tolerance}")
     order = np.argsort(spectrum.frequencies, kind="stable")
     freqs = spectrum.frequencies[order]
     ints = spectrum.intensities[order]
@@ -89,6 +89,8 @@ def merge_peaks(spectrum: StickSpectrum, tolerance: float) -> StickSpectrum:
 
 def count_peaks(spectrum: StickSpectrum, intensity_floor: float = 1e-8) -> int:
     """Number of merged lines above ``intensity_floor`` times the largest."""
+    if not intensity_floor >= 0:
+        raise ValueError(f"intensity floor must be nonnegative, got {intensity_floor}")
     if not spectrum.merged:
         raise ValueError("count_peaks requires a merged spectrum")
     if spectrum.n_lines == 0:
@@ -101,17 +103,24 @@ def broaden(spectrum: StickSpectrum, linewidth: float, grid: np.ndarray) -> np.n
     """Sample a sum of Lorentzians (half width ``linewidth``) on ``grid``.
 
     Each line contributes intensity / (1 + ((f - f0)/linewidth)^2), so
-    its integral is pi * linewidth * intensity.
+    its integral is pi * linewidth * intensity.  The grid is taken a
+    block of points at a time, so that no temporary holds much more than
+    2^16 values whatever the number of lines.
     """
-    if linewidth <= 0:
-        raise ValueError("linewidth must be positive")
+    if not linewidth > 0:
+        raise ValueError(f"linewidth must be positive, got {linewidth}")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("frequency grid is empty")
+    out = np.zeros_like(grid)
     if spectrum.n_lines == 0:
-        return np.zeros_like(grid)
-    detuning = (grid[:, np.newaxis] - spectrum.frequencies[np.newaxis, :]) / linewidth
-    return (spectrum.intensities[np.newaxis, :] / (1.0 + detuning**2)).sum(axis=1)
+        return out
+    step = max(1, 2**16 // spectrum.n_lines)
+    for start in range(0, grid.size, step):
+        points = slice(start, start + step)
+        detuning = (grid[points, np.newaxis] - spectrum.frequencies[np.newaxis, :]) / linewidth
+        out[points] = (spectrum.intensities[np.newaxis, :] / (1.0 + detuning**2)).sum(axis=1)
+    return out
 
 
 def curve_to_csv(grid: np.ndarray, amplitudes: np.ndarray, path: str | Path) -> None:

@@ -24,7 +24,8 @@ MAX_SPINS = 12
 HERMITICITY_RTOL = 1e-12
 
 # side of the square tiles in which the exact adjoint check compares a
-# matrix with its conjugate transpose
+# matrix with its conjugate transpose, and rows per band in which the
+# exact permutation check compares it with its permuted copy
 ADJOINT_TILE = 128
 
 
@@ -176,6 +177,22 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def gather(self, rows, cols) -> np.ndarray:
+        """The elements [r, c] for r in ``rows`` (a vector) and c in ``cols``
+        (any shape), shaped (rows.size,) + cols.shape."""
+        cols = np.asarray(cols)
+        return self.matrix[np.reshape(rows, (-1,) + (1,) * cols.ndim), cols]
+
+    def invariant(self, perm: np.ndarray) -> bool:
+        """Whether matrix[perm][:, perm] equals matrix exactly (NaN never
+        does), compared a band of rows at a time."""
+        mat = self.matrix
+        for start in range(0, mat.shape[0], ADJOINT_TILE):
+            rows = slice(start, start + ADJOINT_TILE)
+            if not np.array_equal(np.take(mat[perm[rows]], perm, axis=1), mat[rows]):
+                return False
+        return True
+
 
 def _equals_adjoint(mat: np.ndarray) -> bool:
     """Whether ``mat`` equals its conjugate transpose exactly (NaN never does).
@@ -211,6 +228,101 @@ class DensityMatrix(Operator):
 
 
 @dataclass(frozen=True)
+class SparseOperator:
+    """A Hermitian operator on the 2^N Zeeman basis held as its nonzero elements.
+
+    Element (rows[k], cols[k]) is values[k] and every other element is
+    zero.  The elements are kept sorted by row and then column, each
+    listed once, without zeros; real values are float64, others
+    complex128.  They must equal their adjoint exactly (NaN included).
+    No dense matrix is made: callers read the blocks they need
+    (:meth:`gather`).
+    """
+
+    dim: int
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        rows, cols = (np.asarray(x, dtype=np.intp) for x in (self.rows, self.cols))
+        values = _real_or_complex(self.values)
+        if values.ndim != 1 or rows.shape != values.shape or cols.shape != values.shape:
+            raise ValueError("rows, cols and values must be vectors of one length")
+        if values.size and not (min(rows.min(), cols.min()) >= 0
+                                and max(rows.max(), cols.max()) < self.dim):
+            raise ValueError(f"element index out of range for dimension {self.dim}")
+        keys = rows * self.dim + cols
+        order = np.argsort(keys, kind="stable")
+        if (np.diff(keys[order]) == 0).any():
+            raise ValueError("an element is listed twice")
+        order = order[values[order] != 0]
+        rows, cols, values = rows[order], cols[order], values[order]
+        # the adjoint's elements, (c, r, conj v), in the same sorted order
+        mirror = np.lexsort((rows, cols))
+        if not (np.array_equal(cols[mirror], rows) and np.array_equal(rows[mirror], cols)
+                and np.array_equal(values[mirror].conj(), values, equal_nan=True)):
+            raise ValueError("operator elements are not hermitian")
+        for name, array in (("rows", rows), ("cols", cols), ("values", values)):
+            object.__setattr__(self, name, _frozen_array(array))
+
+    @classmethod
+    def of(cls, op: Operator | SparseOperator) -> SparseOperator:
+        """``op`` itself, or the nonzeros of a dense :class:`Operator`.
+
+        A dense operator's elements are read from its lower triangle, the
+        half ``numpy.linalg.eigh`` reads, and mirrored with the real part
+        of its diagonal, so that they equal their adjoint exactly.
+        """
+        if isinstance(op, SparseOperator):
+            return op
+        rows, cols = np.nonzero(op.matrix)
+        lower = rows >= cols
+        rows, cols = rows[lower], cols[lower]
+        values = op.matrix[rows, cols]
+        values[rows == cols] = values[rows == cols].real
+        strict = rows > cols
+        return cls(op.dim, np.concatenate([rows, cols[strict]]),
+                   np.concatenate([cols, rows[strict]]),
+                   np.concatenate([values, values[strict].conj()]))
+
+    def gather(self, rows, cols) -> np.ndarray:
+        """The elements [r, c] for r in ``rows`` (a vector) and c in ``cols``
+        (any shape), shaped (rows.size,) + cols.shape; states may repeat.
+
+        Each nonzero lands at the last place of its row and of its column,
+        and the other places of a repeated state copy that one.
+        """
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        flat = cols.reshape(-1)
+        places = []
+        for states in (rows, flat):
+            place = np.full(self.dim, -1)
+            place[states] = np.arange(states.size)
+            places.append(place)
+        i, j = places[0][self.rows], places[1][self.cols]
+        found = (i >= 0) & (j >= 0)
+        out = np.zeros((rows.size, flat.size), dtype=self.values.dtype)
+        out[i[found], j[found]] = self.values[found]
+        for axis, (states, place) in enumerate(zip((rows, flat), places)):
+            if not np.array_equal(place[states], np.arange(states.size)):
+                out = np.take(out, place[states], axis=axis)
+        return out.reshape((rows.size,) + cols.shape)
+
+    def invariant(self, perm: np.ndarray) -> bool:
+        """Whether op[perm][:, perm] equals op exactly: perm maps the sorted
+        nonzeros onto themselves (NaN never does)."""
+        keys = perm[self.rows] * self.dim + perm[self.cols]
+        order = np.argsort(keys)
+        return (np.array_equal(keys[order], self.rows * self.dim + self.cols)
+                and np.array_equal(self.values[order], self.values))
+
+    def purity(self) -> float:
+        """Tr(op^2), the sum of the squared magnitudes of the elements."""
+        return float(np.vdot(self.values, self.values).real)
+
+
+@dataclass(frozen=True)
 class LowRankState:
     """Hermitian deviation state a b+ + b a+ held as two (d, r) factors.
 
@@ -241,9 +353,11 @@ class LowRankState:
         return 2.0 * np.einsum("...c,...c->...", a, b.conj()).real
 
 
-def thermal_state(basis: ZeemanBasis) -> DensityMatrix:
-    """High-temperature equilibrium deviation state: collective I_z = diag(m)."""
-    return DensityMatrix(matrix=np.diag(basis.m))
+def thermal_state(basis: ZeemanBasis) -> SparseOperator:
+    """High-temperature equilibrium deviation state: collective I_z, held as
+    its diagonal m."""
+    states = np.arange(basis.dim)
+    return SparseOperator(basis.dim, states, states, basis.m)
 
 
 def homq_coherence_state(basis: ZeemanBasis) -> DensityMatrix:
@@ -319,15 +433,15 @@ def cyclic_phases(order: int) -> np.ndarray:
     return phases
 
 
-def eigh_blocks(matrix: np.ndarray, groups) -> tuple:
-    """Diagonalize ``matrix`` on each group of states (ascending per block).
+def eigh_blocks(op: Operator | SparseOperator, groups) -> tuple:
+    """Diagonalize ``op`` on each group of states (ascending per block).
 
     The caller guarantees that the groups partition the states and that
-    ``matrix`` has no element between two different groups.
+    ``op`` has no element between two different groups.
     """
     blocks = []
     for states in groups:
-        values, vectors = np.linalg.eigh(matrix[np.ix_(states, states)])
+        values, vectors = np.linalg.eigh(op.gather(states, states))
         blocks.append(EigenBlock(_frozen_array(states), _frozen_array(values),
                                  _frozen_array(vectors)))
     return tuple(blocks)

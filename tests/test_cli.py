@@ -250,6 +250,17 @@ class TestSpectrumCommand:
         monkeypatch.setattr(spin_core.DensityMatrix, "purity", refuse)
         assert main(["spectrum", "--state", "thermal", "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--linewidth", "nan"], "error: linewidth must be positive, got nan"),
+        (["--floor", "nan"], "error: intensity floor must be nonnegative, got nan"),
+        (["--merge-tol", "nan"], "error: merge tolerance must be positive, got nan"),
+    ], ids=["linewidth", "floor", "merge-tol"])
+    def test_nan_flag_is_one_line_error(self, tmp_path, capsys, argv, message):
+        # checked before any file is written
+        assert main(["spectrum", "--out", str(tmp_path / "o"), *argv]) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "o").exists()
+
     def test_thermal_spectrum(self, tmp_path):
         out = tmp_path / "out"
         code = main(["spectrum", "--state", "thermal", "--out", str(out)])

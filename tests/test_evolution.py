@@ -35,6 +35,7 @@ from mqpure.mq import mq_intensities
 from mqpure.spin_core import eigh_blocks, popcounts
 
 from dense_eigen import dense_eigen
+from dense_operators import dense
 from dense_observables import dense_sweep, divisor, evaluate
 from test_hamiltonians import random_systems
 
@@ -70,7 +71,7 @@ def random_hamiltonian(rng, dim):
 def parity_eigensystem(h):
     """The two popcount-parity blocks of h, without the spin-flip split."""
     odd = popcounts(np.arange(h.dim)) & 1 == 1
-    return EigenSystem(blocks=eigh_blocks(h.matrix, (np.flatnonzero(~odd), np.flatnonzero(odd))))
+    return EigenSystem(blocks=eigh_blocks(h, (np.flatnonzero(~odd), np.flatnonzero(odd))))
 
 
 HAMILTONIANS = st.sampled_from([dq_hamiltonian, secular_dipolar_hamiltonian])
@@ -103,7 +104,7 @@ def assert_matches_reference(table, reference, observables, rho):
     for name, obs in observables.items():
         scale = divisor(name, rho.purity())
         got, want = table.column(name) / scale, reference[name] / scale
-        floor = (rho.purity() if obs.squared else np.abs(rho.matrix).max()) / scale
+        floor = (rho.purity() if obs.squared else np.abs(dense(rho)).max()) / scale
         gap = np.abs(got - want).max()
         assert gap <= 1e-12 * max(np.abs(want).max(), floor), name
 
@@ -141,7 +142,7 @@ class TestParityBlocks:
     def test_dq_splits_into_real_parity_blocks(self, system):
         # at even N each parity block splits into its two spin-flip sectors
         basis = build_basis(system.n_spins)
-        h = dq_hamiltonian(system, basis).matrix
+        h = dense(dq_hamiltonian(system, basis))
         eig = diagonalize(Operator(matrix=h))
         parity = [np.unique(np.round(basis.m[b.states] + system.n_spins / 2) % 2)
                   for b in eig.blocks]
@@ -164,7 +165,7 @@ class TestParityBlocks:
         # a Zeeman offset conserves parity but changes sign under the flip
         basis = build_basis(n_spins)
         system = SpinSystem(n_spins=n_spins, couplings=1.0 - np.eye(n_spins))
-        h = dq_hamiltonian(system, basis).matrix + 0.3 * np.diag(basis.m)
+        h = dense(dq_hamiltonian(system, basis)) + 0.3 * np.diag(basis.m)
         eig = diagonalize(Operator(matrix=h))
         assert [b.flip for b in eig.blocks] == [0, 0]
         w, v = dense_eigen(eig.blocks)
@@ -182,7 +183,7 @@ class TestParityBlocks:
         eig = diagonalize(h)
         rho = random_state(np.random.default_rng(seed), basis.dim)
         there = evolve(rho, eig, t)
-        scale = np.abs(rho.matrix).max()
+        scale = np.abs(dense(rho)).max()
         assert np.abs(evolve(there, eig, -t).matrix - rho.matrix).max() < 1e-10 * scale
         reversed_h = evolve(rho, diagonalize(negated(h)), t)
         assert np.abs(evolve(rho, eig, -t).matrix - reversed_h.matrix).max() < 1e-10 * scale
@@ -204,7 +205,7 @@ class TestFlipSectors:
     @given(random_systems(2, 8), HAMILTONIANS)
     def test_sectors_reproduce_spectrum(self, system, build):
         basis = build_basis(system.n_spins)
-        h = build(system, basis).matrix
+        h = dense(build(system, basis))
         eig = diagonalize(Operator(matrix=h))
         assert len(eig.blocks) == (4 if system.n_spins % 2 == 0 else 2)
         w, v = dense_eigen(eig.blocks)
@@ -229,7 +230,7 @@ class TestFlipSectors:
         thermal = thermal_state(basis)
         noisy = random_state(np.random.default_rng(seed), basis.dim)
         for rho in (thermal, noisy):
-            scale = np.abs(rho.matrix).max()
+            scale = np.abs(dense(rho)).max()
             there = evolve(rho, sectors, t).matrix
             assert np.abs(there - evolve(rho, parity, t).matrix).max() <= 1e-12 * scale
             assert np.array_equal(there, there.conj().T)
@@ -320,14 +321,14 @@ class TestEvolve:
                                                                  basis.dim)
         values, vectors = dense_eigen(eig.blocks)
         u = (vectors * np.exp(-1j * TWO_PI * t * values)) @ vectors.conj().T
-        expected = u @ rho.matrix @ u.conj().T
+        expected = u @ dense(rho) @ u.conj().T
         gap = np.abs(evolve(rho, eig, t).matrix - expected).max()
-        assert gap <= 1e-12 * np.abs(rho.matrix).max()
+        assert gap <= 1e-12 * np.abs(dense(rho)).max()
 
     def test_time_zero_is_identity(self):
         basis, h = two_spin_setup()
         rho = thermal_state(basis)
-        assert np.allclose(evolve(rho, h, 0.0).matrix, rho.matrix, atol=1e-14)
+        assert np.allclose(evolve(rho, h, 0.0).matrix, dense(rho), atol=1e-14)
 
     @pytest.mark.parametrize("t", [0.1, 0.25, 0.5, 0.973])
     def test_two_spin_rotation_oracle_cyclic(self, t):

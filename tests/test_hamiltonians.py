@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqpure import (
-    DensityMatrix,
     SpinSystem,
     build_basis,
     thermal_state,
@@ -20,6 +19,7 @@ from mqpure import (
 from mqpure.hamiltonians import HEXAGON_RATIOS
 
 from dense_eigen import dense_eigen
+from dense_operators import dense, dense_dq_hamiltonian, dense_secular_hamiltonian, dense_state
 from kron_oracle import collective_op, single_spin_op
 
 
@@ -88,7 +88,7 @@ class TestKronOracle:
     @given(random_systems())
     def test_dq_equals_kron_build_exactly(self, system):
         basis = build_basis(system.n_spins)
-        h = dq_hamiltonian(system, basis).matrix
+        h = dense(dq_hamiltonian(system, basis))
         assert h.dtype == np.float64
         assert np.abs(h - kron_dq(system, basis)).max() == 0.0
 
@@ -96,14 +96,25 @@ class TestKronOracle:
     @given(random_systems())
     def test_secular_equals_kron_build_exactly(self, system):
         basis = build_basis(system.n_spins)
-        h = secular_dipolar_hamiltonian(system, basis).matrix
+        h = dense(secular_dipolar_hamiltonian(system, basis))
         assert h.dtype == np.float64
         assert np.abs(h - kron_secular(system, basis)).max() == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_systems())
+    def test_nonzeros_are_the_dense_builds(self, system):
+        basis = build_basis(system.n_spins)
+        for build, oracle in ((dq_hamiltonian, dense_dq_hamiltonian),
+                              (secular_dipolar_hamiltonian, dense_secular_hamiltonian)):
+            h = build(system, basis)
+            expected = oracle(system, basis)
+            assert np.array_equal(dense(h), expected)
+            assert h.values.size == np.count_nonzero(expected)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_thermal_state_is_collective_iz(self, n):
         basis = build_basis(n)
-        rho = thermal_state(basis).matrix
+        rho = dense(thermal_state(basis))
         assert rho.dtype == np.float64
         assert np.abs(rho - collective_op(basis, "z").matrix).max() == 0.0
 
@@ -140,7 +151,7 @@ class TestDQHamiltonian:
     def test_two_spin_matrix(self):
         basis = build_basis(2)
         system = SpinSystem(n_spins=2, couplings=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        h = dq_hamiltonian(system, basis).matrix
+        h = dense(dq_hamiltonian(system, basis))
         expected = np.zeros((4, 4))
         expected[3, 0] = expected[0, 3] = -0.5
         assert np.allclose(h, expected, atol=1e-15)
@@ -148,15 +159,15 @@ class TestDQHamiltonian:
     def test_connects_only_delta_m_two(self, hexagon_system, basis6, h_av6):
         orders = basis6.coherence_orders()
         off_sector = np.abs(orders) != 2
-        assert np.abs(h_av6.matrix[off_sector]).max() == 0.0
+        assert np.abs(dense(h_av6)[off_sector]).max() == 0.0
 
     def test_matches_brute_force_enumeration(self, hexagon_system, basis6, h_av6):
         oracle = brute_force_dq(hexagon_system, basis6)
-        assert abs(np.linalg.norm(oracle) - np.linalg.norm(h_av6.matrix)) < 1e-12
-        assert np.abs(oracle - h_av6.matrix).max() < 1e-12
+        assert abs(np.linalg.norm(oracle) - np.linalg.norm(dense(h_av6))) < 1e-12
+        assert np.abs(oracle - dense(h_av6)).max() < 1e-12
 
     def test_real_in_zeeman_basis(self, h_av6):
-        assert np.abs(h_av6.matrix.imag).max() < 1e-14
+        assert np.abs(dense(h_av6).imag).max() < 1e-14
 
     def test_dimension_mismatch(self, hexagon_system):
         with pytest.raises(ValueError):
@@ -165,7 +176,7 @@ class TestDQHamiltonian:
 
 class TestNegated:
     def test_exact_negation(self, h_av6):
-        assert np.abs(h_av6.matrix + negated(h_av6).matrix).max() == 0.0
+        assert np.abs(dense(h_av6) + dense(negated(h_av6))).max() == 0.0
 
     def test_eigenvalues_negate(self, h_av6):
         forward, _ = dense_eigen(diagonalize(h_av6).blocks)
@@ -175,14 +186,14 @@ class TestNegated:
     def test_undoes_evolution(self, basis6, h_av6, thermal6):
         there = evolve(thermal6, h_av6, 0.37)
         back = evolve(there, negated(h_av6), 0.37)
-        assert np.abs(back.matrix - thermal6.matrix).max() < 1e-10
+        assert np.abs(back.matrix - dense(thermal6)).max() < 1e-10
 
 
 class TestSecularDipolar:
     def test_two_spin_hand_checkable_matrix(self):
         basis = build_basis(2)
         system = SpinSystem(n_spins=2, couplings=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        h = secular_dipolar_hamiltonian(system, basis).matrix
+        h = dense(secular_dipolar_hamiltonian(system, basis))
         # 2 Iz Iz gives diag(1/2, -1/2, -1/2, 1/2); the flip-flop couples
         # the two m=0 states with -1/2
         oracle = np.array(
@@ -197,12 +208,12 @@ class TestSecularDipolar:
         assert np.allclose(np.linalg.eigvalsh(oracle), [-1.0, 0.0, 0.5, 0.5])
 
     def test_commutes_with_iz(self, hexagon_system, basis6):
-        h = secular_dipolar_hamiltonian(hexagon_system, basis6).matrix
+        h = dense(secular_dipolar_hamiltonian(hexagon_system, basis6))
         iz = collective_op(basis6, "z").matrix
         assert np.abs(h @ iz - iz @ h).max() < 1e-14
 
     def test_spectrum_symmetric_under_m_inversion(self, hexagon_system, basis6):
-        h = secular_dipolar_hamiltonian(hexagon_system, basis6).matrix.real
+        h = dense(secular_dipolar_hamiltonian(hexagon_system, basis6))
         for m in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             plus = np.where(basis6.m == m)[0]
             minus = np.where(basis6.m == -m)[0]
@@ -212,7 +223,7 @@ class TestSecularDipolar:
 
     def test_only_order_zero(self, hexagon_system, basis6):
         h = secular_dipolar_hamiltonian(hexagon_system, basis6)
-        dec = decompose(DensityMatrix(matrix=h.matrix), basis6)
+        dec = decompose(dense_state(h), basis6)
         for n in range(1, 7):
             assert np.abs(dec[n]).max() == 0.0
             assert np.abs(dec[-n]).max() == 0.0
@@ -220,9 +231,9 @@ class TestSecularDipolar:
 
 class TestDQOrderContent:
     def test_only_plus_minus_two(self, basis6, h_av6):
-        dec = decompose(DensityMatrix(matrix=h_av6.matrix), basis6)
+        dec = decompose(dense_state(h_av6), basis6)
         reassembled = dec[2] + dec[-2]
-        assert np.abs(reassembled - h_av6.matrix).max() == 0.0
+        assert np.abs(reassembled - dense(h_av6)).max() == 0.0
 
 
 class TestHOMQExcitable:

@@ -33,6 +33,7 @@ from mqpure import (
     sweep,
     thermal_state,
 )
+from mqpure.cli import main
 from mqpure.evolution import TWO_PI, propagate
 from mqpure.mq import low_rank_intensities
 from mqpure.spin_core import DensityMatrix, LowRankState
@@ -280,15 +281,34 @@ class TestRing10Oracle:
                 (tmp_path / "dense" / name).read_bytes(), name
 
 
-def test_ring10_pipeline_allocates_no_dense_state(tmp_path):
-    # one dense complex 1024 x 1024 state is 16 MiB; the dense path peaked
-    # at 87 MiB of traced allocations
-    path = write_system(tmp_path, ring_system(10, 7))
-    config = PipelineConfig(system=path, **RING10)
+def traced_peak(run) -> int:
+    """The peak of traced allocations while ``run()`` runs, in bytes."""
     tracemalloc.start()
     try:
-        run_pipeline(config)
-        _, peak = tracemalloc.get_traced_memory()
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+
+
+# One real 1024 x 1024 array is 8 MiB.  With the Hamiltonians and the
+# thermal state held as nonzero elements, ring10's pipeline peaks at
+# 19.0 MiB of traced allocations (38.2 MiB with the three dense arrays,
+# 87 MiB with dense states as well), its thermal sweep at 19.2 MiB and its
+# spectrum at 12.5 MiB.  Each bound is the measured peak plus a 5 MiB
+# margin, below the 8 MiB that any d x d array would add.
+def test_ring10_pipeline_allocates_no_dense_state(tmp_path):
+    path = write_system(tmp_path, ring_system(10, 7))
+    config = PipelineConfig(system=path, **RING10)
+    assert traced_peak(lambda: run_pipeline(config)) < 24 * 2**20
+
+
+@pytest.mark.parametrize("command, bound", [
+    (["sweep", "--state", "thermal", "--t-max", "2", "--t-step", "0.05"], 24),
+    (["spectrum", "--state", "thermal"], 18),
+], ids=["sweep", "spectrum"])
+def test_ring10_commands_allocate_no_dense_array(tmp_path, capsys, command, bound):
+    path = write_system(tmp_path, ring_system(10, 7))
+    argv = [*command, "--system", path, "--out", str(tmp_path / "out")]
+    assert traced_peak(lambda: main(argv)) < bound * 2**20
+    assert capsys.readouterr().err == ""

@@ -12,7 +12,16 @@ from mqpure import (
     mq_intensities,
     mq_intensity,
     phase_cycle_decompose,
+    thermal_state,
 )
+
+from dense_operators import dense_state
+
+
+@pytest.fixture(scope="module")
+def dense_thermal6(basis6):
+    """The hexagon's thermal state as a dense matrix, which these functions read."""
+    return dense_state(thermal_state(basis6))
 
 
 def random_state(rng, dim):
@@ -21,9 +30,9 @@ def random_state(rng, dim):
 
 
 class TestDecompose:
-    def test_thermal_is_pure_order_zero(self, basis6, thermal6):
-        dec = decompose(thermal6, basis6)
-        assert np.abs(dec[0] - thermal6.matrix).max() == 0.0
+    def test_thermal_is_pure_order_zero(self, basis6, dense_thermal6):
+        dec = decompose(dense_thermal6, basis6)
+        assert np.abs(dec[0] - dense_thermal6.matrix).max() == 0.0
         for n in range(1, 7):
             assert np.abs(dec[n]).max() == 0.0
 
@@ -49,17 +58,17 @@ class TestDecompose:
         total = sum(mq_intensity(dec, n) for n in range(7))
         assert abs(total - rho.purity()) < 1e-12 * rho.purity()
 
-    def test_order_out_of_range(self, basis6, thermal6):
-        dec = decompose(thermal6, basis6)
+    def test_order_out_of_range(self, basis6, dense_thermal6):
+        dec = decompose(dense_thermal6, basis6)
         assert dec.shape == (13, 64, 64)  # one entry per order -6..6, none beyond
         with pytest.raises(ValueError):
             mq_intensity(dec, -1)
         with pytest.raises(ValueError):
             mq_intensity(dec, 7)
 
-    def test_dimension_mismatch(self, thermal6):
+    def test_dimension_mismatch(self, dense_thermal6):
         with pytest.raises(ValueError):
-            decompose(thermal6, build_basis(4))
+            decompose(dense_thermal6, build_basis(4))
 
 
 class TestIntensity:
@@ -67,12 +76,12 @@ class TestIntensity:
         dec = decompose(homq_coherence_state(basis6), basis6)
         assert mq_intensity(dec, 6) == pytest.approx(2.0, abs=1e-14)
 
-    def test_thermal_order_zero_is_purity(self, basis6, thermal6):
-        dec = decompose(thermal6, basis6)
+    def test_thermal_order_zero_is_purity(self, basis6, dense_thermal6):
+        dec = decompose(dense_thermal6, basis6)
         assert mq_intensity(dec, 0) == pytest.approx(96.0, abs=1e-12)
 
-    def test_sixth_order_fraction_at_optimum(self, basis6, eig6, thermal6):
-        rho = evolve(thermal6, eig6, 0.973)
+    def test_sixth_order_fraction_at_optimum(self, basis6, eig6, dense_thermal6):
+        rho = evolve(dense_thermal6, eig6, 0.973)
         fraction = mq_intensity(decompose(rho, basis6), 6) / 96.0
         assert fraction == pytest.approx(0.14, abs=0.01)
 
@@ -93,15 +102,15 @@ class TestIntensitiesInOnePass:
         assert got.shape == (n + 1,)
         assert np.abs(got - expected).max() < 1e-12 * rho.purity()
 
-    def test_hexagon_states(self, basis6, eig6, thermal6):
-        for rho in (thermal6, homq_coherence_state(basis6), evolve(thermal6, eig6, 0.973)):
+    def test_hexagon_states(self, basis6, eig6, dense_thermal6):
+        for rho in (dense_thermal6, homq_coherence_state(basis6), evolve(dense_thermal6, eig6, 0.973)):
             dec = decompose(rho, basis6)
             expected = [mq_intensity(dec, k) for k in range(7)]
             assert np.abs(mq_intensities(rho, basis6) - expected).max() < 1e-12 * 96.0
 
-    def test_dimension_mismatch(self, thermal6):
+    def test_dimension_mismatch(self, dense_thermal6):
         with pytest.raises(ValueError):
-            mq_intensities(thermal6, build_basis(4))
+            mq_intensities(dense_thermal6, build_basis(4))
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -137,8 +146,8 @@ class TestOrderStack:
 
 
 class TestFilter:
-    def test_keeps_only_requested_pair(self, basis6, thermal6):
-        mat = thermal6.matrix.copy()
+    def test_keeps_only_requested_pair(self, basis6, dense_thermal6):
+        mat = dense_thermal6.matrix.copy()
         mat[63, 0] += 1.0
         mat[0, 63] += 1.0
         rho = DensityMatrix(matrix=mat)
@@ -147,9 +156,9 @@ class TestFilter:
         expected[63, 0] = expected[0, 63] = 1.0
         assert np.abs(filtered.matrix - expected).max() == 0.0
 
-    def test_filtered_excitation_matches_canonical_phase(self, basis6, eig6, thermal6):
+    def test_filtered_excitation_matches_canonical_phase(self, basis6, eig6, dense_thermal6):
         # the surviving pair is proportional to i(|u><d| - |d><u|)
-        rho = evolve(thermal6, eig6, 0.973)
+        rho = evolve(dense_thermal6, eig6, 0.973)
         filtered = filter_order(rho, basis6, 6)
         norm = np.linalg.norm(filtered.matrix)
         assert norm > 0
@@ -169,11 +178,11 @@ class TestFilter:
         for n in (1, 2, 6):
             assert abs(np.trace(filter_order(rho, basis6, n).matrix)) == 0.0
 
-    def test_rejects_bad_order(self, basis6, thermal6):
+    def test_rejects_bad_order(self, basis6, dense_thermal6):
         with pytest.raises(ValueError):
-            filter_order(thermal6, basis6, 0)
+            filter_order(dense_thermal6, basis6, 0)
         with pytest.raises(ValueError):
-            filter_order(thermal6, basis6, 7)
+            filter_order(dense_thermal6, basis6, 7)
 
 
 class TestPhaseCycle:
@@ -185,23 +194,23 @@ class TestPhaseCycle:
         for n in range(-6, 7):
             assert np.abs(direct[n] - cycled[n]).max() < 1e-10
 
-    def test_too_few_steps_alias(self, basis6, thermal6):
+    def test_too_few_steps_alias(self, basis6, dense_thermal6):
         with pytest.raises(ValueError):
-            phase_cycle_decompose(thermal6, basis6, 6)
+            phase_cycle_decompose(dense_thermal6, basis6, 6)
         with pytest.raises(ValueError):
-            phase_cycle_decompose(thermal6, basis6, 12)
-        phase_cycle_decompose(thermal6, basis6, 13)  # smallest valid count
+            phase_cycle_decompose(dense_thermal6, basis6, 12)
+        phase_cycle_decompose(dense_thermal6, basis6, 13)  # smallest valid count
 
-    def test_thermal_is_order_zero_for_any_valid_k(self, basis6, thermal6):
+    def test_thermal_is_order_zero_for_any_valid_k(self, basis6, dense_thermal6):
         for k in (13, 20, 64):
-            dec = phase_cycle_decompose(thermal6, basis6, k)
-            assert np.abs(dec[0] - thermal6.matrix).max() < 1e-12
+            dec = phase_cycle_decompose(dense_thermal6, basis6, k)
+            assert np.abs(dec[0] - dense_thermal6.matrix).max() < 1e-12
             for n in range(1, 7):
                 assert np.abs(dec[n]).max() < 1e-12
 
-    def test_intensity_sum_conserved_under_evolution(self, basis6, eig6, thermal6):
+    def test_intensity_sum_conserved_under_evolution(self, basis6, eig6, dense_thermal6):
         for t in (0.3, 0.973, 1.6):
-            rho = evolve(thermal6, eig6, t)
+            rho = evolve(dense_thermal6, eig6, t)
             dec = decompose(rho, basis6)
             total = sum(mq_intensity(dec, n) for n in range(7))
             assert total == pytest.approx(96.0, abs=1e-9)

@@ -19,13 +19,14 @@ from mqpure import (
 from mqpure.spin_core import EigenBlock
 
 from dense_eigen import dense_transform
+from dense_operators import dense
 from test_hamiltonians import random_systems
 
 
 def dense_populations(graph, rho):
     """Diagonal of rho in the eigenbasis from the dense transform."""
     v = dense_transform(graph.blocks)
-    return np.real(np.einsum("ia,ij,ja->a", v.conj(), rho.matrix, v))
+    return np.real(np.einsum("ia,ij,ja->a", v.conj(), dense(rho), v))
 
 
 def loop_edges(graph, basis, threshold=1e-10):
@@ -138,7 +139,7 @@ class TestTransitionGraph:
     ], ids=["tiny", "leak", "nan-off-block", "nan-in-block", "inf-off-block"])
     def test_conservation_check_matches_the_dense_mask(self, hexagon_system, basis6, value,
                                                        pair):
-        h = secular_dipolar_hamiltonian(hexagon_system, basis6).matrix.copy()
+        h = dense(secular_dipolar_hamiltonian(hexagon_system, basis6))
         h[pair] = h[pair[::-1]] = value
         # the check as a d x d mask over every off-block element; a NaN
         # residual compares False, so it passes

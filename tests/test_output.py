@@ -25,6 +25,8 @@ from mqpure.hamiltonians import build_system
 from mqpure.output import write_csv
 from mqpure.spin_core import DensityMatrix
 
+from dense_operators import dense_state
+
 # every float the writers must not reformat: signed zeros, the specials,
 # subnormals and the extremes of the normal range
 AWKWARD = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, -2.2250738585072014e-308,
@@ -100,8 +102,9 @@ def test_stage_csvs(tmp_path):
     graph = build_transition_graph(secular_dipolar_hamiltonian(system, basis), basis)
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((basis.dim, basis.dim))
-    stages = (thermal_state(basis), DensityMatrix(matrix=raw + raw.T),
-              DensityMatrix(matrix=np.zeros((basis.dim, basis.dim))), thermal_state(basis))
+    thermal = dense_state(thermal_state(basis))
+    stages = (thermal, DensityMatrix(matrix=raw + raw.T),
+              DensityMatrix(matrix=np.zeros((basis.dim, basis.dim))), thermal)
     pops = [np.resize(AWKWARD[k:] + AWKWARD[:k], graph.n_states) for k in range(3)]
     spectra = {"thermal": StickSpectrum(frequencies=[], intensities=[], merged=True)}
     table = SweepTable(times=[0.0], columns={"I0": [1.0]})

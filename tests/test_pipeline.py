@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqpure import mq, nonunitary, pipeline
+from mqpure.cli import main
 from mqpure import (
     NumericalInvariantError,
     PipelineConfig,
@@ -387,6 +389,20 @@ class TestConfig:
             PipelineConfig(t_step=0.0)
         with pytest.raises(ValueError):
             PipelineConfig(merge_tolerance=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_prep", math.nan), ("t_max", math.nan), ("t_step", math.nan),
+        ("merge_tolerance", math.nan), ("intensity_floor", math.nan), ("intensity_floor", -1),
+    ])
+    def test_nan_or_negative_field_is_one_line_error(self, tmp_path, capsys, field, value):
+        # each guard fails NaN: no run on a NaN time, no misleading merge
+        # message and no peak count against a meaningless floor
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"t_max": 1.2, "t_step": 0.01, field: value}))
+        assert main(["pipeline", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("width", [1e-200, 1e200, float("nan")])
     def test_width_whose_envelope_denominator_is_not_finite(self, tmp_path, width):

@@ -12,8 +12,10 @@ from mqpure import (
     homq_coherence_state,
     thermal_state,
 )
+from mqpure.spin_core import SparseOperator
 from mqpure.spin_core import ADJOINT_TILE, HERMITICITY_RTOL
 
+from dense_operators import dense
 from kron_oracle import collective_op, single_spin_op
 
 
@@ -162,11 +164,13 @@ class TestPurity:
 class TestStates:
     def test_thermal_two_spins(self):
         rho = thermal_state(build_basis(2))
-        assert np.allclose(rho.matrix, np.diag([-1.0, 0.0, 0.0, 1.0]))
+        assert np.array_equal(dense(rho), np.diag([-1.0, 0.0, 0.0, 1.0]))
+        # held as its diagonal, without the zeros of m = 0
+        assert rho.rows.tolist() == rho.cols.tolist() == [0, 3]
 
     def test_thermal_traceless_and_purity(self):
         rho = thermal_state(build_basis(6))
-        assert abs(np.trace(rho.matrix)) < 1e-12
+        assert abs(np.trace(dense(rho))) < 1e-12
         assert rho.purity() == pytest.approx(96.0, abs=1e-12)
 
     def test_homq_state_structure(self):
@@ -259,9 +263,89 @@ class TestContainers:
         assert np.linalg.eigvalsh(rho.matrix).min() < 0
 
     def test_matrices_are_frozen(self):
-        rho = thermal_state(build_basis(2))
+        rho = homq_coherence_state(build_basis(2))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 5.0
+        thermal = thermal_state(build_basis(2))
+        for array in (thermal.rows, thermal.cols, thermal.values):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+
+def random_sparse(rng, dim, count):
+    """A real symmetric SparseOperator with about ``count`` nonzero elements."""
+    lower = np.zeros((dim, dim))
+    lower[rng.integers(0, dim, count), rng.integers(0, dim, count)] = rng.integers(-3, 4, count) / 2
+    lower = np.tril(lower)
+    return SparseOperator.of(Operator(matrix=lower + np.tril(lower, -1).T))
+
+
+class TestSparseOperator:
+    def test_sorted_without_zeros(self):
+        op = SparseOperator(3, [2, 0, 1, 0, 1], [0, 2, 1, 1, 0], [5.0, 5.0, 0.0, 1j, -1j])
+        assert op.rows.tolist() == [0, 0, 1, 2]
+        assert op.cols.tolist() == [1, 2, 0, 0]
+        assert op.values.dtype == np.complex128
+        assert np.array_equal(dense(op), [[0, 1j, 5], [-1j, 0, 0], [5, 0, 0]])
+
+    @pytest.mark.parametrize("rows, cols, values, message", [
+        ([0, 1], [1, 0], [1.0, 2.0], "not hermitian"),
+        ([0, 1], [1, 0], [1j, 1j], "not hermitian"),
+        ([0], [1], [1.0], "not hermitian"),
+        ([0, 0], [0, 0], [1.0, 1.0], "listed twice"),
+        ([0, 2], [2, 0], [1.0, 1.0], "out of range"),
+        ([0, -1], [-1, 0], [1.0, 1.0], "out of range"),
+        ([0, 1], [1], [1.0, 1.0], "one length"),
+    ])
+    def test_rejects(self, rows, cols, values, message):
+        with pytest.raises(ValueError, match=message):
+            SparseOperator(2, rows, cols, values)
+
+    def test_nan_element_is_its_own_mirror(self):
+        # as for a dense Operator, a NaN does not fail the hermiticity check
+        op = SparseOperator(2, [0, 1], [1, 0], [np.nan, np.nan])
+        assert np.isnan(op.values).all()
+        assert not op.invariant(np.arange(2))
+
+    def test_of_mirrors_the_lower_triangle(self):
+        mat = np.array([[1.0 + 1e-14j, 2.0, 0.0], [2.0 + 1e-14j, 0.0, 3.0], [0.0, 3.0, 0.0]])
+        op = SparseOperator.of(Operator(matrix=mat))
+        expected = np.array([[1.0, 2.0 - 1e-14j, 0.0], [2.0 + 1e-14j, 0.0, 3.0],
+                             [0.0, 3.0, 0.0]])
+        assert np.array_equal(dense(op), expected)
+        assert SparseOperator.of(op) is op
+
+    def test_gather_matches_dense_indexing(self):
+        rng = np.random.default_rng(5)
+        op = random_sparse(rng, 16, 40)
+        full = dense(op)
+        rows = rng.permutation(16)[:7]
+        # columns with repeated states, as the momentum gathers list them
+        cols = rng.integers(0, 16, (3, 5))
+        got = op.gather(rows, cols)
+        assert got.shape == (7, 3, 5)
+        assert np.array_equal(got, full[rows[:, None, None], cols])
+        assert np.array_equal(op.gather(rows, rows), full[np.ix_(rows, rows)])
+        assert np.array_equal(Operator(matrix=full).gather(rows, cols), got)
+
+    def test_invariance_matches_the_dense_compare(self):
+        rng = np.random.default_rng(6)
+        op = random_sparse(rng, 12, 30)
+        full = dense(op)
+        perm = rng.permutation(12)
+        mirrored = np.arange(12)[::-1]
+        symmetric = SparseOperator.of(Operator(matrix=full + full[np.ix_(mirrored, mirrored)]))
+        for candidate in (op, symmetric):
+            matrix = dense(candidate)
+            for p in (perm, mirrored, np.arange(12)):
+                expected = np.array_equal(matrix[np.ix_(p, p)], matrix)
+                assert candidate.invariant(p) == expected
+                assert Operator(matrix=matrix).invariant(p) == expected
+        assert symmetric.invariant(mirrored)
+
+    def test_purity(self):
+        op = SparseOperator(2, [0, 1, 0], [1, 0, 0], [1j, -1j, 2.0])
+        assert op.purity() == 6.0
 
 
 class TestSpinSystem:

@@ -36,6 +36,7 @@ from mqpure import evolution, hamiltonians
 from mqpure.evolution import TWO_PI, _orbit_weights, _sector_sweep
 
 from dense_eigen import dense_eigen
+from dense_operators import dense
 from dense_observables import dense_sweep, divisor
 
 
@@ -89,7 +90,7 @@ def assert_columns_close(table, reference, observables, rho):
     for name, obs in observables.items():
         scale = divisor(name, rho.purity())
         got, want = table.column(name) / scale, reference[name] / scale
-        floor = (rho.purity() if obs.squared else np.abs(rho.matrix).max()) / scale
+        floor = (rho.purity() if obs.squared else np.abs(dense(rho)).max()) / scale
         gap = np.abs(got - want).max()
         assert gap <= 1e-12 * max(np.abs(want).max(), floor), name
 
@@ -97,7 +98,7 @@ def assert_columns_close(table, reference, observables, rho):
 def dense_evolve(rho, eig, t):
     values, vectors = dense_eigen(eig.blocks)
     u = (vectors * np.exp(-1j * TWO_PI * t * values)) @ vectors.conj().T
-    return u @ rho.matrix @ u.conj().T
+    return u @ dense(rho) @ u.conj().T
 
 
 def is_single_cycle(perm):
@@ -175,7 +176,7 @@ class TestSectors:
         # secular diagonal is summed in pair order, so on a relabelled
         # ring it may miss invariance by an ulp and take the plain path
         system = ring_system(n, seed)
-        h = build(system, build_basis(n)).matrix
+        h = dense(build(system, build_basis(n)))
         eig = diagonalize(build(system, build_basis(n)), site_symmetry(system))
         if build is dq_hamiltonian:
             assert eig.orbits is not None
@@ -209,7 +210,7 @@ class TestSectors:
         assert_columns_close(sweep(rho, eig, times, observables),
                              dense_sweep(rho, eig, times, observables), observables, rho)
         gap = np.abs(evolve(rho, eig, 0.7).matrix - dense_evolve(rho, eig, 0.7)).max()
-        assert gap <= 1e-12 * np.abs(rho.matrix).max()
+        assert gap <= 1e-12 * np.abs(dense(rho)).max()
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_non_invariant_state_falls_back(self, n):
@@ -221,7 +222,7 @@ class TestSectors:
         rho = DensityMatrix(matrix=raw + raw.conj().T)
         # the dense oracle is built from the momentum sectors themselves
         gap = np.abs(evolve(rho, eig, 0.83).matrix - dense_evolve(rho, eig, 0.83)).max()
-        assert gap <= 1e-12 * np.abs(rho.matrix).max()
+        assert gap <= 1e-12 * np.abs(dense(rho)).max()
         assert "fallback" in vars(eig)
         times = np.array([0.0, 0.3, 0.9])
         observables = sweep_observables(basis, 3)
@@ -291,7 +292,7 @@ class TestSectors:
                                  observables, rho)
             there = evolve(rho, eig, t).matrix
             gap = np.abs(there - evolve(rho, plain, t).matrix).max()
-            assert gap <= 1e-12 * np.abs(rho.matrix).max()
+            assert gap <= 1e-12 * np.abs(dense(rho)).max()
             assert np.array_equal(there, there.conj().T)
 
 
