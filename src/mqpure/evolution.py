@@ -5,58 +5,40 @@ is exact for time-independent generators and lets a whole sweep reuse a
 single factorization.  Each block is gathered from the Hamiltonian's
 nonzero elements (:class:`~mqpure.spin_core.SparseOperator`), and the
 symmetry checks compare those elements, sorted, with their permuted
-copies, so no d x d matrix is made.  The decomposition is kept per
-invariant block:
-a Hamiltonian with no element between even- and odd-popcount states
-(the double-quantum one flips spins in pairs) splits into two half-size
-real blocks.  At even N the flip of every spin keeps popcount parity, and
-a Hamiltonian it leaves unchanged (the double-quantum and the secular one,
-for any couplings) splits each parity block again into quarter-size
-sectors of flip parity +1 and -1.  Propagation only touches the block
-pairs in which the state has nonzero elements; the thermal state I_z
-changes sign under the flip, so it has none between sectors of equal
-flip parity.
+copies, so no d x d matrix is made.
 
-The state enters the eigenbasis from one gather per pair of block
-supports (the two flip sectors of a parity share theirs), which each
-block pair of that support pair folds.  A state is dense
-(:class:`~mqpure.spin_core.DensityMatrix`) or, like the thermal state
-diag(m), held as its nonzero elements; both give the same gathered
-blocks.
+The blocks are the momentum sectors of one cyclic state permutation G of
+order L that leaves the Hamiltonian exactly unchanged, taken within each
+popcount-parity group (a Hamiltonian with no element between even- and
+odd-popcount states, such as the double-quantum one, which flips spins
+in pairs, has two groups).  :func:`diagonalize` takes for G
 
-Given a site symmetry (a cyclic relabelling sigma of the sites, found
-from the couplings by :func:`~mqpure.hamiltonians.site_symmetry`) whose
-state permutation P leaves the Hamiltonian exactly unchanged,
-:func:`diagonalize` splits each parity block into momentum sectors
-instead: sector k of the order-L cycle is spanned by
-sqrt(p)/L sum_j exp(-2 pi i k j / L) P^j |a> over the orbit
-representatives a whose period p allows k.  Each sector matrix is
-folded from one (r, L, r) gather of H per parity.  A state that P leaves
-exactly unchanged (the thermal state, the top-order coherence, every
-state the pipeline evolves from them) has no element between different
-momenta, so propagation runs sector by sector and :func:`evolve` writes
-the dense result from the representatives' elements.  A sweep reads
-each observable whose weight is constant on every pair of orbits (the
-order intensities, ``diag_pair``, populations of the all-up and all-down
-states) straight from the sector blocks.  Where the symmetry's
-reflection also leaves the state and those weights unchanged, it maps
-sector k onto sector -k with equal contributions, so only k = 0 .. L/2
-run and the ones in between count twice.  Everything else falls back
-exactly: a Hamiltonian that fails the check gets the parity and flip
-blocks, and a state that P changes, or an observable that is not
-constant on orbit pairs (``pop:<i>`` of another state, a single
-off-diagonal element), runs on the eigensystem without sectors, built
-on first use.
+- the state permutation P of a site cycle (found from the couplings by
+  :func:`~mqpure.hamiltonians.site_symmetry`) where H is invariant under it;
+- otherwise, at even N, the flip of every spin (state s to 2^N - 1 - s,
+  the reversal of the index order, L = 2), which leaves the double-quantum
+  and the secular Hamiltonian unchanged for any couplings;
+- otherwise the identity (L = 1: each parity group is one sector).
+
+Sector k is spanned by sqrt(p)/L sum_j exp(-2 pi i k j / L) G^j |a> over
+the orbit representatives a whose period p allows k (Sandvik,
+arXiv:1101.3281, section 4), and its matrix is folded from one (r, L, r)
+gather of H per group.
+
+A state of character chi = +1 or -1 under G (G rho G+ = chi rho, checked
+exactly) has elements only between sectors k + q and k, with q = 0 for
+chi = 1 and q = L/2 for chi = -1, so propagation runs on those sector
+pairs alone.  The thermal state I_z and the top-order coherence have
+chi = 1 under a site cycle and chi = -1 under the flip.  A state of
+neither character runs on the eigensystem of G = identity, built on first
+use (``EigenSystem.fallback``).
 
 A sweep never assembles the dense rho(t).  Its observables are data
 (:class:`Observable`: weighted matrix elements, squared or real part),
-and it evaluates them in the block layout: for a chunk of time points at
-once it rotates and transforms every block pair with two GEMMs, then
-reduces each pair's block against precomputed per-element weights.
-Those weights are placed through per-state tables, one observable at a
-time, so the set-up holds no d x d scratch.  :func:`evolve` runs the
-same kernel for one time point and writes each stack into the dense
-matrix through the quadrant map the sweep reduces.
+read from the sector pairs where their weight is constant on every pair
+of orbits and from the element classes rho[G^i a, G^(i+l) b] otherwise
+(:func:`_sector_sweep`); :func:`evolve` writes the same classes into the
+dense matrix.
 
 Couplings are cyclic frequencies, so the default propagation phase for a
 dimensionless time t (units of the inverse reference coupling) is
@@ -87,7 +69,6 @@ from .spin_core import (
     _frozen_array,
     adjoint,
     cyclic_phases,
-    eigh_blocks,
     gemm,
     popcounts,
 )
@@ -96,9 +77,8 @@ TWO_PI = 2.0 * np.pi
 
 _UNIT_SCALES = {"cyclic": TWO_PI, "angular": 1.0}
 
-# bytes of one complex (r_a, K, r_b) block-pair stack in a sweep; K, the
-# number of time points per chunk, follows from the largest block pair
-# (each momentum sector pair takes its own K)
+# bytes of one complex (K, r_a, r_b) stack in a sweep; K, the number of
+# time points per chunk, follows from the largest stack of a pair of groups
 CHUNK_BYTES = 1 << 17
 
 # largest time grid ``time_grid`` builds
@@ -106,13 +86,13 @@ MAX_GRID_POINTS = 1_000_000
 
 
 class _Orbits(NamedTuple):
-    """The orbits of the basis states under the state permutation of a site cycle.
+    """The orbits of the basis states under a cyclic state permutation G.
 
-    ``table[o, j]`` is P^j of the representative (smallest state) of orbit
-    o, for j below the order L of P; orbits ascend by representative.
+    ``table[o, j]`` is G^j of the representative (smallest state) of orbit
+    o, for j below the order L of G; orbits ascend by representative.
     State s is ``table[of[s], step[s]]`` with ``step[s]`` below the orbit's
-    ``period``.  ``shift`` is P and ``reflect`` the state permutation of
-    the symmetry's reflection (None without one).
+    ``period``.  ``shift`` is G and ``reflect`` the state permutation of
+    a site symmetry's reflection (None without one).
     """
 
     shift: np.ndarray
@@ -127,24 +107,24 @@ class _Orbits(NamedTuple):
         return self.table.shape[1]
 
     def members(self, block: EigenBlock) -> np.ndarray:
-        """The orbits of a momentum sector block, in its order."""
+        """The orbits of a sector block, in its order."""
         return self.of[block.states[:block.eigenvalues.size]]
 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigendecomposition of a Hermitian operator, kept per invariant block.
+    """Eigendecomposition of a Hermitian operator, kept per momentum sector.
 
     ``blocks`` is a tuple of :class:`~mqpure.spin_core.EigenBlock` whose
     vectors together form an orthonormal basis; each block's eigenvalues
-    ascend.  When they are momentum sectors, ``orbits`` describes the
-    site symmetry behind them, the blocks come group by group with k
-    ascending from 0 in each, and ``plain`` builds the eigensystem
-    without momentum sectors for states the sectors cannot carry.
+    ascend.  ``orbits`` describes the permutation G behind the sectors,
+    the blocks come group by group with k ascending from 0 in each, and
+    ``plain`` builds the eigensystem of G = identity for states the
+    sectors cannot carry (None where G is the identity).
     """
 
     blocks: tuple = field(repr=False)
-    orbits: _Orbits | None = field(default=None, repr=False)
+    orbits: _Orbits = field(repr=False)
     plain: Callable[[], EigenSystem] | None = field(default=None, repr=False)
 
     @property
@@ -153,7 +133,7 @@ class EigenSystem:
 
     @cached_property
     def fallback(self) -> EigenSystem:
-        """The eigensystem without momentum sectors (built once, on first use)."""
+        """The eigensystem of G = identity (built once, on first use)."""
         return self if self.plain is None else self.plain()
 
     def negated(self) -> EigenSystem:
@@ -168,23 +148,16 @@ class EigenSystem:
 
 def diagonalize(h: Operator | SparseOperator,
                 symmetry: SiteSymmetry | None = None) -> EigenSystem:
-    """Eigendecompose a Hermitian operator (ascending within each block).
+    """Eigendecompose a Hermitian operator into the momentum sectors of a
+    state permutation G (ascending within each block).
 
     Every block is gathered from the operator's nonzero elements; a dense
     :class:`Operator` is turned into them once (``SparseOperator.of``).
-    When no nonzero element joins an even- and an odd-popcount state, the
-    two parity blocks are diagonalized separately; otherwise the whole
-    operator is one block.
-
-    Given a site ``symmetry`` whose state permutation P leaves the operator
-    exactly unchanged (H[P][:, P] == H, its sorted nonzeros mapped onto
-    themselves), each block splits into its momentum sectors (see
-    :func:`_momentum_blocks`).  Otherwise, when the flip of every spin
-    (state s to 2^N - 1 - s, the reversal of the index order) keeps
-    parity, which it does at even N, and leaves the operator exactly
-    unchanged, each parity block splits into the two sectors spanned by
-    (|s> + |s'>)/sqrt(2) and (|s> - |s'>)/sqrt(2), so there are four
-    blocks.
+    The sectors are taken within each popcount parity when no nonzero
+    element joins an even- and an odd-popcount state.  G is the first that
+    maps the sorted nonzeros exactly onto themselves of the state
+    permutation P of the site ``symmetry``, the flip of every spin (where
+    it keeps parity, at even N) and the identity.
     """
     if isinstance(h, Operator) and not h.hermitian:
         raise ValueError("diagonalize requires an operator flagged hermitian")
@@ -195,15 +168,21 @@ def diagonalize(h: Operator | SparseOperator,
     else:
         groups = (np.flatnonzero(~odd), np.flatnonzero(odd))
     if symmetry is not None:
-        orbits = _orbits(symmetry, h.dim)
-        if h.invariant(orbits.shift):
-            return EigenSystem(_momentum_blocks(h, groups, orbits), orbits,
-                               partial(diagonalize, h))
-    # the flip, which reverses the index order, keeps parity only at even N
-    if (len(groups) == 1 or not np.array_equal(odd, odd[::-1])
-            or not h.invariant(np.arange(h.dim)[::-1])):
-        return EigenSystem(blocks=eigh_blocks(h, groups))
-    return EigenSystem(blocks=_flip_sector_blocks(h, groups))
+        reflect = (None if symmetry.reflection is None
+                   else _state_permutation(symmetry.reflection, h.dim))
+        cycle = _orbits(_state_permutation(symmetry.cycle, h.dim), reflect)
+        if h.invariant(cycle.shift):
+            return _sector_system(h, groups, cycle)
+    flip = np.arange(h.dim)[::-1]
+    if np.array_equal(odd, odd[flip]) and h.invariant(flip):
+        return _sector_system(h, groups, _orbits(flip))
+    return _sector_system(h, groups, _orbits(np.arange(h.dim)))
+
+
+def _sector_system(h: SparseOperator, groups, orbits: _Orbits) -> EigenSystem:
+    plain = (None if orbits.order == 1
+             else partial(_sector_system, h, groups, _orbits(np.arange(h.dim))))
+    return EigenSystem(_momentum_blocks(h, groups, orbits), orbits, plain)
 
 
 def _state_permutation(sites: np.ndarray, dim: int) -> np.ndarray:
@@ -219,20 +198,18 @@ def _state_permutation(sites: np.ndarray, dim: int) -> np.ndarray:
     return moved
 
 
-def _orbits(symmetry: SiteSymmetry, dim: int) -> _Orbits:
-    shift = _state_permutation(symmetry.cycle, dim)
-    reflect = (None if symmetry.reflection is None
-               else _state_permutation(symmetry.reflection, dim))
-    powers = [np.arange(dim)]
+def _orbits(shift: np.ndarray, reflect: np.ndarray | None = None) -> _Orbits:
+    """The orbits of the cyclic state permutation ``shift``."""
+    powers = [np.arange(shift.size)]
     while not np.array_equal(next_power := shift[powers[-1]], powers[0]):
         powers.append(next_power)
     powers = np.array(powers)
     representative = powers.min(axis=0)
-    reps = np.unique(representative)
+    reps = np.flatnonzero(representative == powers[0])
     table = powers[:, reps].T
-    returns = table[:, 1:] == table[:, :1]
-    period = np.where(returns.any(axis=1), returns.argmax(axis=1) + 1, table.shape[1])
-    step = np.zeros(dim, dtype=np.intp)
+    # an orbit of period p returns to its representative L / p times in L steps
+    period = table.shape[1] // (table == table[:, :1]).sum(axis=1)
+    step = np.zeros(shift.size, dtype=np.intp)
     for j in range(table.shape[1] - 1, -1, -1):
         step[table[:, j]] = j
     of = np.searchsorted(reps, representative)
@@ -241,48 +218,45 @@ def _orbits(symmetry: SiteSymmetry, dim: int) -> _Orbits:
 
 def _sector_reader(op: Operator | SparseOperator, orbits: _Orbits, outer: np.ndarray,
                    inner: np.ndarray) -> tuple:
-    """The (r, L, r) gather op[a, P^l b], a and b the representatives of
-    the ``outer`` and ``inner`` orbits, and sector(k), its momentum-k matrix
-    L c_a c_b sum_l exp(-2 pi i k l / L) op[a, P^l b] over the a and b
-    whose period allows k (c = sqrt(period) / L), real where 2k is a
-    multiple of L.  The phase of l is looked up at k l mod L, so it repeats
-    exactly with any period of l that k allows."""
+    """The (r, L, r) gather op[a, G^l b], a and b the representatives of
+    the ``outer`` and ``inner`` orbits, and sector(k, q), the matrix
+    L c_a c_b sum_l exp(-2 pi i k l / L) op[a, G^l b] between sectors k + q
+    and k: over the a whose period allows k + q and the b whose period
+    allows k (c = sqrt(period) / L), real where 2k is a multiple of L.  The
+    phase of l is looked up at k l mod L, so it repeats exactly with any
+    period of l that k allows."""
     order = orbits.order
     gathered = op.gather(orbits.table[outer, 0], orbits.table[inner].T)
     scale_a, scale_b = (np.sqrt(orbits.period[side]) / order for side in (outer, inner))
 
-    def sector(k: int) -> np.ndarray:
-        keep_a, keep_b = (k * orbits.period[side] % order == 0 for side in (outer, inner))
+    def sector(k: int, q: int = 0) -> np.ndarray:
+        keep_a = (k + q) * orbits.period[outer] % order == 0
+        keep_b = k * orbits.period[inner] % order == 0
         phases = cyclic_phases(order)[k * np.arange(order) % order]
         if 2 * k % order == 0:
             phases = phases.real
-        summed = np.einsum("alb,l->ab", gathered[keep_a][:, :, keep_b], phases)
+        summed = np.einsum("alb,l->ab", gathered, phases)
+        if not (keep_a.all() and keep_b.all()):
+            summed = summed[np.ix_(keep_a, keep_b)]
         return summed * (order * np.outer(scale_a[keep_a], scale_b[keep_b]))
 
     return gathered, sector
 
 
-def _group_orbits(groups, orbits: _Orbits) -> list:
-    """The orbits whose states lie in each group, ascending."""
-    group_of = np.empty(orbits.of.size, dtype=np.intp)
-    for g, group in enumerate(groups):
-        group_of[group] = g
-    owner = group_of[orbits.table[:, 0]]
-    return [np.flatnonzero(owner == g) for g in range(len(groups))]
-
-
 def _momentum_blocks(h: SparseOperator, groups, orbits: _Orbits) -> tuple:
     """Eigenblocks of the momentum sectors of each group.
 
-    With H[P s, P t] = H[s, t], sector k has the matrix
-    L c_a c_b sum_l exp(-2 pi i k l / L) H[a, P^l b] over the
+    With H[G s, G t] = H[s, t], sector k has the matrix
+    L c_a c_b sum_l exp(-2 pi i k l / L) H[a, G^l b] over the
     representatives a, b allowed in it, c = sqrt(period)/L: one gather
     of (r, L, r) elements per group.  For a real H sector L - k is the
     conjugate of sector k and reuses its eigenpairs.
     """
     order = orbits.order
     blocks = []
-    for members in _group_orbits(groups, orbits):
+    for group in groups:
+        # the orbits whose representative, step 0, lies in the group
+        members = orbits.of[group[orbits.step[group] == 0]]
         table = orbits.table[members]
         _, sector = _sector_reader(h, orbits, members, members)
         scale = np.sqrt(orbits.period[members]) / order
@@ -300,26 +274,6 @@ def _momentum_blocks(h: SparseOperator, groups, orbits: _Orbits) -> tuple:
             blocks.append(EigenBlock(_frozen_array(table[keep].T.ravel()), _frozen_array(values),
                                      _frozen_array(vectors), momentum=k,
                                      scale=_frozen_array(scale[keep])))
-    return tuple(blocks)
-
-
-def _flip_sector_blocks(h: SparseOperator, groups) -> tuple:
-    """Eigenblocks of the flip-parity sectors of each flip-closed group.
-
-    With H[s', t'] = H[s, t], the sector of flip parity f has the matrix
-    H[s, t] + f H[s, t'] over the states s < s' of the group.
-    """
-    partner = h.dim - 1
-    blocks = []
-    for group in groups:
-        states = group[group < partner - group]
-        direct = h.gather(states, states)
-        crossed = h.gather(states, partner - states)
-        support = _frozen_array(np.concatenate([states, partner - states]))
-        for flip in (1, -1):
-            values, vectors = np.linalg.eigh(direct + flip * crossed)
-            blocks.append(EigenBlock(support, _frozen_array(values), _frozen_array(vectors),
-                                     flip))
     return tuple(blocks)
 
 
@@ -354,141 +308,24 @@ def time_grid(t_max: float, t_step: float) -> np.ndarray:
 
 
 class _Part(NamedTuple):
-    """One nonzero block pair (a, b) of a Hermitian state, a not after b.
-
-    ``moved`` is the pair's part in the eigenbasis, halved when a is b.
-    """
+    """A nonzero sector pair (a, b) of a state, ``moved`` into the eigenbasis."""
 
     a: EigenBlock
     b: EigenBlock
     moved: np.ndarray
 
 
-def _fold(matrix: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-    """Weighted sum of the equal slices of ``matrix`` along ``axis``.
-
-    Two slices that are exact negatives of each other cancel exactly.
-    """
-    return sum(w * part for w, part in zip(weights, np.split(matrix, weights.size, axis=axis)))
-
-
-def _check_dim(rho: DensityMatrix | SparseOperator, eig: EigenSystem) -> None:
+def _character(rho: DensityMatrix | SparseOperator, eig: EigenSystem) -> tuple:
+    """(eig, chi): chi = 1 or -1 with G rho G+ = chi rho exactly, or, for a
+    state of neither character, the fallback eigensystem and chi = 1."""
     if eig.dim != rho.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, hamiltonian {eig.dim}")
-
-
-def _eigenbasis_parts(rho: DensityMatrix | SparseOperator, eig: EigenSystem) -> list:
-    """The nonzero block pairs of rho, moved into the eigenbasis.
-
-    rho is Hermitian, so its (b, a) pair is the adjoint of its (a, b)
-    pair, and only the pairs with a not after b are kept.  A pair is
-    skipped when rho has no nonzero element between the two blocks'
-    basis vectors; for spin-flip sectors those are the (|s> + flip |s'>)
-    combinations, so a state that is odd under the flip has no element
-    between sectors of equal flip parity.
-
-    The two flip sectors of a parity share their states, so rho is
-    gathered once per pair of distinct supports and each block pair folds
-    that one gather; the pairs of a support pair come out consecutively.
-    """
-    _check_dim(rho, eig)
-    supports = {}
-    for block in eig.blocks:
-        supports.setdefault(block.states.tobytes(), []).append(block)
-    supports = list(supports.values())
-    parts = []
-    for i, left in enumerate(supports):
-        for right in supports[i:]:
-            gathered = rho.gather(left[0].states, right[0].states)
-            if not gathered.any():
-                continue
-            for k, a in enumerate(left):
-                for b in right[k:] if right is left else right:
-                    part = _fold(_fold(gathered, a.weights, 0), b.weights, 1)
-                    if part.any():
-                        moved = gemm(gemm(adjoint(a.eigenvectors), part), b.eigenvectors)
-                        parts.append(_Part(a, b, 0.5 * moved if a is b else moved))
-    return parts
-
-
-def _layout(parts: list) -> list:
-    """Where the block pairs land in the dense matrix, per group of pairs.
-
-    Quadrant (i, j) of a pair's dense block over (a.states, b.states),
-    rows from slice i of a.states and columns from slice j of b.states,
-    is w[i, j] y, with w = outer(a.weights, b.weights) and y the pair's
-    (r_a, r_b) block from :func:`_transform`; the (b, a) pair adds the
-    adjoint over (b.states, a.states).  Where a and b span the same
-    states that adjoint lands on the block itself, and the quadrant is
-    w[i, j] times y + y+ (w symmetric) or y - y+ (w antisymmetric).
-    Pairs that span the same states form a group and are summed.
-
-    Returns (members, stacks) per group.  ``stacks`` maps the terms
-    (member position, sign, coefficient) of a stack, the sum of
-    coefficient times y (sign 0), y + y+ (1) or y - y+ (-1), to the
-    quadrants (scale, i, j) it fills: the quadrant is scale times the
-    stack, and where the group spans different states on its two sides
-    the mirror quadrant over (b.states, a.states) is its adjoint.
-    Quadrants whose sums are proportional share a stack, and every
-    element is placed at most once.
-    """
-    groups = {}
-    for part in parts:
-        groups.setdefault((part.a.states.tobytes(), part.b.states.tobytes()), []).append(part)
-    layout = []
-    for (left, right), members in groups.items():
-        weights = [np.outer(part.a.weights, part.b.weights) for part in members]
-        stacks = {}
-        for i, j in np.ndindex(weights[0].shape):
-            lead = weights[0][i, j]
-            key = tuple((k, 0 if left != right else (1 if w[j, i] == w[i, j] else -1),
-                         w[i, j] / lead) for k, w in enumerate(weights))
-            stacks.setdefault(key, []).append((lead, i, j))
-        layout.append((members, stacks))
-    return layout
-
-
-def _transform(parts: list, phases: np.ndarray) -> list:
-    """y = V_a e^{-i phase E_a} X_ab e^{i phase E_b} V_b+ of each pair, per phase.
-
-    V is a block's eigenvectors over its first slice of states.  Each
-    result is a stack shaped (r_a, K, r_b) for K phases; two GEMMs per
-    pair cover the whole stack.
-    """
-    out = []
-    for part in parts:
-        a, b = part.a, part.b
-        left = np.exp(-1j * np.multiply.outer(a.eigenvalues, phases))
-        y = part.moved[:, np.newaxis, :] * left[:, :, np.newaxis]
-        y *= np.exp(1j * np.multiply.outer(phases, b.eigenvalues))
-        r_a, k, r_b = y.shape
-        y = gemm(a.eigenvectors, y.reshape(r_a, k * r_b)).reshape(r_a * k, r_b)
-        out.append(gemm(y, adjoint(b.eigenvectors)).reshape(r_a, k, r_b))
-    return out
-
-
-def _stack(terms: tuple, ys: list, out: np.ndarray) -> None:
-    """Write the sum over ``terms`` of coefficient times y, y + y+ or y - y+
-    (see :func:`_layout`) into ``out``, shaped like each y.
-
-    y+ is conjugated straight from a transposed view of y into ``out``,
-    so no conjugate copy is made.
-    """
-    for n, (k, sign, coefficient) in enumerate(terms):
-        y = ys[k]
-        term = out if n == 0 else np.empty_like(out)
-        if sign:
-            np.conjugate(y.transpose(2, 1, 0), out=term)
-            if sign > 0:
-                term += y
-            else:
-                np.subtract(y, term, out=term)
-        else:
-            np.copyto(term, y)
-        if coefficient != 1:
-            term *= coefficient
-        if n:
-            out += term
+    orbits = eig.orbits
+    if orbits.order == 1 or rho.invariant(orbits.shift):
+        return eig, 1
+    if orbits.order % 2 == 0 and rho.invariant(orbits.shift, -1):
+        return eig, -1
+    return eig.fallback, 1
 
 
 def evolve(
@@ -506,34 +343,12 @@ def evolve(
             exp(-iH(-t)), so reversal reuses the forward eigensystem).
         unit: "cyclic" (phase 2*pi*H*t, default) or "angular" (phase H*t).
 
-    With momentum sectors, a state that the site cycle leaves exactly
-    unchanged is propagated sector by sector (:func:`_sector_evolve`);
-    any other state takes the eigensystem without sectors.
+    A state of character +1 or -1 under the sectors' G is propagated on
+    its sector pairs (:func:`_sector_evolve`); any other state takes the
+    eigensystem of G = identity.
     """
-    eig = _as_eigensystem(h)
-    phase = np.array([_phase_scale(unit) * t])
-    if eig.orbits is not None:
-        _check_dim(rho, eig)
-        if rho.invariant(eig.orbits.shift):
-            return _sector_evolve(rho, eig, phase)
-        eig = eig.fallback
-    rho_t = np.zeros((rho.dim, rho.dim), dtype=complex)
-    for members, stacks in _layout(_eigenbasis_parts(rho, eig)):
-        a, b = members[0].a, members[0].b
-        r_a, r_b = members[0].moved.shape
-        mirrored = not np.array_equal(a.states, b.states)
-        ys = _transform(members, phase)
-        for terms, quadrants in stacks.items():
-            stack = np.empty(ys[0].shape, dtype=complex)
-            _stack(terms, ys, stack)
-            stack = stack[:, 0, :]
-            for scale, i, j in quadrants:
-                rows, cols = a.states[i * r_a:(i + 1) * r_a], b.states[j * r_b:(j + 1) * r_b]
-                values = scale * stack
-                rho_t[np.ix_(rows, cols)] = values
-                if mirrored:
-                    rho_t[np.ix_(cols, rows)] = values.T.conj()
-    return DensityMatrix(matrix=rho_t)
+    eig, chi = _character(rho, _as_eigensystem(h))
+    return _sector_evolve(rho, eig, chi, np.array([_phase_scale(unit) * t]))
 
 
 def propagate(
@@ -545,9 +360,10 @@ def propagate(
     """U v for each column v of a (dim, r) matrix, U = exp(-i * scale * H * t).
 
     Each eigenblock moves the columns into its eigenbasis (the slices of
-    its states folded with the conjugate weights, times ``scale`` per
+    its states summed with the conjugate weights, times ``scale`` per
     row, then V+), applies the phases and writes back slice by slice; no
-    state repeats within a slice.  Blocks in which every column is zero
+    state repeats within a slice, and two slices that are exact negatives
+    of each other cancel exactly.  Blocks in which every column is zero
     are skipped, so exact zeros stay exact, and no d x d array is made.
     """
     eig = _as_eigensystem(h)
@@ -560,8 +376,10 @@ def propagate(
         gathered = vectors[block.states]
         if not gathered.any():
             continue
-        scale = 1.0 if block.scale is None else block.scale[:, np.newaxis]
-        moved = gemm(adjoint(block.eigenvectors), scale * _fold(gathered, block.weights.conj(), 0))
+        scale = block.scale[:, np.newaxis]
+        slices = np.split(gathered, block.weights.size)
+        moved = sum(w * part for w, part in zip(block.weights.conj(), slices))
+        moved = gemm(adjoint(block.eigenvectors), scale * moved)
         moved = moved * np.exp(-1j * phase * block.eigenvalues)[:, np.newaxis]
         moved = scale * gemm(block.eigenvectors, moved)
         for states, weight in zip(np.split(block.states, block.weights.size), block.weights):
@@ -626,123 +444,6 @@ class SweepTable:
         write_csv(path, ["t", *self.columns], [self.times, *self.columns.values()])
 
 
-class _Source(NamedTuple):
-    """One (r_a, K, r_b) stack a sweep reduces, and what its elements weigh.
-
-    ``terms`` define the stack as in :func:`_layout`; each of ``reads`` is
-    (squared, weights, columns), where weights[p, q, c] weighs
-    |stack[p, k, q]|^2 (squared) or its real part in observable columns[c].
-    """
-
-    terms: tuple
-    reads: tuple
-
-
-def _sources(parts: list, observables: list, dim: int) -> list:
-    """The stacks a sweep reduces, as (members, sources) per group of pairs.
-
-    Each observable element weighs the stack of :func:`_layout` that
-    fills it, times the quadrant's scale (squared for |.|^2); a mirror
-    element weighs the same, since its value is the conjugate.  Elements
-    are placed through the per-state codes of :func:`_codes`, one
-    observable at a time, so no table or temporary has dim^2 entries.
-    """
-    layout = _layout(parts)
-    # per group and stack, per kind: observable column -> (positions, weights)
-    found = [{terms: {True: {}, False: {}} for terms in stacks} for _, stacks in layout]
-    plans = [_codes(members[0], stacks, dim) for members, stacks in layout]
-    for column, obs in enumerate(observables):
-        rows, cols = np.divmod(obs.flat, dim)
-        squared = bool(obs.squared)
-        for (members, _), (row_code, col_code, slot, scale), kinds_by_terms in zip(
-                layout, plans, found):
-            placed = row_code[rows] + col_code[cols]
-            if not np.array_equal(members[0].a.states, members[0].b.states):
-                # the mirror elements, conjugates of the group's own
-                placed = np.concatenate([placed, row_code[cols] + col_code[rows]])
-            placed = placed[placed < slot.size * members[0].moved.size]
-            quadrant, position = np.divmod(placed, members[0].moved.size)
-            weight = obs.weight * (scale[quadrant] ** 2 if squared else scale[quadrant])
-            stack = slot[quadrant]
-            for k, kinds in enumerate(kinds_by_terms.values()):
-                chosen = stack == k
-                if chosen.any():
-                    kinds[squared][column] = (position[chosen], weight[chosen])
-
-    groups = []
-    for (members, _), kinds_by_terms in zip(layout, found):
-        shape = members[0].moved.shape
-        sources = [_Source(terms, tuple((squared, *_weight_matrix(columns, shape))
-                                        for squared, columns in kinds.items() if columns))
-                   for terms, kinds in kinds_by_terms.items() if any(kinds.values())]
-        if sources:
-            groups.append((members, sources))
-    return groups
-
-
-def _codes(part: _Part, stacks: dict, dim: int) -> tuple:
-    """Per-state codes and per-quadrant stacks that place elements in a pair's group.
-
-    Returns (row_code, col_code, slot, scale).  For a row state at place
-    p of slice i of a.states and a column state at place q of slice j of
-    b.states, row_code plus col_code is (i * nj + j) * r_a * r_b + p *
-    r_b + q: the quadrant and the position in the stack.  A state on
-    neither side puts the sum past the last quadrant.  ``slot`` and
-    ``scale`` give each quadrant's stack (in the order of ``stacks``) and
-    scale, raveled in quadrant order (see :func:`_layout`).
-    """
-    (r_a, r_b), nj = part.moved.shape, len(part.b.weights)
-    slot = np.zeros((len(part.a.weights), nj), dtype=np.intp)
-    scale = np.zeros(slot.shape)
-    for k, quadrants in enumerate(stacks.values()):
-        for lead, i, j in quadrants:
-            slot[i, j], scale[i, j] = k, lead
-    outside = slot.size * part.moved.size
-    row_code = np.full(dim, outside, dtype=np.intp)
-    col_code = np.full(dim, outside, dtype=np.intp)
-    i, p = np.divmod(np.arange(part.a.states.size), r_a)
-    row_code[part.a.states] = (i * nj * r_a + p) * r_b
-    j, q = np.divmod(np.arange(part.b.states.size), r_b)
-    col_code[part.b.states] = j * part.moved.size + q
-    return row_code, col_code, slot.ravel(), scale.ravel()
-
-
-def _weight_matrix(columns: dict, shape: tuple) -> tuple:
-    """(r_a, r_b, n) weights from sparse columns, which are consumed, and
-    the observable column of each; repeated positions add up."""
-    order = sorted(columns)
-    out = np.zeros((shape[0] * shape[1], len(order)))
-    for c, column in enumerate(order):
-        np.add.at(out[:, c], *columns.pop(column))
-    return out.reshape(shape + (-1,)), np.array(order, dtype=np.intp)
-
-
-def _reduce(source: _Source, ys: list, values: np.ndarray) -> None:
-    """Add a source's contribution for one chunk of time points to ``values``.
-
-    The stack is written time-major, (K, r_a, r_b), so each read is one
-    product of a (K, r_a r_b) matrix with the weights.
-    """
-    r_a, k, r_b = ys[0].shape
-    stack = np.empty((k, r_a, r_b), dtype=complex)
-    _stack(source.terms, ys, stack.transpose(1, 0, 2))
-    value, imag = np.empty((k, r_a, r_b)), None
-    for squared, weights, columns in source.reads:
-        if squared:
-            imag = np.square(stack.imag, out=imag)
-            np.square(stack.real, out=value)
-            value += imag
-        else:
-            np.copyto(value, stack.real)
-        values[:, columns] += np.dot(value.reshape(k, -1), weights.reshape(-1, columns.size))
-
-
-def _chunk_length(parts: list) -> int:
-    """Time points per sweep chunk: one complex stack of the largest pair in CHUNK_BYTES."""
-    largest = max((part.moved.size for part in parts), default=1)
-    return max(1, CHUNK_BYTES // (16 * largest))
-
-
 def sweep(
     rho0: DensityMatrix | SparseOperator,
     h: Operator | SparseOperator | EigenSystem,
@@ -755,22 +456,17 @@ def sweep(
     """Evaluate observables on rho(t) across a time grid.
 
     The Hamiltonian is diagonalized once and rho0 is moved into its
-    eigenbasis once.  Each chunk of grid points is propagated in the
-    block layout and reduced there, one group of block pairs at a time;
-    the dense rho(t) is never built.  Only the fields of each observable
-    are read.
+    eigenbasis once.  Each chunk of grid points is propagated on the
+    sector pairs of rho0 and reduced there (:func:`_sector_sweep`); the
+    dense rho(t) is never built, and only the fields of each observable
+    are read.  A rho0 of neither character under the sectors' G takes the
+    eigensystem of G = identity.
 
     ``points``, extra times in increasing order, are evaluated from the
     same set-up in chunks of their own, so the grid's values do not
     depend on them; their values are the table's ``points``.
-
-    With momentum sectors and a rho0 that the site cycle leaves exactly
-    unchanged, the observables readable in the sectors are evaluated
-    there (:func:`_sector_sweep`); the others, and every observable of
-    any other rho0, take the eigensystem without sectors.
     """
-    eig = _as_eigensystem(h)
-    _check_dim(rho0, eig)
+    eig, chi = _character(rho0, _as_eigensystem(h))
     times = np.asarray(times, dtype=float)
     points = np.asarray(points, dtype=float).reshape(-1)
     phases = _phase_scale(unit) * np.concatenate([times, points])
@@ -779,13 +475,7 @@ def sweep(
     for obs in specs:
         if obs.flat.size and obs.flat.max() >= rho0.dim**2:
             raise ValueError(f"observable element out of range for dimension {rho0.dim}")
-    values = np.zeros((phases.size, len(specs)))
-    general = list(range(len(specs)))
-    if eig.orbits is not None and rho0.invariant(eig.orbits.shift):
-        general = _sector_sweep(rho0, eig, phases, specs, values, runs)
-    if general:
-        values[:, general] = _block_sweep(rho0, eig.fallback, phases,
-                                          [specs[c] for c in general], runs)
+    values = _sector_sweep(rho0, eig, chi, phases, specs, runs)
     data = dict(zip(observables, values.T))
     extra = None
     if points.size:
@@ -793,28 +483,17 @@ def sweep(
     return SweepTable(times, {name: column[runs[0]] for name, column in data.items()}, extra)
 
 
-def _block_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, phases: np.ndarray,
-                 observables: list, runs) -> np.ndarray:
-    """Observable values (time, observable) from the block pairs of rho0.
-
-    ``runs``, slices of the phases, are each cut into chunks of their own.
-    """
-    parts = _eigenbasis_parts(rho0, eig)
-    groups = _sources(parts, observables, rho0.dim)
-    values = np.zeros((phases.size, len(observables)))
-    for window in _windows(runs, _chunk_length(parts)):
-        for members, sources in groups:
-            ys = _transform(members, phases[window])
-            for source in sources:
-                _reduce(source, ys, values[window])
-    return values
-
-
 def _windows(runs, chunk: int):
     """Consecutive slices of at most ``chunk`` points, none spanning two runs."""
     for run in runs:
         for start in range(run.start, run.stop, chunk):
             yield slice(start, min(start + chunk, run.stop))
+
+
+def _chunk_length(size: int) -> int:
+    """Time points per sweep chunk: one complex stack of ``size`` elements per
+    point in CHUNK_BYTES, or one point."""
+    return max(1, CHUNK_BYTES // (16 * size))
 
 
 def _sector_groups(eig: EigenSystem) -> list:
@@ -827,18 +506,22 @@ def _sector_groups(eig: EigenSystem) -> list:
     return groups
 
 
-def _sector_parts(rho: DensityMatrix | SparseOperator, eig: EigenSystem, momenta) -> list:
-    """The nonzero sector pairs of a state that P leaves unchanged, in the eigenbasis.
+def _sector_parts(rho: DensityMatrix | SparseOperator, eig: EigenSystem, chi: int,
+                  momenta) -> list:
+    """The nonzero sector pairs (k + q, k) of a state of character chi, in the eigenbasis.
 
-    Such a state has no element between different momenta.  Its sector
-    k block between groups A and B is
-    rho_k[a, b] = L c_a c_b sum_l exp(-2 pi i k l / L) rho[a, P^l b],
-    from one gather of rho per pair of groups.  Returns (left, right,
-    parts) for each pair of groups, left not after right, whose gather
-    is not all zero; each part is a :class:`_Part` (a, b, V_a+ rho_k V_b)
-    of one k in ``momenta``, never halved.
+    The pair's block between groups A and B is
+    rho_k[a, b] = L c_a c_b sum_l exp(-2 pi i k l / L) rho[a, G^l b]
+    over the a allowed in sector k + q and the b allowed in sector k, from
+    one gather of rho per pair of groups.  For chi = -1 the (k, k + q) pair
+    of a group with itself is the adjoint of its (k + q, k) pair, so only
+    k < q run there.  Returns (left, right, parts) for each pair of groups,
+    left not after right, whose gather is not all zero; each part is a
+    :class:`_Part` (a, b, V_a+ rho_k V_b) of one k in ``momenta``.
     """
     orbits = eig.orbits
+    order = orbits.order
+    q = 0 if chi == 1 else order // 2
     groups = _sector_groups(eig)
     found = []
     for i, left in enumerate(groups):
@@ -849,10 +532,10 @@ def _sector_parts(rho: DensityMatrix | SparseOperator, eig: EigenSystem, momenta
                 continue
             parts = []
             for k in momenta:
-                if k not in left or k not in right:
+                if (left is right and 0 < q <= k) or (k + q) % order not in left or k not in right:
                     continue
-                a, b = left[k], right[k]
-                block = sector(k)
+                a, b = left[(k + q) % order], right[k]
+                block = sector(k, q)
                 if block.any():
                     moved = gemm(gemm(adjoint(a.eigenvectors), block), b.eigenvectors)
                     parts.append(_Part(a, b, moved))
@@ -876,20 +559,23 @@ def _interleaved(right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sector_transform(part: _Part, phases: np.ndarray, right: np.ndarray,
+def _sector_transform(part: _Part, phases: np.ndarray, right: np.ndarray | None,
                       work: tuple) -> np.ndarray:
     """V_a e^{-i phase E_a} X_ab e^{i phase E_b} V_b+ per phase, shaped (K, r_a, r_b).
 
-    ``right`` is V_b+ in the form of :func:`_interleaved`.  The left
-    product runs once per phase, the right one as a single GEMM over all
-    phases, so the result is time-major.  ``work``, two flat complex
-    buffers of at least K r_a r_b elements, takes the products, and the
-    result is a view of the first: a sweep then allocates no stack per
-    chunk, which would make the heap grow and shrink with every chunk.
+    The left product runs once per phase, the right one as a single GEMM
+    over all phases, so the result is time-major.  A real V_b multiplies
+    the transposed stack from the left in one real GEMM; a complex one is
+    given as ``right``, V_b+ in the form of :func:`_interleaved`.
+    ``work``, two flat complex buffers of at least K r_a r_b elements,
+    takes the products, and the result is a view of the first: a sweep
+    then allocates no stack per chunk, which would make the heap grow and
+    shrink with every chunk.
     """
     a, b = part.a, part.b
     shape = (phases.size, *part.moved.shape)
-    first, second = (buffer[:math.prod(shape)].reshape(shape) for buffer in work)
+    size, r_b = math.prod(shape), shape[2]
+    first, second = (buffer[:size].reshape(shape) for buffer in work)
     np.multiply(part.moved, np.exp(-1j * np.multiply.outer(phases, a.eigenvalues))[
         :, :, np.newaxis], out=first)
     first *= np.exp(1j * np.multiply.outer(phases, b.eigenvalues))[:, np.newaxis, :]
@@ -897,178 +583,355 @@ def _sector_transform(part: _Part, phases: np.ndarray, right: np.ndarray,
         np.matmul(a.eigenvectors, first, out=second)
     else:
         np.matmul(a.eigenvectors, first.view(np.float64), out=second.view(np.float64))
-    np.matmul(second.view(np.float64).reshape(-1, right.shape[0]), right,
-              out=first.view(np.float64).reshape(-1, right.shape[0]))
+    if right is not None:
+        np.matmul(second.view(np.float64).reshape(-1, 2 * r_b), right,
+                  out=first.view(np.float64).reshape(-1, 2 * r_b))
+        return first
+    # the adjoint of the product is V_b times the adjoint of the stack
+    transposed = first.reshape(r_b, -1)
+    np.copyto(transposed, second.reshape(-1, r_b).T)
+    product = second.reshape(r_b, -1)
+    np.matmul(b.eigenvectors, transposed.view(np.float64), out=product.view(np.float64))
+    np.copyto(first.reshape(-1, r_b), product.T)
     return first
 
 
-def _sector_evolve(rho: DensityMatrix | SparseOperator, eig: EigenSystem, phase: np.ndarray) -> DensityMatrix:
-    """rho(t) of a state that P leaves unchanged, from every momentum sector.
+def _right_factor(part: _Part) -> np.ndarray | None:
+    """The ``right`` of :func:`_sector_transform`: None for a real V_b."""
+    vectors = part.b.eigenvectors
+    return _interleaved(adjoint(vectors)) if np.iscomplexobj(vectors) else None
 
-    Such a state is fixed by its elements rho[a, P^l b] between orbit
-    representatives: rho[P^i a, P^j b] = rho[a, P^(j-i) b].  Those
-    follow from the sectors as
-    rho[a, P^l b] = sum_k exp(2 pi i k l / L) rho_k[a, b] / sqrt(p_a p_b),
-    and each is written to all the elements it stands for.  The phases
-    repeat exactly with each orbit's period and are exact conjugates
-    for -l, so the result is exactly Hermitian and exactly unchanged by P.
+
+def _add_part(classes: np.ndarray, part: _Part, y: np.ndarray, chi: int, self_pair: bool,
+              outer: np.ndarray, inner: np.ndarray, orbits: _Orbits, spare: np.ndarray) -> None:
+    """Add a part's stack into the element classes g_l = sum_k exp(2 pi i k l / L) rho_k.
+
+    ``classes`` is (K, L, |outer|, |inner|) over the orbits of a pair of
+    groups; ``y`` (K, r_a, r_b) is the part's rho_k, k its right momentum.
+    With f_l = g_l / sqrt(p_a p_b), element rho[G^i a, G^(i+l) b] is
+    chi^i f_l[a, b].  For chi = -1 a group with itself also adds the
+    adjoint of ``y``, made in the flat complex buffer ``spare``, as its
+    (k, k + q) pair.
+    """
+    order, k = orbits.order, part.b.momentum
+    first, second = orbits.members(part.a), orbits.members(part.b)
+    stacks = [(y, k, first, second)]
+    if self_pair and chi == -1:
+        adjoint_y = spare[:y.size].reshape(y.shape[0], y.shape[2], y.shape[1])
+        np.conjugate(y.transpose(0, 2, 1), out=adjoint_y)
+        stacks.append((adjoint_y, (k + order // 2) % order, second, first))
+    for z, k, first, second in stacks:
+        turn = cyclic_phases(order).conj()[k * np.arange(order) % order]
+        index = (slice(None),)
+        if first.size < outer.size or second.size < inner.size:
+            index = (slice(None), np.searchsorted(outer, first)[:, np.newaxis],
+                     np.searchsorted(inner, second))
+        for l, phase in enumerate(turn):
+            target = classes[:, l]
+            if phase == 1:
+                target[index] += z
+            elif phase == -1:
+                target[index] -= z
+            else:
+                target[index] += phase * z
+
+
+def _sector_evolve(rho: DensityMatrix | SparseOperator, eig: EigenSystem, chi: int,
+                   phase: np.ndarray) -> DensityMatrix:
+    """rho(t) of a state of character chi, from its sector pairs.
+
+    Such a state is fixed by its elements rho[a, G^l b] between orbit
+    representatives: rho[G^i a, G^j b] = chi^i rho[a, G^(j-i) b].  Those
+    follow from the sector pairs as
+    rho[a, G^l b] = sum_k exp(2 pi i k l / L) rho_k[a, b] / sqrt(p_a p_b)
+    (:func:`_add_part`), and each is written to all the elements it
+    stands for.  A group's pairs with itself are made exactly Hermitian
+    first (for chi = -1 the adjoint pairs are exact adjoints), and the
+    phases repeat exactly with each orbit's period and are exact
+    conjugates for -l, so for chi = 1 the result is exactly Hermitian and
+    exactly unchanged by G.
     """
     orbits = eig.orbits
     order = orbits.order
-    back = cyclic_phases(order).conj()
     rho_t = np.zeros((rho.dim, rho.dim), dtype=complex)
-    for left, right, parts in _sector_parts(rho, eig, range(order)):
+    for left, right, parts in _sector_parts(rho, eig, chi, range(order)):
         outer, inner = orbits.members(left[0]), orbits.members(right[0])
-        reduced = np.zeros((outer.size, order, inner.size), dtype=complex)
+        classes = np.zeros((1, order, outer.size, inner.size), dtype=complex)
         for part in parts:
             work = tuple(np.empty(part.moved.size, dtype=complex) for _ in range(2))
-            y = _sector_transform(part, phase, _interleaved(adjoint(part.b.eigenvectors)),
-                                  work)[0]
-            if left is right:
-                y = 0.5 * (y + adjoint(y))
-            k = part.a.momentum
-            rows = np.searchsorted(outer, orbits.members(part.a))
-            cols = np.searchsorted(inner, orbits.members(part.b))
-            turn = back[k * np.arange(order) % order]
-            reduced[rows[:, None, None], np.arange(order)[:, None], cols] += (
-                y[:, np.newaxis, :] * turn[:, np.newaxis])
+            y = _sector_transform(part, phase, _right_factor(part), work)
+            if left is right and chi == 1:
+                y = 0.5 * (y + np.conjugate(y.transpose(0, 2, 1)))
+            _add_part(classes, part, y, chi, left is right, outer, inner, orbits, work[1])
+        reduced = classes[0].transpose(1, 0, 2)
         reduced *= np.multiply.outer(1 / np.sqrt(orbits.period[outer]),
                                      1 / np.sqrt(orbits.period[inner]))[:, np.newaxis, :]
-        # row i of representative a is P^i a; column j * inner.size + b is P^j b
+        # row i of representative a is G^i a; column j * inner.size + b is G^j b
         row_states, col_states = orbits.table[outer], orbits.table[inner].T.ravel()
         for i in range(order):
             values = np.roll(reduced, i, axis=1).reshape(outer.size, -1)
+            if chi ** i < 0:
+                values = -values
             rho_t[np.ix_(row_states[:, i], col_states)] = values
             if left is not right:
                 rho_t[np.ix_(col_states, row_states[:, i])] = values.T.conj()
     return DensityMatrix(matrix=rho_t)
 
 
-def _orbit_weights(obs: Observable, orbits: _Orbits, dim: int) -> np.ndarray | None:
-    """An observable's weight on each pair of orbits, or None where it has none.
+def _orbit_weights(obs: Observable, orbits: _Orbits, dim: int) -> tuple | None:
+    """An observable's weight on each orbit pair it touches, or None where it has none.
 
     The weight exists when every orbit pair O1 x O2 the observable
     touches lists each of its p1 p2 elements equally often; it is then
-    the observable's weight times that count.  Counting goes through a
-    position within the touched pairs, so nothing has dim^2 entries.
+    the observable's weight times that count.  Returns (first, second,
+    weight) over the touched pairs.  The listed elements are counted by
+    sorting them by pair and place within it, so nothing has an entry per
+    orbit pair; with G = identity every element is an orbit pair of its own.
     """
     rows, cols = np.divmod(obs.flat, dim)
-    first, second = orbits.of[rows], orbits.of[cols]
-    count = orbits.period.size
-    pair = first * count + second
-    listed = np.bincount(pair, minlength=count * count)
-    size = np.multiply.outer(orbits.period, orbits.period).ravel()
-    if (listed % size).any():
+    if orbits.order == 1:
+        return rows, cols, np.full(rows.size, float(obs.weight))
+    # the rows of an orbit list equally many elements, and each row lists
+    # whole orbits of columns, so their index sums do not change under G
+    listed = np.bincount(rows, minlength=dim)
+    if not (np.array_equal(listed[orbits.shift], listed)
+            and np.array_equal(np.bincount(rows, orbits.shift[cols], dim),
+                               np.bincount(rows, cols, dim))):
         return None
-    touched = np.where(listed > 0, size, 0)
-    place = (np.cumsum(touched) - touched)[pair] + orbits.step[rows] * orbits.period[second]
-    place += orbits.step[cols]
-    repeats = listed // size
-    if not np.array_equal(np.bincount(place)[place], repeats[pair]):
+    count, places = orbits.period.size, orbits.order ** 2
+    second = orbits.of[cols]
+    keys = (orbits.of[rows] * count + second) * places
+    keys += orbits.step[rows] * orbits.period[second] + orbits.step[cols]
+    del rows, cols, second
+    keys.sort()
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    repeats = np.diff(starts, append=keys.size)
+    pairs = keys[starts] // places
+    leads = np.flatnonzero(np.diff(pairs, prepend=-1))
+    first, second = np.divmod(pairs[leads], count)
+    size = orbits.period[first] * orbits.period[second]
+    if not (np.array_equal(np.diff(leads, append=pairs.size), size)
+            and np.array_equal(repeats, np.repeat(repeats[leads], size))):
         return None
-    return (obs.weight * repeats).reshape(count, count)
+    return first, second, obs.weight * repeats[leads]
 
 
-def _reflected(weights: np.ndarray, orbits: _Orbits) -> bool:
+def _reflected(table: tuple, orbits: _Orbits) -> bool:
     """Whether orbit-pair weights are unchanged by the reflection."""
+    first, second, weight = table
     mirror = orbits.of[orbits.reflect[orbits.table[:, 0]]]
-    return np.array_equal(weights[np.ix_(mirror, mirror)], weights)
+    count = orbits.period.size
+    keys, moved = first * count + second, mirror[first] * count + mirror[second]
+    order = np.argsort(moved)  # the keys of the pairs ascend already
+    return np.array_equal(keys, moved[order]) and np.array_equal(weight, weight[order])
 
 
-def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, phases: np.ndarray,
-                  observables: list, values: np.ndarray, runs) -> list:
-    """Add the observables readable in the momentum sectors to ``values``.
+class _Read(NamedTuple):
+    """Sparse weights over a (K, ...) stack raveled per time point.
 
-    rho0 is unchanged by P.  An observable is readable when its weight is
-    constant on each orbit pair (:func:`_orbit_weights`):
-    - squared, sum over O1 x O2 of |rho|^2 is the sum over k of
+    Observable column ``columns[c]`` gains the sum, over the entries from
+    ``starts[c]`` to the next start, of ``weights`` times |stack|^2
+    (``squared``) or its real part at ``positions``.
+    """
+
+    squared: bool
+    columns: np.ndarray
+    starts: np.ndarray
+    positions: np.ndarray
+    weights: np.ndarray
+
+
+def _read(squared: bool, columns: np.ndarray, positions: np.ndarray,
+          weights: np.ndarray) -> list:
+    """The :class:`_Read` of entries (``columns`` ascending, each with its
+    position and weight), as a list of one, or an empty list without any."""
+    if not columns.size:
+        return []
+    starts = np.flatnonzero(np.diff(columns, prepend=-1))
+    return [_Read(squared, columns[starts], starts, positions, weights)]
+
+
+def _apply(reads: list, stack: np.ndarray, values: np.ndarray, scratch: np.ndarray) -> None:
+    """Add the reads of a contiguous (K, ...) complex stack to ``values``
+    (K, columns), with the squares and the picked entries in the flat float
+    buffer ``scratch``, so that no chunk allocates them."""
+    flat = stack.reshape(stack.shape[0], -1)
+    squares, rest = scratch[:flat.size].reshape(flat.shape), scratch[flat.size:]
+    if any(read.squared for read in reads):
+        np.square(flat.real, out=squares)
+        imaginary = rest[:flat.size].reshape(flat.shape)
+        squares += np.square(flat.imag, out=imaginary)
+    for read in reads:
+        picked = rest[:flat.shape[0] * read.positions.size].reshape(flat.shape[0], -1)
+        np.take(squares if read.squared else flat.real, read.positions, axis=1, out=picked,
+                mode="clip")
+        picked *= read.weights
+        values[:, read.columns] += np.add.reduceat(picked, read.starts, axis=1)
+
+
+def _sector_reads(part: _Part, weights: tuple | None, mirrored: bool, count: int,
+                  orbits: _Orbits) -> list:
+    """The read of one sector pair's stack by orbit-pair ``weights``, the
+    (squared, first, second, weight, column) of :func:`_weight_table`, each
+    weight times ``count``.
+
+    Where the pair also stands for its adjoint (``mirrored``), the weight
+    of (O2, O1) adds at (O1, O2).
+    """
+    if weights is None:
+        return []
+    squared, one, other, weight, column = weights
+    rows, cols = (np.full(orbits.period.size, -1) for _ in range(2))
+    first, second = orbits.members(part.a), orbits.members(part.b)
+    rows[first], cols[second] = np.arange(first.size), np.arange(second.size)
+    places, kept = [], []
+    for x, y in ((one, other), (other, one))[:1 + mirrored]:
+        place = rows[x] * second.size + cols[y]
+        chosen = np.flatnonzero((rows[x] >= 0) & (cols[y] >= 0))
+        places.append(place[chosen])
+        kept.append(chosen)
+    kept = np.concatenate(kept)
+    order = np.argsort(column[kept], kind="stable")
+    kept = kept[order]
+    return _read(squared, column[kept], np.concatenate(places)[order], count * weight[kept])
+
+
+def _weight_table(tables: list, columns: list, squared: bool, factor) -> tuple | None:
+    """The orbit-pair weights of ``columns`` in one table, (squared, first,
+    second, weight, column), each weight times ``factor(first, second)``;
+    None without columns."""
+    if not columns:
+        return None
+    first, second, weight = (np.concatenate([tables[c][i] for c in columns]) for i in range(3))
+    column = np.repeat(columns, [tables[c][0].size for c in columns])
+    return squared, first, second, weight * factor(first, second), column
+
+
+def _class_reads(observables: list, columns: list, chi: int, eig: EigenSystem,
+                 found: list) -> list:
+    """The reads of the element classes (:func:`_add_part`) of each pair of
+    groups in ``found``, the output of :func:`_sector_parts`.
+
+    Element (G^i a, G^j b) is chi^i g_l[a, b] / sqrt(p_a p_b) with
+    l = (j - i) mod L; a pair of different groups also stands for its
+    mirror, whose elements are the conjugates.
+    """
+    orbits, dim, order = eig.orbits, eig.dim, eig.orbits.order
+    period, sign = orbits.period[orbits.of], chi ** orbits.step
+    codes = []
+    for left, right, _ in found:
+        outer, inner = orbits.members(left[0]), orbits.members(right[0])
+        size = outer.size * inner.size
+        # (l |outer| + a) |inner| + b is the row code a |inner| - i size plus
+        # the column code b + j size, plus L size where that is negative; a
+        # state outside the pair's groups codes far past L size
+        row_code, col_code = (np.full(dim, 3 * order * size) for _ in range(2))
+        for code, members, factor, sign_of_step in ((row_code, outer, inner.size, -1),
+                                                    (col_code, inner, 1, 1)):
+            states = orbits.table[members].ravel()
+            code[states] = (np.searchsorted(members, orbits.of[states]) * factor
+                            + sign_of_step * orbits.step[states] * size)
+        codes.append((row_code, col_code, order * size))
+    # per pair and kind of read: the column, position and weight of each entry
+    entries = [{kind: ([], [], []) for kind in (False, True)} for _ in found]
+    for column in columns:
+        obs = observables[column]
+        rows, cols = np.divmod(obs.flat, dim)
+        for n, (left, right, _) in enumerate(found):
+            row_code, col_code, end = codes[n]
+            for x, y in ((rows, cols), (cols, rows))[:1 + (left is not right)]:
+                place = row_code[x] + col_code[y]
+                place[place < 0] += end
+                kept = np.flatnonzero(place < end)
+                x, y = x[kept], y[kept]
+                scale = period[x] * period[y]
+                found_columns, positions, weights = entries[n][bool(obs.squared)]
+                found_columns.append(np.full(kept.size, column))
+                positions.append(place[kept])
+                weights.append(obs.weight / scale if obs.squared
+                               else obs.weight * sign[x] / np.sqrt(scale))
+    return [[read for kind, lists in kinds.items() if lists[0]
+             for read in _read(kind, *map(np.concatenate, lists))] for kinds in entries]
+
+
+def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: int,
+                  phases: np.ndarray, observables: list, runs) -> np.ndarray:
+    """Observable values (time, observable) of a rho0 of character chi.
+
+    An observable whose weight is constant on each orbit pair
+    (:func:`_orbit_weights`) is read from the sector pairs:
+    - squared, sum over O1 x O2 of |rho|^2 is the sum over the pairs of
       |rho_k[O1, O2]|^2;
-    - real part, sum over O1 x O2 of rho is sqrt(p1 p2) rho_0[O1, O2].
+    - real part, sum over O1 x O2 of rho is sqrt(p1 p2) rho_0[O1, O2] for
+      chi = 1 and zero for chi = -1.
     Where the reflection R leaves rho0 and every squared weight
-    unchanged, R maps sector k onto sector -k with equal contributions,
-    so only k = 0 .. L/2 run, the ones in between counted twice.  A pair
-    of different groups also stands for its mirror, whose elements are
-    the conjugates.
+    unchanged (chi = 1), R maps sector k onto sector -k with equal
+    contributions, so only k = 0 .. L/2 run, the ones in between counted
+    twice.  Every other observable is read from the element classes
+    (:func:`_class_reads`), for which all sector pairs run.
 
-    Each sector pair is set up once and reduced over ``runs``, slices of
-    the phases, each in chunks of its own.
-
-    Returns the columns of the observables that are not readable.
+    Each sector pair is set up once, and each pair of groups is reduced
+    over ``runs``, slices of the phases, each in chunks of its own.
     """
     orbits = eig.orbits
     order = orbits.order
+    values = np.zeros((phases.size, len(observables)))
     tables = [_orbit_weights(obs, orbits, rho0.dim) for obs in observables]
     squared = [c for c, table in enumerate(tables) if table is not None
                and observables[c].squared]
-    real = [c for c, table in enumerate(tables) if table is not None
+    real = [c for c, table in enumerate(tables) if table is not None and chi == 1
             and not observables[c].squared]
-    paired = (orbits.reflect is not None and rho0.invariant(orbits.reflect)
+    elements = [c for c, table in enumerate(tables) if table is None]
+    paired = (chi == 1 and not elements and orbits.reflect is not None
+              and rho0.invariant(orbits.reflect)
               and all(_reflected(tables[c], orbits) for c in squared))
-    momenta = (range(order // 2 + 1) if paired else range(order)) if squared else [0]
-    if squared or real:
-        # a chunk of any sector pair fits CHUNK_BYTES, or is one point
-        largest = max(block.eigenvalues.size for block in eig.blocks) ** 2
-        work = tuple(np.empty(max(CHUNK_BYTES // 16, largest), dtype=complex)
-                     for _ in range(2))
-        for left, right, parts in _sector_parts(rho0, eig, momenta):
-            for part in parts:
-                k = part.a.momentum
-                count = 2 if paired and 2 * k % order else 1
-                reads = _sector_reads(part, tables, squared, real if k == 0 else [],
-                                      left is not right, count, orbits)
-                _sector_reduce(part, reads, phases, runs, values, work)
-    return [c for c, table in enumerate(tables) if table is None]
-
-
-def _sector_reads(part: _Part, tables: list, squared: list, real: list, mirrored: bool,
-                  count: int, orbits: _Orbits) -> list:
-    """(squared, columns, weights) per read of a sector pair, the real read first.
-
-    The weights apply to the time-major stack viewed as float, which
-    interleaves real and imaginary parts: a squared read weighs both of
-    them, a real read only the first.
-    """
-    first, second = orbits.members(part.a), orbits.members(part.b)
-
-    def weights(columns, factor):
-        out = np.zeros((first.size, second.size, 2, len(columns)))
-        for i, c in enumerate(columns):
-            w = tables[c][np.ix_(first, second)]
-            if mirrored:
-                w = w + tables[c][np.ix_(second, first)].T
-            out[:, :, 0, i] = w * factor
-        return out
-
-    reads = []
-    if real:
-        out = weights(real, np.sqrt(np.multiply.outer(orbits.period[first],
-                                                      orbits.period[second])))
-        reads.append((False, np.array(real), out.reshape(-1, len(real))))
-    if squared:
-        out = weights(squared, count)
-        out[:, :, 1] = out[:, :, 0]
-        reads.append((True, np.array(squared), out.reshape(-1, len(squared))))
-    return reads
-
-
-def _sector_reduce(part: _Part, reads: list, phases: np.ndarray, runs, values: np.ndarray,
-                   work: tuple) -> None:
-    """Add a sector pair's reads over each run of phases to ``values``.
-
-    Chunks of time points fill one CHUNK_BYTES stack each, in the
-    buffers ``work`` (see :func:`_sector_transform`), which the squared
-    read squares in place after any real read.
-    """
-    if not reads:
-        return
-    right = _interleaved(adjoint(part.b.eigenvectors))
-    for window in _windows(runs, max(1, CHUNK_BYTES // (16 * part.moved.size))):
-        y = _sector_transform(part, phases[window], right, work)
-        flat = y.view(np.float64).reshape(y.shape[0], -1)
-        for squared, columns, weights in reads:
-            if squared:
-                np.square(flat, out=flat)
-            values[window, columns] += flat @ weights
+    if not (squared or real or elements):
+        return values
+    momenta = range(order // 2 + 1) if paired else range(order) if squared or elements else [0]
+    # a chunk of any pair fits CHUNK_BYTES, or is one point
+    largest = max(block.eigenvalues.size for block in eig.blocks) ** 2
+    work = tuple(np.empty(max(CHUNK_BYTES // 16, largest), dtype=complex) for _ in range(2))
+    period = orbits.period
+    real_table = _weight_table(tables, real, False, lambda x, y: np.sqrt(period[x] * period[y]))
+    squared_table = _weight_table(tables, squared, True, lambda x, y: 1.0)
+    found = _sector_parts(rho0, eig, chi, momenta)
+    class_reads = _class_reads(observables, elements, chi, eig, found) if elements else []
+    for n, (left, right, parts) in enumerate(found):
+        outer, inner = orbits.members(left[0]), orbits.members(right[0])
+        classes = class_reads[n] if elements else []
+        # the classes need every part at each time point; otherwise each
+        # part runs alone, in chunks of its own length
+        for batch in [parts] if classes else [[part] for part in parts]:
+            mirrored = left is not right or chi == -1
+            reads = [_sector_reads(part, real_table if part.b.momentum == 0 else None,
+                                   mirrored, 1, orbits)
+                     + _sector_reads(part, squared_table, mirrored,
+                                     2 if paired and 2 * part.b.momentum % order else 1, orbits)
+                     for part in batch]
+            if not (classes or any(reads)):
+                continue
+            rights = [_right_factor(part) for part in batch]
+            size = max([part.moved.size for part in batch]
+                       + [order * outer.size * inner.size] * bool(classes))
+            chunk = _chunk_length(size)
+            # buffers for every chunk, so that no chunk maps fresh pages
+            entries = max((read.positions.size for read in sum(reads, classes)), default=0)
+            scratch = np.empty(chunk * (size + max(size, entries)))
+            if classes:
+                buffer = np.empty((chunk, order, outer.size, inner.size), dtype=complex)
+            for window in _windows(runs, chunk):
+                if classes:
+                    g = buffer[:window.stop - window.start]
+                    g.fill(0)
+                for part, part_reads, right_factor in zip(batch, reads, rights):
+                    y = _sector_transform(part, phases[window], right_factor, work)
+                    _apply(part_reads, y, values[window], scratch)
+                    if classes:
+                        _add_part(g, part, y, chi, left is right, outer, inner, orbits,
+                                  work[1])
+                if classes:
+                    _apply(classes, g, values[window], scratch)
+    return values
 
 
 def mq_intensity_extractor(basis: ZeemanBasis, n: int) -> Observable:

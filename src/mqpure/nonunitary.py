@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .evolution import _momentum_blocks, _orbits
 from .output import write_csv
 from .spin_core import (
     DensityMatrix,
@@ -31,7 +32,6 @@ from .spin_core import (
     ZeemanBasis,
     _frozen_array,
     adjoint,
-    eigh_blocks,
     gemm,
 )
 
@@ -214,7 +214,8 @@ def build_transition_graph(h_secular: Operator | SparseOperator,
     if np.abs(h.values[off_block]).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("hamiltonian does not conserve collective I_z")
 
-    blocks = eigh_blocks(h, basis.levels())  # ascending m
+    # the m blocks, ascending, are the sectors of the identity on the levels
+    blocks = _momentum_blocks(h, basis.levels(), _orbits(np.arange(basis.dim)))
     sizes = [block.states.size for block in blocks]
     starts = np.cumsum([0] + sizes)
     m_values = basis.m[np.concatenate([block.states for block in blocks])]
@@ -222,30 +223,32 @@ def build_transition_graph(h_secular: Operator | SparseOperator,
     for block in blocks:
         position[block.states] = np.arange(block.states.size)
 
-    upper, lower, freqs, strengths = [], [], [], []
-    for k, (low, high) in enumerate(zip(blocks[:-1], blocks[1:])):
+    squared = []  # |<u| I_+ |l>|^2 per pair of adjacent blocks
+    for low, high in zip(blocks[:-1], blocks[1:]):
         raising = np.zeros((high.states.size, low.states.size))
         for site in range(basis.n_spins):
             free = np.flatnonzero((low.states >> site) & 1 == 0)
             raising[position[low.states[free] | (1 << site)], free] = 1.0
-        s = gemm(gemm(adjoint(high.eigenvectors), raising), low.eigenvectors)
-        a, b = np.meshgrid(
-            np.arange(starts[k + 1], starts[k + 2]), np.arange(starts[k], starts[k + 1]),
-            indexing="ij",
-        )
-        upper.append(a.ravel())
-        lower.append(b.ravel())
-        freqs.append(np.subtract.outer(high.eigenvalues, low.eigenvalues).ravel())
-        strengths.append((np.abs(s) ** 2).ravel())
+        squared.append(np.abs(gemm(gemm(adjoint(high.eigenvectors), raising),
+                                   low.eigenvectors)) ** 2)
+    # the strongest edge sets the floor, so that only the kept edges get
+    # indices and frequencies, in the order of the block pairs, row-major
+    floor = STRENGTH_THRESHOLD * max((s.max(initial=0.0) for s in squared), default=0.0)
+    upper, lower, freqs, strengths = [], [], [], []
+    for k, (low, high, s) in enumerate(zip(blocks[:-1], blocks[1:], squared)):
+        a, b = np.nonzero(s > floor)
+        upper.append(starts[k + 1] + a)
+        lower.append(starts[k] + b)
+        freqs.append(high.eigenvalues[a] - low.eigenvalues[b])
+        strengths.append(s[a, b])
     upper, lower, freqs, strengths = map(np.concatenate, (upper, lower, freqs, strengths))
-    keep = strengths > STRENGTH_THRESHOLD * strengths.max(initial=0.0)
-    ordering = np.lexsort((lower[keep], upper[keep], freqs[keep]))
+    ordering = np.lexsort((lower, upper, freqs))
     return TransitionGraph(
         m_values=m_values,
-        upper=upper[keep][ordering],
-        lower=lower[keep][ordering],
-        frequencies=freqs[keep][ordering],
-        strengths=strengths[keep][ordering],
+        upper=upper[ordering],
+        lower=lower[ordering],
+        frequencies=freqs[ordering],
+        strengths=strengths[ordering],
         blocks=blocks,
     )
 

@@ -183,13 +183,13 @@ class Operator:
         cols = np.asarray(cols)
         return self.matrix[np.reshape(rows, (-1,) + (1,) * cols.ndim), cols]
 
-    def invariant(self, perm: np.ndarray) -> bool:
-        """Whether matrix[perm][:, perm] equals matrix exactly (NaN never
-        does), compared a band of rows at a time."""
+    def invariant(self, perm: np.ndarray, sign: int = 1) -> bool:
+        """Whether matrix[perm][:, perm] equals sign * matrix exactly (NaN
+        never does), compared a band of rows at a time."""
         mat = self.matrix
         for start in range(0, mat.shape[0], ADJOINT_TILE):
             rows = slice(start, start + ADJOINT_TILE)
-            if not np.array_equal(np.take(mat[perm[rows]], perm, axis=1), mat[rows]):
+            if not np.array_equal(np.take(mat[perm[rows]], perm, axis=1), sign * mat[rows]):
                 return False
         return True
 
@@ -309,13 +309,13 @@ class SparseOperator:
                 out = np.take(out, place[states], axis=axis)
         return out.reshape((rows.size,) + cols.shape)
 
-    def invariant(self, perm: np.ndarray) -> bool:
-        """Whether op[perm][:, perm] equals op exactly: perm maps the sorted
-        nonzeros onto themselves (NaN never does)."""
+    def invariant(self, perm: np.ndarray, sign: int = 1) -> bool:
+        """Whether op[perm][:, perm] equals sign * op exactly: perm maps the
+        sorted nonzeros onto themselves, values times sign (NaN never does)."""
         keys = perm[self.rows] * self.dim + perm[self.cols]
         order = np.argsort(keys)
         return (np.array_equal(keys[order], self.rows * self.dim + self.cols)
-                and np.array_equal(self.values[order], self.values))
+                and np.array_equal(self.values[order], sign * self.values))
 
     def purity(self) -> float:
         """Tr(op^2), the sum of the squared magnitudes of the elements."""
@@ -360,62 +360,54 @@ def thermal_state(basis: ZeemanBasis) -> SparseOperator:
     return SparseOperator(basis.dim, states, states, basis.m)
 
 
-def homq_coherence_state(basis: ZeemanBasis) -> DensityMatrix:
+def homq_coherence_state(basis: ZeemanBasis) -> SparseOperator:
     """Pure highest-order coherence i(|u><d| - |d><u|), order +-n_spins.
 
-    This is the canonical filtered state: exactly two nonzero entries,
-    +i at (u, d) and -i at (d, u).
+    This is the canonical filtered state, held as its two nonzero
+    elements: +i at (u, d) and -i at (d, u).
     """
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    mat[basis.index_all_up, basis.index_all_down] = 1j
-    mat[basis.index_all_down, basis.index_all_up] = -1j
-    return DensityMatrix(matrix=mat)
+    up, down = basis.index_all_up, basis.index_all_down
+    return SparseOperator(basis.dim, [up, down], [down, up], [1j, -1j])
 
 
 class EigenBlock(NamedTuple):
     """Eigenpairs of a Hermitian matrix restricted to an invariant block.
 
     ``states`` are the Zeeman indices spanning the block; the columns of
-    ``eigenvectors`` are expressed over those states only and are real
-    whenever the block is.
+    ``eigenvectors`` are real whenever the block is.
 
-    A spin-flip sector block (``flip`` +1 or -1, 0 for a plain block) is
-    spanned by (|s> + flip |s'>)/sqrt(2), where s' is s with every spin
-    flipped.  Its ``states`` list the states s and then their partners s'
-    in the same order, and its eigenvectors are expressed over the s.
-
-    A momentum sector block (``momentum`` k, None otherwise) of a state
-    permutation P of order L is spanned by the vectors
-    sqrt(p)/L sum_j exp(-2 pi i k j / L) P^j |a>, one per orbit
-    representative a of period p with k p a multiple of L.  Its
-    ``states`` list L slices, slice j holding P^j of each representative,
-    so an orbit shorter than L lists each of its states L/p times;
-    ``scale`` holds sqrt(p)/L per representative, and the eigenvectors
-    are expressed over the representatives.
+    A momentum sector block of a cyclic state permutation G of order L
+    (``momentum`` k) is spanned by the vectors
+    sqrt(p)/L sum_j exp(-2 pi i k j / L) G^j |a>, one per orbit
+    representative a of period p with k p a multiple of L.  Its ``states``
+    list L slices, slice j holding G^j of each representative, so an
+    orbit shorter than L lists each of its states L/p times; ``scale``
+    holds sqrt(p)/L per representative, and the eigenvectors are
+    expressed over the representatives.  A plain block (the identity,
+    L = 1, or no ``scale``) is one slice of its states.  Under the flip
+    of every spin (L = 2) the sectors k = 0 and 1 are spanned by
+    (|s> + |s'>)/sqrt(2) and (|s> - |s'>)/sqrt(2).
     """
 
     states: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    flip: int = 0
-    momentum: int | None = None
+    momentum: int = 0
     scale: np.ndarray | None = None
 
     @property
     def weights(self) -> np.ndarray:
         """Coefficient of each equal slice of ``states`` in the block's vectors.
 
-        Over slice k of ``states``, an eigenvector of the full basis is
-        ``weights[k]`` times the matching column of ``eigenvectors``, times
+        Over slice j of ``states``, an eigenvector of the full basis is
+        ``weights[j]`` times the matching column of ``eigenvectors``, times
         ``scale`` per row where the block has one; a state listed in
-        several slices collects the sum of its entries.
+        several slices collects the sum of its entries.  The weights are
+        real where 2k is a multiple of L.
         """
-        if self.momentum is not None:
-            slices = self.states.size // self.eigenvalues.size
-            return cyclic_phases(slices)[self.momentum * np.arange(slices) % slices]
-        if self.flip == 0:
-            return np.ones(1)
-        return np.array([1.0, self.flip]) / np.sqrt(2.0)
+        slices = self.states.size // self.eigenvalues.size
+        weights = cyclic_phases(slices)[self.momentum * np.arange(slices) % slices]
+        return weights.real if 2 * self.momentum % slices == 0 else weights
 
 
 def cyclic_phases(order: int) -> np.ndarray:
@@ -431,20 +423,6 @@ def cyclic_phases(order: int) -> np.ndarray:
     if order % 2 == 0:
         phases[order // 2] = -1.0
     return phases
-
-
-def eigh_blocks(op: Operator | SparseOperator, groups) -> tuple:
-    """Diagonalize ``op`` on each group of states (ascending per block).
-
-    The caller guarantees that the groups partition the states and that
-    ``op`` has no element between two different groups.
-    """
-    blocks = []
-    for states in groups:
-        values, vectors = np.linalg.eigh(op.gather(states, states))
-        blocks.append(EigenBlock(_frozen_array(states), _frozen_array(values),
-                                 _frozen_array(vectors)))
-    return tuple(blocks)
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

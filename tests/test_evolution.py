@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mqpure import (
     DensityMatrix,
@@ -15,29 +15,31 @@ from mqpure import (
     diagonalize,
     dq_hamiltonian,
     evolve,
+    homq_coherence_state,
     mq_intensity_extractor,
     negated,
     population_extractor,
     secular_dipolar_hamiltonian,
+    site_symmetry,
     sweep,
     thermal_state,
 )
 from mqpure import evolution
 from mqpure.evolution import (
     TWO_PI,
-    EigenSystem,
     SweepTable,
+    _character,
     _chunk_length,
-    _eigenbasis_parts,
-    _layout,
+    _sector_parts,
+    propagate,
 )
 from mqpure.mq import mq_intensities
-from mqpure.spin_core import eigh_blocks, popcounts
 
 from dense_eigen import dense_eigen
 from dense_operators import dense
 from dense_observables import dense_sweep, divisor, evaluate
 from test_hamiltonians import random_systems
+from test_symmetry import circulant_systems, ring_system
 
 
 def two_spin_setup():
@@ -69,9 +71,20 @@ def random_hamiltonian(rng, dim):
 
 
 def parity_eigensystem(h):
-    """The two popcount-parity blocks of h, without the spin-flip split."""
-    odd = popcounts(np.arange(h.dim)) & 1 == 1
-    return EigenSystem(blocks=eigh_blocks(h, (np.flatnonzero(~odd), np.flatnonzero(odd))))
+    """The two popcount-parity blocks of h, without the spin-flip split: the
+    sectors of G = identity."""
+    eig = diagonalize(h).fallback
+    assert eig.orbits.order == 1
+    return eig
+
+
+def largest_stack(rho, eig):
+    """The most elements a sweep of rho reduces per time point for one pair
+    of groups: the element classes, L per pair of orbits."""
+    used, chi = _character(rho, eig)
+    orbits = used.orbits
+    return max(orbits.order * orbits.members(left[0]).size * orbits.members(right[0]).size
+               for left, right, _ in _sector_parts(rho, used, chi, range(orbits.order)))
 
 
 HAMILTONIANS = st.sampled_from([dq_hamiltonian, secular_dipolar_hamiltonian])
@@ -148,11 +161,13 @@ class TestParityBlocks:
                   for b in eig.blocks]
         if system.n_spins % 2 == 0:
             assert [list(p) for p in parity] == [[0.0], [0.0], [1.0], [1.0]]
-            assert [b.flip for b in eig.blocks] == [1, -1, 1, -1]
+            assert eig.orbits.order == 2
+            assert [b.momentum for b in eig.blocks] == [0, 1, 0, 1]
             assert all(b.eigenvalues.size == basis.dim // 4 for b in eig.blocks)
         else:
             assert [list(p) for p in parity] == [[0.0], [1.0]]
-            assert [b.flip for b in eig.blocks] == [0, 0]
+            assert eig.orbits.order == 1
+            assert [b.momentum for b in eig.blocks] == [0, 0]
         assert all(b.eigenvectors.dtype == np.float64 for b in eig.blocks)
         w, v = dense_eigen(eig.blocks)
         scale = max(np.linalg.norm(h), 1.0)
@@ -167,7 +182,8 @@ class TestParityBlocks:
         system = SpinSystem(n_spins=n_spins, couplings=1.0 - np.eye(n_spins))
         h = dense(dq_hamiltonian(system, basis)) + 0.3 * np.diag(basis.m)
         eig = diagonalize(Operator(matrix=h))
-        assert [b.flip for b in eig.blocks] == [0, 0]
+        assert eig.orbits.order == 1
+        assert [b.momentum for b in eig.blocks] == [0, 0]
         w, v = dense_eigen(eig.blocks)
         assert np.linalg.norm(h @ v - v * w) < 1e-12 * np.linalg.norm(h)
 
@@ -239,17 +255,22 @@ class TestFlipSectors:
             for name in observables:
                 gap = np.abs(fast.column(name) - slow.column(name)).max()
                 assert gap <= 1e-12 * max(rho.purity(), scale)
-        # the random state populates every sector pair; the thermal state,
-        # odd under the flip, only the pairs of opposite flip parity
-        pairs = len(sectors.blocks) * (len(sectors.blocks) + 1) // 2
-        assert len(_eigenbasis_parts(noisy, sectors)) == pairs
+        # the random state has no character under the flip, so it takes the
+        # parity blocks, and populates all three of their pairs; the thermal
+        # state, odd under the flip, only the sector pairs (1, 0)
+        used, chi = _character(noisy, sectors)
+        assert used.orbits.order == 1 and chi == 1
+        assert sum(len(parts) for *_, parts in _sector_parts(noisy, used, chi, [0])) == 3
         if system.n_spins % 2 == 0:
-            flips = {(a.flip, b.flip) for a, b, *_ in _eigenbasis_parts(thermal, sectors)}
-            assert flips == {(1, -1)}
+            assert _character(thermal, sectors) == (sectors, -1)
+            momenta = {(part.a.momentum, part.b.momentum)
+                       for *_, parts in _sector_parts(thermal, sectors, -1, range(2))
+                       for part in parts}
+            assert momenta == {(1, 0)}
 
 
 class TestBatchedSweep:
-    """The block-layout sweep against evolve plus a dense evaluation."""
+    """The sector sweep against evolve plus a dense evaluation."""
 
     @settings(max_examples=40, deadline=None)
     @given(random_systems(2, 7), HAMILTONIANS, st.booleans(), st.integers(0, 2**32 - 1),
@@ -259,18 +280,17 @@ class TestBatchedSweep:
         eig = diagonalize(build(system, basis))
         rho = thermal_state(basis) if thermal else random_state(np.random.default_rng(seed),
                                                                  basis.dim)
-        parts = _eigenbasis_parts(rho, eig)
-        # pairs that share a support are summed before squaring; a random
-        # state has them between the sectors of even N, odd N has plain blocks
+        # even N has flip sectors, in which the thermal state is odd; a random
+        # state has no character there and takes the parity blocks, as at odd N
         sectors = system.n_spins % 2 == 0
-        shared = any(len(members) > 1 for members, _ in _layout(parts))
-        assert shared == (sectors and not thermal)
-        assert all((part.a.flip != 0) == sectors for part in parts)
+        assert eig.orbits.order == (2 if sectors else 1)
+        used, chi = _character(rho, eig)
+        assert (used.orbits.order, chi) == ((2, -1) if sectors and thermal else (1, 1))
         observables = every_kind_of_observable(basis)
         # a small chunk budget puts chunk boundaries inside short grids
-        largest = max(part.moved.size for part in parts)
+        largest = largest_stack(rho, eig)
         with mock.patch.object(evolution, "CHUNK_BYTES", 16 * largest * chunk):
-            assert _chunk_length(parts) == chunk
+            assert _chunk_length(largest) == chunk
             length = 1 if offset is None else max(1, chunk + offset)
             times = t_end * np.arange(1, length + 1) / length
             table = sweep(rho, eig, times, observables)
@@ -279,10 +299,10 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_hexagon_grid_around_one_chunk(self, basis6, eig6, thermal6, offset):
-        parts = _eigenbasis_parts(thermal6, eig6)
-        # the budget over one complex 16 x 16 sector pair per time point
-        chunk = _chunk_length(parts)
-        assert chunk == evolution.CHUNK_BYTES // (16 * 16 * 16) > 1
+        # the budget over the two element classes of one 16 x 16 flip-sector
+        # pair, complex, per time point
+        chunk = _chunk_length(largest_stack(thermal6, eig6))
+        assert chunk == evolution.CHUNK_BYTES // (16 * 2 * 16 * 16) > 1
         times = np.linspace(0.0, 2.0, chunk + offset)
         observables = every_kind_of_observable(basis6)
         table = sweep(thermal6, eig6, times, observables)
@@ -453,3 +473,69 @@ class TestSweep:
         table = SweepTable(times=np.array([0.0]), columns={"a": np.array([1.0])})
         with pytest.raises(ValueError):
             table.column("b")
+
+
+@st.composite
+def systems_by_permutation(draw):
+    """(G, system): circulant couplings with sites relabelled (a site cycle of
+    order N), random couplings at even N without one (the flip, L = 2), or
+    random couplings or a ring one coupling one ulp off at odd N (the
+    identity, L = 1)."""
+    kind = draw(st.sampled_from(["cycle", "flip", "identity"]))
+    if kind == "cycle":
+        return kind, draw(circulant_systems(2, 8))
+    n = draw(st.sampled_from([4, 6, 8] if kind == "flip" else [3, 5, 7]))
+    if kind == "flip" or draw(st.booleans()):
+        system = draw(random_systems(n, n))
+    else:
+        system = ring_system(n, draw(st.integers(0, 2**16)), jitter=(0, draw(st.integers(1, n - 1))))
+    assume(site_symmetry(system) is None)
+    return kind, system
+
+
+class TestSectorsOfG:
+    """Every G, and states of character +1, -1 and neither, against the dense
+    propagator of numpy's eigh of the whole matrix."""
+
+    # which eigensystem a state runs on: 1 or -1 on the sectors, 0 on the fallback
+    CHARACTERS = {"cycle": {"thermal": 1, "homq": 1, "flip-odd": 0, "random": 0},
+                  "flip": {"thermal": -1, "homq": -1, "flip-odd": -1, "random": 0},
+                  "identity": {"thermal": 1, "homq": 1, "flip-odd": 1, "random": 1}}
+
+    @settings(max_examples=30, deadline=None)
+    @given(systems_by_permutation(), st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
+    def test_sweep_evolve_and_propagate_match_the_dense_propagator(self, case, t, seed):
+        kind, system = case
+        n = system.n_spins
+        basis = build_basis(n)
+        h = dq_hamiltonian(system, basis)
+        eig = diagonalize(h, site_symmetry(system))
+        order = {"cycle": n, "flip": 2, "identity": 1}[kind]
+        assert eig.orbits.order == order
+        assert (kind == "flip") == np.array_equal(eig.orbits.shift, np.arange(basis.dim)[::-1])
+        values, vectors = np.linalg.eigh(dense(h))
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((basis.dim,) * 2) + 1j * rng.standard_normal((basis.dim,) * 2)
+        noisy = raw + raw.conj().T
+        states = {"thermal": thermal_state(basis), "homq": homq_coherence_state(basis),
+                  "flip-odd": DensityMatrix(matrix=0.5 * (noisy - noisy[::-1, ::-1])),
+                  "random": DensityMatrix(matrix=noisy)}
+        observables = every_kind_of_observable(basis)
+        observables[f"pop:{seed % basis.dim}"] = population_extractor(basis, seed % basis.dim)
+        times = np.array([0.0, 0.5 * t, t])
+        units = [(vectors * np.exp(-1j * TWO_PI * s * values)) @ vectors.conj().T
+                 for s in times]
+        for name, rho in states.items():
+            used, chi = _character(rho, eig)
+            expected = self.CHARACTERS[kind][name]
+            assert (chi, used is eig) == ((expected or 1), expected != 0 or order == 1), name
+            exact = [u @ dense(rho) @ u.conj().T for u in units]
+            reference = {key: np.array([evaluate(obs, state) for state in exact])
+                         for key, obs in observables.items()}
+            table = sweep(rho, eig, times, observables)
+            assert_matches_reference(table, reference, observables, rho)
+            gap = np.abs(evolve(rho, eig, t).matrix - exact[-1]).max()
+            assert gap <= 1e-12 * np.abs(dense(rho)).max(), name
+        columns = rng.standard_normal((basis.dim, 3)) + 1j * rng.standard_normal((basis.dim, 3))
+        gap = np.abs(propagate(columns, eig, t) - units[-1] @ columns).max()
+        assert gap <= 1e-12 * np.abs(columns).sum(axis=0).max()

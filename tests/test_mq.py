@@ -37,7 +37,7 @@ class TestDecompose:
             assert np.abs(dec[n]).max() == 0.0
 
     def test_homq_state_is_pure_order_six(self, basis6):
-        dec = decompose(homq_coherence_state(basis6), basis6)
+        dec = decompose(dense_state(homq_coherence_state(basis6)), basis6)
         assert dec[6][63, 0] == 1j
         assert dec[-6][0, 63] == -1j
         for n in range(-5, 6):
@@ -73,7 +73,7 @@ class TestDecompose:
 
 class TestIntensity:
     def test_homq_intensity_is_two(self, basis6):
-        dec = decompose(homq_coherence_state(basis6), basis6)
+        dec = decompose(dense_state(homq_coherence_state(basis6)), basis6)
         assert mq_intensity(dec, 6) == pytest.approx(2.0, abs=1e-14)
 
     def test_thermal_order_zero_is_purity(self, basis6, dense_thermal6):
@@ -103,7 +103,8 @@ class TestIntensitiesInOnePass:
         assert np.abs(got - expected).max() < 1e-12 * rho.purity()
 
     def test_hexagon_states(self, basis6, eig6, dense_thermal6):
-        for rho in (dense_thermal6, homq_coherence_state(basis6), evolve(dense_thermal6, eig6, 0.973)):
+        for rho in (dense_thermal6, dense_state(homq_coherence_state(basis6)),
+                    evolve(dense_thermal6, eig6, 0.973)):
             dec = decompose(rho, basis6)
             expected = [mq_intensity(dec, k) for k in range(7)]
             assert np.abs(mq_intensities(rho, basis6) - expected).max() < 1e-12 * 96.0

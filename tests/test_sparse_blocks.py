@@ -21,7 +21,7 @@ from mqpure import (
     secular_dipolar_hamiltonian,
     site_symmetry,
 )
-from mqpure.evolution import _group_orbits, _orbits, _sector_reader
+from mqpure.evolution import _orbits, _sector_reader, _state_permutation
 from mqpure.spin_core import popcounts
 
 from dense_operators import dense_dq_hamiltonian, dense_secular_hamiltonian
@@ -49,6 +49,10 @@ def systems(draw):
     return ring_system(n, seed, jitter=(i, j))
 
 
+def cycle_orbits(symmetry, dim):
+    return _orbits(_state_permutation(symmetry.cycle, dim))
+
+
 def dense_decision(matrix, symmetry) -> str:
     """The sector choice from the dense matrix: the parity mask and the
     banded exact compare of ``Operator.invariant``."""
@@ -56,18 +60,20 @@ def dense_decision(matrix, symmetry) -> str:
     odd = popcounts(np.arange(dim)) & 1 == 1
     parity = odd.any() and not matrix[np.ix_(~odd, odd)].any()
     dense = Operator(matrix=matrix)
-    if symmetry is not None and dense.invariant(_orbits(symmetry, dim).shift):
+    if symmetry is not None and dense.invariant(cycle_orbits(symmetry, dim).shift):
         return "momentum"
-    if parity and np.array_equal(odd, odd[::-1]) and dense.invariant(np.arange(dim)[::-1]):
+    if np.array_equal(odd, odd[::-1]) and dense.invariant(np.arange(dim)[::-1]):
         return "flip"
     return "parity" if parity else "one block"
 
 
 def decision(eig) -> str:
-    if eig.orbits is not None:
-        return "momentum"
-    if eig.blocks[0].flip:
+    """The permutation G behind the sectors: a site cycle, the flip (index
+    reversal) or the identity, in one parity block or two."""
+    if np.array_equal(eig.orbits.shift, np.arange(eig.dim)[::-1]):
         return "flip"
+    if eig.orbits.order > 1:
+        return "momentum"
     return "parity" if len(eig.blocks) == 2 else "one block"
 
 
@@ -85,8 +91,9 @@ def assert_blocks_equal(h, matrix, symmetry, basis):
             for cols in (states, dim - 1 - states):
                 assert np.array_equal(h.gather(states, cols), matrix[np.ix_(states, cols)])
     if symmetry is not None:
-        orbits = _orbits(symmetry, dim)
-        for members in _group_orbits(parities, orbits):
+        orbits = cycle_orbits(symmetry, dim)
+        for group in parities:
+            members = orbits.of[group[orbits.step[group] == 0]]
             gathered, sector = _sector_reader(h, orbits, members, members)
             expected, dense_sector = _sector_reader(dense, orbits, members, members)
             table = orbits.table

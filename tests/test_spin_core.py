@@ -15,7 +15,7 @@ from mqpure import (
 from mqpure.spin_core import SparseOperator
 from mqpure.spin_core import ADJOINT_TILE, HERMITICITY_RTOL
 
-from dense_operators import dense
+from dense_operators import dense, dense_state
 from kron_oracle import collective_op, single_spin_op
 
 
@@ -176,15 +176,15 @@ class TestStates:
     def test_homq_state_structure(self):
         basis = build_basis(6)
         rho = homq_coherence_state(basis)
-        assert abs(np.trace(rho.matrix)) == 0.0
+        assert abs(np.trace(dense(rho))) == 0.0
         assert rho.purity() == pytest.approx(2.0, abs=1e-14)
-        assert rho.matrix[63, 0] == 1j
-        assert rho.matrix[0, 63] == -1j
+        assert dense(rho)[63, 0] == 1j
+        assert dense(rho)[0, 63] == -1j
         assert basis.coherence_orders()[63, 0] == 6
 
     def test_homq_state_two_spins(self):
         rho = homq_coherence_state(build_basis(2))
-        nonzero = np.argwhere(rho.matrix != 0)
+        nonzero = np.argwhere(dense(rho) != 0)
         assert sorted(map(tuple, nonzero)) == [(0, 3), (3, 0)]
 
 
@@ -263,7 +263,7 @@ class TestContainers:
         assert np.linalg.eigvalsh(rho.matrix).min() < 0
 
     def test_matrices_are_frozen(self):
-        rho = homq_coherence_state(build_basis(2))
+        rho = dense_state(homq_coherence_state(build_basis(2)))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 5.0
         thermal = thermal_state(build_basis(2))

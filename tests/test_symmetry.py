@@ -1,8 +1,8 @@
 """Site symmetries found from the couplings, and the momentum sectors built on them.
 
-Every sector result is checked against the eigensystem without symmetry
-(the parity and flip-sector path) or against the dense oracle of
-``dense_eigen``; neither shares the sector code.
+Every sector result is checked against the eigensystem without a site
+symmetry (the flip sectors or the parity blocks) or against the dense
+oracle of ``dense_eigen``.
 """
 
 import math
@@ -202,8 +202,8 @@ class TestSectors:
         basis = build_basis(6)
         h = dq_hamiltonian(jittered, basis)
         eig = diagonalize(h, site_symmetry(exact))
-        assert eig.orbits is None
-        assert [block.flip for block in eig.blocks] == [1, -1, 1, -1]
+        assert eig.orbits.order == 2 and eig.orbits.reflect is None
+        assert [block.momentum for block in eig.blocks] == [0, 1, 0, 1]
         rho = thermal_state(basis)
         times = np.array([0.0, 0.4, 1.1])
         observables = sweep_observables(basis, 5)
@@ -307,7 +307,7 @@ class TestReadableObservables:
         for k in range(5):
             weights = _orbit_weights(mq_intensity_extractor(basis, k), orbits, basis.dim)
             assert weights is not None
-            assert set(np.unique(weights)) <= {0.0, 1.0 if k == 0 else 2.0}
+            assert set(np.unique(weights[2])) <= {1.0 if k == 0 else 2.0}
         assert _orbit_weights(diag_pair_extractor(basis), orbits, basis.dim) is not None
         up = population_extractor(basis, basis.index_all_up)
         assert _orbit_weights(up, orbits, basis.dim) is not None
@@ -321,20 +321,21 @@ class TestReadableObservables:
     def test_repeated_full_orbit_pair(self):
         basis, orbits = build_basis(4), self.orbits()
         column = [16 * s for s in (1, 2, 4, 8)]
-        weights = _orbit_weights(Observable(column * 2, 0.5), orbits, basis.dim)
-        assert weights[orbits.of[1], orbits.of[0]] == 1.0
-        assert np.count_nonzero(weights) == 1
+        first, second, weight = _orbit_weights(Observable(column * 2, 0.5), orbits, basis.dim)
+        assert list(zip(first, second, weight)) == [(orbits.of[1], orbits.of[0], 1.0)]
 
-    def test_unreadable_columns_are_returned(self):
+    def test_unreadable_columns_are_read_from_element_classes(self):
         system = ring_system(4, 1)
         basis = build_basis(4)
         eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
+        rho = thermal_state(basis)
         observables = [mq_intensity_extractor(basis, 2), population_extractor(basis, 3)]
-        values = np.zeros((2, 2))
-        general = _sector_sweep(thermal_state(basis), eig, np.array([0.0, 1.0]),
-                                observables, values, (slice(0, 2),))
-        assert general == [1]
-        assert np.all(values[:, 1] == 0.0)
+        assert _orbit_weights(observables[1], eig.orbits, basis.dim) is None
+        times = np.array([0.0, 0.4])
+        values = _sector_sweep(rho, eig, 1, TWO_PI * times, observables, (slice(0, 2),))
+        want = [dense_evolve(rho, eig, t)[3, 3].real for t in times]
+        assert np.abs(values[:, 1] - want).max() <= 1e-12
+        assert "fallback" not in vars(eig)
 
 
 class TestPipelineSymmetry:
