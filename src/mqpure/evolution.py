@@ -686,18 +686,9 @@ def _orbit_weights(obs: Observable, orbits: _Orbits, dim: int) -> tuple | None:
     the observable's weight times that count.  Returns (first, second,
     weight) over the touched pairs.  The listed elements are counted by
     sorting them by pair and place within it, so nothing has an entry per
-    orbit pair; with G = identity every element is an orbit pair of its own.
+    orbit pair.
     """
     rows, cols = np.divmod(obs.flat, dim)
-    if orbits.order == 1:
-        return rows, cols, np.full(rows.size, float(obs.weight))
-    # the rows of an orbit list equally many elements, and each row lists
-    # whole orbits of columns, so their index sums do not change under G
-    listed = np.bincount(rows, minlength=dim)
-    if not (np.array_equal(listed[orbits.shift], listed)
-            and np.array_equal(np.bincount(rows, orbits.shift[cols], dim),
-                               np.bincount(rows, cols, dim))):
-        return None
     count, places = orbits.period.size, orbits.order ** 2
     second = orbits.of[cols]
     keys = (orbits.of[rows] * count + second) * places
@@ -741,70 +732,66 @@ class _Read(NamedTuple):
     weights: np.ndarray
 
 
-def _read(squared: bool, columns: np.ndarray, positions: np.ndarray,
-          weights: np.ndarray) -> list:
-    """The :class:`_Read` of entries (``columns`` ascending, each with its
-    position and weight), as a list of one, or an empty list without any."""
-    if not columns.size:
+def _read(squared: bool, entries: list) -> list:
+    """The :class:`_Read` of (column, positions, weights) entries, columns
+    ascending, as a list of one, or an empty list where no entry has a
+    position."""
+    entries = [entry for entry in entries if entry[1].size]
+    if not entries:
         return []
-    starts = np.flatnonzero(np.diff(columns, prepend=-1))
-    return [_Read(squared, columns[starts], starts, positions, weights)]
+    columns, positions, weights = zip(*entries)
+    starts = np.cumsum([0] + [p.size for p in positions[:-1]])
+    return [_Read(squared, np.array(columns), starts, np.concatenate(positions),
+                  np.concatenate(weights))]
 
 
 def _apply(reads: list, stack: np.ndarray, values: np.ndarray, scratch: np.ndarray) -> None:
     """Add the reads of a contiguous (K, ...) complex stack to ``values``
-    (K, columns), with the squares and the picked entries in the flat float
-    buffer ``scratch``, so that no chunk allocates them."""
-    flat = stack.reshape(stack.shape[0], -1)
-    squares, rest = scratch[:flat.size].reshape(flat.shape), scratch[flat.size:]
-    if any(read.squared for read in reads):
-        np.square(flat.real, out=squares)
-        imaginary = rest[:flat.size].reshape(flat.shape)
-        squares += np.square(flat.imag, out=imaginary)
+    (K, columns), picking the read entries into the flat float buffer
+    ``scratch``.  The real reads come first; the squared ones then read
+    |stack|^2, made in place of the real parts, so that no chunk allocates
+    a stack."""
+    parts = stack.reshape(stack.shape[0], -1).view(np.float64)
+    squares = None
     for read in reads:
-        picked = rest[:flat.shape[0] * read.positions.size].reshape(flat.shape[0], -1)
-        np.take(squares if read.squared else flat.real, read.positions, axis=1, out=picked,
-                mode="clip")
+        if read.squared and squares is None:
+            np.square(parts, out=parts)
+            squares = parts[:, 0::2]
+            squares += parts[:, 1::2]
+        picked = scratch[:parts.shape[0] * read.positions.size].reshape(parts.shape[0], -1)
+        np.take(squares if read.squared else parts[:, 0::2], read.positions, axis=1,
+                out=picked, mode="clip")
         picked *= read.weights
         values[:, read.columns] += np.add.reduceat(picked, read.starts, axis=1)
 
 
-def _sector_reads(part: _Part, weights: tuple | None, mirrored: bool, count: int,
-                  orbits: _Orbits) -> list:
-    """The read of one sector pair's stack by orbit-pair ``weights``, the
-    (squared, first, second, weight, column) of :func:`_weight_table`, each
-    weight times ``count``.
+def _sector_reads(part: _Part, tables: list, squared: list, real: list, mirrored: bool,
+                  count: int, orbits: _Orbits) -> list:
+    """The reads of one sector pair's stack by the orbit-pair weights ``tables``.
 
-    Where the pair also stands for its adjoint (``mirrored``), the weight
-    of (O2, O1) adds at (O1, O2).
+    A squared read weighs |rho_k[O1, O2]|^2 by the pair's weight times
+    ``count``; a real read (k = 0, chi = 1) weighs rho_0[O1, O2] by it times
+    sqrt(p1 p2).  Where the pair also stands for its adjoint
+    (``mirrored``), the weight of (O2, O1) adds at (O1, O2).
     """
-    if weights is None:
-        return []
-    squared, one, other, weight, column = weights
     rows, cols = (np.full(orbits.period.size, -1) for _ in range(2))
     first, second = orbits.members(part.a), orbits.members(part.b)
     rows[first], cols[second] = np.arange(first.size), np.arange(second.size)
-    places, kept = [], []
-    for x, y in ((one, other), (other, one))[:1 + mirrored]:
-        place = rows[x] * second.size + cols[y]
-        chosen = np.flatnonzero((rows[x] >= 0) & (cols[y] >= 0))
-        places.append(place[chosen])
-        kept.append(chosen)
-    kept = np.concatenate(kept)
-    order = np.argsort(column[kept], kind="stable")
-    kept = kept[order]
-    return _read(squared, column[kept], np.concatenate(places)[order], count * weight[kept])
 
+    def entries(column, factor):
+        one, other, weight = tables[column]
+        positions, weights = [], []
+        for x, y in ((one, other), (other, one))[:1 + mirrored]:
+            kept = np.flatnonzero((rows[x] >= 0) & (cols[y] >= 0))
+            x, y = x[kept], y[kept]
+            positions.append(rows[x] * second.size + cols[y])
+            weights.append(weight[kept] * factor(x, y))
+        return column, np.concatenate(positions), np.concatenate(weights)
 
-def _weight_table(tables: list, columns: list, squared: bool, factor) -> tuple | None:
-    """The orbit-pair weights of ``columns`` in one table, (squared, first,
-    second, weight, column), each weight times ``factor(first, second)``;
-    None without columns."""
-    if not columns:
-        return None
-    first, second, weight = (np.concatenate([tables[c][i] for c in columns]) for i in range(3))
-    column = np.repeat(columns, [tables[c][0].size for c in columns])
-    return squared, first, second, weight * factor(first, second), column
+    period = orbits.period
+    return (_read(False, [entries(c, lambda x, y: np.sqrt(period[x] * period[y]))
+                          for c in real])
+            + _read(True, [entries(c, lambda x, y: count) for c in squared]))
 
 
 def _class_reads(observables: list, columns: list, chi: int, eig: EigenSystem,
@@ -832,33 +819,32 @@ def _class_reads(observables: list, columns: list, chi: int, eig: EigenSystem,
             code[states] = (np.searchsorted(members, orbits.of[states]) * factor
                             + sign_of_step * orbits.step[states] * size)
         codes.append((row_code, col_code, order * size))
-    # per pair and kind of read: the column, position and weight of each entry
-    entries = [{kind: ([], [], []) for kind in (False, True)} for _ in found]
+    entries = [{False: [], True: []} for _ in found]
     for column in columns:
         obs = observables[column]
         rows, cols = np.divmod(obs.flat, dim)
         for n, (left, right, _) in enumerate(found):
             row_code, col_code, end = codes[n]
+            positions, weights = [], []
             for x, y in ((rows, cols), (cols, rows))[:1 + (left is not right)]:
                 place = row_code[x] + col_code[y]
                 place[place < 0] += end
                 kept = np.flatnonzero(place < end)
                 x, y = x[kept], y[kept]
-                scale = period[x] * period[y]
-                found_columns, positions, weights = entries[n][bool(obs.squared)]
-                found_columns.append(np.full(kept.size, column))
                 positions.append(place[kept])
+                scale = period[x] * period[y]
                 weights.append(obs.weight / scale if obs.squared
                                else obs.weight * sign[x] / np.sqrt(scale))
-    return [[read for kind, lists in kinds.items() if lists[0]
-             for read in _read(kind, *map(np.concatenate, lists))] for kinds in entries]
+            entries[n][bool(obs.squared)].append((column, np.concatenate(positions),
+                                                  np.concatenate(weights)))
+    return [_read(False, kinds[False]) + _read(True, kinds[True]) for kinds in entries]
 
 
 def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: int,
                   phases: np.ndarray, observables: list, runs) -> np.ndarray:
     """Observable values (time, observable) of a rho0 of character chi.
 
-    An observable whose weight is constant on each orbit pair
+    For L > 2, an observable whose weight is constant on each orbit pair
     (:func:`_orbit_weights`) is read from the sector pairs:
     - squared, sum over O1 x O2 of |rho|^2 is the sum over the pairs of
       |rho_k[O1, O2]|^2;
@@ -876,7 +862,11 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
     orbits = eig.orbits
     order = orbits.order
     values = np.zeros((phases.size, len(observables)))
-    tables = [_orbit_weights(obs, orbits, rho0.dim) for obs in observables]
+    # for L <= 2 the classes are the sum and difference of at most two
+    # sector pairs, no dearer to build than the pairs are to read, and all
+    # pairs run either way
+    tables = [_orbit_weights(obs, orbits, rho0.dim) if order > 2 else None
+              for obs in observables]
     squared = [c for c, table in enumerate(tables) if table is not None
                and observables[c].squared]
     real = [c for c, table in enumerate(tables) if table is not None and chi == 1
@@ -891,9 +881,6 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
     # a chunk of any pair fits CHUNK_BYTES, or is one point
     largest = max(block.eigenvalues.size for block in eig.blocks) ** 2
     work = tuple(np.empty(max(CHUNK_BYTES // 16, largest), dtype=complex) for _ in range(2))
-    period = orbits.period
-    real_table = _weight_table(tables, real, False, lambda x, y: np.sqrt(period[x] * period[y]))
-    squared_table = _weight_table(tables, squared, True, lambda x, y: 1.0)
     found = _sector_parts(rho0, eig, chi, momenta)
     class_reads = _class_reads(observables, elements, chi, eig, found) if elements else []
     for n, (left, right, parts) in enumerate(found):
@@ -902,11 +889,10 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
         # the classes need every part at each time point; otherwise each
         # part runs alone, in chunks of its own length
         for batch in [parts] if classes else [[part] for part in parts]:
-            mirrored = left is not right or chi == -1
-            reads = [_sector_reads(part, real_table if part.b.momentum == 0 else None,
-                                   mirrored, 1, orbits)
-                     + _sector_reads(part, squared_table, mirrored,
-                                     2 if paired and 2 * part.b.momentum % order else 1, orbits)
+            reads = [_sector_reads(part, tables, squared,
+                                   real if part.b.momentum == 0 else [],
+                                   left is not right or chi == -1,
+                                   2 if paired and 2 * part.b.momentum % order else 1, orbits)
                      for part in batch]
             if not (classes or any(reads)):
                 continue
@@ -915,8 +901,8 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
                        + [order * outer.size * inner.size] * bool(classes))
             chunk = _chunk_length(size)
             # buffers for every chunk, so that no chunk maps fresh pages
-            entries = max((read.positions.size for read in sum(reads, classes)), default=0)
-            scratch = np.empty(chunk * (size + max(size, entries)))
+            scratch = np.empty(chunk * max((read.positions.size
+                                            for read in sum(reads, classes)), default=0))
             if classes:
                 buffer = np.empty((chunk, order, outer.size, inner.size), dtype=complex)
             for window in _windows(runs, chunk):
@@ -925,10 +911,10 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
                     g.fill(0)
                 for part, part_reads, right_factor in zip(batch, reads, rights):
                     y = _sector_transform(part, phases[window], right_factor, work)
-                    _apply(part_reads, y, values[window], scratch)
                     if classes:
                         _add_part(g, part, y, chi, left is right, outer, inner, orbits,
                                   work[1])
+                    _apply(part_reads, y, values[window], scratch)
                 if classes:
                     _apply(classes, g, values[window], scratch)
     return values
