@@ -498,7 +498,7 @@ class TestSectorsOfG:
     propagator of numpy's eigh of the whole matrix."""
 
     # which eigensystem a state runs on: 1 or -1 on the sectors, 0 on the fallback
-    CHARACTERS = {"cycle": {"thermal": 1, "homq": 1, "flip-odd": 0, "random": 0},
+    CHARACTERS = {"cycle": {"thermal": 1, "homq": 1, "flip-odd": 0, "random": 0, "cycle-odd": -1},
                   "flip": {"thermal": -1, "homq": -1, "flip-odd": -1, "random": 0},
                   "identity": {"thermal": 1, "homq": 1, "flip-odd": 1, "random": 1}}
 
@@ -520,6 +520,17 @@ class TestSectorsOfG:
         states = {"thermal": thermal_state(basis), "homq": homq_coherence_state(basis),
                   "flip-odd": DensityMatrix(matrix=0.5 * (noisy - noisy[::-1, ::-1])),
                   "random": DensityMatrix(matrix=noisy)}
+        if kind == "cycle" and order % 2 == 0:
+            # sum_j (-1)^j P^j R P^-j of a matrix R of small integers, so that
+            # every sum is exact and P changes the state's sign exactly
+            moved = rng.integers(-3, 4, (basis.dim,) * 2).astype(complex)
+            moved += 1j * rng.integers(-3, 4, (basis.dim,) * 2)
+            moved += moved.conj().T
+            odd = np.zeros_like(moved)
+            for j in range(order):
+                odd += (-1) ** j * moved
+                moved = moved[np.ix_(eig.orbits.shift, eig.orbits.shift)]
+            states["cycle-odd"] = DensityMatrix(matrix=odd)
         observables = every_kind_of_observable(basis)
         observables[f"pop:{seed % basis.dim}"] = population_extractor(basis, seed % basis.dim)
         times = np.array([0.0, 0.5 * t, t])
