@@ -78,8 +78,10 @@ TWO_PI = 2.0 * np.pi
 _UNIT_SCALES = {"cyclic": TWO_PI, "angular": 1.0}
 
 # bytes of one complex (K, r_a, r_b) stack in a sweep; K, the number of
-# time points per chunk, follows from the largest stack of a pair of groups
-CHUNK_BYTES = 1 << 17
+# time points per chunk, follows from the largest stack that a batch of
+# sector pairs holds per point.  Large enough that a chunk's sparse reads
+# cost little next to its GEMMs, small enough for the stack to stay in cache
+CHUNK_BYTES = 1 << 18
 
 # largest time grid ``time_grid`` builds
 MAX_GRID_POINTS = 1_000_000
@@ -596,10 +598,15 @@ def _sector_transform(part: _Part, phases: np.ndarray, right: np.ndarray | None,
     return first
 
 
-def _right_factor(part: _Part) -> np.ndarray | None:
-    """The ``right`` of :func:`_sector_transform`: None for a real V_b."""
+def _right_factor(part: _Part, chunk: int) -> np.ndarray | None:
+    """The ``right`` of :func:`_sector_transform` for chunks of ``chunk``
+    time points: None for a real V_b in chunks of one point.  A chunk of
+    several points holds a small sector, whose interleaved GEMM costs less
+    than the two transposes of its stack that the real one needs."""
     vectors = part.b.eigenvectors
-    return _interleaved(adjoint(vectors)) if np.iscomplexobj(vectors) else None
+    if np.iscomplexobj(vectors) or chunk > 1:
+        return _interleaved(adjoint(vectors))
+    return None
 
 
 def _add_part(classes: np.ndarray, part: _Part, y: np.ndarray, chi: int, self_pair: bool,
@@ -659,7 +666,7 @@ def _sector_evolve(rho: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
         classes = np.zeros((1, order, outer.size, inner.size), dtype=complex)
         for part in parts:
             work = tuple(np.empty(part.moved.size, dtype=complex) for _ in range(2))
-            y = _sector_transform(part, phase, _right_factor(part), work)
+            y = _sector_transform(part, phase, _right_factor(part, 1), work)
             if left is right and chi == 1:
                 y = 0.5 * (y + np.conjugate(y.transpose(0, 2, 1)))
             _add_part(classes, part, y, chi, left is right, outer, inner, orbits, work[1])
@@ -690,9 +697,16 @@ def _orbit_weights(obs: Observable, orbits: _Orbits, dim: int) -> tuple | None:
     """
     rows, cols = np.divmod(obs.flat, dim)
     count, places = orbits.period.size, orbits.order ** 2
+    # (pair * places + place) built in place, so that few arrays of the
+    # observable's size are alive at once
+    keys = orbits.of[rows] * count
     second = orbits.of[cols]
-    keys = (orbits.of[rows] * count + second) * places
-    keys += orbits.step[rows] * orbits.period[second] + orbits.step[cols]
+    keys += second
+    keys *= places
+    second = orbits.period[second]
+    second *= orbits.step[rows]
+    keys += second
+    keys += orbits.step[cols]
     del rows, cols, second
     keys.sort()
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -896,10 +910,10 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
                      for part in batch]
             if not (classes or any(reads)):
                 continue
-            rights = [_right_factor(part) for part in batch]
             size = max([part.moved.size for part in batch]
                        + [order * outer.size * inner.size] * bool(classes))
             chunk = _chunk_length(size)
+            rights = [_right_factor(part, chunk) for part in batch]
             # buffers for every chunk, so that no chunk maps fresh pages
             scratch = np.empty(chunk * max((read.positions.size
                                             for read in sum(reads, classes)), default=0))

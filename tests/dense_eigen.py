@@ -15,9 +15,9 @@ def dense_transform(blocks) -> np.ndarray:
     states of its block.  Over slice k of a block's states a column is
     ``weights[k]`` times the block eigenvector, times the block's
     ``scale`` per row where it has one, and a state listed in several
-    slices sums its entries.  This embeds spin-flip sector blocks as
-    (|s> + flip |s'>)/sqrt(2) combinations and momentum sector blocks as
-    phased sums over orbits.
+    slices sums its entries.  This embeds momentum sector blocks as phased
+    sums over orbits: for the flip of every spin (L = 2) the combinations
+    (|s> + |s'>)/sqrt(2) and (|s> - |s'>)/sqrt(2).
     """
     dim = sum(block.eigenvalues.size for block in blocks)
     dtype = np.result_type(*(block.eigenvectors for block in blocks),
