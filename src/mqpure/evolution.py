@@ -566,9 +566,9 @@ def _sector_transform(part: _Part, phases: np.ndarray, right: np.ndarray | None,
     """V_a e^{-i phase E_a} X_ab e^{i phase E_b} V_b+ per phase, shaped (K, r_a, r_b).
 
     The left product runs once per phase, the right one as a single GEMM
-    over all phases, so the result is time-major.  A real V_b multiplies
-    the transposed stack from the left in one real GEMM; a complex one is
-    given as ``right``, V_b+ in the form of :func:`_interleaved`.
+    over all phases, so the result is time-major: on the interleaved float
+    view with ``right``, V_b+ in the form of :func:`_interleaved`, or, for
+    a real V_b given no ``right``, as V_b times the transposed stack.
     ``work``, two flat complex buffers of at least K r_a r_b elements,
     takes the products, and the result is a view of the first: a sweep
     then allocates no stack per chunk, which would make the heap grow and
@@ -627,20 +627,20 @@ def _add_part(classes: np.ndarray, part: _Part, y: np.ndarray, chi: int, self_pa
         adjoint_y = spare[:y.size].reshape(y.shape[0], y.shape[2], y.shape[1])
         np.conjugate(y.transpose(0, 2, 1), out=adjoint_y)
         stacks.append((adjoint_y, (k + order // 2) % order, second, first))
-    for z, k, first, second in stacks:
-        turn = cyclic_phases(order).conj()[k * np.arange(order) % order]
+    for stack, momentum, rows, cols in stacks:
+        turn = cyclic_phases(order).conj()[momentum * np.arange(order) % order]
         index = (slice(None),)
-        if first.size < outer.size or second.size < inner.size:
-            index = (slice(None), np.searchsorted(outer, first)[:, np.newaxis],
-                     np.searchsorted(inner, second))
+        if rows.size < outer.size or cols.size < inner.size:
+            index = (slice(None), np.searchsorted(outer, rows)[:, np.newaxis],
+                     np.searchsorted(inner, cols))
         for l, phase in enumerate(turn):
             target = classes[:, l]
             if phase == 1:
-                target[index] += z
+                target[index] += stack
             elif phase == -1:
-                target[index] -= z
+                target[index] -= stack
             else:
-                target[index] += phase * z
+                target[index] += phase * stack
 
 
 def _sector_evolve(rho: DensityMatrix | SparseOperator, eig: EigenSystem, chi: int,
@@ -695,23 +695,15 @@ def _orbit_weights(obs: Observable, orbits: _Orbits, dim: int) -> tuple | None:
     sorting them by pair and place within it, so nothing has an entry per
     orbit pair.
     """
-    rows, cols = np.divmod(obs.flat, dim)
-    count, places = orbits.period.size, orbits.order ** 2
-    # (pair * places + place) built in place, so that few arrays of the
-    # observable's size are alive at once
-    keys = orbits.of[rows] * count
-    second = orbits.of[cols]
-    keys += second
-    keys *= places
-    second = orbits.period[second]
-    second *= orbits.step[rows]
-    keys += second
-    keys += orbits.step[cols]
-    del rows, cols, second
+    count, order = orbits.period.size, orbits.order
+    # the key (pair, place) of an element, place = L step[row] + step[col],
+    # is a part per row plus a part per column
+    keys = ((orbits.of * count * order + orbits.step) * order)[obs.flat // dim]
+    keys += (orbits.of * order * order + orbits.step)[obs.flat % dim]
     keys.sort()
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     repeats = np.diff(starts, append=keys.size)
-    pairs = keys[starts] // places
+    pairs = keys[starts] // order ** 2
     leads = np.flatnonzero(np.diff(pairs, prepend=-1))
     first, second = np.divmod(pairs[leads], count)
     size = orbits.period[first] * orbits.period[second]
