@@ -881,8 +881,6 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
     paired = (chi == 1 and not elements and orbits.reflect is not None
               and rho0.invariant(orbits.reflect)
               and all(_reflected(tables[c], orbits) for c in squared))
-    if not (squared or real or elements):
-        return values
     momenta = range(order // 2 + 1) if paired else range(order) if squared or elements else [0]
     # a chunk of any pair fits CHUNK_BYTES, or is one point
     largest = max(block.eigenvalues.size for block in eig.blocks) ** 2
