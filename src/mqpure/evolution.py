@@ -34,11 +34,20 @@ neither character runs on the eigensystem of G = identity, built on first
 use (``EigenSystem.fallback``).
 
 A sweep never assembles the dense rho(t).  Its observables are data
-(:class:`Observable`: weighted matrix elements, squared or real part),
-read from the sector pairs where their weight is constant on every pair
-of orbits and from the element classes rho[G^i a, G^(i+l) b] otherwise
-(:func:`_sector_sweep`); :func:`evolve` writes the same classes into the
-dense matrix.
+(:class:`Observable`) of two kinds:
+
+- an order intensity, the sum of |rho|^2 over the pairs of spin-up
+  levels that differ by its order, names no element.  Under a site cycle
+  (and the identity) every sector basis vector lies in one level, so it
+  is read from the level pairs of each sector pair's stack; under the
+  flip, which maps level m to -m, from those of the element classes
+  rho[G^i a, G^(i+l) b];
+- an element observable (weighted matrix elements, squared or real
+  part) is read from the sector pairs where its weight is constant on
+  every pair of orbits and from the element classes otherwise.
+
+:func:`_sector_sweep` does both; :func:`evolve` writes the same classes
+into the dense matrix.
 
 Couplings are cyclic frequencies, so the default propagation phase for a
 dimensionless time t (units of the inverse reference coupling) is
@@ -391,21 +400,29 @@ def propagate(
 
 @dataclass(frozen=True)
 class Observable:
-    """A sweep observable: weight * sum_k f(rho.ravel()[flat[k]]).
+    """A sweep observable, an order intensity or a list of elements.
 
-    ``flat`` indexes elements of the raveled dense matrix (row * dim +
-    column); an element listed twice counts twice.  f is |.|^2 when
-    ``squared`` is set and the real part otherwise.
+    With ``order`` n set, it is weight * the sum of |rho_ab|^2 over every
+    element whose spin-up counts differ by n (both n and -n for n > 0),
+    and ``flat`` is empty.  Otherwise it is
+    weight * sum_k f(rho.ravel()[flat[k]]): ``flat`` indexes elements of
+    the raveled dense matrix (row * dim + column), an element listed twice
+    counts twice, and f is |.|^2 when ``squared`` is set and the real part
+    otherwise.
     """
 
-    flat: np.ndarray = field(repr=False)
+    flat: np.ndarray = field(default=(), repr=False)
     weight: float = 1.0
     squared: bool = True
+    order: int | None = None
 
     def __post_init__(self):
         flat = np.asarray(self.flat, dtype=np.intp)
         if flat.ndim != 1 or (flat < 0).any():
             raise ValueError("observable elements must be a vector of nonnegative indices")
+        if self.order is not None and (self.order < 0 or flat.size or not self.squared):
+            raise ValueError("an order intensity is a squared read of a nonnegative order "
+                             "and lists no elements")
         object.__setattr__(self, "flat", _frozen_array(flat))
 
 
@@ -460,9 +477,11 @@ def sweep(
     The Hamiltonian is diagonalized once and rho0 is moved into its
     eigenbasis once.  Each chunk of grid points is propagated on the
     sector pairs of rho0 and reduced there (:func:`_sector_sweep`); the
-    dense rho(t) is never built, and only the fields of each observable
-    are read.  A rho0 of neither character under the sectors' G takes the
-    eigensystem of G = identity.
+    dense rho(t) is never built.  Only the fields of each observable are
+    read, and its kind is told by ``order`` alone: an order intensity is
+    read from the level pairs of the stacks and lists no element, an
+    element observable from its listed elements.  A rho0 of neither
+    character under the sectors' G takes the eigensystem of G = identity.
 
     ``points``, extra times in increasing order, are evaluated from the
     same set-up in chunks of their own, so the grid's values do not
@@ -475,6 +494,8 @@ def sweep(
     runs = (slice(0, times.size), slice(times.size, phases.size))
     specs = list(observables.values())
     for obs in specs:
+        if obs.order is not None and obs.order > rho0.dim.bit_length() - 1:
+            raise ValueError(f"order {obs.order} out of range for dimension {rho0.dim}")
         if obs.flat.size and obs.flat.max() >= rho0.dim**2:
             raise ValueError(f"observable element out of range for dimension {rho0.dim}")
     values = _sector_sweep(rho0, eig, chi, phases, specs, runs)
@@ -509,7 +530,7 @@ def _sector_groups(eig: EigenSystem) -> list:
 
 
 def _sector_parts(rho: DensityMatrix | SparseOperator, eig: EigenSystem, chi: int,
-                  momenta) -> list:
+                  momenta):
     """The nonzero sector pairs (k + q, k) of a state of character chi, in the eigenbasis.
 
     The pair's block between groups A and B is
@@ -517,32 +538,40 @@ def _sector_parts(rho: DensityMatrix | SparseOperator, eig: EigenSystem, chi: in
     over the a allowed in sector k + q and the b allowed in sector k, from
     one gather of rho per pair of groups.  For chi = -1 the (k, k + q) pair
     of a group with itself is the adjoint of its (k + q, k) pair, so only
-    k < q run there.  Returns (left, right, parts) for each pair of groups,
-    left not after right, whose gather is not all zero; each part is a
-    :class:`_Part` (a, b, V_a+ rho_k V_b) of one k in ``momenta``.
+    k < q run there.  Yields (left, right, parts) for each pair of groups,
+    left not after right, whose gather is not all zero, one pair at a
+    time; each part is a :class:`_Part` (a, b, V_a+ rho_k V_b) of one k in
+    ``momenta``.
     """
-    orbits = eig.orbits
-    order = orbits.order
-    q = 0 if chi == 1 else order // 2
     groups = _sector_groups(eig)
-    found = []
     for i, left in enumerate(groups):
         for right in groups[i:]:
-            outer, inner = orbits.members(left[0]), orbits.members(right[0])
-            gathered, sector = _sector_reader(rho, orbits, outer, inner)
-            if not gathered.any():
-                continue
-            parts = []
-            for k in momenta:
-                if (left is right and 0 < q <= k) or (k + q) % order not in left or k not in right:
-                    continue
-                a, b = left[(k + q) % order], right[k]
-                block = sector(k, q)
-                if block.any():
-                    moved = gemm(gemm(adjoint(a.eigenvectors), block), b.eigenvectors)
-                    parts.append(_Part(a, b, moved))
-            found.append((left, right, parts))
-    return found
+            parts = _pair_parts(rho, eig.orbits, chi, left, right, momenta)
+            if parts is not None:
+                yield left, right, parts
+
+
+def _pair_parts(rho: DensityMatrix | SparseOperator, orbits: _Orbits, chi: int, left: dict,
+                right: dict, momenta) -> list | None:
+    """The parts of :func:`_sector_parts` between two groups, or None where
+    their gather is all zero.  The gather and every temporary go on
+    return, before the pair is reduced."""
+    order = orbits.order
+    q = 0 if chi == 1 else order // 2
+    gathered, sector = _sector_reader(rho, orbits, orbits.members(left[0]),
+                                      orbits.members(right[0]))
+    if not gathered.any():
+        return None
+    parts = []
+    for k in momenta:
+        if (left is right and 0 < q <= k) or (k + q) % order not in left or k not in right:
+            continue
+        a, b = left[(k + q) % order], right[k]
+        block = sector(k, q)
+        if block.any():
+            moved = gemm(gemm(adjoint(a.eigenvectors), block), b.eigenvectors)
+            parts.append(_Part(a, b, moved))
+    return parts
 
 
 def _interleaved(right: np.ndarray) -> np.ndarray:
@@ -751,27 +780,80 @@ def _read(squared: bool, entries: list) -> list:
                   np.concatenate(weights))]
 
 
-def _apply(reads: list, stack: np.ndarray, values: np.ndarray, scratch: np.ndarray) -> None:
-    """Add the reads of a contiguous (K, ...) complex stack to ``values``
-    (K, columns), picking the read entries into the flat float buffer
-    ``scratch``.  The real reads come first; the squared ones then read
-    |stack|^2, made in place of the real parts, so that no chunk allocates
-    a stack."""
-    parts = stack.reshape(stack.shape[0], -1).view(np.float64)
-    squares = None
+class _LevelRead(NamedTuple):
+    """The order intensities of a contiguous (K, rows, cols) complex stack.
+
+    Per point, |stack|^2 is summed over the columns of each spin-up count
+    by ``columns`` (2 cols, counts), whose rows take the real and the
+    imaginary part of a column alike, and each (rows, counts) sum is
+    weighed into every observable column by ``weights``
+    (rows * counts, observables).
+    """
+
+    columns: np.ndarray
+    weights: np.ndarray
+
+
+def _level_read(rows: np.ndarray, cols: np.ndarray, scale, observables: list
+                ) -> _LevelRead | None:
+    """The :class:`_LevelRead` of a stack whose rows and columns have the
+    spin-up counts ``rows`` and ``cols``: an order observable weighs each
+    element whose counts differ by its order by its weight times
+    ``scale`` (one number, or one per row).  None where no order
+    observable meets such an element."""
+    counts, at = np.unique(cols, return_inverse=True)
+    columns = np.zeros((2 * cols.size, counts.size))
+    columns[np.arange(2 * cols.size), np.repeat(at, 2)] = 1.0
+    gap = np.abs(rows[:, np.newaxis] - counts).reshape(-1, 1)
+    orders = [-1 if obs.order is None else obs.order for obs in observables]
+    scale = np.repeat(np.broadcast_to(scale, rows.shape), counts.size)[:, np.newaxis]
+    weights = np.where(gap == orders, scale * [obs.weight for obs in observables], 0.0)
+    return _LevelRead(columns, weights) if weights.any() else None
+
+
+def _pick(read: _Read, source: np.ndarray, values: np.ndarray, scratch: np.ndarray) -> None:
+    """Add a read of the (K, entries) float view ``source`` to ``values``."""
+    picked = scratch[:source.shape[0] * read.positions.size].reshape(source.shape[0], -1)
+    np.take(source, read.positions, axis=1, out=picked, mode="clip")
+    picked *= read.weights
+    values[:, read.columns] += np.add.reduceat(picked, read.starts, axis=1)
+
+
+def _apply(reads: list, level: _LevelRead | None, stack: np.ndarray, values: np.ndarray,
+           scratch: np.ndarray) -> None:
+    """Add the element ``reads`` and the ``level`` read of a contiguous
+    (K, ...) complex stack to ``values`` (K, columns), working in the flat
+    float buffer ``scratch``.
+
+    The real reads come first.  The stack's parts are then squared in
+    place, so that no chunk allocates a stack: the level read takes the
+    squares with two GEMMs, and the squared element reads take |stack|^2,
+    made in place of the real parts.
+    """
+    points = stack.shape[0]
+    parts = stack.reshape(points, -1).view(np.float64)
+    squared = [read for read in reads if read.squared]
     for read in reads:
-        if read.squared and squares is None:
-            np.square(parts, out=parts)
-            squares = parts[:, 0::2]
-            squares += parts[:, 1::2]
-        picked = scratch[:parts.shape[0] * read.positions.size].reshape(parts.shape[0], -1)
-        np.take(squares if read.squared else parts[:, 0::2], read.positions, axis=1,
-                out=picked, mode="clip")
-        picked *= read.weights
-        values[:, read.columns] += np.add.reduceat(picked, read.starts, axis=1)
+        if not read.squared:
+            _pick(read, parts[:, 0::2], values, scratch)
+    if not squared and level is None:
+        return
+    np.square(parts, out=parts)
+    if level is not None:
+        width, counts = level.columns.shape
+        sums = scratch[:parts.size // width * counts].reshape(-1, counts)
+        np.matmul(parts.reshape(-1, width), level.columns, out=sums)
+        picked = scratch[sums.size:sums.size + values.size].reshape(values.shape)
+        np.matmul(sums.reshape(points, -1), level.weights, out=picked)
+        values += picked
+    if squared:
+        squares = parts[:, 0::2]
+        squares += parts[:, 1::2]
+        for read in squared:
+            _pick(read, squares, values, scratch)
 
 
-def _sector_reads(part: _Part, tables: list, squared: list, real: list, mirrored: bool,
+def _sector_reads(part: _Part, tables: dict, squared: list, real: list, mirrored: bool,
                   count: int, orbits: _Orbits) -> list:
     """The reads of one sector pair's stack by the orbit-pair weights ``tables``.
 
@@ -801,9 +883,9 @@ def _sector_reads(part: _Part, tables: list, squared: list, real: list, mirrored
 
 
 def _class_reads(observables: list, columns: list, chi: int, eig: EigenSystem,
-                 found: list) -> list:
-    """The reads of the element classes (:func:`_add_part`) of each pair of
-    groups in ``found``, the output of :func:`_sector_parts`.
+                 left: dict, right: dict) -> list:
+    """The reads of the element classes (:func:`_add_part`) of the pair of
+    groups ``left`` and ``right``, as yielded by :func:`_sector_parts`.
 
     Element (G^i a, G^j b) is chi^i g_l[a, b] / sqrt(p_a p_b) with
     l = (j - i) mod L; a pair of different groups also stands for its
@@ -811,56 +893,62 @@ def _class_reads(observables: list, columns: list, chi: int, eig: EigenSystem,
     """
     orbits, dim, order = eig.orbits, eig.dim, eig.orbits.order
     period, sign = orbits.period[orbits.of], chi ** orbits.step
-    codes = []
-    for left, right, _ in found:
-        outer, inner = orbits.members(left[0]), orbits.members(right[0])
-        size = outer.size * inner.size
-        # (l |outer| + a) |inner| + b is the row code a |inner| - i size plus
-        # the column code b + j size, plus L size where that is negative; a
-        # state outside the pair's groups codes far past L size
-        row_code, col_code = (np.full(dim, 3 * order * size) for _ in range(2))
-        for code, members, factor, sign_of_step in ((row_code, outer, inner.size, -1),
-                                                    (col_code, inner, 1, 1)):
-            states = orbits.table[members].ravel()
-            code[states] = (np.searchsorted(members, orbits.of[states]) * factor
-                            + sign_of_step * orbits.step[states] * size)
-        codes.append((row_code, col_code, order * size))
-    entries = [{False: [], True: []} for _ in found]
+    outer, inner = orbits.members(left[0]), orbits.members(right[0])
+    size = outer.size * inner.size
+    # (l |outer| + a) |inner| + b is the row code a |inner| - i size plus
+    # the column code b + j size, plus L size where that is negative; a
+    # state outside the pair's groups codes far past L size
+    row_code, col_code = (np.full(dim, 3 * order * size) for _ in range(2))
+    for code, members, factor, sign_of_step in ((row_code, outer, inner.size, -1),
+                                                (col_code, inner, 1, 1)):
+        states = orbits.table[members].ravel()
+        code[states] = (np.searchsorted(members, orbits.of[states]) * factor
+                        + sign_of_step * orbits.step[states] * size)
+    end = order * size
+    entries = {False: [], True: []}
     for column in columns:
         obs = observables[column]
         rows, cols = np.divmod(obs.flat, dim)
-        for n, (left, right, _) in enumerate(found):
-            row_code, col_code, end = codes[n]
-            positions, weights = [], []
-            for x, y in ((rows, cols), (cols, rows))[:1 + (left is not right)]:
-                place = row_code[x] + col_code[y]
-                place[place < 0] += end
-                kept = np.flatnonzero(place < end)
-                x, y = x[kept], y[kept]
-                positions.append(place[kept])
-                scale = period[x] * period[y]
-                weights.append(obs.weight / scale if obs.squared
-                               else obs.weight * sign[x] / np.sqrt(scale))
-            entries[n][bool(obs.squared)].append((column, np.concatenate(positions),
-                                                  np.concatenate(weights)))
-    return [_read(False, kinds[False]) + _read(True, kinds[True]) for kinds in entries]
+        positions, weights = [], []
+        for x, y in ((rows, cols), (cols, rows))[:1 + (left is not right)]:
+            place = row_code[x] + col_code[y]
+            place[place < 0] += end
+            kept = np.flatnonzero(place < end)
+            x, y = x[kept], y[kept]
+            positions.append(place[kept])
+            scale = period[x] * period[y]
+            weights.append(obs.weight / scale if obs.squared
+                           else obs.weight * sign[x] / np.sqrt(scale))
+        entries[bool(obs.squared)].append((column, np.concatenate(positions),
+                                           np.concatenate(weights)))
+    return _read(False, entries[False]) + _read(True, entries[True])
 
 
 def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: int,
                   phases: np.ndarray, observables: list, runs) -> np.ndarray:
     """Observable values (time, observable) of a rho0 of character chi.
 
-    For L > 2, an observable whose weight is constant on each orbit pair
-    (:func:`_orbit_weights`) is read from the sector pairs:
+    An order intensity is read from level pairs (:func:`_level_read`).
+    Under a site cycle or the identity every sector basis vector lies in
+    one level, so the sum of |rho|^2 over a pair of levels is the sum over
+    the sector pairs of |rho_k|^2 over the rows and columns of those
+    levels.  Under the flip it is read from the element classes
+    (:func:`_add_part`): g_l[a, b] stands for the elements of levels m_a
+    and m_b for l = 0 and m_a and -m_b for l = 1.
+
+    For L > 2, an element observable whose weight is constant on each
+    orbit pair (:func:`_orbit_weights`) is read from the sector pairs:
     - squared, sum over O1 x O2 of |rho|^2 is the sum over the pairs of
       |rho_k[O1, O2]|^2;
     - real part, sum over O1 x O2 of rho is sqrt(p1 p2) rho_0[O1, O2] for
       chi = 1 and zero for chi = -1.
-    Where the reflection R leaves rho0 and every squared weight
-    unchanged (chi = 1), R maps sector k onto sector -k with equal
-    contributions, so only k = 0 .. L/2 run, the ones in between counted
-    twice.  Every other observable is read from the element classes
+    Every other element observable is read from the element classes
     (:func:`_class_reads`), for which all sector pairs run.
+
+    A pair that also stands for its adjoint counts twice.  Where the
+    reflection R leaves rho0 and every squared element weight unchanged
+    (chi = 1), R maps sector k onto sector -k with equal contributions, so
+    only k = 0 .. L/2 run, the ones in between counted twice.
 
     Each sector pair is set up once, and each pair of groups is reduced
     over ``runs``, slices of the phases, each in chunks of its own.
@@ -871,72 +959,91 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
     # for L <= 2 the classes are the sum and difference of at most two
     # sector pairs, no dearer to build than the pairs are to read, and all
     # pairs run either way
-    tables = [_orbit_weights(obs, orbits, rho0.dim) if order > 2 else None
-              for obs in observables]
-    squared = [c for c, table in enumerate(tables) if table is not None
+    tables = {c: _orbit_weights(obs, orbits, rho0.dim) if order > 2 else None
+              for c, obs in enumerate(observables) if obs.order is None}
+    squared = [c for c, table in tables.items() if table is not None
                and observables[c].squared]
-    real = [c for c, table in enumerate(tables) if table is not None and chi == 1
+    real = [c for c, table in tables.items() if table is not None and chi == 1
             and not observables[c].squared]
-    elements = [c for c, table in enumerate(tables) if table is None]
+    elements = [c for c, table in tables.items() if table is None]
+    intensities = len(tables) < len(observables)
     paired = (chi == 1 and not elements and orbits.reflect is not None
               and rho0.invariant(orbits.reflect)
               and all(_reflected(tables[c], orbits) for c in squared))
-    momenta = range(order // 2 + 1) if paired else range(order) if squared or elements else [0]
+    momenta = (range(order // 2 + 1) if paired
+               else range(order) if squared or elements or intensities else [0])
+    # the spin-up count of each orbit; only the flip of every spin changes it
+    count, n_spins = popcounts(orbits.table[:, 0]), rho0.dim.bit_length() - 1
+    flip = not np.array_equal(popcounts(orbits.table[:, -1]), count)
     # a chunk of any pair fits CHUNK_BYTES, or is one point
     largest = max(block.eigenvalues.size for block in eig.blocks) ** 2
     work = tuple(np.empty(max(CHUNK_BYTES // 16, largest), dtype=complex) for _ in range(2))
-    found = _sector_parts(rho0, eig, chi, momenta)
-    class_reads = _class_reads(observables, elements, chi, eig, found) if elements else []
-    for n, (left, right, parts) in enumerate(found):
+    for left, right, parts in _sector_parts(rho0, eig, chi, momenta):
         outer, inner = orbits.members(left[0]), orbits.members(right[0])
-        classes = class_reads[n] if elements else []
+        class_read = _class_reads(observables, elements, chi, eig, left, right) if elements else []
+        class_level = None
+        if intensities and flip:
+            # the flip maps count c to N - c, so row (l, a) meets the
+            # columns of count c_b as count c_a for l = 0, N - c_a for l = 1
+            rows = np.concatenate([count[outer], n_spins - count[outer]])
+            class_level = _level_read(rows, count[inner], (1 + (left is not right)) / order,
+                                      observables)
+        classes = bool(class_read) or class_level is not None
+        mirrored = left is not right or chi == -1
         # the classes need every part at each time point; otherwise each
         # part runs alone, in chunks of its own length
         for batch in [parts] if classes else [[part] for part in parts]:
-            reads = [_sector_reads(part, tables, squared,
-                                   real if part.b.momentum == 0 else [],
-                                   left is not right or chi == -1,
-                                   2 if paired and 2 * part.b.momentum % order else 1, orbits)
-                     for part in batch]
-            if not (classes or any(reads)):
+            reads, levels = [], []
+            for part in batch:
+                factor = 2 if paired and 2 * part.b.momentum % order else 1
+                reads.append(_sector_reads(part, tables, squared,
+                                           real if part.b.momentum == 0 else [],
+                                           mirrored, factor, orbits))
+                levels.append(None if not intensities or flip else _level_read(
+                    count[orbits.members(part.a)], count[orbits.members(part.b)],
+                    factor * (1 + mirrored), observables))
+            if not (classes or any(reads) or any(level is not None for level in levels)):
                 continue
             size = max([part.moved.size for part in batch]
-                       + [order * outer.size * inner.size] * bool(classes))
+                       + [order * outer.size * inner.size] * classes)
             chunk = _chunk_length(size)
             rights = [_right_factor(part, chunk) for part in batch]
             # buffers for every chunk, so that no chunk maps fresh pages
-            scratch = np.empty(chunk * max((read.positions.size
-                                            for read in sum(reads, classes)), default=0))
+            widths = [read.positions.size for read in sum(reads, class_read)]
+            widths += [level.weights.size // len(observables) + len(observables)
+                       for level in [*levels, class_level] if level is not None]
+            scratch = np.empty(chunk * max(widths, default=0))
             if classes:
                 buffer = np.empty((chunk, order, outer.size, inner.size), dtype=complex)
             for window in _windows(runs, chunk):
                 if classes:
                     g = buffer[:window.stop - window.start]
                     g.fill(0)
-                for part, part_reads, right_factor in zip(batch, reads, rights):
+                for part, part_reads, level, right_factor in zip(batch, reads, levels, rights):
                     y = _sector_transform(part, phases[window], right_factor, work)
                     if classes:
                         _add_part(g, part, y, chi, left is right, outer, inner, orbits,
                                   work[1])
-                    _apply(part_reads, y, values[window], scratch)
+                    _apply(part_reads, level, y, values[window], scratch)
                 if classes:
-                    _apply(classes, g, values[window], scratch)
+                    _apply(class_read, class_level, g, values[window], scratch)
+        # free this pair's stacks and classes before the next pair is gathered
+        parts.clear()
+        buffer = g = None
     return values
 
 
 def mq_intensity_extractor(basis: ZeemanBasis, n: int) -> Observable:
     """Observable: intensity of coherence order n (paired with -n for n > 0).
 
-    Order 0 gives Tr(rho_0^2); positive n gives 2 * Tr(rho_n rho_n+), so
-    the sum over n >= 0 equals Tr(rho^2).
+    Order 0 gives Tr(rho_0^2); positive n gives Tr(rho_n rho_n+) +
+    Tr(rho_-n rho_-n+), 2 Tr(rho_n rho_n+) for a Hermitian rho, so the sum
+    over n >= 0 equals Tr(rho^2).  It is an order intensity, so it lists
+    no element.
     """
     if not 0 <= n <= basis.n_spins:
         raise ValueError(f"order {n} out of range [0, {basis.n_spins}]")
-    # the elements from each spin-up level to the level n above it
-    levels = basis.levels()
-    flat = np.concatenate([(basis.dim * high[:, np.newaxis] + low).ravel()
-                           for low, high in zip(levels, levels[n:])])
-    return Observable(flat, 1.0 if n == 0 else 2.0)
+    return Observable(order=n)
 
 
 def diag_pair_extractor(basis: ZeemanBasis) -> Observable:

@@ -234,23 +234,26 @@ def build_transition_graph(h_secular: Operator | SparseOperator,
     # the strongest edge sets the floor, so that only the kept edges get
     # indices and frequencies, in the order of the block pairs, row-major
     floor = STRENGTH_THRESHOLD * max((s.max(initial=0.0) for s in squared), default=0.0)
-    upper, lower, freqs, strengths = [], [], [], []
-    for k, (low, high, s) in enumerate(zip(blocks[:-1], blocks[1:], squared)):
+    edges = [[], [], [], []]  # upper, lower, frequency and strength per block pair
+    for k, (low, high) in enumerate(zip(blocks[:-1], blocks[1:])):
+        # each matrix goes as soon as its edges are taken
+        s, squared[k] = squared[k], None
         a, b = np.nonzero(s > floor)
-        upper.append(starts[k + 1] + a)
-        lower.append(starts[k] + b)
-        freqs.append(high.eigenvalues[a] - low.eigenvalues[b])
-        strengths.append(s[a, b])
-    upper, lower, freqs, strengths = map(np.concatenate, (upper, lower, freqs, strengths))
-    ordering = np.lexsort((lower, upper, freqs))
-    return TransitionGraph(
-        m_values=m_values,
-        upper=upper[ordering],
-        lower=lower[ordering],
-        frequencies=freqs[ordering],
-        strengths=strengths[ordering],
-        blocks=blocks,
-    )
+        for field, values in zip(edges, (starts[k + 1] + a, starts[k] + b,
+                                         high.eigenvalues[a] - low.eigenvalues[b], s[a, b])):
+            field.append(values)
+    # one field at a time, so that each list, then each unsorted field, goes
+    # in turn; the sorted fields are frozen as made, so the graph keeps them
+    for i in range(4):
+        edges[i] = np.concatenate(edges[i])
+    ordering = np.lexsort((edges[1], edges[0], edges[2]))
+    for i in range(4):
+        edges[i] = edges[i][ordering]
+        edges[i].setflags(write=False)
+    del ordering
+    upper, lower, freqs, strengths = edges
+    return TransitionGraph(m_values=m_values, upper=upper, lower=lower, frequencies=freqs,
+                           strengths=strengths, blocks=blocks)
 
 
 def saturate(

@@ -285,7 +285,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     observables["diag_pair"] = diag_pair_extractor(basis)
     table = sweep(rho_thermal, eig, times, observables, unit=config.unit,
                   points=[config.t_prep])
-    del observables  # their element indices take dim^2 / 2 integers
     located = locate_maximum(table, f"I{filter_n}")
     if not located.interior:
         warnings.warn(

@@ -34,6 +34,11 @@ class NumericalInvariantError(RuntimeError):
 
 
 def _frozen_array(a, dtype=None) -> np.ndarray:
+    """``a`` as a read-only array that owns its data: ``a`` itself where it
+    is one already (of ``dtype``, if given), else a copy."""
+    if (isinstance(a, np.ndarray) and a.base is None and not a.flags.writeable
+            and (dtype is None or a.dtype == dtype)):
+        return a
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out

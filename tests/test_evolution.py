@@ -37,7 +37,7 @@ from mqpure.mq import mq_intensities
 
 from dense_eigen import dense_eigen
 from dense_operators import dense
-from dense_observables import dense_sweep, divisor, evaluate
+from dense_observables import dense_sweep, divisor, evaluate, order_elements
 from test_hamiltonians import random_systems
 from test_symmetry import circulant_systems, ring_system
 
@@ -327,6 +327,19 @@ class TestBatchedSweep:
         with pytest.raises(ValueError, match="out of range"):
             sweep(thermal_state(basis), h, np.array([0.0]), {"p": Observable([16])})
 
+    def test_rejects_an_order_outside_the_basis(self):
+        basis, h = two_spin_setup()
+        with pytest.raises(ValueError, match="out of range"):
+            mq_intensity_extractor(basis, 3)
+        with pytest.raises(ValueError, match="order 3 out of range"):
+            sweep(thermal_state(basis), h, np.array([0.0]), {"I3": Observable(order=3)})
+
+    @pytest.mark.parametrize("fields", [{"order": -1}, {"order": 1, "flat": [0]},
+                                        {"order": 1, "squared": False}])
+    def test_an_order_intensity_lists_no_element(self, fields):
+        with pytest.raises(ValueError, match="order intensity"):
+            Observable(**fields)
+
 
 class TestEvolve:
     @settings(max_examples=40, deadline=None)
@@ -550,3 +563,49 @@ class TestSectorsOfG:
         columns = rng.standard_normal((basis.dim, 3)) + 1j * rng.standard_normal((basis.dim, 3))
         gap = np.abs(propagate(columns, eig, t) - units[-1] @ columns).max()
         assert gap <= 1e-12 * np.abs(columns).sum(axis=0).max()
+
+
+class TestOrderIntensities:
+    """Order intensities read from the level pairs of the sector stacks (the
+    element classes under the flip) against the dense propagator of numpy's
+    eigh of the whole matrix, for every G and states of character +1, -1
+    and neither."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(systems_by_permutation(), st.sampled_from(["thermal", "homq", "flip-odd", "random"]),
+           st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
+    def test_every_order_matches_the_dense_oracle(self, case, state, t, seed):
+        kind, system = case
+        n = system.n_spins
+        basis = build_basis(n)
+        h = dq_hamiltonian(system, basis)
+        eig = diagonalize(h, site_symmetry(system))
+        # a random state, and its part odd under the flip, which has elements
+        # between the parity groups
+        noisy = random_state(np.random.default_rng(seed), basis.dim).matrix
+        rho = {"thermal": thermal_state(basis), "homq": homq_coherence_state(basis),
+               "flip-odd": DensityMatrix(matrix=0.5 * (noisy - noisy[::-1, ::-1])),
+               "random": DensityMatrix(matrix=noisy)}[state]
+        expected = TestSectorsOfG.CHARACTERS[kind][state]
+        used, chi = _character(rho, eig)
+        assert (chi, used is eig) == ((expected or 1), expected != 0)
+        values, vectors = np.linalg.eigh(dense(h))
+        times = np.array([0.0, 0.5 * t, t])
+        exact = [u @ dense(rho) @ u.conj().T
+                 for u in ((vectors * np.exp(-1j * TWO_PI * s * values)) @ vectors.conj().T
+                           for s in times)]
+        orders = {f"I{k}": mq_intensity_extractor(basis, k) for k in range(n + 1)}
+        reference = {key: np.array([evaluate(obs, state) for state in exact])
+                     for key, obs in orders.items()}
+        # alone, the orders take the reflection pairing where it applies and
+        # no element classes under a site cycle or the identity; beside the
+        # same sums listed as elements, neither
+        listed = {f"L{k}": order_elements(basis, k) for k in range(n + 1)}
+        for observables in (orders, {**orders, **listed}):
+            table = sweep(rho, eig, times, observables)
+            assert_matches_reference(table, reference, orders, rho)
+        for k in range(n + 1):
+            assert_matches_reference(table, {f"L{k}": reference[f"I{k}"]},
+                                     {f"L{k}": listed[f"L{k}"]}, rho)
+        total = sum(table.column(name) for name in orders)
+        assert np.abs(total - rho.purity()).max() <= 1e-12 * rho.purity()

@@ -21,6 +21,7 @@ from mqpure import (
     PipelineConfig,
     build_basis,
     build_transition_graph,
+    diag_pair_extractor,
     diagonalize,
     dq_hamiltonian,
     homq_excitable,
@@ -310,6 +311,26 @@ def test_flip_sector_pipeline_allocates_no_dense_state(tmp_path):
     path = write_system(tmp_path, ring_system(10, 7, jitter=(0, 1)))
     config = PipelineConfig(system=path, **RING10)
     assert traced_peak(lambda: run_pipeline(config)) < 29 * 2**20
+
+
+# The thermal sweep alone, I0-I10 and the diagonal pair at 61 grid points
+# and t_prep, over what it holds before: the order intensities are read
+# from level pairs and list no element, so the momentum sectors peak at
+# 1.2 MiB and the flip's element classes at 5.8 MiB.  Listing the d^2 / 2
+# elements of the orders and sorting them into orbit-pair weights took
+# 8.5 and 16.9 MiB.
+@pytest.mark.parametrize("jitter, bound", [(None, 4), ((0, 1), 10)], ids=["momentum", "flip"])
+def test_ring10_sweep_lists_no_order_element(jitter, bound):
+    system = ring_system(10, 7, jitter)
+    basis = build_basis(10)
+    eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
+    assert eig.orbits.order == (10 if jitter is None else 2)
+    thermal = thermal_state(basis)
+    observables = {f"I{k}": mq_intensity_extractor(basis, k) for k in range(11)}
+    observables["diag_pair"] = diag_pair_extractor(basis)
+    grid = np.arange(61) * RING10["t_step"]
+    assert traced_peak(lambda: sweep(thermal, eig, grid, observables,
+                                     points=[RING10["t_prep"]])) < bound * 2**20
 
 
 @pytest.mark.parametrize("command, jitter, bound", [

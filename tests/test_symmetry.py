@@ -37,7 +37,7 @@ from mqpure.evolution import TWO_PI, _orbit_weights, _sector_sweep
 
 from dense_eigen import dense_eigen
 from dense_operators import dense
-from dense_observables import dense_sweep, divisor
+from dense_observables import dense_sweep, divisor, order_elements
 
 
 def ring_system(n, seed=None, jitter=None):
@@ -303,9 +303,14 @@ class TestReadableObservables:
         return eig.orbits
 
     def test_order_intensities_and_extreme_states(self):
+        # an order intensity lists no element; the elements it sums over are
+        # constant on every orbit pair, as the diagonal pair and the
+        # all-up population are
         basis, orbits = build_basis(4), self.orbits()
         for k in range(5):
-            weights = _orbit_weights(mq_intensity_extractor(basis, k), orbits, basis.dim)
+            obs = mq_intensity_extractor(basis, k)
+            assert (obs.order, obs.flat.size, obs.weight, obs.squared) == (k, 0, 1.0, True)
+            weights = _orbit_weights(order_elements(basis, k), orbits, basis.dim)
             assert weights is not None
             assert set(np.unique(weights[2])) <= {1.0 if k == 0 else 2.0}
         assert _orbit_weights(diag_pair_extractor(basis), orbits, basis.dim) is not None
