@@ -362,42 +362,6 @@ def evolve(
     return _sector_evolve(rho, eig, chi, np.array([_phase_scale(unit) * t]))
 
 
-def propagate(
-    vectors: np.ndarray,
-    h: Operator | SparseOperator | EigenSystem,
-    t: float,
-    unit: str = "cyclic",
-) -> np.ndarray:
-    """U v for each column v of a (dim, r) matrix, U = exp(-i * scale * H * t).
-
-    Each eigenblock moves the columns into its eigenbasis (the slices of
-    its states summed with the conjugate weights, times ``scale`` per
-    row, then V+), applies the phases and writes back slice by slice; no
-    state repeats within a slice, and two slices that are exact negatives
-    of each other cancel exactly.  Blocks in which every column is zero
-    are skipped, so exact zeros stay exact, and no d x d array is made.
-    """
-    eig = _as_eigensystem(h)
-    vectors = np.asarray(vectors)
-    if vectors.ndim != 2 or vectors.shape[0] != eig.dim:
-        raise ValueError(f"vectors of shape {vectors.shape} do not fit dimension {eig.dim}")
-    phase = _phase_scale(unit) * t
-    out = np.zeros(vectors.shape, dtype=complex)
-    for block in eig.blocks:
-        gathered = vectors[block.states]
-        if not gathered.any():
-            continue
-        scale = block.scale[:, np.newaxis]
-        slices = np.split(gathered, block.weights.size)
-        moved = sum(w * part for w, part in zip(block.weights.conj(), slices))
-        moved = gemm(adjoint(block.eigenvectors), scale * moved)
-        moved = moved * np.exp(-1j * phase * block.eigenvalues)[:, np.newaxis]
-        moved = scale * gemm(block.eigenvectors, moved)
-        for states, weight in zip(np.split(block.states, block.weights.size), block.weights):
-            out[states] += weight * moved
-    return out
-
-
 @dataclass(frozen=True)
 class Observable:
     """A sweep observable, an order intensity or a list of elements.

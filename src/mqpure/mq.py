@@ -8,18 +8,16 @@ is exactly Tr(rho^2).
 
 The intensities and the filter work on the element blocks between
 spin-up levels (``ZeemanBasis.levels``): order n is the blocks between
-level k and level k + n, so no d x d order matrix is built.  The
-intensities of a state held as low-rank factors are read from small
-per-level triangles of its factors.  The full order stacks of
-:func:`decompose` and :func:`phase_cycle_decompose` serve as two
-independent cross-checking oracles.
+level k and level k + n, so no d x d order matrix is built.  The full
+order stacks of :func:`decompose` and :func:`phase_cycle_decompose`
+serve as two independent cross-checking oracles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .spin_core import DensityMatrix, LowRankState, ZeemanBasis
+from .spin_core import DensityMatrix, ZeemanBasis
 
 
 def decompose(rho: DensityMatrix, basis: ZeemanBasis) -> np.ndarray:
@@ -50,65 +48,35 @@ def mq_intensity(components: np.ndarray, n: int) -> float:
 def mq_intensities(rho: DensityMatrix, basis: ZeemanBasis) -> np.ndarray:
     """Intensities of orders 0..N in one pass, Hermitian-paired for n > 0.
 
-    Entry n equals ``mq_intensity(decompose(rho, basis), n)``.  With L
-    the (d, N+1) one-hot matrix of the spin-up levels, L+ |rho|^2 L sums
-    |rho_ab|^2 over each pair of levels (k, l), and order n collects the
-    pairs with |k - l| = n; no order matrix and no per-order copy is made.
+    Entry n equals ``mq_intensity(decompose(rho, basis), n)``: the sums of
+    |rho_ab|^2 over each pair of levels (:func:`level_sums`) read by order
+    (:func:`order_intensities`); no order matrix and no per-order copy is
+    made.
     """
     if rho.dim != basis.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, basis {basis.dim}")
-    n_spins = basis.n_spins
-    one_hot = np.equal.outer(basis.spins_up(), np.arange(n_spins + 1)).astype(float)
-    squares = np.abs(rho.matrix)
-    squares *= squares
-    per_levels = one_hot.T @ squares @ one_hot
-    return np.array([np.trace(per_levels, n) + (n > 0) * np.trace(per_levels, -n)
-                     for n in range(n_spins + 1)])
+    ups = basis.spins_up()
+    return order_intensities(level_sums(rho.matrix, ups, ups, basis.n_spins))
 
 
-def low_rank_intensities(state: LowRankState, basis: ZeemanBasis) -> np.ndarray:
-    """Intensities of orders 0..N of a b+ + b a+, Hermitian-paired for n > 0.
+def level_sums(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+               n_spins: int) -> np.ndarray:
+    """The sum of |values|^2 over each pair of spin-up levels (k, l), shaped
+    (N + 1, N + 1), given the spin-up counts of the rows and the columns.
 
-    Entry n equals ``mq_intensity(decompose(rho, basis), n)``.  With the
-    rows of each level k written as [a_k b_k] = Q_k R_k (R_k has at most
-    2r rows; a level of fewer rows keeps them, Q_k = 1), the block of rho
-    between levels k and l is Q_k R_k J R_l+ Q_l+, where J swaps the a
-    and b halves.  So its squared norm is that of the small product
-    R_k J R_l+, which, unlike a difference of r x r Gram traces, cannot
-    cancel below zero.  One QR covers every level taller than 2r, and
-    level k's rows meet all levels l >= k in one product; the (l, k)
-    block is the adjoint, and order n collects the pairs with
-    |k - l| = n.
+    With L the one-hot matrices of the counts, it is L_rows+ |values|^2 L_cols.
     """
-    if state.dim != basis.dim:
-        raise ValueError(f"dimension mismatch: state {state.dim}, basis {basis.dim}")
-    rank = state.a.shape[1]
-    levels = basis.levels()
-    sizes = [level.size for level in levels]
-    rows = np.empty((state.dim, 2 * rank), dtype=complex)
-    pieces = np.split(rows, np.cumsum(sizes)[:-1])
-    for piece, level in zip(pieces, levels):
-        piece[:, :rank], piece[:, rank:] = state.a[level], state.b[level]
-    tall = [k for k, size in enumerate(sizes) if size > 2 * rank]
-    if tall:
-        # zero rows pad the shorter levels; they leave each R+ R unchanged
-        padded = np.zeros((len(tall), max(sizes[k] for k in tall), 2 * rank), dtype=complex)
-        for i, k in enumerate(tall):
-            padded[i, :sizes[k]] = pieces[k]
-        for k, triangle in zip(tall, np.linalg.qr(padded, mode="r")):
-            pieces[k] = triangle
-        rows = np.vstack(pieces)
-    starts = np.cumsum([0] + [piece.shape[0] for piece in pieces])
-    pairing = np.full(basis.n_spins + 1, 2.0)
-    pairing[0] = 1.0
-    intensities = np.zeros(basis.n_spins + 1)
-    for k, piece in enumerate(pieces):
-        # R_l J R_k+, the adjoint of R_k J R_l+, for every l >= k
-        products = rows[starts[k]:] @ np.roll(piece, rank, axis=1).conj().T
-        per_level = np.add.reduceat(np.sum(np.abs(products) ** 2, axis=1),
-                                    starts[k:-1] - starts[k])
-        intensities[:per_level.size] += pairing[:per_level.size] * per_level
-    return intensities
+    levels = np.arange(n_spins + 1)
+    squares = np.abs(values)
+    squares *= squares
+    return np.equal.outer(levels, rows) @ squares @ np.equal.outer(cols, levels)
+
+
+def order_intensities(per_levels: np.ndarray) -> np.ndarray:
+    """The intensities of orders 0..N of the level-pair sums of
+    :func:`level_sums`: order n collects the pairs with |k - l| = n."""
+    return np.array([np.trace(per_levels, n) + (n > 0) * np.trace(per_levels, -n)
+                     for n in range(per_levels.shape[0])])
 
 
 def filter_order(rho: DensityMatrix, basis: ZeemanBasis, n: int) -> DensityMatrix:

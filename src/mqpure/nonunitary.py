@@ -26,7 +26,6 @@ from .evolution import _momentum_blocks, _orbits
 from .output import write_csv
 from .spin_core import (
     DensityMatrix,
-    LowRankState,
     Operator,
     SparseOperator,
     ZeemanBasis,
@@ -158,21 +157,6 @@ class TransitionGraph:
             v = block.eigenvectors
             part = gemm(rho.gather(block.states, block.states), v)
             populations.append(np.real(np.einsum("ia,ia->a", v.conj(), part)))
-        return np.concatenate(populations)
-
-    def low_rank_populations(self, state: LowRankState) -> np.ndarray:
-        """Eigenstate populations of a b+ + b a+, block by block.
-
-        The population of eigenvector w is 2 Re sum_c (w+ a_c) conj(w+ b_c),
-        so each m block reads only its rows of the two factors.
-        """
-        if state.dim != self.n_states:
-            raise ValueError("state dimension does not match graph")
-        populations = []
-        for block in self.blocks:
-            v = adjoint(block.eigenvectors)
-            a, b = gemm(v, state.a[block.states]), gemm(v, state.b[block.states])
-            populations.append(2.0 * np.einsum("ic,ic->i", a, b.conj()).real)
         return np.concatenate(populations)
 
     def to_csv(self, path: str | Path) -> None:

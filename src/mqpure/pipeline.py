@@ -6,28 +6,29 @@ density matrix:
 1. excitation under the double-quantum Hamiltonian for ``t_prep``.  Its
    order intensities are one more point of the thermal sweep, evaluated
    from the same set-up;
-2. filtering of one coherence order n.  The filtered state keeps the
-   level blocks (k + n, k) of the excited state and their adjoints, so
-   its rank is r = sum_k min(C(N, k), C(N, k + n)) (1 for the top
-   order: c |u><d| + h.c.).  Where r is a small share of the dimension
-   it is held as factors a b+ + b a+, the excited state's columns on the
-   smaller levels, U I_z U+ e_s, propagated block by block; no dense
-   excited, filtered or reversed state is made.  At the low orders,
-   where r nears d / 2, the dense excited state is evolved and filtered;
+2. filtering of one coherence order n.  The excited state is held as
+   its sector pairs, the blocks between the momentum sectors of the
+   double-quantum eigensystem (the flip sectors or the parity groups
+   where the couplings have no site cycle).  Every sector basis vector
+   lies in one spin-up level under a site cycle or the identity, so the
+   filter keeps, in each pair, the entries whose levels differ by n;
+   under the flip, which maps level c to N - c, it keeps those of the
+   pair's two element classes and folds them back;
 3. time reversal (same duration under the negated Hamiltonian, which is
-   the forward eigensystem propagated for -t_prep), applied to the two
-   factors or to the dense filtered state;
+   the forward eigensystem propagated for -t_prep), applied to each
+   filtered pair;
 4. crusher dephasing in the secular eigenbasis, whose populations are
-   read from the reversed state one m block at a time, then partial
+   read from the reversed pairs one m block at a time, then partial
    saturation.
 
-The thermal state I_z is held as its diagonal m (``thermal_state``),
-from which the sweep and the dense path's ``evolve`` gather their
-blocks, and the two Hamiltonians as their nonzero elements, so the run
-makes no d x d array at the high orders.  I_z is m on every m block of
-the secular eigenbasis, so its purity is sum m^2 and its eigenstate
-populations are the m values.  The filtered state is all order n, so its purity ``kept`` is
-its one intensity read.  Each stage check compares two numbers:
+One path serves every filter order and every sector symmetry, and no
+d x d array is made.  The thermal state I_z is held as its diagonal m
+(``thermal_state``), from which the sweep gathers its blocks, and the
+two Hamiltonians as their nonzero elements.  I_z is m on the basis of
+every sector pair and on every m block of the secular eigenbasis, so
+its purity is sum m^2 and its eigenstate populations are the m values.
+The filtered state is all order n, so its purity ``kept`` is its one
+intensity read.  Each stage check compares two numbers:
 
 - excitation: the sweep point's intensity sum against sum m^2;
 - filter ("efficiency product rule"): ``kept`` against the sweep
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import typing
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -59,23 +59,31 @@ import numpy as np
 
 from . import hamiltonians, mq, nonunitary, spectrum as spec
 from .evolution import (
+    EigenSystem,
     SweepTable,
+    _character,
+    _Orbits,
+    _Part,
     _phase_scale,
+    _right_factor,
+    _sector_groups,
+    _sector_transform,
     diag_pair_extractor,
     diagonalize,
-    evolve,
     mq_intensity_extractor,
-    propagate,
     sweep,
     time_grid,
 )
 from .output import write_csv
 from .spin_core import (
-    LowRankState,
     NumericalInvariantError,
     SparseOperator,
     ZeemanBasis,
+    adjoint,
     build_basis,
+    cyclic_phases,
+    gemm,
+    popcounts,
     thermal_state,
 )
 
@@ -87,12 +95,6 @@ PRODUCT_RULE_RTOL = 1e-6
 # differ by the roundoff of its elements, which reaches about eps sqrt(f);
 # the product rule allows this much times sqrt(f) on top of its rtol
 INTENSITY_ROUNDOFF = 1e-12
-
-# the filtered state is carried as factors while their rank is below this
-# share of the dimension; above it, reading the reversed factors (d^2 r)
-# and moving r columns through every eigenblock cost more than evolving
-# the dense states (see :func:`_after_filter`)
-FACTOR_RANK_SHARE = 1 / 12
 
 
 @dataclass(frozen=True)
@@ -369,10 +371,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 class _AfterFilter(NamedTuple):
     """What the report reads from the filtered and the reversed state.
 
-    ``kept`` is the filtered state's purity, its one read.  Of the
-    reversed state, ``intensities`` holds the order intensities, ``pair``
-    |rho_uu|^2 + |rho_dd|^2 and ``populations`` the secular eigenstate
-    populations (the crush).
+    ``kept`` is the filtered state's purity, its one read, summed over
+    the filtered sector pairs.  Of the reversed pairs, ``intensities``
+    holds the order intensities, ``pair`` |rho_uu|^2 + |rho_dd|^2 and
+    ``populations`` the secular eigenstate populations (the crush).
     """
 
     kept: float
@@ -381,79 +383,174 @@ class _AfterFilter(NamedTuple):
     populations: np.ndarray
 
 
-def _after_filter(rho_thermal: SparseOperator, eig, basis: ZeemanBasis,
+def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBasis,
                   graph: nonunitary.TransitionGraph, n: int, t: float,
                   unit: str) -> _AfterFilter:
     """Excite the thermal state for t, filter order n, reverse, and read the results.
 
-    The filtered state has rank r = sum_k min(C(N, k), C(N, k + n)).
-    Below ``FACTOR_RANK_SHARE`` of the dimension it is carried as factors
-    (:func:`_low_rank_after_filter`); at the low orders, where r nears
-    d / 2, the dense states are evolved (:func:`_dense_after_filter`).
+    Every step runs on the thermal state's sector pairs (a, b) of the
+    double-quantum eigensystem: (k, k) for each momentum k under a site
+    cycle or the identity, and (1, 0) of each parity group under the
+    flip.  I_z is m on the sector basis of each pair.  Per pair, with
+    U = V e^{-i phase E} V+:
+
+    1. excite: y = U_a I_z U_b+ (:func:`_transformed`);
+    2. filter: keep the entries of the element classes of y
+       (:func:`_classes`) whose row and column spin-up counts differ by
+       n, folded back into one pair (:func:`_order_filter`);
+    3. ``kept`` adds the filtered pair's sum of |y|^2, twice under the
+       flip, whose classes each stand for two elements;
+    4. reverse: U_a+ y U_b (:func:`_reversed`).
+
+    A pair with no entry of gap n is filtered out whole and never
+    excited.  The reversed classes give |rho|^2 per pair of levels, from
+    which the order intensities are read, and the diagonal pair as
+    levels 0 and N, of one state each; the reversed pairs of each group
+    give its crushed populations (:func:`_add_populations`).
     """
-    sizes = [math.comb(basis.n_spins, k) for k in range(basis.n_spins + 1)]
-    rank = sum(map(min, sizes, sizes[n:]))
-    if rank < FACTOR_RANK_SHARE * basis.dim:
-        return _low_rank_after_filter(eig, basis, graph, n, t, unit)
-    return _dense_after_filter(rho_thermal, eig, basis, graph, n, t, unit)
+    eig, chi = _character(rho_thermal, eig)
+    orbits, n_spins, order = eig.orbits, basis.n_spins, eig.orbits.order
+    q = 0 if chi == 1 else order // 2
+    count = popcounts(orbits.table[:, 0])
+    phase = _phase_scale(unit) * t
+    weight = 1 if chi == 1 else 2
+    per_levels = np.zeros((n_spins + 1, n_spins + 1))
+    kept = 0.0
+    populations = np.zeros(graph.n_states)
+    for group in _sector_groups(eig):
+        reversed_ = []
+        # under the flip a group's pair (0, 1) is the adjoint of its pair (1, 0)
+        for k in range(order if q == 0 else q):
+            if k not in group or (k + q) % order not in group:
+                continue
+            a, b = group[(k + q) % order], group[k]
+            rows, cols = count[orbits.members(a)], count[orbits.members(b)]
+            counts = [(rows, cols)] if chi == 1 else [(rows, cols), (rows, n_spins - cols)]
+            masks = [np.abs(r[:, np.newaxis] - c) == n for r, c in counts]
+            if not any(mask.any() for mask in masks):
+                continue
+            # I_z is m on the sector basis of each pair, whose a and b hold the same orbits
+            part = _Part(a, b, gemm(adjoint(a.eigenvectors) * (rows - n_spins / 2),
+                                    b.eigenvectors))
+            filtered = _order_filter(_transformed(part, phase), masks, chi)
+            kept += weight * float(np.vdot(filtered, filtered).real)
+            part = part._replace(moved=_reversed(part, filtered, phase))
+            del filtered
+            per_levels += weight * sum(mq.level_sums(values, r, c, n_spins) for values, (r, c)
+                                       in zip(_classes(part.moved, chi), counts))
+            reversed_.append(part)
+        _add_populations(populations, graph, orbits, orbits.members(group[0]), reversed_, weight)
+    return _AfterFilter(kept=kept, intensities=mq.order_intensities(per_levels),
+                        pair=float(per_levels[0, 0] + per_levels[n_spins, n_spins]),
+                        populations=populations)
 
 
-def _low_rank_after_filter(eig, basis: ZeemanBasis, graph: nonunitary.TransitionGraph,
-                           n: int, t: float, unit: str) -> _AfterFilter:
-    """:func:`_after_filter` on the factors of :func:`_filter_and_reverse`."""
-    filtered, reversed_ = _filter_and_reverse(eig, basis, n, t, unit)
-    up, down = basis.index_all_up, basis.index_all_down
-    return _AfterFilter(
-        # each kept element of the excited state is an entry of a, once
-        kept=2.0 * float(np.vdot(filtered.a, filtered.a).real),
-        intensities=mq.low_rank_intensities(reversed_, basis),
-        pair=float(np.sum(reversed_.diagonal([up, down]) ** 2)),
-        populations=graph.low_rank_populations(reversed_),
-    )
+def _transformed(part: _Part, phase: float) -> np.ndarray:
+    """V_a e^{-i phase E_a} X e^{i phase E_b} V_b+ of a part (a, b, X), shaped (r_a, r_b)."""
+    work = tuple(np.empty(part.moved.size, dtype=complex) for _ in range(2))
+    return _sector_transform(part, np.array([phase]), _right_factor(part, 1), work)[0]
 
 
-def _dense_after_filter(rho_thermal: SparseOperator, eig, basis: ZeemanBasis,
-                        graph: nonunitary.TransitionGraph, n: int, t: float,
-                        unit: str) -> _AfterFilter:
-    """:func:`_after_filter` on dense states, each evolved through the eigensystem."""
-    filtered = mq.filter_order(evolve(rho_thermal, eig, t, unit=unit), basis, n)
-    reversed_ = evolve(filtered, eig, -t, unit=unit)
-    up, down = basis.index_all_up, basis.index_all_down
-    return _AfterFilter(
-        kept=filtered.purity(),
-        intensities=mq.mq_intensities(reversed_, basis),
-        pair=abs(reversed_.matrix[up, up]) ** 2 + abs(reversed_.matrix[down, down]) ** 2,
-        populations=graph.populations(reversed_),
-    )
+def _reversed(part: _Part, filtered: np.ndarray, phase: float) -> np.ndarray:
+    """U_a+ y U_b of the filtered pair y of ``part``, U = V e^{-i phase E} V+."""
+    moved = gemm(gemm(adjoint(part.a.eigenvectors), filtered), part.b.eigenvectors)
+    return _transformed(part._replace(moved=moved), -phase)
 
 
-def _filter_and_reverse(eig, basis: ZeemanBasis, n: int, t: float, unit: str) -> tuple:
-    """The thermal state excited for t and filtered to order n, then reversed, as factors.
+def _classes(y: np.ndarray, chi: int):
+    """The element classes of a sector pair y, which sum to y, one at a time.
 
-    The level block (k + n, k) of rho_e = U I_z U+ has rank at most the
-    size of its smaller level s; with l the other level, it is read from
-    the columns rho_e e_s = U (m * U+ e_s) restricted to the rows of l.
-    So the filtered state is a b+ + b a+ with a = P_l rho_e E_s and
-    b = E_s over all level pairs, a tie going to the lower level, and
-    the reversed one is U+ a (U+ b)+ + h.c., where U+ b = U+ E_s is
-    already at hand.  Returns the two :class:`LowRankState`.
+    For chi = 1 (a site cycle or the identity) every sector basis vector
+    lies in one spin-up level, and y is its own class.  Under the flip
+    (chi = -1) y is rho between sectors 1 and 0 of one group, and
+    f_0 = (y + y+)/2 and f_1 = (y - y+)/2 hold the elements rho[a, b] and
+    rho[a, b'] of the representatives a, b and the flip b' of b, each
+    standing for the flipped element too.  The second class is made in
+    the buffer of y+.
     """
-    levels = basis.levels()
-    pairs = [(low, high) if low.size <= high.size else (high, low)
-             for low, high in zip(levels, levels[n:])]
-    small = np.concatenate([s for s, _ in pairs])
-    units = np.zeros((basis.dim, small.size))
-    units[small, np.arange(small.size)] = 1.0
-    back = propagate(units, eig, -t, unit)
-    columns = propagate(basis.m[:, np.newaxis] * back, eig, t, unit)
-    a = np.zeros_like(columns)
+    if chi == 1:
+        yield y
+        return
+    y_adjoint = np.ascontiguousarray(adjoint(y))
+    f_0 = y + y_adjoint
+    f_0 *= 0.5
+    yield f_0
+    y_adjoint -= y
+    y_adjoint *= -0.5
+    yield y_adjoint
+
+
+def _order_filter(y: np.ndarray, masks: list, chi: int) -> np.ndarray:
+    """The classes of the pair y with every entry outside their masks zeroed,
+    folded back into one pair."""
+    filtered = np.zeros_like(y)
+    for mask, values in zip(masks, _classes(y, chi)):
+        np.add(filtered, values, out=filtered, where=mask)
+    return filtered
+
+
+def _add_populations(populations: np.ndarray, graph: nonunitary.TransitionGraph,
+                     orbits: _Orbits, group: np.ndarray, pairs: list, weight: int) -> None:
+    """Add <e|rho|e> of the reversed sector ``pairs`` (k', k) of one group
+    of orbits for each secular eigenvector e of the m blocks in it.
+
+    Sector k's component of e over the representatives a is
+    c_k[a] = sqrt(p_a) / L sum_j exp(2 pi i k j / L) e[G^j a], so
+    <e|rho|e> = weight Re sum c_k'+ rho_k'k c_k over the pairs, the
+    weight 2 adding the adjoint pairs under the flip.  The pairs are set
+    in one (pairs, orbits, orbits) stack over the group, and each m block
+    reads the orbits that hold its states, a chunk of eigenvectors at a
+    time, with one product over the orbit table and one batched product
+    over the pairs; a chunk's components take no more room than one pair
+    of the stack.
+    """
+    if not pairs:
+        return
+    place = np.full(orbits.period.size, -1)
+    place[group] = np.arange(group.size)
+    stack = np.zeros((len(pairs), group.size, group.size), dtype=complex)
+    for slot, part in zip(stack, pairs):
+        slot[np.ix_(place[orbits.members(part.a)], place[orbits.members(part.b)])] = part.moved
+    order = orbits.order
+    left = np.array([part.a.momentum for part in pairs])
+    right = np.array([part.b.momentum for part in pairs])
+    # the inverse DFT over the orbit table, exp(2 pi i k j / L) / L per
+    # (k, j), for the left and the right momentum of each pair
+    dfts = [cyclic_phases(order).conj()[np.multiply.outer(ks, np.arange(order)) % order] / order
+            for ks in (left, right)]
+    # components of k = 0 and L/2 alone are real, and read the pairs' real part
+    real = not any(dft.imag.any() for dft in dfts)
+    if real:
+        dfts = [dft.real for dft in dfts]
+    at = np.full(orbits.of.size, -1)
     start = 0
-    for s, large in pairs:
-        cols = slice(start, start + s.size)
-        a[large, cols] = columns[large, cols]
-        start = cols.stop
-    del columns  # d x r, freed before the reversal allocates its own
-    return LowRankState(a, units), LowRankState(propagate(a, eig, -t, unit), back)
+    for block in graph.blocks:
+        size = block.states.size
+        touched = np.zeros(orbits.period.size, dtype=bool)
+        touched[orbits.of[block.states]] = True
+        touched = np.flatnonzero(touched)
+        rows = place[touched]
+        if rows[0] >= 0:
+            at[block.states] = np.arange(size)
+            index = at[orbits.table[touched].T]  # (L, orbits), -1 outside the block
+            at[block.states] = -1
+            in_block = (stack.real if real else stack)[:, rows[:, np.newaxis], rows]
+            scale = np.sqrt(orbits.period[touched])[:, np.newaxis]
+            width = max(1, group.size ** 2 // (len(pairs) * touched.size))
+            read_block = populations[start:start + size]
+            for first in range(0, size, width):
+                values = block.eigenvectors[:, first:first + width][index]
+                values[index < 0] = 0.0
+                values *= scale
+                flat = values.reshape(order, -1)
+                ket = (dfts[1] @ flat).reshape(len(pairs), touched.size, -1)
+                bra = ket if np.array_equal(left, right) else (dfts[0] @ flat).reshape(ket.shape)
+                product = in_block @ ket
+                read = np.einsum("kae,kae->e", bra.real, product.real)
+                if not real:
+                    read += np.einsum("kae,kae->e", bra.imag, product.imag)
+                read_block[first:first + width] += weight * read
+        start += size
 
 
 def pseudopure_fidelity(populations: np.ndarray, index_up: int) -> float:

@@ -295,23 +295,14 @@ class SparseOperator:
         """The elements [r, c] for r in ``rows`` (a vector) and c in ``cols``
         (any shape), shaped (rows.size,) + cols.shape; states may repeat.
 
-        Each nonzero lands at the last place of its row and of its column,
-        and the other places of a repeated state copy that one.
+        Each nonzero is written to every place of its row and of its
+        column, so the result is the only array of its size made.
         """
         rows, cols = np.asarray(rows), np.asarray(cols)
-        flat = cols.reshape(-1)
-        places = []
-        for states in (rows, flat):
-            place = np.full(self.dim, -1)
-            place[states] = np.arange(states.size)
-            places.append(place)
-        i, j = places[0][self.rows], places[1][self.cols]
-        found = (i >= 0) & (j >= 0)
-        out = np.zeros((rows.size, flat.size), dtype=self.values.dtype)
-        out[i[found], j[found]] = self.values[found]
-        for axis, (states, place) in enumerate(zip((rows, flat), places)):
-            if not np.array_equal(place[states], np.arange(states.size)):
-                out = np.take(out, place[states], axis=axis)
+        k, i = _places(rows, self.rows, self.dim)
+        m, j = _places(cols.reshape(-1), self.cols[k], self.dim)
+        out = np.zeros((rows.size, cols.size), dtype=self.values.dtype)
+        out[i[m], j] = self.values[k[m]]
         return out.reshape((rows.size,) + cols.shape)
 
     def invariant(self, perm: np.ndarray, sign: int = 1) -> bool:
@@ -327,35 +318,15 @@ class SparseOperator:
         return float(np.vdot(self.values, self.values).real)
 
 
-@dataclass(frozen=True)
-class LowRankState:
-    """Hermitian deviation state a b+ + b a+ held as two (d, r) factors.
-
-    A state with few nonzero level blocks, such as one filtered
-    coherence order, has a small r: it is propagated and read through
-    its factors, never as a d x d matrix.  A real factor stays float64,
-    and each factor is kept as a read-only view, not a copy.
-    """
-
-    a: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        a, b = (_real_or_complex(x).view() for x in (self.a, self.b))
-        if a.ndim != 2 or a.shape != b.shape:
-            raise ValueError("factors must be two matrices of one shape")
-        for name, factor in (("a", a), ("b", b)):
-            factor.setflags(write=False)
-            object.__setattr__(self, name, factor)
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    def diagonal(self, states) -> np.ndarray:
-        """The elements rho[s, s] = 2 Re sum_c a[s, c] conj(b[s, c])."""
-        a, b = self.a[states], self.b[states]
-        return 2.0 * np.einsum("...c,...c->...", a, b.conj()).real
+def _places(states: np.ndarray, wanted: np.ndarray, dim: int) -> tuple:
+    """(k, place) for every place of ``states`` that holds ``wanted[k]``,
+    k ascending; both hold states below ``dim``."""
+    counts = np.bincount(states, minlength=dim)
+    starts = np.cumsum(counts) - counts
+    repeats = counts[wanted]
+    k = np.repeat(np.arange(wanted.size), repeats)
+    offsets = np.arange(k.size) - np.repeat(np.cumsum(repeats) - repeats, repeats)
+    return k, np.argsort(states, kind="stable")[starts[wanted[k]] + offsets]
 
 
 def thermal_state(basis: ZeemanBasis) -> SparseOperator:
@@ -399,20 +370,6 @@ class EigenBlock(NamedTuple):
     eigenvectors: np.ndarray
     momentum: int = 0
     scale: np.ndarray | None = None
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Coefficient of each equal slice of ``states`` in the block's vectors.
-
-        Over slice j of ``states``, an eigenvector of the full basis is
-        ``weights[j]`` times the matching column of ``eigenvectors``, times
-        ``scale`` per row where the block has one; a state listed in
-        several slices collects the sum of its entries.  The weights are
-        real where 2k is a multiple of L.
-        """
-        slices = self.states.size // self.eigenvalues.size
-        weights = cyclic_phases(slices)[self.momentum * np.arange(slices) % slices]
-        return weights.real if 2 * self.momentum % slices == 0 else weights
 
 
 def cyclic_phases(order: int) -> np.ndarray:

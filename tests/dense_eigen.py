@@ -7,13 +7,29 @@ loops over the full basis, rebuild the dense matrices here.
 
 import numpy as np
 
+from mqpure.spin_core import cyclic_phases
+
+
+def weights(block) -> np.ndarray:
+    """Coefficient of each equal slice of ``block.states`` in the block's vectors.
+
+    Over slice j of the states, an eigenvector of the full basis is
+    ``weights[j]`` times the matching column of ``eigenvectors``, times
+    ``scale`` per row where the block has one; a state listed in several
+    slices collects the sum of its entries.  The weights are real where 2k
+    is a multiple of L.
+    """
+    slices = block.states.size // block.eigenvalues.size
+    phases = cyclic_phases(slices)[block.momentum * np.arange(slices) % slices]
+    return phases.real if 2 * block.momentum % slices == 0 else phases
+
 
 def dense_transform(blocks) -> np.ndarray:
     """All block eigenvectors as one dense matrix over the full basis.
 
     Columns follow the blocks in order; each column is zero outside the
     states of its block.  Over slice k of a block's states a column is
-    ``weights[k]`` times the block eigenvector, times the block's
+    ``weights(block)[k]`` times the block eigenvector, times the block's
     ``scale`` per row where it has one, and a state listed in several
     slices sums its entries.  This embeds momentum sector blocks as phased
     sums over orbits: for the flip of every spin (L = 2) the combinations
@@ -21,7 +37,7 @@ def dense_transform(blocks) -> np.ndarray:
     """
     dim = sum(block.eigenvalues.size for block in blocks)
     dtype = np.result_type(*(block.eigenvectors for block in blocks),
-                           *(block.weights for block in blocks))
+                           *(weights(block) for block in blocks))
     dense = np.zeros((dim, dim), dtype=dtype)
     start = 0
     for block in blocks:
@@ -30,7 +46,7 @@ def dense_transform(blocks) -> np.ndarray:
         if block.scale is not None:
             vectors = block.scale[:, np.newaxis] * vectors
         np.add.at(dense, (block.states[:, np.newaxis], np.arange(start, stop)),
-                  np.kron(block.weights[:, np.newaxis], vectors))
+                  np.kron(weights(block)[:, np.newaxis], vectors))
         start = stop
     return dense
 

@@ -31,7 +31,6 @@ from mqpure.evolution import (
     _character,
     _chunk_length,
     _sector_parts,
-    propagate,
 )
 from mqpure.mq import mq_intensities
 
@@ -517,7 +516,7 @@ class TestSectorsOfG:
 
     @settings(max_examples=30, deadline=None)
     @given(systems_by_permutation(), st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
-    def test_sweep_evolve_and_propagate_match_the_dense_propagator(self, case, t, seed):
+    def test_sweep_and_evolve_match_the_dense_propagator(self, case, t, seed):
         kind, system = case
         n = system.n_spins
         basis = build_basis(n)
@@ -560,9 +559,6 @@ class TestSectorsOfG:
             assert_matches_reference(table, reference, observables, rho)
             gap = np.abs(evolve(rho, eig, t).matrix - exact[-1]).max()
             assert gap <= 1e-12 * np.abs(dense(rho)).max(), name
-        columns = rng.standard_normal((basis.dim, 3)) + 1j * rng.standard_normal((basis.dim, 3))
-        gap = np.abs(propagate(columns, eig, t) - units[-1] @ columns).max()
-        assert gap <= 1e-12 * np.abs(columns).sum(axis=0).max()
 
 
 class TestOrderIntensities:

@@ -1,12 +1,11 @@
-"""The pipeline's low-rank path against the dense one.
+"""The pipeline's post-filter stage against the dense one.
 
-After the filter the pipeline holds its states as factors a b+ + b a+
-(:class:`mqpure.spin_core.LowRankState`) where their rank is small,
-propagates them with :func:`mqpure.evolution.propagate` and reads the
-excited state's order intensities from an extra point of its sweep.
-The oracle is the dense path it takes at the low orders,
-``pipeline._dense_after_filter``: ``evolve``, ``filter_order``,
-``mq_intensities`` and ``populations``.
+After the filter the pipeline holds the excited, filtered and reversed
+states as their sector pairs (``pipeline._after_filter``) at every
+filter order and under every G, and reads the excited state's order
+intensities from an extra point of its sweep.  The oracle runs the same
+steps on dense states (``dense_after_filter``): ``evolve``,
+``filter_order``, ``mq_intensities`` and ``populations``.
 """
 
 import math
@@ -35,30 +34,15 @@ from mqpure import (
     thermal_state,
 )
 from mqpure.cli import main
-from mqpure.evolution import TWO_PI, propagate
-from mqpure.mq import low_rank_intensities
-from mqpure.spin_core import DensityMatrix, LowRankState
+from mqpure.evolution import _character
+from mqpure.spin_core import DensityMatrix
 
-from dense_eigen import dense_eigen
+from dense_after_filter import dense_after_filter
+from dense_eigen import dense_transform
 from test_hamiltonians import random_systems
 from test_symmetry import circulant_systems, ring_system
 
 RING10 = {"t_prep": 5.39, "t_max": 6.0, "t_step": 0.1}
-
-
-def dense_propagator(h, t):
-    values, vectors = dense_eigen(diagonalize(h).blocks)
-    return (vectors * np.exp(-1j * TWO_PI * t * values)) @ vectors.conj().T
-
-
-def dense(state):
-    return state.a @ state.b.conj().T + state.b @ state.a.conj().T
-
-
-def random_factors(rng, dim, rank):
-    a, b = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-            for _ in range(2))
-    return LowRankState(a, b)
 
 
 def accepted_orders(n):
@@ -88,84 +72,37 @@ def write_system(tmp_path, system):
     return str(path)
 
 
-class TestPropagate:
-    @settings(max_examples=15, deadline=None)
-    @given(st.one_of(random_systems(2, 7), circulant_systems(2, 7)), st.floats(-2.0, 2.0),
-           st.integers(0, 2**32 - 1))
-    def test_matches_the_dense_propagator(self, system, t, seed):
-        # momentum sectors where the couplings have a site cycle, flip or
-        # parity blocks where they do not
-        basis = build_basis(system.n_spins)
-        h = dq_hamiltonian(system, basis)
-        eig = diagonalize(h, site_symmetry(system))
-        rng = np.random.default_rng(seed)
-        vectors = rng.standard_normal((basis.dim, 3)) + 1j * rng.standard_normal((basis.dim, 3))
-        expected = dense_propagator(h, t) @ vectors
-        assert_close(propagate(vectors, eig, t), expected, np.abs(vectors).sum(axis=0).max(),
-                     "U v")
-
-    def test_exact_zeros_stay_exact(self):
-        # the double-quantum Hamiltonian keeps popcount parity exactly
-        system = ring_system(6, 3)
-        basis = build_basis(6)
-        eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
-        unit = np.zeros((basis.dim, 1))
-        unit[0] = 1.0
-        moved = propagate(unit, eig, 0.7)
-        odd = np.array([bin(s).count("1") % 2 == 1 for s in range(basis.dim)])
-        assert np.all(moved[odd] == 0.0)
-        assert np.abs(moved[~odd]).max() > 0
-
-    def test_rejects_a_wrong_shape(self):
-        basis = build_basis(2)
-        eig = diagonalize(dq_hamiltonian(ring_system(2), basis))
-        with pytest.raises(ValueError, match="do not fit"):
-            propagate(np.ones(4), eig, 1.0)
-
-
-class TestLowRankState:
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(1, 7), st.integers(1, 5), st.integers(0, 2**32 - 1))
-    def test_readers_match_the_dense_matrix(self, n, rank, seed):
-        basis = build_basis(n)
-        state = random_factors(np.random.default_rng(seed), basis.dim, rank)
-        rho = DensityMatrix(matrix=dense(state))
-        purity = rho.purity()
-        intensities = low_rank_intensities(state, basis)
-        assert_close(intensities, mq_intensities(rho, basis), purity, "intensities")
-        assert abs(intensities.sum() - purity) <= 1e-12 * purity
-        assert_close(state.diagonal(np.arange(basis.dim)), np.diag(rho.matrix).real,
-                     np.abs(rho.matrix).max(), "diagonal")
-
-    def test_populations_match_the_dense_matrix(self, basis6, graph6):
-        state = random_factors(np.random.default_rng(4), basis6.dim, 3)
-        expected = graph6.populations(DensityMatrix(matrix=dense(state)))
-        assert_close(graph6.low_rank_populations(state), expected, np.abs(expected).max(),
-                     "populations")
-
-    @pytest.mark.parametrize("rank", [1, 2, 40])
-    def test_cancelling_factors_read_zero_not_below(self, basis6, rank):
-        # a (i a)+ + (i a) a+ is exactly zero; products of per-level
-        # triangles (the rows themselves in levels of at most 2r states)
-        # cannot round a squared norm below zero
-        a = np.random.default_rng(5).standard_normal((basis6.dim, rank)) + 0j
-        intensities = low_rank_intensities(LowRankState(a, 1j * a), basis6)
-        assert np.all(intensities >= 0.0)
-        assert intensities.max() <= 1e-28 * (np.abs(a).max() * rank * basis6.dim) ** 2
-
-    def test_rejects_mismatched_factors(self):
-        with pytest.raises(ValueError, match="one shape"):
-            LowRankState(np.zeros((4, 1)), np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            low_rank_intensities(LowRankState(np.zeros((4, 1)), np.zeros((4, 1))),
-                                 build_basis(3))
+def filtered_state(eig, pairs, chi) -> np.ndarray:
+    """The dense filtered state of the filtered sector pairs (part, y): the
+    sum of B_a y B_b+ over the pairs, B the sector basis vectors, and of
+    their adjoints where chi = -1 (a group's pair (0, 1) under the flip).
+    For chi = 1 each pair is Hermitian up to roundoff, and so is made
+    exactly Hermitian."""
+    blocks = [block._replace(eigenvectors=np.eye(block.eigenvalues.size))
+              for block in eig.blocks]
+    columns = dense_transform(blocks)
+    starts = np.cumsum([0] + [block.eigenvalues.size for block in blocks])
+    basis_of = {id(block): columns[:, start:stop]
+                for block, start, stop in zip(eig.blocks, starts, starts[1:])}
+    rho = np.zeros((eig.dim, eig.dim), dtype=complex)
+    for part, y in pairs:
+        rho += basis_of[id(part.a)] @ y @ basis_of[id(part.b)].conj().T
+    return rho + rho.conj().T if chi == -1 else (rho + rho.conj().T) / 2
 
 
 class TestFactorPathProperty:
+    """The post-filter stage on the sector pairs against the dense oracle.
+
+    Random couplings take the flip sectors at even N and the parity groups
+    (G = identity) at odd N; circulant ones take a site cycle.
+    """
+
     @settings(max_examples=20, deadline=None)
     @given(st.one_of(random_systems(2, 8), circulant_systems(2, 8)), st.floats(0.05, 2.0))
     @example(ring_system(6, 1), 0.973)
     @example(ring_system(8, 2), 1.0)
+    @example(ring_system(6, 1, jitter=(0, 1)), 0.973)
+    @example(ring_system(7, 2, jitter=(0, 1)), 1.0)
     def test_every_accepted_order_matches_the_dense_oracle(self, system, t):
         basis = build_basis(system.n_spins)
         h = dq_hamiltonian(system, basis)
@@ -173,13 +110,11 @@ class TestFactorPathProperty:
         graph = build_transition_graph(secular_dipolar_hamiltonian(system, basis), basis)
         thermal = thermal_state(basis)
         for n in accepted_orders(system.n_spins):
-            filtered, reversed_ = pipeline._filter_and_reverse(eig, basis, n, t, "cyclic")
-            after = pipeline._low_rank_after_filter(eig, basis, graph, n, t, "cyclic")
-            oracle = pipeline._dense_after_filter(thermal, eig, basis, graph, n, t, "cyclic")
+            after = pipeline._after_filter(thermal, eig, basis, graph, n, t, "cyclic")
+            oracle = dense_after_filter(thermal, eig, basis, graph, n, t, "cyclic")
             if n % 2:
                 # the thermal state has even orders only, and so has every
                 # state the double-quantum Hamiltonian makes from it
-                assert not filtered.a.any() and not reversed_.a.any()
                 assert after.kept == after.pair == 0.0
                 assert not after.populations.any()
                 assert not after.intensities.any()
@@ -215,10 +150,12 @@ class TestFactorPathProperty:
         got = [table.points.column(f"I{k}")[0] for k in range(basis.n_spins + 1)]
         assert_close(got, excited, thermal.purity(), "excited intensities")
 
-    @pytest.mark.parametrize("share", [1.0, 0.0], ids=["factors", "dense"])
-    def test_odd_order_pipeline_converts_nothing(self, monkeypatch, share):
-        monkeypatch.setattr(pipeline, "FACTOR_RANK_SHARE", share)
-        config = PipelineConfig(filter_n=3, t_max=0.5, t_step=0.05)
+    @pytest.mark.parametrize("jitter", [None, (0, 1)], ids=["momentum", "flip"])
+    def test_odd_order_pipeline_converts_nothing(self, tmp_path, jitter):
+        system = ring_system(6, 1, jitter)
+        assert (site_symmetry(system) is None) == (jitter is not None)
+        config = PipelineConfig(system=write_system(tmp_path, system), filter_n=3,
+                                t_max=0.5, t_step=0.05)
         with np.errstate(divide="raise", invalid="raise"):
             with pytest.warns(RuntimeWarning, match="grid boundary"):
                 report = run_pipeline(config)
@@ -229,7 +166,7 @@ class TestClosedForms:
     """The pipeline's closed forms against the reads they replace."""
 
     @settings(max_examples=15, deadline=None)
-    @given(random_systems(2, 8), st.floats(0.05, 2.0))
+    @given(st.one_of(random_systems(2, 8), circulant_systems(2, 8)), st.floats(0.05, 2.0))
     @example(ring_system(6, 1), 0.973)
     def test_thermal_and_filtered_stages(self, system, t):
         basis = build_basis(system.n_spins)
@@ -240,23 +177,26 @@ class TestClosedForms:
         assert_close(graph.populations(thermal), graph.m_values, 1.0, "thermal populations")
         assert abs(thermal.purity() - purity) <= 1e-12 * purity
         eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
-        for n in accepted_orders(system.n_spins):
-            filtered, _ = pipeline._filter_and_reverse(eig, basis, n, t, "cyclic")
-            kept = 2.0 * float(np.vdot(filtered.a, filtered.a).real)
-            want = np.zeros(basis.n_spins + 1)
-            want[n] = kept
-            # the filtered state is all order n, of intensity its purity
-            assert_close(low_rank_intensities(filtered, basis), want, purity,
-                         f"filtered intensities, order {n}")
+        _, chi = _character(thermal, eig)
+        pairs = []
+        original = pipeline._reversed
 
+        def reversal(part, filtered, phase):
+            pairs.append((part, filtered))
+            return original(part, filtered, phase)
 
-@pytest.mark.parametrize("n, path", [(10, "low_rank"), (8, "low_rank"), (6, "low_rank"),
-                                     (4, "dense"), (2, "dense")])
-def test_the_filter_rank_picks_the_path(monkeypatch, n, path):
-    # at N = 10 the filtered state has rank 1, 12, 67, 232 and 562 of 1024
-    for name in ("low_rank", "dense"):
-        monkeypatch.setattr(pipeline, f"_{name}_after_filter", lambda *args, name=name: name)
-    assert pipeline._after_filter(None, None, build_basis(10), None, n, 1.0, "cyclic") == path
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "_reversed", reversal)
+            for n in accepted_orders(system.n_spins):
+                pairs.clear()
+                kept = pipeline._after_filter(thermal, eig, basis, graph, n, t, "cyclic").kept
+                want = np.zeros(basis.n_spins + 1)
+                want[n] = kept
+                # the filtered state, made dense from its pairs, is all
+                # order n, of intensity its purity
+                filtered = DensityMatrix(matrix=filtered_state(eig, pairs, chi))
+                assert_close(mq_intensities(filtered, basis), want, purity,
+                             f"filtered intensities, order {n}")
 
 
 class TestRing10Oracle:
@@ -269,8 +209,8 @@ class TestRing10Oracle:
         def run(out):
             return run_pipeline(PipelineConfig(system=path, out_dir=str(tmp_path / out), **RING10))
 
-        got = run("factors")
-        monkeypatch.setattr(pipeline, "FACTOR_RANK_SHARE", 0.0)
+        got = run("sectors")
+        monkeypatch.setattr(pipeline, "_after_filter", dense_after_filter)
         want = run("dense")
         assert got.peak_counts == want.peak_counts
         for key in ("t_star", "f_homq", "f_convert", "f_overall", "p_u_drift",
@@ -278,7 +218,7 @@ class TestRing10Oracle:
             assert math.isclose(getattr(got, key), getattr(want, key), rel_tol=1e-12,
                                 abs_tol=1e-300), key
         for name in ("sweep.csv", "transitions.csv"):
-            assert (tmp_path / "factors" / name).read_bytes() == \
+            assert (tmp_path / "sectors" / name).read_bytes() == \
                 (tmp_path / "dense" / name).read_bytes(), name
 
 
@@ -293,23 +233,27 @@ def traced_peak(run) -> int:
 
 
 # One real 1024 x 1024 array is 8 MiB.  With the Hamiltonians and the
-# thermal state held as nonzero elements, ring10's pipeline peaks at
-# 20.3 MiB of traced allocations (38.2 MiB with the three dense arrays,
-# 87 MiB with dense states as well), its thermal sweep at 20.3 MiB and its
-# spectrum at 6.8 MiB.  One coupling one ulp off takes the flip sectors,
-# on which the pipeline and the thermal sweep peak at 24.3 MiB.  The
-# top-order coherence is two nonzero elements: its sweep peaks at 20.3 MiB
-# (34.0 MiB as a dense state).  Each bound is the measured peak plus a
-# 5 MiB margin, below the 8 MiB that any d x d array would add.
-def test_ring10_pipeline_allocates_no_dense_state(tmp_path):
+# thermal state held as nonzero elements and every filter order run on the
+# sector pairs, ring10's pipeline peaks at 6.2 MiB of traced allocations
+# at filter_n 10, 6 and 2 (16.8 and 53.7 MiB at filter_n 6 and 2 when the
+# low orders evolved dense states), its thermal sweep command at 2.8 MiB
+# and its spectrum at 4.5 MiB.  One coupling one ulp off takes the flip
+# sectors, on which the pipeline peaks at 10.5 MiB at every order (18.0
+# and 60.6 MiB with dense states) and the thermal sweep at 8.5 MiB.  The
+# top-order coherence is two nonzero elements: its sweep peaks at 2.8 MiB
+# (34.0 MiB as a dense state).  The bounds are the peaks measured when the
+# dense operators went, plus a 5 MiB margin.
+@pytest.mark.parametrize("filter_n", [10, 6, 2])
+def test_ring10_pipeline_allocates_no_dense_state(tmp_path, filter_n):
     path = write_system(tmp_path, ring_system(10, 7))
-    config = PipelineConfig(system=path, **RING10)
+    config = PipelineConfig(system=path, filter_n=filter_n, **RING10)
     assert traced_peak(lambda: run_pipeline(config)) < 24 * 2**20
 
 
-def test_flip_sector_pipeline_allocates_no_dense_state(tmp_path):
+@pytest.mark.parametrize("filter_n", [10, 6, 2])
+def test_flip_sector_pipeline_allocates_no_dense_state(tmp_path, filter_n):
     path = write_system(tmp_path, ring_system(10, 7, jitter=(0, 1)))
-    config = PipelineConfig(system=path, **RING10)
+    config = PipelineConfig(system=path, filter_n=filter_n, **RING10)
     assert traced_peak(lambda: run_pipeline(config)) < 29 * 2**20
 
 

@@ -32,7 +32,7 @@ from mqpure import (
     sweep,
     thermal_state,
 )
-from mqpure.spin_core import DensityMatrix, LowRankState
+from mqpure.spin_core import DensityMatrix, SparseOperator
 
 from test_hamiltonians import random_systems
 
@@ -167,7 +167,8 @@ class TestProductRuleProperty:
 class TestInvariantChecks:
     """Each conserved-quantity check fires when the step it guards is broken.
 
-    The hexagon's top order runs on factors and its order 2 on dense states.
+    The post-filter steps are broken on the sector pairs, at the hexagon's
+    top order and at order 2.
     """
 
     CONFIG = {"t_max": 1.2, "t_step": 0.01}
@@ -175,6 +176,11 @@ class TestInvariantChecks:
     def run(self, message, **config):
         with pytest.raises(NumericalInvariantError, match=message):
             run_pipeline(PipelineConfig(**self.CONFIG, **config))
+
+    def scale(self, monkeypatch, name, factor):
+        """Scale what the pipeline's ``name`` returns by ``factor``."""
+        original = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *args: factor * original(*args))
 
     def test_excitation_purity(self, monkeypatch):
         def sweep_with_a_leaky_point(*args, **kwargs):
@@ -187,48 +193,32 @@ class TestInvariantChecks:
         self.run("purity drifted through excitation")
 
     def test_reversal_purity(self, monkeypatch):
-        original = pipeline._filter_and_reverse
-
-        def lossy_reversal(*args):
-            filtered, reversed_ = original(*args)
-            return filtered, LowRankState(1.01 * reversed_.a, reversed_.b)
-
-        monkeypatch.setattr(pipeline, "_filter_and_reverse", lossy_reversal)
+        self.scale(monkeypatch, "_reversed", 1.01)
         self.run("purity drifted through time reversal")
 
+    def test_reversal_purity_at_order_2(self, monkeypatch):
+        self.scale(monkeypatch, "_reversed", 1.01)
+        self.run("purity drifted through time reversal", filter_n=2)
+
     def test_product_rule(self, monkeypatch):
-        # both states scaled alike pass the reversal check; the filtered
-        # purity then no longer equals the excited state's order intensity
-        original = pipeline._filter_and_reverse
-
-        def scaled_filter(*args):
-            return tuple(LowRankState(1.01 * state.a, state.b) for state in original(*args))
-
-        monkeypatch.setattr(pipeline, "_filter_and_reverse", scaled_filter)
+        # filtered pairs scaled pass the reversal check, which reads the
+        # reversal of the scaled pairs; the filtered purity then no longer
+        # equals the excited state's order intensity
+        self.scale(monkeypatch, "_order_filter", 1.01)
         self.run("efficiency product rule violated")
 
-    def test_product_rule_on_dense_states(self, monkeypatch):
-        original = mq.filter_order
-        monkeypatch.setattr(mq, "filter_order",
-                            lambda *args: DensityMatrix(1.01 * original(*args).matrix))
+    def test_product_rule_at_order_2(self, monkeypatch):
+        self.scale(monkeypatch, "_order_filter", 1.01)
         self.run("efficiency product rule violated", filter_n=2)
 
     def test_filter_that_loses_the_whole_state(self, monkeypatch):
-        # zero filtered and reversed states pass the reversal check (0 = 0);
+        # zero filtered and reversed pairs pass the reversal check (0 = 0);
         # the sweep point still holds 14% of the thermal purity in order 6
-        original = pipeline._filter_and_reverse
-
-        def empty_filter(*args):
-            return tuple(LowRankState(np.zeros_like(state.a), state.b)
-                         for state in original(*args))
-
-        monkeypatch.setattr(pipeline, "_filter_and_reverse", empty_filter)
+        self.scale(monkeypatch, "_order_filter", 0.0)
         self.run("efficiency product rule violated")
 
-    def test_filter_that_loses_the_whole_dense_state(self, monkeypatch):
-        original = mq.filter_order
-        monkeypatch.setattr(mq, "filter_order",
-                            lambda *args: DensityMatrix(np.zeros_like(original(*args).matrix)))
+    def test_filter_that_loses_the_whole_state_at_order_2(self, monkeypatch):
+        self.scale(monkeypatch, "_order_filter", 0.0)
         self.run("efficiency product rule violated", filter_n=2)
 
     def test_crush_purity(self, monkeypatch):
@@ -249,64 +239,50 @@ class TestInvariantChecks:
 
 class TestEachStageIsReadOnce:
     """The thermal stage is read from its closed forms and the filtered
-    state once, as ``kept``; the readers see only the reversed state."""
+    pairs once, as ``kept``; the readers see only the reversed pairs."""
 
     CONFIG = {"t_max": 1.2, "t_step": 0.01}
 
-    def spy(self, monkeypatch, owner, name, calls, position=0):
-        """Record (name, the argument at ``position``) of each call."""
+    def record(self, monkeypatch, owner, name, calls, take):
+        """Record ``take(args, result)`` of each call of ``owner.name``."""
         original = getattr(owner, name)
 
-        def spied(*args, **kwargs):
-            calls.append((name, args[position]))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, spied)
-
-    def capture(self, monkeypatch, owner, name, found):
-        original = getattr(owner, name)
-
-        def captured(*args, **kwargs):
-            result = original(*args, **kwargs)
-            found[name] = result
+        def recorded(*args):
+            result = original(*args)
+            calls.append(take(args, result))
             return result
 
-        monkeypatch.setattr(owner, name, captured)
+        monkeypatch.setattr(owner, name, recorded)
 
-    def readers(self, monkeypatch):
-        calls = []
-        self.spy(monkeypatch, mq, "low_rank_intensities", calls)
-        self.spy(monkeypatch, mq, "mq_intensities", calls)
-        self.spy(monkeypatch, DensityMatrix, "purity", calls)
-        self.spy(monkeypatch, LowRankState, "diagonal", calls)
-        self.spy(monkeypatch, nonunitary.TransitionGraph, "populations", calls, 1)
-        self.spy(monkeypatch, nonunitary.TransitionGraph, "low_rank_populations", calls, 1)
-        return calls
+    def check(self, monkeypatch, **config):
+        filtered, reversed_, reads, dense_reads = [], [], [], []
+        self.record(monkeypatch, pipeline, "_order_filter", filtered, lambda args, result: result)
+        self.record(monkeypatch, pipeline, "_reversed", reversed_, lambda args, result: result)
+        # the order reads of the reversed classes (each pair its own class
+        # under the hexagon's site cycle), and the populations' pairs
+        self.record(monkeypatch, mq, "level_sums", reads, lambda args, result: args[0])
+        self.record(monkeypatch, pipeline, "_add_populations", reads,
+                    lambda args, result: [part.moved for part in args[4]])
+        for owner, name in ((mq, "mq_intensities"), (DensityMatrix, "purity"),
+                            (SparseOperator, "purity"), (nonunitary.TransitionGraph,
+                                                         "populations")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, name=name, original=original: (
+                dense_reads.append(name), original(*args))[1])
+        report = run_pipeline(PipelineConfig(**self.CONFIG, **config))
+        assert dense_reads == []
+        assert len(filtered) == len(reversed_) > 0
+        kept = sum(float(np.vdot(y, y).real) for y in filtered)
+        assert report.f_homq == pytest.approx(kept / 96.0, rel=1e-14)
+        seen = [y for read in reads for y in (read if isinstance(read, list) else [read])]
+        assert all(any(y is pair for pair in reversed_) for y in seen)
+        assert all(any(y is pair for y in seen) for pair in reversed_)
 
-    def test_factor_path(self, monkeypatch):
-        found = {}
-        self.capture(monkeypatch, pipeline, "thermal_state", found)
-        self.capture(monkeypatch, pipeline, "_filter_and_reverse", found)
-        calls = self.readers(monkeypatch)
-        run_pipeline(PipelineConfig(**self.CONFIG))
-        _, reversed_ = found["_filter_and_reverse"]
-        assert sorted(name for name, _ in calls) == [
-            "diagonal", "low_rank_intensities", "low_rank_populations"]
-        assert all(state is reversed_ for _, state in calls)
-        assert all(state is not found["thermal_state"] for _, state in calls)
+    def test_top_order(self, monkeypatch):
+        self.check(monkeypatch)
 
-    def test_dense_path(self, monkeypatch):
-        found = {}
-        self.capture(monkeypatch, pipeline, "thermal_state", found)
-        self.capture(monkeypatch, mq, "filter_order", found)
-        self.capture(monkeypatch, pipeline, "evolve", found)  # last, the reversal
-        calls = self.readers(monkeypatch)
-        run_pipeline(PipelineConfig(filter_n=2, **self.CONFIG))
-        filtered, reversed_ = found["filter_order"], found["evolve"]
-        assert sorted((name, state is filtered) for name, state in calls) == [
-            ("mq_intensities", False), ("populations", False), ("purity", True)]
-        assert all(state is reversed_ for name, state in calls if name != "purity")
-        assert all(state is not found["thermal_state"] for _, state in calls)
+    def test_order_2(self, monkeypatch):
+        self.check(monkeypatch, filter_n=2)
 
 
 class TestLocateMaximum:

@@ -8,6 +8,8 @@ input, and the sector choice must be the one the dense exact-equality
 checks make.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,11 +22,12 @@ from mqpure import (
     dq_hamiltonian,
     secular_dipolar_hamiltonian,
     site_symmetry,
+    thermal_state,
 )
 from mqpure.evolution import _orbits, _sector_reader, _state_permutation
 from mqpure.spin_core import popcounts
 
-from dense_operators import dense_dq_hamiltonian, dense_secular_hamiltonian
+from dense_operators import dense, dense_dq_hamiltonian, dense_secular_hamiltonian
 from test_hamiltonians import random_systems
 from test_symmetry import circulant_systems, ring_system
 
@@ -134,3 +137,24 @@ def test_secular_hamiltonian_of_a_relabelled_ring_falls_back(n, seed):
     secular = diagonalize(secular_dipolar_hamiltonian(system, basis), symmetry)
     assert decision(secular) == "flip"
     assert dense_decision(dense_secular_hamiltonian(system, basis), symmetry) == "flip"
+
+
+def test_gather_over_short_orbits_writes_every_place_once():
+    # on a 10-ring the orbits of period 1, 2 and 5 list their states 10, 5
+    # and 2 times in the (r, L, r) gather of the momentum sectors
+    system = ring_system(10, 7)
+    basis = build_basis(10)
+    orbits = cycle_orbits(site_symmetry(system), basis.dim)
+    assert set(orbits.period) == {1, 2, 5, 10}
+    rows, cols = orbits.table[:, 0], orbits.table.T
+    for op in (dq_hamiltonian(system, basis), thermal_state(basis)):
+        got = op.gather(rows, cols)
+        assert np.array_equal(got, Operator(matrix=dense(op)).gather(rows, cols))
+        # no copy of the result is made on top of it
+        tracemalloc.start()
+        try:
+            op.gather(rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * got.nbytes
