@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,13 @@ from mqpure import (
     negated,
     sweep,
 )
-from mqpure.cli import FILTER_CHECK_BYTES, _parse_observables, _trial_bytes, main
+from mqpure.cli import (
+    FILTER_CHECK_BYTES,
+    _filter_check_trial,
+    _parse_observables,
+    _trial_bytes,
+    main,
+)
 
 
 def read_csv(path):
@@ -338,27 +345,51 @@ class TestFilterCheckCommand:
         assert main(["filter-check", "--n-spins", "3", "--k-steps", "6",
                      "--trials", "2"]) == 1
 
+    # the default k_steps fits at every allowed size, so only a large one is refused
     @pytest.mark.parametrize("argv, message", [
-        (["--n-spins", "12", "--trials", "1"], "12 spins with 26 phase steps would hold 20.9 GB"),
-        (["--n-spins", "10", "--k-steps", "200"], "10 spins with 200 phase steps"),
+        (["--n-spins", "12", "--k-steps", "2000", "--trials", "1"],
+         "12 spins with 2000 phase steps would hold 3.2 GB"),
+        (["--n-spins", "10", "--k-steps", "10000"], "10 spins with 10000 phase steps"),
         (["--n-spins", "4", "--trials", "0"], "--trials must be at least 1, got 0"),
     ], ids=["twelve-spins", "many-steps", "no-trials"])
     def test_refused_before_any_work(self, monkeypatch, capsys, argv, message):
         def unreachable(*args):
-            raise AssertionError("a refused check built an order stack")
-        monkeypatch.setattr(mq, "decompose", unreachable)
-        monkeypatch.setattr(mq, "phase_cycle_decompose", unreachable)
+            raise AssertionError("a refused check built its tables or an order stack")
+        for name in ("PhaseCycleCheck", "decompose", "phase_cycle_decompose"):
+            monkeypatch.setattr(mq, name, unreachable)
         assert main(["filter-check"] + argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
-    def test_ten_spins_fit_the_budget(self):
-        # without running it: ten spins need about 1.1 GB per trial
-        assert _trial_bytes(build_basis(10), 22) <= FILTER_CHECK_BYTES
-        assert _trial_bytes(build_basis(11), 24) > FILTER_CHECK_BYTES
+    def test_twelve_spins_fit_the_budget(self):
+        # without running it: twelve spins need about 0.90 GB per trial at
+        # the default 26 steps, three 268 MB matrices and 99 MB of check
+        basis = build_basis(12)
+        assert 0.85e9 < _trial_bytes(basis, 26) <= FILTER_CHECK_BYTES
+        assert _trial_bytes(basis, 1200) > FILTER_CHECK_BYTES
 
     def test_misordered_phase_cycling_fails(self, monkeypatch):
-        cycled = mq.phase_cycle_decompose
-        monkeypatch.setattr(mq, "phase_cycle_decompose",
-                            lambda *args: np.roll(cycled(*args), 1, axis=0))
+        cycled_band = mq._cycled_band
+        monkeypatch.setattr(mq, "_cycled_band",
+                            lambda *args: np.roll(cycled_band(*args), 1, axis=0))
         assert main(["filter-check", "--seed", "3", "--n-spins", "4", "--trials", "2"]) == 2
+
+    def test_nan_deviation_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(mq.PhaseCycleCheck, "deviation", lambda self, rho: float("nan"))
+        assert main(["filter-check", "--seed", "3", "--n-spins", "4", "--trials", "2"]) == 2
+        assert "deviation over 2 trials: nan" in capsys.readouterr().out
+
+    def test_one_trial_holds_no_order_stack(self):
+        # traced peak of making the 8-spin check and running one trial:
+        # 7.2 MiB (4.0 MiB of tables and band buffers, then 3.1 MiB while
+        # the state is drawn); holding the direct and phase-cycled stacks
+        # and the 18 rotated copies, as checks did before, it is 54.2 MiB
+        basis = build_basis(8)
+        tracemalloc.start()
+        try:
+            check = mq.PhaseCycleCheck(basis, 18)
+            _filter_check_trial(np.random.default_rng(1), check)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20

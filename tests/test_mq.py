@@ -14,8 +14,11 @@ from mqpure import (
     phase_cycle_decompose,
     thermal_state,
 )
+from mqpure import mq
+from mqpure.mq import PhaseCycleCheck, phase_cycle_check_bytes
 
 from dense_operators import dense_state
+from fft_phase_cycle import fft_phase_cycle_decompose
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +147,57 @@ class TestOrderStack:
         intensities = mq_intensities(rho, basis)
         for order in range(n + 1):
             assert abs(mq_intensity(direct, order) - intensities[order]) <= 1e-12 * rho.purity()
+
+
+class TestBandedCheck:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_deviation_is_the_gap_of_the_full_stacks(self, data):
+        n = data.draw(st.integers(1, 6))
+        k_steps = data.draw(st.integers(2 * n + 1, 3 * n + 3))
+        basis = build_basis(n)
+        rho = random_state(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                           basis.dim)
+        gap = np.abs(decompose(rho, basis) - phase_cycle_decompose(rho, basis, k_steps)).max()
+        check = PhaseCycleCheck(basis, k_steps)
+        assert abs(check.deviation(rho) - gap) <= 1e-12 * np.abs(rho.matrix).max()
+        held = sum(a.nbytes for a in vars(check).values() if isinstance(a, np.ndarray))
+        assert held == phase_cycle_check_bytes(basis, k_steps)
+
+    def test_every_band_is_compared(self, monkeypatch):
+        # 256 rows make 16 bands; a fault in the cycled rows of the last
+        # band alone must show in the deviation
+        basis = build_basis(8)
+        rho = random_state(np.random.default_rng(27), basis.dim)
+        cycled_band = mq._cycled_band
+
+        def faulty(*args):
+            out = cycled_band(*args)
+            if args[3].start == basis.dim - mq.BAND_ROWS:
+                out[2, -1, 0] += 1e-6
+            return out
+
+        monkeypatch.setattr(mq, "_cycled_band", faulty)
+        assert PhaseCycleCheck(basis, 18).deviation(rho) == pytest.approx(1e-6, rel=1e-6)
+
+    def test_refuses_aliasing_steps(self, basis6):
+        with pytest.raises(ValueError, match="k_steps=12 aliases orders up to"):
+            PhaseCycleCheck(basis6, 12)
+        PhaseCycleCheck(basis6, 13)
+
+    def test_dimension_mismatch(self, dense_thermal6):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            PhaseCycleCheck(build_basis(4), 10).deviation(dense_thermal6)
+
+
+@pytest.mark.parametrize("n, k_steps", [(1, 3), (2, 5), (3, 8), (5, 11), (6, 14), (7, 24)])
+def test_weighted_sums_match_the_fft(n, k_steps):
+    basis = build_basis(n)
+    rho = random_state(np.random.default_rng(200 + n), basis.dim)
+    cycled = phase_cycle_decompose(rho, basis, k_steps)
+    assert cycled.dtype == complex
+    assert (np.abs(cycled - fft_phase_cycle_decompose(rho, basis, k_steps)).max()
+            <= 1e-13 * np.abs(rho.matrix).max())
 
 
 class TestFilter:

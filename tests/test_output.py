@@ -7,9 +7,11 @@ formatted in bulk: one ``writerow`` per row of ``repr(float(x))`` strings
 
 import csv
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mqpure import (
     StickSpectrum,
@@ -20,7 +22,7 @@ from mqpure import (
     secular_dipolar_hamiltonian,
     thermal_state,
 )
-from mqpure import pipeline
+from mqpure import output, pipeline
 from mqpure.hamiltonians import build_system
 from mqpure.output import write_csv
 from mqpure.spin_core import DensityMatrix
@@ -127,3 +129,30 @@ def test_stage_csvs(tmp_path):
               ["eigenstate", "m", "energy", "thermal", "crushed", "saturated"], rows)
     assert (tmp_path / "stage_populations.csv").read_bytes() == \
         (tmp_path / "old.csv").read_bytes()
+
+
+FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                   st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_write_csv_matches_csv_writer(tmp_path_factory, data):
+    # every window size, so that tables both shorter and longer than a
+    # window, and ending inside one, are written
+    rows = data.draw(st.integers(0, 40))
+    ints = data.draw(st.lists(st.integers(-2**62, 2**62), min_size=rows, max_size=rows))
+    floats = data.draw(st.lists(FLOATS, min_size=rows, max_size=rows))
+    labels = data.draw(st.lists(st.text("abcxyz_ 0123", min_size=1, max_size=8),
+                                min_size=rows, max_size=rows))
+    window = data.draw(st.sampled_from([1, 3, 16, output.ROWS_PER_WRITE]))
+    path = tmp_path_factory.mktemp("csv")
+    header = ["stage", "count", "value"]
+    columns = [np.array(ints, dtype=np.int64), np.array(floats)]
+    with mock.patch.object(output, "ROWS_PER_WRITE", window):
+        for given_labels in (labels, ()):
+            write_csv(path / "new.csv", header, columns, labels=given_labels)
+            lead = [[label] for label in labels] if given_labels else [[]] * rows
+            reference(path / "old.csv", header,
+                      [first + [repr(i), repr(x)] for first, i, x in zip(lead, ints, floats)])
+            assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
