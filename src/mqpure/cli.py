@@ -108,9 +108,11 @@ def cmd_spectrum(args) -> int:
     system = hamiltonians.build_system(args.system, args.d12)
     basis = build_basis(system.n_spins)
     h_secular = hamiltonians.secular_dipolar_hamiltonian(system, basis)
-    graph = nonunitary.build_transition_graph(h_secular, basis)
+    # the pipeline's site symmetry, so that its stage_populations.csv
+    # lists the eigenstates in this graph's order
+    graph = nonunitary.build_transition_graph(h_secular, basis, hamiltonians.site_symmetry(system))
     if args.state == "thermal":
-        populations = graph.m_values  # I_z is m on every m block
+        populations = graph.m_values  # I_z is m on every block of every m level
     elif args.state == "cat-diag":
         populations = np.zeros(graph.n_states)
         populations[graph.index_all_up] = 1.0

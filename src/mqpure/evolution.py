@@ -179,9 +179,7 @@ def diagonalize(h: Operator | SparseOperator,
     else:
         groups = (np.flatnonzero(~odd), np.flatnonzero(odd))
     if symmetry is not None:
-        reflect = (None if symmetry.reflection is None
-                   else _state_permutation(symmetry.reflection, h.dim))
-        cycle = _orbits(_state_permutation(symmetry.cycle, h.dim), reflect)
+        cycle = _site_orbits(symmetry, h.dim)
         if h.invariant(cycle.shift):
             return _sector_system(h, groups, cycle)
     flip = np.arange(h.dim)[::-1]
@@ -207,6 +205,13 @@ def _state_permutation(sites: np.ndarray, dim: int) -> np.ndarray:
     for site, target in enumerate(sites):
         moved |= ((states >> site) & 1) << target
     return moved
+
+
+def _site_orbits(symmetry: SiteSymmetry, dim: int) -> _Orbits:
+    """The orbits of the state permutation of a site symmetry's cycle."""
+    reflect = (None if symmetry.reflection is None
+               else _state_permutation(symmetry.reflection, dim))
+    return _orbits(_state_permutation(symmetry.cycle, dim), reflect)
 
 
 def _orbits(shift: np.ndarray, reflect: np.ndarray | None = None) -> _Orbits:
@@ -238,18 +243,25 @@ def _sector_reader(op: Operator | SparseOperator, orbits: _Orbits, outer: np.nda
     period of l that k allows."""
     order = orbits.order
     gathered = op.gather(orbits.table[outer, 0], orbits.table[inner].T)
-    scale_a, scale_b = (np.sqrt(orbits.period[side]) / order for side in (outer, inner))
+    period_a, period_b = orbits.period[outer], orbits.period[inner]
+    scale_a, scale_b = np.sqrt(period_a) / order, np.sqrt(period_b) / order
+    table, steps = cyclic_phases(order), np.arange(order)
 
     def sector(k: int, q: int = 0) -> np.ndarray:
-        keep_a = (k + q) * orbits.period[outer] % order == 0
-        keep_b = k * orbits.period[inner] % order == 0
-        phases = cyclic_phases(order)[k * np.arange(order) % order]
+        keep_a = (k + q) * period_a % order == 0
+        keep_b = k * period_b % order == 0
+        phases = table[k * steps % order]
         if 2 * k % order == 0:
             phases = phases.real
-        summed = np.einsum("alb,l->ab", gathered, phases)
-        if not (keep_a.all() and keep_b.all()):
-            summed = summed[np.ix_(keep_a, keep_b)]
-        return summed * (order * np.outer(scale_a[keep_a], scale_b[keep_b]))
+        # the orbits that the sectors do not allow are left out first
+        kept = gathered
+        if not keep_a.all():
+            kept = kept[keep_a]
+        if not keep_b.all():
+            kept = kept[:, :, keep_b]
+        summed = np.einsum("alb,l->ab", kept, phases)
+        summed *= order * np.multiply.outer(scale_a[keep_a], scale_b[keep_b])
+        return summed
 
     return gathered, sector
 

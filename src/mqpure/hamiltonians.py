@@ -102,21 +102,46 @@ def secular_dipolar_hamiltonian(system: SpinSystem, basis: ZeemanBasis) -> Spars
 
     H = sum_{i<j} D_ij (2 I_iz I_jz - (1/2)(I_i+ I_j- + I_i- I_j+)).
     Built in float64 from bit patterns: 2 I_iz I_jz is +-1/2 on the diagonal
-    as spins i and j are aligned or not, summed over the pairs in order,
-    and the flip-flop term swaps the two spins of every state in which
-    they differ, an element -D_ij / 2 that no other pair reaches.
+    as spins i and j are aligned or not, and the flip-flop term swaps the
+    two spins of every state in which they differ, an element -D_ij / 2
+    that no other pair reaches.  Each diagonal entry is summed as D / 2
+    times an exact integer count (aligned minus opposed pairs) per
+    distinct coupling value D, the values ascending, so a relabelling of
+    the sites that keeps the couplings keeps the diagonal exactly.
     """
     _check_sizes(system, basis)
     states = np.arange(basis.dim)
-    diagonal = np.zeros(basis.dim)
+    counts = {}
     elements = []
     for i, j, coupling in _coupled_pairs(system):
         aligned = _bit(states, i) == _bit(states, j)
-        diagonal += coupling * np.where(aligned, 0.5, -0.5)
+        count = counts.setdefault(coupling, np.zeros(basis.dim, dtype=np.intp))
+        count += np.where(aligned, 1, -1)
         differ = states[~aligned]
         elements.append((differ ^ ((1 << i) | (1 << j)), differ,
                          np.full(differ.size, -0.5 * coupling)))
+    diagonal = np.zeros(basis.dim)
+    for coupling in sorted(counts):
+        diagonal += 0.5 * coupling * counts[coupling]
     elements.append((states, states, diagonal))
+    return _sparse(basis.dim, elements)
+
+
+def collective_transverse(basis: ZeemanBasis) -> SparseOperator:
+    """I_+ + I_- summed over all spins, held as its nonzero elements.
+
+    The element joining each state to the state with one more spin up is
+    1, in both directions; its block from level m to level m + 1 is the
+    collective raising operator.  It is real, Hermitian and unchanged by
+    every relabelling of the sites.
+    """
+    states = np.arange(basis.dim)
+    elements = []
+    for site in range(basis.n_spins):
+        down = states[_bit(states, site) == 0]
+        up = down | (1 << site)
+        ones = np.ones(down.size)
+        elements += [(up, down, ones), (down, up, ones)]
     return _sparse(basis.dim, elements)
 
 

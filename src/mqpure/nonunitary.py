@@ -1,5 +1,13 @@
 """Non-unitary steps: crusher dephasing and partial saturation.
 
+Both act on the eigenstates of the secular Hamiltonian, kept per m level
+and, under a site cycle of at least ``SECTOR_MIN_SPINS`` spins, per
+momentum sector of the cycle within each level
+(:func:`build_transition_graph`).  Single-quantum transitions join
+only equal momenta of adjacent levels, and the basis inside a degenerate
+manifold of momenta k and -k is that of the sectors, so the edges do
+not depend on how the sites are labelled.
+
 Saturation is modeled as a classical rate equation on the populations of
 secular-Hamiltonian eigenstates,
 
@@ -22,19 +30,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolution import _momentum_blocks, _orbits
+from .evolution import _momentum_blocks, _orbits, _sector_reader, _site_orbits
+from .hamiltonians import SiteSymmetry, collective_transverse
 from .output import write_csv
 from .spin_core import (
     DensityMatrix,
+    EigenBlock,
     Operator,
     SparseOperator,
     ZeemanBasis,
     _frozen_array,
     adjoint,
+    cyclic_phases,
     gemm,
 )
 
 STRENGTH_THRESHOLD = 1e-10  # relative to the strongest transition
+
+# below this many spins the graph keeps whole m levels: their few small
+# eigh calls cost less than the many smaller momentum sectors they split
+# into (at 6 spins, 7 blocks against 32), and the sectors' fewer edges
+# save less than that
+SECTOR_MIN_SPINS = 8
 
 
 @dataclass(frozen=True)
@@ -93,15 +110,17 @@ class SaturationParams:
 class TransitionGraph:
     """Allowed single-quantum transitions between secular eigenstates.
 
-    Eigenstates are ordered by (m block ascending, energy ascending), so
-    the all-down state is index 0 and the all-up state is the last one.
-    Each edge joins ``upper[k]`` (magnetization m+1) to ``lower[k]``
-    (magnetization m) with ``frequencies[k] = E_upper - E_lower`` and
-    ``strengths[k] = |<upper| I_+ |lower>|^2``.
-
-    ``blocks`` holds the eigenbasis per m block, in eigenstate order:
-    block k covers the next ``blocks[k].states.size`` eigenstates.  The
-    dense view ``energies`` is assembled from it on first use.
+    ``blocks`` holds the eigenbasis per m level and momentum sector of a
+    site cycle (:func:`build_transition_graph`), levels ascending and, in
+    each level, momentum k ascending; without the sectors each level is
+    one block.  The eigenstates follow the blocks, ascending in energy
+    within each block: block i covers the next
+    ``blocks[i].eigenvalues.size`` eigenstates, so the all-down state is
+    index 0 and the all-up state the last one.  Each edge joins
+    ``upper[k]`` (magnetization m+1) to ``lower[k]`` (magnetization m)
+    with ``frequencies[k] = E_upper - E_lower`` and
+    ``strengths[k] = |<upper| I_+ |lower>|^2``.  The dense view
+    ``energies`` is assembled from the blocks on first use.
     """
 
     m_values: np.ndarray = field(repr=False)
@@ -116,7 +135,7 @@ class TransitionGraph:
             object.__setattr__(self, name, _frozen_array(getattr(self, name), float))
         for name in ("upper", "lower"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), int))
-        if sum(block.states.size for block in self.blocks) != self.n_states:
+        if sum(block.eigenvalues.size for block in self.blocks) != self.n_states:
             raise ValueError("eigenbasis blocks must cover every eigenstate")
         if np.any(self.strengths < 0):
             raise ValueError("strengths must be nonnegative")
@@ -147,14 +166,15 @@ class TransitionGraph:
     def populations(self, rho: DensityMatrix | SparseOperator) -> np.ndarray:
         """Eigenstate populations: diagonal of rho in the eigenbasis.
 
-        Computed block by block, so the elements of rho between different
-        m blocks (which a crush would remove) are never touched.
+        Computed block by block over the states each block lists
+        (:func:`_listed_vectors`), so the elements of rho between different
+        m levels (which a crush would remove) are never touched.
         """
         if rho.dim != self.n_states:
             raise ValueError("state dimension does not match graph")
         populations = []
         for block in self.blocks:
-            v = block.eigenvectors
+            v = _listed_vectors(block)
             part = gemm(rho.gather(block.states, block.states), v)
             populations.append(np.real(np.einsum("ia,ia->a", v.conj(), part)))
         return np.concatenate(populations)
@@ -163,6 +183,25 @@ class TransitionGraph:
         write_csv(path, ["a", "b", "m_a", "m_b", "frequency", "strength"],
                   [self.upper, self.lower, self.m_values[self.upper],
                    self.m_values[self.lower], self.frequencies, self.strengths])
+
+
+def _listed_vectors(block: EigenBlock) -> np.ndarray:
+    """A block's eigenvectors over its listed ``states``, shaped (states, vectors).
+
+    A momentum sector block lists L slices of its orbits (see
+    :class:`~mqpure.spin_core.EigenBlock`); over slice j a vector is
+    exp(-2 pi i k j / L) times ``scale`` per row times the block's vector.
+    A state listed in several slices stands for the sum of its entries,
+    so a bilinear form over the listed states is the one over the basis.
+    """
+    vectors = block.eigenvectors
+    slices = block.states.size // block.eigenvalues.size
+    if slices == 1:
+        return vectors
+    phases = cyclic_phases(slices)[block.momentum * np.arange(slices) % slices]
+    if 2 * block.momentum % slices == 0:
+        phases = phases.real
+    return np.kron(phases[:, np.newaxis], block.scale[:, np.newaxis] * vectors)
 
 
 def crush(rho: DensityMatrix) -> DensityMatrix:
@@ -174,21 +213,33 @@ def crush(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(matrix=np.diag(np.diag(rho.matrix)))
 
 
-def build_transition_graph(h_secular: Operator | SparseOperator,
-                           basis: ZeemanBasis) -> TransitionGraph:
-    """Eigendecompose blockwise by m and enumerate allowed transitions.
+def build_transition_graph(h_secular: Operator | SparseOperator, basis: ZeemanBasis,
+                           symmetry: SiteSymmetry | None = None) -> TransitionGraph:
+    """Eigendecompose per m level and momentum sector, and enumerate allowed transitions.
 
-    Each m block is gathered from the Hamiltonian's nonzero elements; a
+    Every block is gathered from the Hamiltonian's nonzero elements; a
     dense :class:`Operator` is turned into them once
-    (``SparseOperator.of``).  The collective raising operator only links
-    block m to block m+1, so it is formed between adjacent blocks alone,
-    as V_{m+1}+ R V_m.  Edges with strength at most
-    ``STRENGTH_THRESHOLD`` times the strongest one are dropped: that
-    separates symmetry-forbidden zeros from roundoff.
+    (``SparseOperator.of``).  Where a site ``symmetry`` is given, there
+    are at least ``SECTOR_MIN_SPINS`` spins and H is exactly unchanged by
+    the state permutation G of its cycle, each m level splits into the
+    momentum sectors k of G, as in :func:`~mqpure.evolution.diagonalize`
+    (G keeps the level); otherwise each level is one block (G = identity,
+    L = 1).  I_+ + I_- commutes with G and its block from level m to m+1
+    is I_+, so edges join only sectors (m, k) and (m+1, k), with strengths
+    |V_{m+1,k}+ R_k V_{m,k}|^2, R_k its sector-k block.  For a real H,
+    sector L - k is the conjugate of sector k and has its strengths.
+    Edges with strength at most ``STRENGTH_THRESHOLD`` times the strongest
+    one are dropped: that separates symmetry-forbidden zeros from
+    roundoff.
+
+    In the sectors, the eigenbasis inside a degenerate manifold of
+    momenta k and -k is fixed by the symmetry, so the edges, and how many
+    there are, do not depend on how the sites are labelled.
 
     Args:
         h_secular: Hamiltonian commuting with collective I_z.
-        basis: Zeeman basis; its spin-up levels are the m blocks.
+        basis: Zeeman basis; its spin-up levels are the m levels.
+        symmetry: Site symmetry whose cycle may split the levels.
     """
     if h_secular.dim != basis.dim:
         raise ValueError("hamiltonian dimension does not match basis")
@@ -198,33 +249,49 @@ def build_transition_graph(h_secular: Operator | SparseOperator,
     if np.abs(h.values[off_block]).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("hamiltonian does not conserve collective I_z")
 
-    # the m blocks, ascending, are the sectors of the identity on the levels
-    blocks = _momentum_blocks(h, basis.levels(), _orbits(np.arange(basis.dim)))
-    sizes = [block.states.size for block in blocks]
+    orbits = None
+    if symmetry is not None and basis.n_spins >= SECTOR_MIN_SPINS:
+        orbits = _site_orbits(symmetry, basis.dim)
+    if orbits is None or not h.invariant(orbits.shift):
+        orbits = _orbits(np.arange(basis.dim))
+    levels = basis.levels()
+    blocks = _momentum_blocks(h, levels, orbits)
+    sizes = [block.eigenvalues.size for block in blocks]
     starts = np.cumsum([0] + sizes)
-    m_values = basis.m[np.concatenate([block.states for block in blocks])]
-    position = np.empty(basis.dim, dtype=int)  # index of a Zeeman state in its block
-    for block in blocks:
-        position[block.states] = np.arange(block.states.size)
+    ups = basis.spins_up()
+    m_values = np.repeat([basis.m[block.states[0]] for block in blocks], sizes)
+    at = [{} for _ in levels]  # the index of each sector block of a level, by momentum
+    for i, block in enumerate(blocks):
+        at[ups[block.states[0]]][block.momentum] = i
 
-    squared = []  # |<u| I_+ |l>|^2 per pair of adjacent blocks
-    for low, high in zip(blocks[:-1], blocks[1:]):
-        raising = np.zeros((high.states.size, low.states.size))
-        for site in range(basis.n_spins):
-            free = np.flatnonzero((low.states >> site) & 1 == 0)
-            raising[position[low.states[free] | (1 << site)], free] = 1.0
-        squared.append(np.abs(gemm(gemm(adjoint(high.eigenvectors), raising),
-                                   low.eigenvectors)) ** 2)
+    order, real = orbits.order, not np.iscomplexobj(h.values)
+    transverse = collective_transverse(basis)
+    squared = []  # (upper block, lower block, |<u| I_+ |l>|^2) per pair of sectors
+    for low, high in zip(at[:-1], at[1:]):
+        _, sector = _sector_reader(transverse, orbits, orbits.members(blocks[high[0]]),
+                                   orbits.members(blocks[low[0]]))
+        done = {}
+        for k, b in low.items():
+            if k not in high:
+                continue
+            a = high[k]
+            if real and 2 * k > order:
+                s = done[order - k]
+            else:
+                s = done[k] = np.abs(gemm(gemm(adjoint(blocks[a].eigenvectors), sector(k)),
+                                          blocks[b].eigenvectors)) ** 2
+            squared.append((a, b, s))
     # the strongest edge sets the floor, so that only the kept edges get
     # indices and frequencies, in the order of the block pairs, row-major
-    floor = STRENGTH_THRESHOLD * max((s.max(initial=0.0) for s in squared), default=0.0)
+    floor = STRENGTH_THRESHOLD * max((s.max(initial=0.0) for _, _, s in squared), default=0.0)
     edges = [[], [], [], []]  # upper, lower, frequency and strength per block pair
-    for k, (low, high) in enumerate(zip(blocks[:-1], blocks[1:])):
-        # each matrix goes as soon as its edges are taken
-        s, squared[k] = squared[k], None
-        a, b = np.nonzero(s > floor)
-        for field, values in zip(edges, (starts[k + 1] + a, starts[k] + b,
-                                         high.eigenvalues[a] - low.eigenvalues[b], s[a, b])):
+    for i, (a, b, s) in enumerate(squared):
+        # each matrix goes as soon as the edges of its last pair are taken
+        squared[i] = None
+        upper, lower = np.nonzero(s > floor)
+        for field, values in zip(edges, (starts[a] + upper, starts[b] + lower,
+                                         blocks[a].eigenvalues[upper]
+                                         - blocks[b].eigenvalues[lower], s[upper, lower])):
             field.append(values)
     # one field at a time, so that each list, then each unsorted field, goes
     # in turn; the sorted fields are frozen as made, so the graph keeps them

@@ -17,15 +17,16 @@ density matrix:
 3. time reversal (same duration under the negated Hamiltonian, which is
    the forward eigensystem propagated for -t_prep), applied to each
    filtered pair;
-4. crusher dephasing in the secular eigenbasis, whose populations are
-   read from the reversed pairs one m block at a time, then partial
-   saturation.
+4. crusher dephasing in the secular eigenbasis, kept per m level (and,
+   from ``nonunitary.SECTOR_MIN_SPINS`` spins, per momentum sector of the
+   same site cycle), whose populations are read from the reversed pairs
+   one block at a time, then partial saturation.
 
 One path serves every filter order and every sector symmetry, and no
 d x d array is made.  The thermal state I_z is held as its diagonal m
 (``thermal_state``), from which the sweep gathers its blocks, and the
 two Hamiltonians as their nonzero elements.  I_z is m on the basis of
-every sector pair and on every m block of the secular eigenbasis, so
+every sector pair and on every block of the secular eigenbasis, so
 its purity is sum m^2 and its eigenstate populations are the m values.
 The filtered state is all order n, so its purity ``kept`` is its one
 intensity read.  Each stage check compares two numbers:
@@ -275,7 +276,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         )
 
     h_av = hamiltonians.dq_hamiltonian(system, basis)
-    eig = diagonalize(h_av, hamiltonians.site_symmetry(system))
+    symmetry = hamiltonians.site_symmetry(system)
+    eig = diagonalize(h_av, symmetry)
     # np.max, unlike the builtin, propagates a NaN from any block
     top = float(np.max([np.abs(block.eigenvalues).max(initial=0.0) for block in eig.blocks]))
     if not np.isfinite(_phase_scale(config.unit) * max(config.t_max, config.t_prep) * top):
@@ -303,7 +305,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     # (2) filter and (3) time reversal, (4) the crush reads the reversed
     # state's populations in the secular eigenbasis
     h_secular = hamiltonians.secular_dipolar_hamiltonian(system, basis)
-    graph = nonunitary.build_transition_graph(h_secular, basis)
+    graph = nonunitary.build_transition_graph(h_secular, basis, symmetry)
     after = _after_filter(rho_thermal, eig, basis, graph, filter_n, config.t_prep, config.unit)
     f_homq = after.kept / norm_thermal
     # the sweep's point is computed apart from the filtered state
@@ -407,6 +409,15 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
     which the order intensities are read, and the diagonal pair as
     levels 0 and N, of one state each; the reversed pairs of each group
     give its crushed populations (:func:`_add_populations`).
+
+    Under a site cycle, where the graph is in the same sectors, only
+    k <= L/2 run and the others count twice.  The double-quantum H and
+    I_z are real, so pair L - k at time t is the conjugate of pair k at
+    -t; the rotation exp(i pi I_z / 2) negates H and is one phase per
+    level, so pair k at -t is pair k at t up to one phase per level.
+    Those phases cancel from the level sums of |y|^2 and from the blocks
+    within one level, which give the populations, and the secular
+    vectors of sector L - k are the conjugates of those of sector k.
     """
     eig, chi = _character(rho_thermal, eig)
     orbits, n_spins, order = eig.orbits, basis.n_spins, eig.orbits.order
@@ -414,13 +425,19 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
     count = popcounts(orbits.table[:, 0])
     phase = _phase_scale(unit) * t
     weight = 1 if chi == 1 else 2
+    # whether each graph block lists the orbits of one sector of G (for
+    # G = identity, the m blocks); otherwise the graph is in m blocks
+    sectors = all(np.array_equal(orbits.table[orbits.members(block)].T.ravel(), block.states)
+                  for block in graph.blocks)
+    paired = chi == 1 and sectors
+    # under the flip a group's pair (0, 1) is the adjoint of its pair (1, 0)
+    momenta = range(order // 2 + 1) if paired else range(order if q == 0 else q)
     per_levels = np.zeros((n_spins + 1, n_spins + 1))
     kept = 0.0
     populations = np.zeros(graph.n_states)
     for group in _sector_groups(eig):
         reversed_ = []
-        # under the flip a group's pair (0, 1) is the adjoint of its pair (1, 0)
-        for k in range(order if q == 0 else q):
+        for k in momenta:
             if k not in group or (k + q) % order not in group:
                 continue
             a, b = group[(k + q) % order], group[k]
@@ -429,17 +446,19 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
             masks = [np.abs(r[:, np.newaxis] - c) == n for r, c in counts]
             if not any(mask.any() for mask in masks):
                 continue
+            factor = weight * (2 if paired and 2 * k % order else 1)
             # I_z is m on the sector basis of each pair, whose a and b hold the same orbits
             part = _Part(a, b, gemm(adjoint(a.eigenvectors) * (rows - n_spins / 2),
                                     b.eigenvectors))
             filtered = _order_filter(_transformed(part, phase), masks, chi)
-            kept += weight * float(np.vdot(filtered, filtered).real)
+            kept += factor * float(np.vdot(filtered, filtered).real)
             part = part._replace(moved=_reversed(part, filtered, phase))
             del filtered
-            per_levels += weight * sum(mq.level_sums(values, r, c, n_spins) for values, (r, c)
+            per_levels += factor * sum(mq.level_sums(values, r, c, n_spins) for values, (r, c)
                                        in zip(_classes(part.moved, chi), counts))
             reversed_.append(part)
-        _add_populations(populations, graph, orbits, orbits.members(group[0]), reversed_, weight)
+        _add_populations(populations, graph, orbits, orbits.members(group[0]), reversed_, weight,
+                         sectors)
     return _AfterFilter(kept=kept, intensities=mq.order_intensities(per_levels),
                         pair=float(per_levels[0, 0] + per_levels[n_spins, n_spins]),
                         populations=populations)
@@ -490,11 +509,20 @@ def _order_filter(y: np.ndarray, masks: list, chi: int) -> np.ndarray:
 
 
 def _add_populations(populations: np.ndarray, graph: nonunitary.TransitionGraph,
-                     orbits: _Orbits, group: np.ndarray, pairs: list, weight: int) -> None:
+                     orbits: _Orbits, group: np.ndarray, pairs: list, weight: int,
+                     sectors: bool) -> None:
     """Add <e|rho|e> of the reversed sector ``pairs`` (k', k) of one group
-    of orbits for each secular eigenvector e of the m blocks in it.
+    of orbits for each secular eigenvector e of the graph blocks in it.
 
-    Sector k's component of e over the representatives a is
+    Where the graph blocks are sectors of the pairs' own G (``sectors``),
+    e lies in one sector k over the representatives of its level, so
+    <e|rho|e> = e+ rho_kk e over those rows and columns of pair (k, k).  A
+    block whose pair did not run (k > L/2, see :func:`_after_filter`)
+    reads pair L - k with the conjugates of its vectors, the vectors of
+    sector L - k.
+
+    Otherwise the graph blocks are m blocks, and sector k's component of
+    e over the representatives a is
     c_k[a] = sqrt(p_a) / L sum_j exp(2 pi i k j / L) e[G^j a], so
     <e|rho|e> = weight Re sum c_k'+ rho_k'k c_k over the pairs, the
     weight 2 adding the adjoint pairs under the flip.  The pairs are set
@@ -508,10 +536,26 @@ def _add_populations(populations: np.ndarray, graph: nonunitary.TransitionGraph,
         return
     place = np.full(orbits.period.size, -1)
     place[group] = np.arange(group.size)
+    order = orbits.order
+    if sectors:
+        by_momentum = {part.b.momentum: part for part in pairs}
+        start = 0
+        for block in graph.blocks:
+            size, k, members = block.eigenvalues.size, block.momentum, orbits.members(block)
+            part = by_momentum.get(k, by_momentum.get(-k % order))
+            if part is not None and place[members[0]] >= 0:
+                vectors = block.eigenvectors
+                if part.b.momentum != k:
+                    vectors = vectors.conj()
+                rows = np.searchsorted(orbits.members(part.a), members)
+                product = gemm(part.moved[np.ix_(rows, rows)], vectors)
+                populations[start:start + size] += weight * np.einsum(
+                    "ia,ia->a", vectors.conj(), product).real
+            start += size
+        return
     stack = np.zeros((len(pairs), group.size, group.size), dtype=complex)
     for slot, part in zip(stack, pairs):
         slot[np.ix_(place[orbits.members(part.a)], place[orbits.members(part.b)])] = part.moved
-    order = orbits.order
     left = np.array([part.a.momentum for part in pairs])
     right = np.array([part.b.momentum for part in pairs])
     # the inverse DFT over the orbit table, exp(2 pi i k j / L) / L per

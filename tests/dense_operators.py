@@ -49,14 +49,15 @@ def dense_dq_hamiltonian(system, basis) -> np.ndarray:
 
 def dense_secular_hamiltonian(system, basis) -> np.ndarray:
     """The secular dipolar Hamiltonian written into a dense float64 matrix,
-    each diagonal entry summed over the pairs in order."""
+    each diagonal entry summed per distinct coupling, the couplings ascending."""
     states = np.arange(basis.dim)
     h = np.zeros((basis.dim, basis.dim))
-    diagonal = np.zeros(basis.dim)
+    halves = {}  # per coupling, the sum of +-1/2 over its pairs
     for i, j, coupling in _pairs(system):
         aligned = _bit(states, i) == _bit(states, j)
-        diagonal += coupling * np.where(aligned, 0.5, -0.5)
+        halves[coupling] = halves.get(coupling, 0.0) + np.where(aligned, 0.5, -0.5)
         differ = states[~aligned]
         h[differ ^ ((1 << i) | (1 << j)), differ] = -0.5 * coupling
-    h[np.diag_indices(basis.dim)] = diagonal
+    h[np.diag_indices(basis.dim)] = sum((coupling * halves[coupling]
+                                         for coupling in sorted(halves)), np.zeros(basis.dim))
     return h

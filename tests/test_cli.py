@@ -25,6 +25,8 @@ from mqpure.cli import (
     main,
 )
 
+from test_symmetry import ring_system
+
 
 def read_csv(path):
     with open(path) as fh:
@@ -317,6 +319,32 @@ class TestSpectrumCommand:
         assert code == 0
         rows = read_csv(out / "spectrum_sticks.csv")
         assert len(rows) == 1 + 1  # single pseudopure line survives saturation
+
+    def test_pipeline_populations_reproduce_its_spectrum_on_a_relabelled_ring(self, tmp_path):
+        # both commands take the ring's momentum sectors, so they list the
+        # eigenstates in one order
+        couplings = tmp_path / "ring8.txt"
+        np.savetxt(couplings, ring_system(8, 3).couplings, header="8", comments="")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"system": str(couplings), "filter_n": 6, "t_prep": 1.0,
+                                      "t_max": 1.5, "t_step": 0.05}))
+        pipe_out = tmp_path / "pipe"
+        assert main(["pipeline", "--config", str(config), "--out", str(pipe_out)]) == 0
+        populations = pipe_out / "stage_populations.csv"
+        # the saturated column is the file's last; the crushed one, with many
+        # more lines, is written alone
+        crushed = tmp_path / "crushed.txt"
+        column = read_csv(populations)[0].index("crushed")
+        crushed.write_text("\n".join(row[column] for row in read_csv(populations)[1:]))
+        for state_file, stage in ((populations, "saturated"), (crushed, "crushed")):
+            out = tmp_path / stage
+            assert main(["spectrum", "--system", str(couplings), "--state", "pseudopure-file",
+                         "--state-file", str(state_file), "--out", str(out)]) == 0
+            want = np.loadtxt(pipe_out / f"spectrum_{stage}.csv", delimiter=",", skiprows=1,
+                              ndmin=2)
+            got = np.loadtxt(out / "spectrum_sticks.csv", delimiter=",", skiprows=1, ndmin=2)
+            assert want.shape == got.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), stage
 
     def test_pseudopure_file_requires_path(self, tmp_path):
         assert main(["spectrum", "--state", "pseudopure-file", "--out", str(tmp_path)]) == 1

@@ -56,17 +56,22 @@ def kron_dq(system, basis):
 
 
 def kron_secular(system, basis):
-    """Secular dipolar Hamiltonian from kron-embedded single-spin operators."""
+    """Secular dipolar Hamiltonian from kron-embedded single-spin operators,
+    the pairs of each distinct coupling summed first, the couplings ascending."""
     z = [single_spin_op(basis, i, "z").matrix for i in range(system.n_spins)]
     plus = [single_spin_op(basis, i, "+").matrix for i in range(system.n_spins)]
     minus = [single_spin_op(basis, i, "-").matrix for i in range(system.n_spins)]
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    terms = {}
     for i in range(system.n_spins):
         for j in range(i + 1, system.n_spins):
             if system.couplings[i, j] == 0.0:
                 continue
             flip_flop = plus[i] @ minus[j] + minus[i] @ plus[j]
-            h += system.couplings[i, j] * (2.0 * z[i] @ z[j] - 0.5 * flip_flop)
+            term = terms.setdefault(system.couplings[i, j], np.zeros_like(flip_flop))
+            term += 2.0 * z[i] @ z[j] - 0.5 * flip_flop
+    h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for coupling in sorted(terms):
+        h += coupling * terms[coupling]
     return h
 
 

@@ -8,6 +8,7 @@ steps on dense states (``dense_after_filter``): ``evolve``,
 ``filter_order``, ``mq_intensities`` and ``populations``.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -40,6 +41,7 @@ from mqpure.spin_core import DensityMatrix
 from dense_after_filter import dense_after_filter
 from dense_eigen import dense_transform
 from test_hamiltonians import random_systems
+from test_nonunitary import sector_graph
 from test_symmetry import circulant_systems, ring_system
 
 RING10 = {"t_prep": 5.39, "t_max": 6.0, "t_step": 0.1}
@@ -106,10 +108,17 @@ class TestFactorPathProperty:
     def test_every_accepted_order_matches_the_dense_oracle(self, system, t):
         basis = build_basis(system.n_spins)
         h = dq_hamiltonian(system, basis)
-        eig = diagonalize(h, site_symmetry(system))
-        graph = build_transition_graph(secular_dipolar_hamiltonian(system, basis), basis)
+        symmetry = site_symmetry(system)
+        eig = diagonalize(h, symmetry)
+        secular = secular_dipolar_hamiltonian(system, basis)
         thermal = thermal_state(basis)
-        for n in accepted_orders(system.n_spins):
+        # the graph in the sectors of the site cycle, as the pipeline builds
+        # it from 8 spins up, and in m blocks, read through the sectors of
+        # the eigensystem
+        graphs = [sector_graph(secular, basis, symmetry)]
+        if symmetry is not None:
+            graphs.append(build_transition_graph(secular, basis))
+        for graph, n in itertools.product(graphs, accepted_orders(system.n_spins)):
             after = pipeline._after_filter(thermal, eig, basis, graph, n, t, "cyclic")
             oracle = dense_after_filter(thermal, eig, basis, graph, n, t, "cyclic")
             if n % 2:

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mqpure import (
     DensityMatrix,
@@ -15,12 +15,16 @@ from mqpure import (
     crush,
     saturate,
     secular_dipolar_hamiltonian,
+    site_symmetry,
 )
+from mqpure import nonunitary
+from mqpure.evolution import _state_permutation
 from mqpure.spin_core import EigenBlock
 
 from dense_eigen import dense_transform
 from dense_operators import dense
 from test_hamiltonians import random_systems
+from test_symmetry import circulant_systems, ring_system
 
 
 def dense_populations(graph, rho):
@@ -198,6 +202,131 @@ class TestTransitionGraph:
             rows = list(csv.reader(fh))
         assert rows[0] == ["a", "b", "m_a", "m_b", "frequency", "strength"]
         assert len(rows) == graph6.n_edges + 1
+
+
+def sector_graph(h, basis, symmetry):
+    """The graph in the momentum sectors of the site cycle, below
+    ``SECTOR_MIN_SPINS`` too."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nonunitary, "SECTOR_MIN_SPINS", 1)
+        return build_transition_graph(h, basis, symmetry)
+
+
+def cycle_invariant_state(system, basis, rng) -> DensityMatrix:
+    """A random Hermitian state averaged over the powers of the site cycle."""
+    raw = rng.standard_normal((basis.dim,) * 2) + 1j * rng.standard_normal((basis.dim,) * 2)
+    raw = raw + raw.conj().T
+    shift = _state_permutation(site_symmetry(system).cycle, basis.dim)
+    rho, moved = np.zeros_like(raw), np.arange(basis.dim)
+    for _ in range(system.n_spins):
+        rho += raw[np.ix_(moved, moved)]
+        moved = shift[moved]
+    return DensityMatrix(matrix=rho)
+
+
+def clusters(m, values, tol) -> np.ndarray:
+    """Start of each run of equal m and values within ``tol`` of the
+    previous one, over arrays sorted by (m, value)."""
+    return np.flatnonzero(np.r_[True, (np.diff(m) != 0) | (np.diff(values) > tol)])
+
+
+class TestSectorGraph:
+    """The graph in the momentum sectors of a site cycle against the m-block
+    graph (no symmetry), whose basis inside a degenerate manifold is LAPACK's."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(circulant_systems(2, 8), st.integers(0, 2**32 - 1))
+    @example(ring_system(8, 2), 3)
+    @example(ring_system(5, 1), 4)
+    def test_sectors_match_the_m_blocks(self, system, seed):
+        basis = build_basis(system.n_spins)
+        h = secular_dipolar_hamiltonian(system, basis)
+        symmetry = site_symmetry(system)
+        graph = sector_graph(h, basis, symmetry)
+        plain = build_transition_graph(h, basis)
+        assert {block.momentum for block in graph.blocks} == set(range(system.n_spins))
+        assert len(plain.blocks) == system.n_spins + 1
+        scale = max(np.abs(plain.energies).max(), 1e-300)
+        for m in np.unique(plain.m_values):
+            want = np.sort(plain.energies[plain.m_values == m])
+            got = np.sort(graph.energies[graph.m_values == m])
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+        # the edges in the sectors' own basis are those of the pairwise loop
+        upper, lower, freqs, strengths = loop_edges(graph, basis)
+        assert np.array_equal(graph.upper, upper) and np.array_equal(graph.lower, lower)
+        assert np.array_equal(graph.frequencies, freqs)
+        assert np.abs(graph.strengths - strengths).max(initial=0.0) <= \
+            1e-12 * graph.strengths.max(initial=0.0)
+
+        # the strength of a line sums over the edges of a degenerate
+        # manifold pair, whatever the basis inside them; no edge is dropped,
+        # as the m blocks' basis can spread a strength below the threshold
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nonunitary, "STRENGTH_THRESHOLD", 0.0)
+            whole = [sector_graph(h, basis, symmetry), build_transition_graph(h, basis)]
+        m = np.concatenate([g.m_values[g.upper] for g in whole])
+        f = np.concatenate([g.frequencies for g in whole])
+        signed = np.concatenate([whole[0].strengths, -whole[1].strengths])
+        order = np.lexsort((f, m))
+        gaps = np.add.reduceat(signed[order], clusters(m[order], f[order], 1e-9 * scale))
+        assert np.abs(gaps).max() <= 1e-12 * whole[1].strengths.max()
+
+        # a population sums over a degenerate manifold alike in both bases
+        rho = cycle_invariant_state(system, basis, np.random.default_rng(seed))
+        populations = graph.populations(rho)
+        assert np.abs(populations - dense_populations(graph, rho)).max() <= \
+            1e-12 * np.abs(rho.matrix).sum()
+        sums = []
+        for g, p in ((graph, populations), (plain, plain.populations(rho))):
+            order = np.lexsort((g.energies, g.m_values))
+            starts = clusters(g.m_values[order], g.energies[order], 1e-9 * scale)
+            sums.append((starts, np.add.reduceat(p[order], starts)))
+        assert np.array_equal(sums[0][0], sums[1][0])
+        assert np.abs(sums[0][1] - sums[1][1]).max() <= 1e-12 * np.abs(rho.matrix).sum()
+
+    @pytest.mark.parametrize("n, seeds, edges", [(8, (7, 11), 1248), (10, (1, 7), 15204)])
+    def test_edge_count_does_not_depend_on_site_labels(self, n, seeds, edges):
+        # the m blocks give 1866 and 2268 edges for the two 8-rings, and
+        # 26830 and 28540 for the two 10-rings
+        basis = build_basis(n)
+        for seed in seeds:
+            system = ring_system(n, seed)
+            graph = build_transition_graph(secular_dipolar_hamiltonian(system, basis), basis,
+                                           site_symmetry(system))
+            assert graph.n_edges == edges
+
+    def test_fewer_spins_keep_the_m_levels(self, hexagon_system, basis6, graph6):
+        h = secular_dipolar_hamiltonian(hexagon_system, basis6)
+        symmetry = site_symmetry(hexagon_system)
+        assert nonunitary.SECTOR_MIN_SPINS > 6
+        graph = build_transition_graph(h, basis6, symmetry)
+        assert len(graph.blocks) == 7 and graph.n_edges == graph6.n_edges == 194
+        assert sector_graph(h, basis6, symmetry).n_edges == 114
+
+    def test_all_down_first_and_all_up_last(self):
+        system = ring_system(8, 5)
+        basis = build_basis(8)
+        graph = build_transition_graph(secular_dipolar_hamiltonian(system, basis), basis,
+                                       site_symmetry(system))
+        assert len(graph.blocks) > basis.n_spins + 1
+        assert graph.index_all_down == 0 and graph.index_all_up == basis.dim - 1
+        assert np.all(np.diff(graph.m_values) >= 0)
+        # levels ascending, then momentum, then energy within each sector
+        keys = [(basis.m[block.states[0]], block.momentum) for block in graph.blocks]
+        assert all(first < second for first, second in zip(keys, keys[1:]))
+        start = 0
+        for block in graph.blocks:
+            stop = start + block.eigenvalues.size
+            assert np.all(np.diff(graph.energies[start:stop]) >= 0)
+            start = stop
+
+    def test_a_coupling_one_ulp_off_keeps_the_m_blocks(self):
+        exact, jittered = ring_system(6, 2), ring_system(6, 2, jitter=(0, 3))
+        basis = build_basis(6)
+        graph = sector_graph(secular_dipolar_hamiltonian(jittered, basis), basis,
+                             site_symmetry(exact))
+        assert len(graph.blocks) == 7
 
 
 class TestSaturate:

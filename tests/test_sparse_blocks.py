@@ -20,6 +20,7 @@ from mqpure import (
     build_basis,
     diagonalize,
     dq_hamiltonian,
+    hexagon_couplings,
     secular_dipolar_hamiltonian,
     site_symmetry,
     thermal_state,
@@ -125,18 +126,27 @@ def test_every_block_equals_the_dense_gather(system):
         assert decision(diagonalize(h, symmetry)) == dense_decision(matrix, symmetry)
 
 
-@pytest.mark.parametrize("n, seed", [(4, 1), (6, 3), (10, 7)])
-def test_secular_hamiltonian_of_a_relabelled_ring_falls_back(n, seed):
-    # its diagonal is summed over the pairs in site-label order, so on a
-    # relabelled ring it misses the cycle's invariance by an ulp, as the
-    # dense matrix did; the double-quantum one takes the momentum sectors
+@pytest.mark.parametrize("n, seed", [(3, 2), (4, 1), (5, 3), (6, 3), (7, 2), (8, 4), (9, 1),
+                                     (10, 7)])
+def test_secular_hamiltonian_of_a_relabelled_ring_takes_the_momentum_sectors(n, seed):
+    # its diagonal is summed per coupling value, in an order that the
+    # relabelling cannot change, so it is exactly invariant under the
+    # found cycle, as its dense matrix is
     system = ring_system(n, seed)
     basis = build_basis(n)
     symmetry = site_symmetry(system)
-    assert decision(diagonalize(dq_hamiltonian(system, basis), symmetry)) == "momentum"
-    secular = diagonalize(secular_dipolar_hamiltonian(system, basis), symmetry)
-    assert decision(secular) == "flip"
-    assert dense_decision(dense_secular_hamiltonian(system, basis), symmetry) == "flip"
+    secular = secular_dipolar_hamiltonian(system, basis)
+    assert secular.invariant(cycle_orbits(symmetry, basis.dim).shift)
+    for build in (dq_hamiltonian, secular_dipolar_hamiltonian):
+        assert decision(diagonalize(build(system, basis), symmetry)) == "momentum"
+    assert dense_decision(dense_secular_hamiltonian(system, basis), symmetry) == "momentum"
+
+
+def test_secular_hamiltonian_of_the_hexagon_is_invariant_under_its_cycle():
+    system = hexagon_couplings()
+    basis = build_basis(6)
+    shift = cycle_orbits(site_symmetry(system), basis.dim).shift
+    assert secular_dipolar_hamiltonian(system, basis).invariant(shift)
 
 
 def test_gather_over_short_orbits_writes_every_place_once():

@@ -172,15 +172,12 @@ class TestSectors:
     @pytest.mark.parametrize("build", [dq_hamiltonian, secular_dipolar_hamiltonian])
     @pytest.mark.parametrize("n, seed", [(2, 1), (4, 2), (5, 3), (6, 7)])
     def test_sectors_reproduce_the_spectrum(self, build, n, seed):
-        # short orbits such as |0101> and the all-up state included; the
-        # secular diagonal is summed in pair order, so on a relabelled
-        # ring it may miss invariance by an ulp and take the plain path
+        # short orbits such as |0101> and the all-up state included
         system = ring_system(n, seed)
         h = dense(build(system, build_basis(n)))
         eig = diagonalize(build(system, build_basis(n)), site_symmetry(system))
-        if build is dq_hamiltonian:
-            assert eig.orbits is not None
-            assert {block.momentum for block in eig.blocks} == set(range(n))
+        assert eig.orbits.order == n
+        assert {block.momentum for block in eig.blocks} == set(range(n))
         values, vectors = dense_eigen(eig.blocks)
         scale = max(np.linalg.norm(h), 1.0)
         assert np.abs(values - np.linalg.eigvalsh(h)).max() < 1e-12 * scale
