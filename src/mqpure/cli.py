@@ -29,7 +29,7 @@ from .evolution import (
     sweep,
     time_grid,
 )
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, refuse_overflowing_frequencies, run_pipeline
 from .spin_core import (
     DensityMatrix,
     NumericalInvariantError,
@@ -106,6 +106,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_spectrum(args) -> int:
     system = hamiltonians.build_system(args.system, args.d12)
+    refuse_overflowing_frequencies(system)
     basis = build_basis(system.n_spins)
     h_secular = hamiltonians.secular_dipolar_hamiltonian(system, basis)
     # the pipeline's site symmetry, so that its stage_populations.csv
@@ -140,10 +141,11 @@ def cmd_spectrum(args) -> int:
 
 
 def _load_populations(path: str, expected: int) -> np.ndarray:
-    """One population per line; takes the last field of CSV rows, so the
-    pipeline's stage_populations.csv works directly (header tolerated)."""
+    """One finite population per line; takes the last field of CSV rows,
+    so the pipeline's stage_populations.csv works directly (header
+    tolerated)."""
     values = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -152,7 +154,9 @@ def _load_populations(path: str, expected: int) -> np.ndarray:
         except ValueError:
             if values:
                 raise ValueError(f"{path}: unparseable population line {body!r}") from None
-            # first line is a header; skip it
+            continue  # first line is a header; skip it
+        if not np.isfinite(values[-1]):
+            raise ValueError(f"{path}: line {number}: population {body!r} is not finite")
     populations = np.array(values)
     if populations.size != expected:
         raise ValueError(
@@ -185,12 +189,14 @@ def cmd_filter_check(args) -> int:
 
 
 def _trial_bytes(basis, k_steps: int) -> int:
-    """Bytes one trial holds at its peak, the check's tables and buffers
-    included: three complex d x d matrices while the state is drawn (the
-    draw, its conjugate and their sum), next to what
-    :class:`mq.PhaseCycleCheck` holds; no order stack is made.
+    """Bytes one trial holds at its peak: what :class:`mq.PhaseCycleCheck`
+    holds (its order table and one band's buffers), next to the larger of
+    the arrays with K rows made while its table is built and the three
+    complex d x d matrices held while the state is drawn (the draw, its
+    conjugate and their sum); no order stack is made.
     """
-    return 3 * 16 * basis.dim**2 + mq.phase_cycle_check_bytes(basis, k_steps)
+    return (max(mq.cycle_table_bytes(basis, k_steps), 3 * 16 * basis.dim**2)
+            + mq.phase_cycle_check_bytes(basis, k_steps))
 
 
 def _filter_check_trial(rng, check) -> float:

@@ -11,11 +11,11 @@ spin-up levels (``ZeemanBasis.levels``): order n is the blocks between
 level k and level k + n, so no d x d order matrix is built.
 
 Two independent oracles give every order of a state: direct element
-classification and phase cycling.  Each is one band kernel over some
-rows of the state.  :func:`decompose` and :func:`phase_cycle_decompose`
-run it over all rows into full ``(2N+1, d, d)`` stacks;
-:class:`PhaseCycleCheck` compares the two a band of ``BAND_ROWS`` rows
-at a time in buffers it makes once.
+classification and phase cycling from a table per pair of m values.
+Each is one band kernel over some rows of the state.  :func:`decompose`
+and :func:`phase_cycle_decompose` run it over all rows into full
+``(2N+1, d, d)`` stacks; :class:`PhaseCycleCheck` compares the two a
+band of ``BAND_ROWS`` rows at a time in buffers it makes once.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ def decompose(rho: DensityMatrix, basis: ZeemanBasis) -> np.ndarray:
     sum to rho exactly and satisfy ``components[-n] = components[n]+``.
     """
     _check_dim(rho, basis)
-    d = basis.dim
-    out = np.zeros((2 * basis.n_spins + 1, d, d), dtype=rho.matrix.dtype)
-    return _direct_band(basis.m, slice(None), rho.matrix, out)
+    out = np.zeros((2 * basis.n_spins + 1, basis.dim, basis.dim), dtype=rho.matrix.dtype)
+    out.reshape(-1)[_direct_band(basis.m, slice(None))] = rho.matrix
+    return out
 
 
 def _check_dim(rho: DensityMatrix, basis: ZeemanBasis) -> None:
@@ -54,22 +54,18 @@ def _orders(n_spins: int) -> np.ndarray:
     return np.r_[0 : n_spins + 1, -n_spins:0]
 
 
-def _direct_band(m: np.ndarray, rows: slice, values: np.ndarray, out: np.ndarray,
-                 classes: np.ndarray | None = None,
-                 mask: np.ndarray | None = None) -> np.ndarray:
-    """Copy each element of ``values``, the rows ``rows`` of a state, into
-    the entry of ``out`` of its order rint(m_a - m_b), zeroing the rest.
-
-    ``classes`` (rows, d) and ``mask`` (2N+1, rows, d) are scratch
-    buffers, made here when not given.  Returns ``out``.
-    """
+def _direct_band(m: np.ndarray, rows: slice, classes: np.ndarray | None = None,
+                 index: np.ndarray | None = None) -> np.ndarray:
+    """The flat index of each element of the rows ``rows`` of a state in
+    an order stack of those rows, (2N+1, rows, d): its place in the entry
+    of its order rint(m_a - m_b), negative orders counting from the end.
+    ``classes`` (rows, d) float is scratch and ``index`` (rows, d) intp
+    the result, each made here when not given.  Returns ``index``."""
     classes = np.subtract(m[rows, np.newaxis], m, out=classes)
     np.rint(classes, out=classes)
-    mask = np.equal(classes, _orders((len(out) - 1) // 2)[:, np.newaxis, np.newaxis],
-                    out=mask)
-    out.fill(0)
-    np.copyto(out, values, where=mask)
-    return out
+    index = np.multiply(classes, classes.size, out=index, casting="unsafe", dtype=np.intp)
+    index += np.arange(classes.size).reshape(classes.shape)
+    return index
 
 
 def mq_intensity(components: np.ndarray, n: int) -> float:
@@ -133,91 +129,94 @@ def filter_order(rho: DensityMatrix, basis: ZeemanBasis, n: int) -> DensityMatri
     return DensityMatrix(matrix=mat)
 
 
-def phase_cycle_decompose(
-    rho: DensityMatrix, basis: ZeemanBasis, k_steps: int
-) -> np.ndarray:
+def phase_cycle_decompose(rho: DensityMatrix, basis: ZeemanBasis, k_steps: int) -> np.ndarray:
     """Order decomposition via discrete z-rotation phase cycling.
 
     Computes rho_n = (1/K) sum_k exp(i n phi_k) R(phi_k) rho R(phi_k)+
-    with phi_k = 2 pi k / K and R(phi) = exp(-i phi I_z): the K rotated
-    copies form one stack and one product with the (2N+1, K) weights
-    exp(i n phi_k) / K yields every order.  Returns the layout of
-    :func:`decompose`.  Independent of it (no element classification,
-    only the phases of ``basis.m``), so the two serve as cross-checking
-    oracles.  Requires K > 2 N or orders alias.
+    with phi_k = 2 pi k / K and R(phi) = exp(-i phi I_z).  R is diagonal,
+    so element (a, b) of rho_n is rho_ab times a phase sum over k that
+    depends only on n, m_a and m_b (:func:`_cycle_tables`).  Returns the
+    layout of :func:`decompose`.  Independent of it (no element
+    classification, only the phases of ``basis.m``), so the two serve as
+    cross-checking oracles.  Requires K > 2 N or orders alias.
     """
     _check_dim(rho, basis)
-    rotation, conj_rotation, weights = _cycle_tables(basis, k_steps)
-    d = basis.dim
-    rotated = np.empty((k_steps, d, d), dtype=complex)
-    out = np.empty((len(weights), d, d), dtype=complex)
-    return _cycled_band(rotation, conj_rotation, weights, slice(None), rho.matrix,
-                        rotated, out)
+    _check_steps(basis, k_steps)
+    levels, table = _cycle_tables(basis, k_steps)
+    out = np.empty((len(table), basis.dim, basis.dim), dtype=complex)
+    return _cycled_band(table, levels, slice(None), rho.matrix, out)
 
 
-def _cycle_tables(basis: ZeemanBasis, k_steps: int) -> tuple:
-    """The rotation phases exp(-i phi_k m) (K, d), their conjugates, and
-    the weights exp(i n phi_k) / K (2N+1, K) of the orders of a stack."""
+def _check_steps(basis: ZeemanBasis, k_steps: int) -> None:
     if k_steps <= 2 * basis.n_spins:
         raise ValueError(
             f"k_steps={k_steps} aliases orders up to +-{basis.n_spins}; "
             f"need k_steps > {2 * basis.n_spins}"
         )
+
+
+def _cycle_tables(basis: ZeemanBasis, k_steps: int) -> tuple:
+    """The m level of each state (d,), from ``np.unique`` of ``basis.m``,
+    and the order table (2N+1, L, L) of the L levels: entry [n, i, j] is
+    (1/K) sum_k exp(i n phi_k) exp(-i phi_k m_i) exp(i phi_k m_j), one
+    (2N+1, K) @ (K, L^2) product.  Refuses no ``k_steps``."""
+    values, levels = np.unique(basis.m, return_inverse=True)
     phis = 2.0 * np.pi * np.arange(k_steps) / k_steps
-    rotation = np.exp(-1j * np.outer(phis, basis.m))  # R(phi_k) is diagonal in the Zeeman basis
+    rotation = np.exp(-1j * np.outer(phis, values))  # R(phi_k) on each m level
+    pairs = rotation[:, :, np.newaxis] * rotation.conj()[:, np.newaxis, :]
     weights = np.exp(1j * np.outer(_orders(basis.n_spins), phis)) / k_steps
-    return rotation, rotation.conj(), weights
+    table = weights @ pairs.reshape(k_steps, -1)
+    return levels, table.reshape(len(weights), len(values), len(values))
 
 
-def _cycled_band(rotation: np.ndarray, conj_rotation: np.ndarray, weights: np.ndarray,
-                 rows: slice, values: np.ndarray, rotated: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
+def _cycled_band(table: np.ndarray, levels: np.ndarray, rows: slice, values: np.ndarray,
+                 out: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
     """The orders of ``values``, the rows ``rows`` of a state, by phase
-    cycling: the K rotated copies R_k values R_k+ go into ``rotated``
-    (K, rows, d), their weighted sums into ``out`` (2N+1, rows, d), both
-    contiguous.  Returns ``out``."""
-    np.multiply(rotation[:, rows, np.newaxis], conj_rotation[:, np.newaxis, :], out=rotated)
-    rotated *= values
-    np.matmul(weights, rotated.reshape(len(rotated), -1), out=out.reshape(len(out), -1))
+    cycling: the table entries of each element's pair of levels, gathered
+    into ``out`` (2N+1, rows, d), times the element.  ``index`` (rows, d)
+    intp is scratch, made here when not given.  Returns ``out``."""
+    index = np.add(levels[rows, np.newaxis] * table.shape[1], levels, out=index)
+    np.take(table.reshape(len(table), -1), index, axis=1, out=out, mode="clip")
+    out *= values
     return out
 
 
+def cycle_table_bytes(basis: ZeemanBasis, k_steps: int) -> int:
+    """An upper bound on the bytes of the arrays with K rows that building
+    the order table makes and frees again."""
+    levels = basis.n_spins + 1
+    return 16 * k_steps * (levels**2 + levels + 2 * (2 * basis.n_spins + 1) + 1)
+
+
 def phase_cycle_check_bytes(basis: ZeemanBasis, k_steps: int) -> int:
-    """Bytes of the tables and buffers :class:`PhaseCycleCheck` makes for
-    ``basis`` and ``k_steps``, without making them."""
-    d = basis.dim
-    orders = 2 * basis.n_spins + 1
-    rows = min(BAND_ROWS, d)
-    tables = 16 * (2 * k_steps * d + orders * k_steps)
-    # the classes (float), the mask (bool), direct, rotated and cycled
-    # (complex) and the gaps (float)
-    bands = rows * d * (8 + orders + 16 * (2 * orders + k_steps) + 8 * orders)
-    return tables + bands
+    """Bytes of the tables and buffers :class:`PhaseCycleCheck` holds for
+    ``basis``, without making them; none has K rows."""
+    d, orders, rows = basis.dim, 2 * basis.n_spins + 1, min(BAND_ROWS, basis.dim)
+    # the levels (intp) and the order table (complex), then one band's
+    # classes (float), index (intp), cycled (complex) and gaps (float)
+    return 8 * d + 16 * orders * (basis.n_spins + 1) ** 2 + rows * d * (16 + 24 * orders)
 
 
 class PhaseCycleCheck:
     """The largest gap between the two order oracles over a state.
 
-    Made once per basis and phase-step count: it holds the rotation
-    phases and the order weights of :func:`phase_cycle_decompose`, and
-    the buffers of one band of ``BAND_ROWS`` rows (all rows below that).
-    :meth:`deviation` runs both band kernels over each band in turn, so
+    Made once per basis and phase-step count: it holds the order table of
+    :func:`phase_cycle_decompose` and the buffers of one band of
+    ``BAND_ROWS`` rows (all rows below that).  :meth:`deviation` phase-cycles
+    each band in turn and subtracts the direct orders from it in place, so
     a check holds neither order stack.  Refuses aliasing ``k_steps`` as
     :func:`phase_cycle_decompose` does.
     """
 
     def __init__(self, basis: ZeemanBasis, k_steps: int):
+        _check_steps(basis, k_steps)
         self.basis = basis
-        self.rotation, self.conj_rotation, self.weights = _cycle_tables(basis, k_steps)
-        d = basis.dim
-        orders = len(self.weights)
-        rows = min(BAND_ROWS, d)
-        self._classes = np.empty((rows, d))
-        self._mask = np.empty((orders, rows, d), dtype=bool)
-        self._direct = np.empty((orders, rows, d), dtype=complex)
-        self._rotated = np.empty((k_steps, rows, d), dtype=complex)
-        self._cycled = np.empty((orders, rows, d), dtype=complex)
-        self._gaps = np.empty((orders, rows, d))
+        self.levels, self.table = _cycle_tables(basis, k_steps)
+        band = (min(BAND_ROWS, basis.dim), basis.dim)
+        self._classes = np.empty(band)
+        self._index = np.empty(band, dtype=np.intp)
+        self._cycled = np.empty((len(self.table), *band), dtype=complex)
+        self._gaps = np.empty(self._cycled.shape)
 
     def deviation(self, rho: DensityMatrix) -> float:
         """max |rho_n - rho'_n| over every order n and element, with rho_n
@@ -228,10 +227,9 @@ class PhaseCycleCheck:
         for start in range(0, self.basis.dim, band):
             rows = slice(start, start + band)
             values = rho.matrix[rows]
-            direct = _direct_band(self.basis.m, rows, values, self._direct,
-                                  self._classes, self._mask)
-            cycled = _cycled_band(self.rotation, self.conj_rotation, self.weights, rows,
-                                  values, self._rotated, self._cycled)
-            np.subtract(direct, cycled, out=cycled)
+            cycled = _cycled_band(self.table, self.levels, rows, values, self._cycled,
+                                  self._index)
+            index = _direct_band(self.basis.m, rows, self._classes, self._index)
+            cycled.reshape(-1)[index] -= values  # the indices are unique
             worst = np.maximum(worst, np.abs(cycled, out=self._gaps).max())
         return float(worst)

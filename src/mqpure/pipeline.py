@@ -79,6 +79,7 @@ from .output import write_csv
 from .spin_core import (
     NumericalInvariantError,
     SparseOperator,
+    SpinSystem,
     ZeemanBasis,
     adjoint,
     build_basis,
@@ -244,6 +245,22 @@ def _strongest_frequency(graph: nonunitary.TransitionGraph, edge_mask: np.ndarra
     return float(graph.frequencies[candidates[np.argmax(graph.strengths[candidates])]])
 
 
+def refuse_overflowing_frequencies(system: SpinSystem) -> None:
+    """Raise :class:`NumericalInvariantError` for couplings whose squared
+    secular frequencies could overflow.
+
+    The transition graph, its spectra and the saturation envelope square
+    secular frequencies (up to 4 times the summed |couplings|) and add up
+    dim squared energies.
+    """
+    n = system.n_spins
+    peak = float(np.abs(system.couplings).max())
+    if not peak < np.sqrt(np.finfo(float).max) / (2 * n * (n - 1) * np.sqrt(2**n)):
+        raise NumericalInvariantError(
+            f"squared secular frequencies overflow (largest |coupling| = {peak})"
+        )
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """Execute the four preparation steps and assemble the report.
 
@@ -266,14 +283,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 
     times = time_grid(config.t_max, config.t_step)
 
-    # the transition graph and the saturation envelope square secular
-    # frequencies (up to 4 times the summed |couplings|) and add up dim
-    # squared energies; reject couplings for which that could overflow
-    peak = float(np.abs(system.couplings).max())
-    if not peak < np.sqrt(np.finfo(float).max) / (2 * n * (n - 1) * np.sqrt(basis.dim)):
-        raise NumericalInvariantError(
-            f"squared secular frequencies overflow (largest |coupling| = {peak})"
-        )
+    refuse_overflowing_frequencies(system)
 
     h_av = hamiltonians.dq_hamiltonian(system, basis)
     symmetry = hamiltonians.site_symmetry(system)

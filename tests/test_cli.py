@@ -349,6 +349,37 @@ class TestSpectrumCommand:
     def test_pseudopure_file_requires_path(self, tmp_path):
         assert main(["spectrum", "--state", "pseudopure-file", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_population_is_one_line_error(self, tmp_path, capsys, bad):
+        # a stage_populations.csv with one saturated population not finite;
+        # read as given it would merge to 0 lines and exit 0
+        rows = [f"{i},0.0,{1.0 if i == 63 else 0.0}" for i in range(64)]
+        rows[17] = f"17,0.0,{bad}"
+        state_file = tmp_path / "stage_populations.csv"
+        state_file.write_text("\n".join(["index,crushed,saturated", *rows]) + "\n")
+        out = tmp_path / "o"
+        assert main(["spectrum", "--state", "pseudopure-file", "--state-file", str(state_file),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {state_file}: line 19: population '17,0.0,{bad}' "
+                       "is not finite\n")
+        assert not out.exists()
+
+    def test_overflowing_couplings_exit_2(self, tmp_path, capsys):
+        # the pipeline's guard: 1e308 would give infinite frequencies and a
+        # broadened spectrum of NaN
+        system = tmp_path / "couplings.txt"
+        np.savetxt(system, [[0.0, 1e308], [1e308, 0.0]], header="2", comments="")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["spectrum", "--system", str(system), "--state", "thermal",
+                         "--out", str(out)]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ("numerical invariant violated: squared secular "
+                                           "frequencies overflow (largest |coupling| = 1e+308)\n")
+        assert not out.exists()
+
     def test_wrong_population_count(self, tmp_path):
         state_file = tmp_path / "pops.txt"
         state_file.write_text("1.0\n2.0\n")
@@ -373,11 +404,12 @@ class TestFilterCheckCommand:
         assert main(["filter-check", "--n-spins", "3", "--k-steps", "6",
                      "--trials", "2"]) == 1
 
-    # the default k_steps fits at every allowed size, so only a large one is refused
+    # the default k_steps fits at every allowed size, so only a step count
+    # whose table is built through more than the limit is refused
     @pytest.mark.parametrize("argv, message", [
-        (["--n-spins", "12", "--k-steps", "2000", "--trials", "1"],
-         "12 spins with 2000 phase steps would hold 3.2 GB"),
-        (["--n-spins", "10", "--k-steps", "10000"], "10 spins with 10000 phase steps"),
+        (["--n-spins", "12", "--k-steps", "1000000", "--trials", "1"],
+         "12 spins with 1000000 phase steps would hold 3.8 GB"),
+        (["--n-spins", "10", "--k-steps", "100000000"], "10 spins with 100000000 phase steps"),
         (["--n-spins", "4", "--trials", "0"], "--trials must be at least 1, got 0"),
     ], ids=["twelve-spins", "many-steps", "no-trials"])
     def test_refused_before_any_work(self, monkeypatch, capsys, argv, message):
@@ -390,11 +422,13 @@ class TestFilterCheckCommand:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     def test_twelve_spins_fit_the_budget(self):
-        # without running it: twelve spins need about 0.90 GB per trial at
-        # the default 26 steps, three 268 MB matrices and 99 MB of check
+        # without running it: twelve spins need about 0.85 GB per trial at
+        # the default 26 steps, three 268 MB matrices and 40 MB of check
+        # (one band's 25 orders of 16 x 4096 complex values and their gaps);
+        # a million steps build the order table through 3.7 GB of arrays
         basis = build_basis(12)
-        assert 0.85e9 < _trial_bytes(basis, 26) <= FILTER_CHECK_BYTES
-        assert _trial_bytes(basis, 1200) > FILTER_CHECK_BYTES
+        assert 0.84e9 < _trial_bytes(basis, 26) <= FILTER_CHECK_BYTES
+        assert _trial_bytes(basis, 10**6) > FILTER_CHECK_BYTES
 
     def test_misordered_phase_cycling_fails(self, monkeypatch):
         cycled_band = mq._cycled_band
@@ -409,9 +443,10 @@ class TestFilterCheckCommand:
 
     def test_one_trial_holds_no_order_stack(self):
         # traced peak of making the 8-spin check and running one trial:
-        # 7.2 MiB (4.0 MiB of tables and band buffers, then 3.1 MiB while
-        # the state is drawn); holding the direct and phase-cycled stacks
-        # and the 18 rotated copies, as checks did before, it is 54.2 MiB
+        # 5.5 MiB (1.7 MiB of the order table and band buffers, then 3.8 MiB
+        # while the state is drawn); holding the direct and phase-cycled
+        # stacks and the 18 rotated copies, as unbanded checks did, it is
+        # 54.2 MiB
         basis = build_basis(8)
         tracemalloc.start()
         try:

@@ -171,14 +171,24 @@ class TestBandedCheck:
         rho = random_state(np.random.default_rng(27), basis.dim)
         cycled_band = mq._cycled_band
 
-        def faulty(*args):
-            out = cycled_band(*args)
-            if args[3].start == basis.dim - mq.BAND_ROWS:
+        def faulty(table, levels, rows, *rest):
+            out = cycled_band(table, levels, rows, *rest)
+            if rows.start == basis.dim - mq.BAND_ROWS:
                 out[2, -1, 0] += 1e-6
             return out
 
         monkeypatch.setattr(mq, "_cycled_band", faulty)
         assert PhaseCycleCheck(basis, 18).deviation(rho) == pytest.approx(1e-6, rel=1e-6)
+
+    def test_aliasing_table_fails(self):
+        # 8 steps at 4 spins fold order n onto n - 8, so orders 4 and -4
+        # (and every order 8 apart) share their phase sums
+        basis = build_basis(4)
+        rho = random_state(np.random.default_rng(28), basis.dim)
+        check = PhaseCycleCheck(basis, 9)
+        assert check.deviation(rho) <= 1e-12 * np.abs(rho.matrix).max()
+        check.levels, check.table = mq._cycle_tables(basis, 8)
+        assert check.deviation(rho) >= 0.5
 
     def test_refuses_aliasing_steps(self, basis6):
         with pytest.raises(ValueError, match="k_steps=12 aliases orders up to"):
