@@ -29,7 +29,12 @@ from .evolution import (
     sweep,
     time_grid,
 )
-from .pipeline import PipelineConfig, refuse_overflowing_frequencies, run_pipeline
+from .pipeline import (
+    PipelineConfig,
+    refuse_infinite_phases,
+    refuse_overflowing_frequencies,
+    run_pipeline,
+)
 from .spin_core import (
     DensityMatrix,
     NumericalInvariantError,
@@ -75,6 +80,7 @@ def cmd_sweep(args) -> int:
         rho0 = homq_coherence_state(basis)
     h = hamiltonians.dq_hamiltonian(system, basis)
     eig = diagonalize(h, hamiltonians.site_symmetry(system))
+    refuse_infinite_phases(eig, times[-1], args.unit)
     if args.state == "homq":
         eig = eig.negated()  # reversal-period evolution
     names = args.observables

@@ -33,7 +33,9 @@ chi = 1 under a site cycle and chi = -1 under the flip.  A state of
 neither character runs on the eigensystem of G = identity, built on first
 use (``EigenSystem.fallback``).
 
-A sweep never assembles the dense rho(t).  Its observables are data
+A sweep never assembles the dense rho(t).  It propagates each chunk of
+time points as one (rows, K, cols) stack per sector pair, so that each
+side's product is one GEMM.  Its observables are data
 (:class:`Observable`) of two kinds:
 
 - an order intensity, the sum of |rho|^2 over the pairs of spin-up
@@ -86,7 +88,7 @@ TWO_PI = 2.0 * np.pi
 
 _UNIT_SCALES = {"cyclic": TWO_PI, "angular": 1.0}
 
-# bytes of one complex (K, r_a, r_b) stack in a sweep; K, the number of
+# bytes of one complex (rows, K, cols) stack in a sweep; K, the number of
 # time points per chunk, follows from the largest stack that a batch of
 # sector pairs holds per point.  Large enough that a chunk's sparse reads
 # cost little next to its GEMMs, small enough for the stack to stay in cache
@@ -568,28 +570,28 @@ def _interleaved(right: np.ndarray) -> np.ndarray:
 
 def _sector_transform(part: _Part, phases: np.ndarray, right: np.ndarray | None,
                       work: tuple) -> np.ndarray:
-    """V_a e^{-i phase E_a} X_ab e^{i phase E_b} V_b+ per phase, shaped (K, r_a, r_b).
+    """V_a e^{-i phase E_a} X_ab e^{i phase E_b} V_b+ per phase, shaped (r_a, K, r_b).
 
-    The left product runs once per phase, the right one as a single GEMM
-    over all phases, so the result is time-major: on the interleaved float
-    view with ``right``, V_b+ in the form of :func:`_interleaved`, or, for
-    a real V_b given no ``right``, as V_b times the transposed stack.
+    The stack is (rows, K, cols), so each side's product is one GEMM over
+    all phases: V_a times the (r_a, K r_b) stack, then, on the interleaved
+    float view, times ``right``, V_b+ in the form of :func:`_interleaved`,
+    or, for a real V_b given no ``right``, V_b times the transposed stack.
+    A sector paired with itself takes one phase table and its conjugate.
     ``work``, two flat complex buffers of at least K r_a r_b elements,
     takes the products, and the result is a view of the first: a sweep
     then allocates no stack per chunk, which would make the heap grow and
     shrink with every chunk.
     """
     a, b = part.a, part.b
-    shape = (phases.size, *part.moved.shape)
-    size, r_b = math.prod(shape), shape[2]
-    first, second = (buffer[:size].reshape(shape) for buffer in work)
-    np.multiply(part.moved, np.exp(-1j * np.multiply.outer(phases, a.eigenvalues))[
-        :, :, np.newaxis], out=first)
-    first *= np.exp(1j * np.multiply.outer(phases, b.eigenvalues))[:, np.newaxis, :]
-    if np.iscomplexobj(a.eigenvectors):
-        np.matmul(a.eigenvectors, first, out=second)
-    else:
-        np.matmul(a.eigenvectors, first.view(np.float64), out=second.view(np.float64))
+    (r_a, r_b), points = part.moved.shape, phases.size
+    first, second = (buffer[:r_a * points * r_b].reshape(r_a, points, r_b) for buffer in work)
+    turn = np.exp(-1j * np.multiply.outer(phases, a.eigenvalues))
+    np.multiply(part.moved[:, np.newaxis, :], turn.T[:, :, np.newaxis], out=first)
+    first *= turn.conj() if a is b else np.exp(1j * np.multiply.outer(phases, b.eigenvalues))
+    rows, product = first.reshape(r_a, -1), second.reshape(r_a, -1)
+    if not np.iscomplexobj(a.eigenvectors):
+        rows, product = rows.view(np.float64), product.view(np.float64)
+    np.matmul(a.eigenvectors, rows, out=product)
     if right is not None:
         np.matmul(second.view(np.float64).reshape(-1, 2 * r_b), right,
                   out=first.view(np.float64).reshape(-1, 2 * r_b))
@@ -618,28 +620,31 @@ def _add_part(classes: np.ndarray, part: _Part, y: np.ndarray, chi: int, self_pa
               outer: np.ndarray, inner: np.ndarray, orbits: _Orbits, spare: np.ndarray) -> None:
     """Add a part's stack into the element classes g_l = sum_k exp(2 pi i k l / L) rho_k.
 
-    ``classes`` is (K, L, |outer|, |inner|) over the orbits of a pair of
-    groups; ``y`` (K, r_a, r_b) is the part's rho_k, k its right momentum.
-    With f_l = g_l / sqrt(p_a p_b), element rho[G^i a, G^(i+l) b] is
-    chi^i f_l[a, b].  For chi = -1 a group with itself also adds the
-    adjoint of ``y``, made in the flat complex buffer ``spare``, as its
-    (k, k + q) pair.
+    ``classes`` is a (rows, K, cols) stack (L |outer|, K, |inner|) over the
+    orbits of a pair of groups, row l |outer| + a holding g_l[a]; ``y``
+    (r_a, K, r_b) is the part's rho_k, k its right momentum.  With f_l = g_l / sqrt(p_a p_b),
+    element rho[G^i a, G^(i+l) b] is chi^i f_l[a, b].  For chi = -1 a group
+    with itself also adds the adjoint of ``y``, made in the flat complex
+    buffer ``spare``, as its (k, k + q) pair.
     """
     order, k = orbits.order, part.b.momentum
     first, second = orbits.members(part.a), orbits.members(part.b)
     stacks = [(y, k, first, second)]
     if self_pair and chi == -1:
-        adjoint_y = spare[:y.size].reshape(y.shape[0], y.shape[2], y.shape[1])
-        np.conjugate(y.transpose(0, 2, 1), out=adjoint_y)
+        adjoint_y = spare[:y.size].reshape(y.shape[::-1])
+        np.conjugate(y.transpose(2, 1, 0), out=adjoint_y)
         stacks.append((adjoint_y, (k + order // 2) % order, second, first))
+    blocks = classes.reshape(order, outer.size, *classes.shape[1:])
     for stack, momentum, rows, cols in stacks:
         turn = cyclic_phases(order).conj()[momentum * np.arange(order) % order]
         index = (slice(None),)
         if rows.size < outer.size or cols.size < inner.size:
-            index = (slice(None), np.searchsorted(outer, rows)[:, np.newaxis],
+            # the two index arrays put the rows and columns first, then time
+            index = (np.searchsorted(outer, rows)[:, np.newaxis], slice(None),
                      np.searchsorted(inner, cols))
+            stack = stack.transpose(0, 2, 1)
         for l, phase in enumerate(turn):
-            target = classes[:, l]
+            target = blocks[l]
             if phase == 1:
                 target[index] += stack
             elif phase == -1:
@@ -668,14 +673,14 @@ def _sector_evolve(rho: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
     rho_t = np.zeros((rho.dim, rho.dim), dtype=complex)
     for left, right, parts in _sector_parts(rho, eig, chi, range(order)):
         outer, inner = orbits.members(left[0]), orbits.members(right[0])
-        classes = np.zeros((1, order, outer.size, inner.size), dtype=complex)
+        classes = np.zeros((order * outer.size, 1, inner.size), dtype=complex)
         for part in parts:
             work = tuple(np.empty(part.moved.size, dtype=complex) for _ in range(2))
             y = _sector_transform(part, phase, _right_factor(part, 1), work)
             if left is right and chi == 1:
-                y = 0.5 * (y + np.conjugate(y.transpose(0, 2, 1)))
+                y = 0.5 * (y + np.conjugate(y.transpose(2, 1, 0)))
             _add_part(classes, part, y, chi, left is right, outer, inner, orbits, work[1])
-        reduced = classes[0].transpose(1, 0, 2)
+        reduced = classes.reshape(order, outer.size, inner.size).transpose(1, 0, 2)
         reduced *= np.multiply.outer(1 / np.sqrt(orbits.period[outer]),
                                      1 / np.sqrt(orbits.period[inner]))[:, np.newaxis, :]
         # row i of representative a is G^i a; column j * inner.size + b is G^j b
@@ -729,11 +734,11 @@ def _reflected(table: tuple, orbits: _Orbits) -> bool:
 
 
 class _Read(NamedTuple):
-    """Sparse weights over a (K, ...) stack raveled per time point.
+    """Sparse weights over a (rows, K, cols) stack.
 
     Observable column ``columns[c]`` gains the sum, over the entries from
     ``starts[c]`` to the next start, of ``weights`` times |stack|^2
-    (``squared``) or its real part at ``positions``.
+    (``squared``) or its real part at ``positions``, row * cols + col.
     """
 
     squared: bool
@@ -757,12 +762,12 @@ def _read(squared: bool, entries: list) -> list:
 
 
 class _LevelRead(NamedTuple):
-    """The order intensities of a contiguous (K, rows, cols) complex stack.
+    """The order intensities of a contiguous (rows, K, cols) complex stack.
 
-    Per point, |stack|^2 is summed over the columns of each spin-up count
-    by ``columns`` (2 cols, counts), whose rows take the real and the
-    imaginary part of a column alike, and each (rows, counts) sum is
-    weighed into every observable column by ``weights``
+    |stack|^2 is summed over the columns of each spin-up count by
+    ``columns`` (2 cols, counts), whose rows take the real and the
+    imaginary part of a column alike, and each point's (rows, counts) sum
+    is weighed into every observable column by ``weights``
     (rows * counts, observables).
     """
 
@@ -787,46 +792,50 @@ def _level_read(rows: np.ndarray, cols: np.ndarray, scale, observables: list
     return _LevelRead(columns, weights) if weights.any() else None
 
 
-def _pick(read: _Read, source: np.ndarray, values: np.ndarray, scratch: np.ndarray) -> None:
-    """Add a read of the (K, entries) float view ``source`` to ``values``."""
-    picked = scratch[:source.shape[0] * read.positions.size].reshape(source.shape[0], -1)
-    np.take(source, read.positions, axis=1, out=picked, mode="clip")
-    picked *= read.weights
-    values[:, read.columns] += np.add.reduceat(picked, read.starts, axis=1)
+def _pick(read: _Read, source: np.ndarray, values: np.ndarray) -> None:
+    """Add a read of the (rows, K, cols) float view ``source`` to ``values``."""
+    rows, cols = np.divmod(read.positions, source.shape[2])
+    picked = source[rows, :, cols]
+    picked *= read.weights[:, np.newaxis]
+    values[:, read.columns] += np.add.reduceat(picked, read.starts).T
 
 
 def _apply(reads: list, level: _LevelRead | None, stack: np.ndarray, values: np.ndarray,
            scratch: np.ndarray) -> None:
     """Add the element ``reads`` and the ``level`` read of a contiguous
-    (K, ...) complex stack to ``values`` (K, columns), working in the flat
-    float buffer ``scratch``.
+    (rows, K, cols) complex stack to ``values`` (K, columns), working in
+    the flat float buffer ``scratch``.
 
     The real reads come first.  The stack's parts are then squared in
-    place, so that no chunk allocates a stack: the level read takes the
-    squares with two GEMMs, and the squared element reads take |stack|^2,
-    made in place of the real parts.
+    place, so that no chunk allocates a stack: the level read sums the
+    squares per column level with one GEMM and weighs the (K, rows,
+    counts) copy of the sums with another, and the squared element reads
+    take |stack|^2, made in place of the real parts.
     """
-    points = stack.shape[0]
-    parts = stack.reshape(points, -1).view(np.float64)
+    rows, points = stack.shape[:2]
+    parts = stack.view(np.float64)
     squared = [read for read in reads if read.squared]
     for read in reads:
         if not read.squared:
-            _pick(read, parts[:, 0::2], values, scratch)
+            _pick(read, parts[:, :, 0::2], values)
     if not squared and level is None:
         return
     np.square(parts, out=parts)
     if level is not None:
-        width, counts = level.columns.shape
-        sums = scratch[:parts.size // width * counts].reshape(-1, counts)
-        np.matmul(parts.reshape(-1, width), level.columns, out=sums)
-        picked = scratch[sums.size:sums.size + values.size].reshape(values.shape)
-        np.matmul(sums.reshape(points, -1), level.weights, out=picked)
+        size = rows * points * level.columns.shape[1]
+        sums = scratch[:size].reshape(rows, points, -1)
+        np.matmul(parts.reshape(rows * points, -1), level.columns,
+                  out=sums.reshape(rows * points, -1))
+        spread = scratch[size:2 * size].reshape(points, rows, -1)
+        np.copyto(spread, sums.transpose(1, 0, 2))
+        picked = scratch[2 * size:2 * size + values.size].reshape(values.shape)
+        np.matmul(spread.reshape(points, -1), level.weights, out=picked)
         values += picked
     if squared:
-        squares = parts[:, 0::2]
-        squares += parts[:, 1::2]
+        squares = parts[:, :, 0::2]
+        squares += parts[:, :, 1::2]
         for read in squared:
-            _pick(read, squares, values, scratch)
+            _pick(read, squares, values)
 
 
 def _sector_reads(part: _Part, tables: dict, squared: list, real: list, mirrored: bool,
@@ -985,15 +994,15 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
             chunk = _chunk_length(size)
             rights = [_right_factor(part, chunk) for part in batch]
             # buffers for every chunk, so that no chunk maps fresh pages
-            widths = [read.positions.size for read in sum(reads, class_read)]
-            widths += [level.weights.size // len(observables) + len(observables)
-                       for level in [*levels, class_level] if level is not None]
+            widths = [2 * level.weights.size // len(observables) + len(observables)
+                      for level in [*levels, class_level] if level is not None]
             scratch = np.empty(chunk * max(widths, default=0))
             if classes:
-                buffer = np.empty((chunk, order, outer.size, inner.size), dtype=complex)
+                buffer = np.empty(chunk * order * outer.size * inner.size, dtype=complex)
             for window in _windows(runs, chunk):
                 if classes:
-                    g = buffer[:window.stop - window.start]
+                    g = buffer[:(window.stop - window.start) * order * outer.size * inner.size]
+                    g = g.reshape(order * outer.size, -1, inner.size)
                     g.fill(0)
                 for part, part_reads, level, right_factor in zip(batch, reads, levels, rights):
                     y = _sector_transform(part, phases[window], right_factor, work)

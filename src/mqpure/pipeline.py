@@ -261,6 +261,16 @@ def refuse_overflowing_frequencies(system: SpinSystem) -> None:
         )
 
 
+def refuse_infinite_phases(eig: EigenSystem, t: float, unit: str) -> None:
+    """Raise :class:`NumericalInvariantError` where the propagation phases
+    of times up to ``t`` are not finite, before any is taken."""
+    # np.max, unlike the builtin, propagates a NaN from any block; a product
+    # of Python floats overflows to inf without a warning
+    top = float(np.max([np.abs(block.eigenvalues).max(initial=0.0) for block in eig.blocks]))
+    if not np.isfinite(_phase_scale(unit) * float(t) * top):
+        raise NumericalInvariantError(f"propagation phases are not finite (largest |E| = {top})")
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """Execute the four preparation steps and assemble the report.
 
@@ -288,10 +298,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     h_av = hamiltonians.dq_hamiltonian(system, basis)
     symmetry = hamiltonians.site_symmetry(system)
     eig = diagonalize(h_av, symmetry)
-    # np.max, unlike the builtin, propagates a NaN from any block
-    top = float(np.max([np.abs(block.eigenvalues).max(initial=0.0) for block in eig.blocks]))
-    if not np.isfinite(_phase_scale(config.unit) * max(config.t_max, config.t_prep) * top):
-        raise NumericalInvariantError(f"propagation phases are not finite (largest |E| = {top})")
+    refuse_infinite_phases(eig, max(config.t_max, config.t_prep), config.unit)
     rho_thermal = thermal_state(basis)
     norm_thermal = float(np.sum(basis.m**2))
 
@@ -477,7 +484,7 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
 def _transformed(part: _Part, phase: float) -> np.ndarray:
     """V_a e^{-i phase E_a} X e^{i phase E_b} V_b+ of a part (a, b, X), shaped (r_a, r_b)."""
     work = tuple(np.empty(part.moved.size, dtype=complex) for _ in range(2))
-    return _sector_transform(part, np.array([phase]), _right_factor(part, 1), work)[0]
+    return _sector_transform(part, np.array([phase]), _right_factor(part, 1), work)[:, 0]
 
 
 def _reversed(part: _Part, filtered: np.ndarray, phase: float) -> np.ndarray:

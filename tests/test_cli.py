@@ -56,6 +56,22 @@ class TestSweepCommand:
         rows = read_csv(out / "sweep.csv")
         assert float(rows[1][2]) == pytest.approx(2.0)  # starts as pure 6Q
 
+    @pytest.mark.parametrize("state", ["thermal", "homq"])
+    def test_overflowing_phases_exit_2(self, tmp_path, capsys, state):
+        # the pipeline's guard: the phases of 1e308 couplings overflow, and
+        # the sweep would write a row of NaN at t = 1
+        system = tmp_path / "couplings.txt"
+        np.savetxt(system, [[0.0, 1e308], [1e308, 0.0]], header="2", comments="")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--system", str(system), "--state", state, "--t-max", "1",
+                         "--t-step", "0.5", "--out", str(out)]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ("numerical invariant violated: propagation phases "
+                                           "are not finite (largest |E| = 5e+307)\n")
+        assert not out.exists()
+
     def test_default_observable_columns(self, tmp_path):
         out = tmp_path / "out"
         assert main(["sweep", "--out", str(out), "--t-max", "0.02", "--t-step", "0.01"]) == 0

@@ -284,6 +284,58 @@ class TestFlipSectors:
             assert momenta == {(1, 0)}
 
 
+class TestSectorTransform:
+    """The sweep's kernel, a (rows, K, cols) stack per sector pair, against
+    per-point dense products V_a e^{-i phase E_a} X e^{i phase E_b} V_b+."""
+
+    @staticmethod
+    def thermal_parts(system):
+        basis = build_basis(system.n_spins)
+        eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
+        rho = thermal_state(basis)
+        used, chi = _character(rho, eig)
+        return [part for _, _, parts in _sector_parts(rho, used, chi, range(used.orbits.order))
+                for part in parts]
+
+    @staticmethod
+    def assert_matches_dense(part, phases, y):
+        a, b = part.a, part.b
+        assert y.shape == (a.eigenvalues.size, phases.size, b.eigenvalues.size)
+        want = np.array([(a.eigenvectors * np.exp(-1j * phase * a.eigenvalues)) @ part.moved
+                         @ (b.eigenvectors * np.exp(-1j * phase * b.eigenvalues)).conj().T
+                         for phase in phases])
+        assert np.abs(y.transpose(1, 0, 2) - want).max() <= 1e-13 * np.abs(want).max()
+
+    # the site cycle's thermal pairs (k, k) pair a sector with itself, with
+    # complex vectors for 2k not a multiple of 6; under the flip (one
+    # coupling one ulp off) the thermal state's pair is (1, 0), all real
+    @pytest.mark.parametrize("jitter", [None, (0, 1)], ids=["cycle", "flip"])
+    def test_matches_dense_products(self, jitter):
+        parts = self.thermal_parts(ring_system(6, 3, jitter))
+        assert parts
+        if jitter is None:
+            assert all(part.a is part.b for part in parts)
+            assert {np.iscomplexobj(part.b.eigenvectors) for part in parts} == {False, True}
+        else:
+            assert all(part.a is not part.b for part in parts)
+            assert not any(np.iscomplexobj(part.b.eigenvectors) for part in parts)
+        # a run of 12 points in chunks of 5: the second chunk ends inside it
+        phases = TWO_PI * np.linspace(0.0, 1.3, 12)
+        chunk = 5
+        for part in parts:
+            work = tuple(np.empty(chunk * part.moved.size, dtype=complex) for _ in range(2))
+            for window in (slice(5, 10), slice(10, 12)):
+                y = evolution._sector_transform(part, phases[window],
+                                                evolution._right_factor(part, chunk), work)
+                assert np.shares_memory(y, work[0])
+                self.assert_matches_dense(part, phases[window], y)
+            # one point: a real V_b takes the transposed right product
+            right = evolution._right_factor(part, 1)
+            assert (right is None) == (not np.iscomplexobj(part.b.eigenvectors))
+            y = evolution._sector_transform(part, phases[7:8], right, work)
+            self.assert_matches_dense(part, phases[7:8], y)
+
+
 class TestBatchedSweep:
     """The sector sweep against evolve plus a dense evaluation."""
 

@@ -24,6 +24,7 @@ from mqpure import (
     diag_pair_extractor,
     diagonalize,
     dq_hamiltonian,
+    hexagon_couplings,
     homq_excitable,
     mq_intensities,
     mq_intensity_extractor,
@@ -284,6 +285,26 @@ def test_ring10_sweep_lists_no_order_element(jitter, bound):
     grid = np.arange(61) * RING10["t_step"]
     assert traced_peak(lambda: sweep(thermal, eig, grid, observables,
                                      points=[RING10["t_prep"]])) < bound * 2**20
+
+
+# The thermal sweeps of the two pipeline workloads on the site cycle, with
+# the pipeline's observables and its extra point at t_prep: the chunk
+# loop works in buffers made once per sweep or per sector pair, so the
+# traced peak stays near what one chunk holds (1.15 MiB for the hexagon
+# and 1.44 MiB for ring10 as measured).
+@pytest.mark.parametrize("system, grid, t_prep", [
+    (hexagon_couplings(), np.arange(0.0, 2.0005, 0.001), 0.973),
+    (ring_system(10, 7), np.arange(61) * RING10["t_step"], RING10["t_prep"]),
+], ids=["hexagon", "ring10"])
+def test_thermal_sweep_peaks_below_2_mib(system, grid, t_prep):
+    basis = build_basis(system.n_spins)
+    eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
+    assert eig.orbits.order == system.n_spins
+    thermal = thermal_state(basis)
+    observables = {f"I{k}": mq_intensity_extractor(basis, k) for k in range(system.n_spins + 1)}
+    observables["diag_pair"] = diag_pair_extractor(basis)
+    assert traced_peak(lambda: sweep(thermal, eig, grid, observables, points=[t_prep])) \
+        <= 2 * 2**20
 
 
 @pytest.mark.parametrize("command, jitter, bound", [
