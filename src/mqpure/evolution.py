@@ -45,11 +45,13 @@ side's product is one GEMM.  Its observables are data
   flip, which maps level m to -m, from those of the element classes
   rho[G^i a, G^(i+l) b];
 - an element observable (weighted matrix elements, squared or real
-  part) is read from the sector pairs where its weight is constant on
-  every pair of orbits and from the element classes otherwise.
+  part) is read one way under every G: each element class is a fixed
+  combination of sector-pair entries and of their conjugates.
 
-:func:`_sector_sweep` does both; :func:`evolve` writes the same classes
-into the dense matrix.
+Where a conjugate symmetry of H and rho0 makes sector pair L - k the
+conjugate of pair k up to one phase per entry, only k <= L/2 run.
+:func:`_sector_sweep` does both reads; :func:`evolve` writes the element
+classes into the dense matrix.
 
 Couplings are cyclic frequencies, so the default propagation phase for a
 dimensionless time t (units of the inverse reference coupling) is
@@ -69,7 +71,6 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .hamiltonians import SiteSymmetry
 from .output import write_csv
 from .spin_core import (
     DensityMatrix,
@@ -97,6 +98,9 @@ CHUNK_BYTES = 1 << 18
 # largest time grid ``time_grid`` builds
 MAX_GRID_POINTS = 1_000_000
 
+# i^c for c = 0 .. 3
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
 
 class _Orbits(NamedTuple):
     """The orbits of the basis states under a cyclic state permutation G.
@@ -104,12 +108,10 @@ class _Orbits(NamedTuple):
     ``table[o, j]`` is G^j of the representative (smallest state) of orbit
     o, for j below the order L of G; orbits ascend by representative.
     State s is ``table[of[s], step[s]]`` with ``step[s]`` below the orbit's
-    ``period``.  ``shift`` is G and ``reflect`` the state permutation of
-    a site symmetry's reflection (None without one).
+    ``period``.  ``shift`` is G.
     """
 
     shift: np.ndarray
-    reflect: np.ndarray | None
     table: np.ndarray
     of: np.ndarray
     step: np.ndarray
@@ -134,11 +136,15 @@ class EigenSystem:
     the blocks come group by group with k ascending from 0 in each, and
     ``plain`` builds the eigensystem of G = identity for states the
     sectors cannot carry (None where G is the identity).
+    ``conjugate_pairs`` records that A(H) = -H exactly (:func:`_rotation_sign`),
+    as for a real H whose nonzeros all join spin-up counts that differ by
+    2 mod 4, such as the double-quantum H and its negation.
     """
 
     blocks: tuple = field(repr=False)
     orbits: _Orbits = field(repr=False)
     plain: Callable[[], EigenSystem] | None = field(default=None, repr=False)
+    conjugate_pairs: bool = False
 
     @property
     def dim(self) -> int:
@@ -156,11 +162,11 @@ class EigenSystem:
                                       eigenvectors=block.eigenvectors[:, ::-1])
                        for block in self.blocks)
         plain = None if self.plain is None else (lambda: self.fallback.negated())
-        return EigenSystem(blocks, self.orbits, plain)
+        return EigenSystem(blocks, self.orbits, plain, self.conjugate_pairs)
 
 
 def diagonalize(h: Operator | SparseOperator,
-                symmetry: SiteSymmetry | None = None) -> EigenSystem:
+                symmetry: np.ndarray | None = None) -> EigenSystem:
     """Eigendecompose a Hermitian operator into the momentum sectors of a
     state permutation G (ascending within each block).
 
@@ -169,8 +175,9 @@ def diagonalize(h: Operator | SparseOperator,
     The sectors are taken within each popcount parity when no nonzero
     element joins an even- and an odd-popcount state.  G is the first that
     maps the sorted nonzeros exactly onto themselves of the state
-    permutation P of the site ``symmetry``, the flip of every spin (where
-    it keeps parity, at even N) and the identity.
+    permutation P of the site cycle ``symmetry``
+    (:func:`~mqpure.hamiltonians.site_symmetry`), the flip of every spin
+    (where it keeps parity, at even N) and the identity.
     """
     if isinstance(h, Operator) and not h.hermitian:
         raise ValueError("diagonalize requires an operator flagged hermitian")
@@ -181,7 +188,7 @@ def diagonalize(h: Operator | SparseOperator,
     else:
         groups = (np.flatnonzero(~odd), np.flatnonzero(odd))
     if symmetry is not None:
-        cycle = _site_orbits(symmetry, h.dim)
+        cycle = _orbits(_state_permutation(symmetry, h.dim))
         if h.invariant(cycle.shift):
             return _sector_system(h, groups, cycle)
     flip = np.arange(h.dim)[::-1]
@@ -193,7 +200,25 @@ def diagonalize(h: Operator | SparseOperator,
 def _sector_system(h: SparseOperator, groups, orbits: _Orbits) -> EigenSystem:
     plain = (None if orbits.order == 1
              else partial(_sector_system, h, groups, _orbits(np.arange(h.dim))))
-    return EigenSystem(_momentum_blocks(h, groups, orbits), orbits, plain)
+    return EigenSystem(_momentum_blocks(h, groups, orbits), orbits, plain,
+                       _rotation_sign(h) == -1)
+
+
+def _rotation_sign(op: SparseOperator) -> int:
+    """eps = 1 or -1 with A(op) = eps op exactly, or 0 where neither holds.
+
+    A(X) = R conj(X) R+ with R = exp(i pi I_z / 2), which is diagonal, i^c
+    up to one global phase on a state of spin-up count c, so
+    A(op)[s, u] = i^(c_s - c_u) conj(op[s, u]).  Where A(H) = -H,
+    A(exp(-iHt)) = exp(-iHt), and A(rho0) = eps rho0 then gives
+    rho(t)[s, u] = eps i^(c_s - c_u) conj(rho(t)[s, u]) at every t.  A real
+    op has eps = 1 where its nonzeros join counts that differ by 0 mod 4
+    and -1 where they differ by 2 mod 4, an imaginary op the opposite; a
+    NaN has neither, and a zero op both (-1 is returned).
+    """
+    count = popcounts(np.arange(op.dim))
+    rotated = _QUARTER_TURNS[(count[op.rows] - count[op.cols]) % 4] * op.values.conj()
+    return next((sign for sign in (-1, 1) if np.array_equal(rotated, sign * op.values)), 0)
 
 
 def _state_permutation(sites: np.ndarray, dim: int) -> np.ndarray:
@@ -209,14 +234,7 @@ def _state_permutation(sites: np.ndarray, dim: int) -> np.ndarray:
     return moved
 
 
-def _site_orbits(symmetry: SiteSymmetry, dim: int) -> _Orbits:
-    """The orbits of the state permutation of a site symmetry's cycle."""
-    reflect = (None if symmetry.reflection is None
-               else _state_permutation(symmetry.reflection, dim))
-    return _orbits(_state_permutation(symmetry.cycle, dim), reflect)
-
-
-def _orbits(shift: np.ndarray, reflect: np.ndarray | None = None) -> _Orbits:
+def _orbits(shift: np.ndarray) -> _Orbits:
     """The orbits of the cyclic state permutation ``shift``."""
     powers = [np.arange(shift.size)]
     while not np.array_equal(next_power := shift[powers[-1]], powers[0]):
@@ -231,7 +249,7 @@ def _orbits(shift: np.ndarray, reflect: np.ndarray | None = None) -> _Orbits:
     for j in range(table.shape[1] - 1, -1, -1):
         step[table[:, j]] = j
     of = np.searchsorted(reps, representative)
-    return _Orbits(shift, reflect, table, of, step, period)
+    return _Orbits(shift, table, of, step, period)
 
 
 def _sector_reader(op: Operator | SparseOperator, orbits: _Orbits, outer: np.ndarray,
@@ -695,72 +713,6 @@ def _sector_evolve(rho: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
     return DensityMatrix(matrix=rho_t)
 
 
-def _orbit_weights(obs: Observable, orbits: _Orbits, dim: int) -> tuple | None:
-    """An observable's weight on each orbit pair it touches, or None where it has none.
-
-    The weight exists when every orbit pair O1 x O2 the observable
-    touches lists each of its p1 p2 elements equally often; it is then
-    the observable's weight times that count.  Returns (first, second,
-    weight) over the touched pairs.  The listed elements are counted by
-    sorting them by pair and place within it, so nothing has an entry per
-    orbit pair.
-    """
-    count, order = orbits.period.size, orbits.order
-    # the key (pair, place) of an element, place = L step[row] + step[col],
-    # is a part per row plus a part per column
-    keys = ((orbits.of * count * order + orbits.step) * order)[obs.flat // dim]
-    keys += (orbits.of * order * order + orbits.step)[obs.flat % dim]
-    keys.sort()
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    repeats = np.diff(starts, append=keys.size)
-    pairs = keys[starts] // order ** 2
-    leads = np.flatnonzero(np.diff(pairs, prepend=-1))
-    first, second = np.divmod(pairs[leads], count)
-    size = orbits.period[first] * orbits.period[second]
-    if not (np.array_equal(np.diff(leads, append=pairs.size), size)
-            and np.array_equal(repeats, np.repeat(repeats[leads], size))):
-        return None
-    return first, second, obs.weight * repeats[leads]
-
-
-def _reflected(table: tuple, orbits: _Orbits) -> bool:
-    """Whether orbit-pair weights are unchanged by the reflection."""
-    first, second, weight = table
-    mirror = orbits.of[orbits.reflect[orbits.table[:, 0]]]
-    count = orbits.period.size
-    keys, moved = first * count + second, mirror[first] * count + mirror[second]
-    order = np.argsort(moved)  # the keys of the pairs ascend already
-    return np.array_equal(keys, moved[order]) and np.array_equal(weight, weight[order])
-
-
-class _Read(NamedTuple):
-    """Sparse weights over a (rows, K, cols) stack.
-
-    Observable column ``columns[c]`` gains the sum, over the entries from
-    ``starts[c]`` to the next start, of ``weights`` times |stack|^2
-    (``squared``) or its real part at ``positions``, row * cols + col.
-    """
-
-    squared: bool
-    columns: np.ndarray
-    starts: np.ndarray
-    positions: np.ndarray
-    weights: np.ndarray
-
-
-def _read(squared: bool, entries: list) -> list:
-    """The :class:`_Read` of (column, positions, weights) entries, columns
-    ascending, as a list of one, or an empty list where no entry has a
-    position."""
-    entries = [entry for entry in entries if entry[1].size]
-    if not entries:
-        return []
-    columns, positions, weights = zip(*entries)
-    starts = np.cumsum([0] + [p.size for p in positions[:-1]])
-    return [_Read(squared, np.array(columns), starts, np.concatenate(positions),
-                  np.concatenate(weights))]
-
-
 class _LevelRead(NamedTuple):
     """The order intensities of a contiguous (rows, K, cols) complex stack.
 
@@ -780,133 +732,120 @@ def _level_read(rows: np.ndarray, cols: np.ndarray, scale, observables: list
     """The :class:`_LevelRead` of a stack whose rows and columns have the
     spin-up counts ``rows`` and ``cols``: an order observable weighs each
     element whose counts differ by its order by its weight times
-    ``scale`` (one number, or one per row).  None where no order
-    observable meets such an element."""
+    ``scale``.  None where no order observable meets such an element."""
     counts, at = np.unique(cols, return_inverse=True)
     columns = np.zeros((2 * cols.size, counts.size))
     columns[np.arange(2 * cols.size), np.repeat(at, 2)] = 1.0
     gap = np.abs(rows[:, np.newaxis] - counts).reshape(-1, 1)
     orders = [-1 if obs.order is None else obs.order for obs in observables]
-    scale = np.repeat(np.broadcast_to(scale, rows.shape), counts.size)[:, np.newaxis]
-    weights = np.where(gap == orders, scale * [obs.weight for obs in observables], 0.0)
+    weights = np.where(gap == orders, scale * np.array([obs.weight for obs in observables]), 0.0)
     return _LevelRead(columns, weights) if weights.any() else None
 
 
-def _pick(read: _Read, source: np.ndarray, values: np.ndarray) -> None:
-    """Add a read of the (rows, K, cols) float view ``source`` to ``values``."""
-    rows, cols = np.divmod(read.positions, source.shape[2])
-    picked = source[rows, :, cols]
-    picked *= read.weights[:, np.newaxis]
-    values[:, read.columns] += np.add.reduceat(picked, read.starts).T
-
-
-def _apply(reads: list, level: _LevelRead | None, stack: np.ndarray, values: np.ndarray,
+def _apply(level: _LevelRead, stack: np.ndarray, values: np.ndarray,
            scratch: np.ndarray) -> None:
-    """Add the element ``reads`` and the ``level`` read of a contiguous
-    (rows, K, cols) complex stack to ``values`` (K, columns), working in
-    the flat float buffer ``scratch``.
+    """Add the ``level`` read of a contiguous (rows, K, cols) complex stack
+    to ``values`` (K, columns), working in the flat float buffer ``scratch``.
 
-    The real reads come first.  The stack's parts are then squared in
-    place, so that no chunk allocates a stack: the level read sums the
-    squares per column level with one GEMM and weighs the (K, rows,
-    counts) copy of the sums with another, and the squared element reads
-    take |stack|^2, made in place of the real parts.
+    The stack's parts are squared in place, so that no chunk allocates a
+    stack: the squares are summed per column level with one GEMM, and the
+    (K, rows, counts) copy of the sums is weighed with another.
     """
     rows, points = stack.shape[:2]
     parts = stack.view(np.float64)
-    squared = [read for read in reads if read.squared]
-    for read in reads:
-        if not read.squared:
-            _pick(read, parts[:, :, 0::2], values)
-    if not squared and level is None:
-        return
     np.square(parts, out=parts)
-    if level is not None:
-        size = rows * points * level.columns.shape[1]
-        sums = scratch[:size].reshape(rows, points, -1)
-        np.matmul(parts.reshape(rows * points, -1), level.columns,
-                  out=sums.reshape(rows * points, -1))
-        spread = scratch[size:2 * size].reshape(points, rows, -1)
-        np.copyto(spread, sums.transpose(1, 0, 2))
-        picked = scratch[2 * size:2 * size + values.size].reshape(values.shape)
-        np.matmul(spread.reshape(points, -1), level.weights, out=picked)
-        values += picked
-    if squared:
-        squares = parts[:, :, 0::2]
-        squares += parts[:, :, 1::2]
-        for read in squared:
-            _pick(read, squares, values)
+    size = rows * points * level.columns.shape[1]
+    sums = scratch[:size].reshape(rows, points, -1)
+    np.matmul(parts.reshape(rows * points, -1), level.columns,
+              out=sums.reshape(rows * points, -1))
+    spread = scratch[size:2 * size].reshape(points, rows, -1)
+    np.copyto(spread, sums.transpose(1, 0, 2))
+    picked = scratch[2 * size:2 * size + values.size].reshape(values.shape)
+    np.matmul(spread.reshape(points, -1), level.weights, out=picked)
+    values += picked
 
 
-def _sector_reads(part: _Part, tables: dict, squared: list, real: list, mirrored: bool,
-                  count: int, orbits: _Orbits) -> list:
-    """The reads of one sector pair's stack by the orbit-pair weights ``tables``.
+def _element_classes(observables: list, eig: EigenSystem, chi: int) -> tuple:
+    """The element classes that the element observables list, and their weights.
 
-    A squared read weighs |rho_k[O1, O2]|^2 by the pair's weight times
-    ``count``; a real read (k = 0, chi = 1) weighs rho_0[O1, O2] by it times
-    sqrt(p1 p2).  Where the pair also stands for its adjoint
-    (``mirrored``), the weight of (O2, O1) adds at (O1, O2).
+    Element (G^i a, G^j b) of the representatives a and b is
+    chi^i f_l[a, b] with l = (j - i) mod L (:func:`_add_part`).  No sector
+    pair runs from a later group to an earlier one, so where b's group
+    comes before a's the element is read as the conjugate of
+    (G^j b, G^i a).  Returns ((a, b, l), squares, reals) over the distinct
+    classes: a squared observable is the sum of |f_l|^2 weighed by
+    ``squares`` (classes, observables), and a real one the sum of Re f_l
+    weighed by ``reals``, its weight times chi^i.  An element listed
+    twice adds its weight twice.
     """
-    rows, cols = (np.full(orbits.period.size, -1) for _ in range(2))
-    first, second = orbits.members(part.a), orbits.members(part.b)
-    rows[first], cols[second] = np.arange(first.size), np.arange(second.size)
+    orbits = eig.orbits
+    count, order = orbits.period.size, orbits.order
+    group = np.zeros(count, dtype=np.intp)
+    for index, blocks in enumerate(_sector_groups(eig)):
+        group[orbits.members(blocks[0])] = index
+    # an order intensity lists no element
+    sizes = [obs.flat.size for obs in observables]
+    flat = np.concatenate([np.empty(0, dtype=np.intp)] + [obs.flat for obs in observables])
+    rows, cols = np.divmod(flat, eig.dim)
+    swap = group[orbits.of[rows]] > group[orbits.of[cols]]
+    rows, cols = np.where(swap, cols, rows), np.where(swap, rows, cols)
+    keys = ((orbits.of[rows] * count + orbits.of[cols]) * order
+            + (orbits.step[cols] - orbits.step[rows]) % order)
+    keys, at = np.unique(keys, return_inverse=True)
+    column = np.repeat(np.arange(len(observables)), sizes)
+    weight = np.array([obs.weight for obs in observables])[column]
+    squared = np.array([obs.squared for obs in observables], dtype=bool)[column]
+    tables = np.zeros((2, keys.size, len(observables)))
+    np.add.at(tables, (np.where(squared, 0, 1), at, column),
+              np.where(squared, weight, weight * chi ** orbits.step[rows]))
+    pairs, l = np.divmod(keys, order)
+    return (*np.divmod(pairs, count), l), tables[0], tables[1]
 
-    def entries(column, factor):
-        one, other, weight = tables[column]
-        positions, weights = [], []
-        for x, y in ((one, other), (other, one))[:1 + mirrored]:
-            kept = np.flatnonzero((rows[x] >= 0) & (cols[y] >= 0))
-            x, y = x[kept], y[kept]
-            positions.append(rows[x] * second.size + cols[y])
-            weights.append(weight[kept] * factor(x, y))
-        return column, np.concatenate(positions), np.concatenate(weights)
 
-    period = orbits.period
-    return (_read(False, [entries(c, lambda x, y: np.sqrt(period[x] * period[y]))
-                          for c in real])
-            + _read(True, [entries(c, lambda x, y: count) for c in squared]))
+def _element_picks(part: _Part, classes: tuple, twin: np.ndarray, chi: int, self_pair: bool,
+                   orbits: _Orbits) -> tuple | None:
+    """The entries of a part's stack y_k, k its right momentum, in the
+    element ``classes`` (a, b, l), or None where it has none: (rows, cols,
+    at, direct, conjugate), class at[e] gaining
+    direct[e] y_k[rows[e], cols[e]] + conjugate[e] conj(y_k[rows[e], cols[e]]).
 
-
-def _class_reads(observables: list, columns: list, chi: int, eig: EigenSystem,
-                 left: dict, right: dict) -> list:
-    """The reads of the element classes (:func:`_add_part`) of the pair of
-    groups ``left`` and ``right``, as yielded by :func:`_sector_parts`.
-
-    Element (G^i a, G^j b) is chi^i g_l[a, b] / sqrt(p_a p_b) with
-    l = (j - i) mod L; a pair of different groups also stands for its
-    mirror, whose elements are the conjugates.
+    Over the (k + q, k) pairs y_k of a pair of groups,
+    f_l[a, b] = sum_k exp(2 pi i k l / L) y_k[a, b] / sqrt(p_a p_b), and
+    y_k[a, b] is zero where the periods of a and b do not allow the pair.
+    A part also stands for pairs that do not run:
+    - y_(L - k) = twin conj(y_k) entry by entry, ``twin`` eps i^(c_a - c_b)
+      per class where only k <= L/2 run (see :func:`_sector_sweep`) and
+      zero otherwise;
+    - y_(k + q)[a, b] = conj(y_k[b, a]), the adjoint pair, for chi = -1 and
+      a group with itself (``self_pair``).
     """
-    orbits, dim, order = eig.orbits, eig.dim, eig.orbits.order
-    period, sign = orbits.period[orbits.of], chi ** orbits.step
-    outer, inner = orbits.members(left[0]), orbits.members(right[0])
-    size = outer.size * inner.size
-    # (l |outer| + a) |inner| + b is the row code a |inner| - i size plus
-    # the column code b + j size, plus L size where that is negative; a
-    # state outside the pair's groups codes far past L size
-    row_code, col_code = (np.full(dim, 3 * order * size) for _ in range(2))
-    for code, members, factor, sign_of_step in ((row_code, outer, inner.size, -1),
-                                                (col_code, inner, 1, 1)):
-        states = orbits.table[members].ravel()
-        code[states] = (np.searchsorted(members, orbits.of[states]) * factor
-                        + sign_of_step * orbits.step[states] * size)
-    end = order * size
-    entries = {False: [], True: []}
-    for column in columns:
-        obs = observables[column]
-        rows, cols = np.divmod(obs.flat, dim)
-        positions, weights = [], []
-        for x, y in ((rows, cols), (cols, rows))[:1 + (left is not right)]:
-            place = row_code[x] + col_code[y]
-            place[place < 0] += end
-            kept = np.flatnonzero(place < end)
-            x, y = x[kept], y[kept]
-            positions.append(place[kept])
-            scale = period[x] * period[y]
-            weights.append(obs.weight / scale if obs.squared
-                           else obs.weight * sign[x] / np.sqrt(scale))
-        entries[bool(obs.squared)].append((column, np.concatenate(positions),
-                                           np.concatenate(weights)))
-    return _read(False, entries[False]) + _read(True, entries[True])
+    a, b, l = classes
+    order, k = orbits.order, part.b.momentum
+    rows_at, cols_at = (np.full(orbits.period.size, -1) for _ in range(2))
+    rows_at[orbits.members(part.a)] = np.arange(part.a.eigenvalues.size)
+    cols_at[orbits.members(part.b)] = np.arange(part.b.eigenvalues.size)
+    norm = 1 / np.sqrt(orbits.period[a] * orbits.period[b])
+    turn = cyclic_phases(order).conj()  # exp(2 pi i m / L)
+    zero = np.zeros(a.size)
+    twins = twin * turn[-k * l % order] * norm if 2 * k % order else zero
+    entries = [(rows_at[a], cols_at[b], turn[k * l % order] * norm, twins)]
+    if chi == -1 and self_pair:
+        entries.append((rows_at[b], cols_at[a], zero, turn[(k + order // 2) * l % order] * norm))
+    rows, cols, direct, conjugate = (np.concatenate(column) for column in zip(*entries))
+    kept = (rows >= 0) & (cols >= 0)
+    if not kept.any():
+        return None
+    at = np.tile(np.arange(a.size), len(entries))
+    return rows[kept], cols[kept], at[kept], direct[kept], conjugate[kept]
+
+
+def _add_picks(picks: tuple, y: np.ndarray, sums: np.ndarray) -> None:
+    """Add the :func:`_element_picks` of a (rows, K, cols) stack to ``sums`` (K, classes)."""
+    rows, cols, at, direct, conjugate = picks
+    picked = y[rows, :, cols]
+    gained = direct[:, np.newaxis] * picked
+    gained += conjugate[:, np.newaxis] * picked.conj()
+    np.add.at(sums, (slice(None), at), gained.T)
 
 
 def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: int,
@@ -919,53 +858,45 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
     the sector pairs of |rho_k|^2 over the rows and columns of those
     levels.  Under the flip it is read from the element classes
     (:func:`_add_part`): g_l[a, b] stands for the elements of levels m_a
-    and m_b for l = 0 and m_a and -m_b for l = 1.
+    and m_b for l = 0 and m_a and -m_b for l = 1.  A pair that also stands
+    for its adjoint counts twice.
 
-    For L > 2, an element observable whose weight is constant on each
-    orbit pair (:func:`_orbit_weights`) is read from the sector pairs:
-    - squared, sum over O1 x O2 of |rho|^2 is the sum over the pairs of
-      |rho_k[O1, O2]|^2;
-    - real part, sum over O1 x O2 of rho is sqrt(p1 p2) rho_0[O1, O2] for
-      chi = 1 and zero for chi = -1.
-    Every other element observable is read from the element classes
-    (:func:`_class_reads`), for which all sector pairs run.
+    An element observable is read one way under every G: each element
+    class f_l[a, b] it lists (:func:`_element_classes`) is a fixed
+    combination of sector-pair entries and their conjugates
+    (:func:`_element_picks`), summed per class and point over the whole
+    grid before |.|^2 or the real part is taken.
 
-    A pair that also stands for its adjoint counts twice.  Where the
-    reflection R leaves rho0 and every squared element weight unchanged
-    (chi = 1), R maps sector k onto sector -k with equal contributions, so
-    only k = 0 .. L/2 run, the ones in between counted twice.
+    For chi = 1, where H and a rho0 held as its nonzeros pass the
+    conjugate gate (``eig.conjugate_pairs`` and :func:`_rotation_sign`;
+    a dense rho0 is not checked and runs every k), a site cycle
+    keeps spin-up counts, so pair L - k is eps i^(c_a - c_b) conj(pair k)
+    entry by entry and only k = 0 .. L/2 run: the level reads count the
+    ones in between twice, and the element reads take their conjugates.
 
-    Each sector pair is set up once, and each pair of groups is reduced
-    over ``runs``, slices of the phases, each in chunks of its own.
+    Each part runs alone, in chunks of its own, over ``runs``, slices of
+    the phases; under the flip the order intensities take every part of a
+    pair of groups at each time point.  A part that no read touches is not
+    transformed.
     """
     orbits = eig.orbits
     order = orbits.order
     values = np.zeros((phases.size, len(observables)))
-    # for L <= 2 the classes are the sum and difference of at most two
-    # sector pairs, no dearer to build than the pairs are to read, and all
-    # pairs run either way
-    tables = {c: _orbit_weights(obs, orbits, rho0.dim) if order > 2 else None
-              for c, obs in enumerate(observables) if obs.order is None}
-    squared = [c for c, table in tables.items() if table is not None
-               and observables[c].squared]
-    real = [c for c, table in tables.items() if table is not None and chi == 1
-            and not observables[c].squared]
-    elements = [c for c, table in tables.items() if table is None]
-    intensities = len(tables) < len(observables)
-    paired = (chi == 1 and not elements and orbits.reflect is not None
-              and rho0.invariant(orbits.reflect)
-              and all(_reflected(tables[c], orbits) for c in squared))
-    momenta = (range(order // 2 + 1) if paired
-               else range(order) if squared or elements or intensities else [0])
     # the spin-up count of each orbit; only the flip of every spin changes it
     count, n_spins = popcounts(orbits.table[:, 0]), rho0.dim.bit_length() - 1
     flip = not np.array_equal(popcounts(orbits.table[:, -1]), count)
+    sign = (_rotation_sign(rho0) if chi == 1 and eig.conjugate_pairs
+            and isinstance(rho0, SparseOperator) else 0)
+    momenta = range(order // 2 + 1) if sign else range(order)
+    intensities = any(obs.order is not None for obs in observables)
+    classes, squares, reals = _element_classes(observables, eig, chi)
+    twin = sign * _QUARTER_TURNS[(count[classes[0]] - count[classes[1]]) % 4]
+    sums = np.zeros((phases.size, squares.shape[0]), dtype=complex)
     # a chunk of any pair fits CHUNK_BYTES, or is one point
     largest = max(block.eigenvalues.size for block in eig.blocks) ** 2
     work = tuple(np.empty(max(CHUNK_BYTES // 16, largest), dtype=complex) for _ in range(2))
     for left, right, parts in _sector_parts(rho0, eig, chi, momenta):
         outer, inner = orbits.members(left[0]), orbits.members(right[0])
-        class_read = _class_reads(observables, elements, chi, eig, left, right) if elements else []
         class_level = None
         if intensities and flip:
             # the flip maps count c to N - c, so row (l, a) meets the
@@ -973,48 +904,48 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
             rows = np.concatenate([count[outer], n_spins - count[outer]])
             class_level = _level_read(rows, count[inner], (1 + (left is not right)) / order,
                                       observables)
-        classes = bool(class_read) or class_level is not None
+        classes_run = class_level is not None
         mirrored = left is not right or chi == -1
-        # the classes need every part at each time point; otherwise each
-        # part runs alone, in chunks of its own length
-        for batch in [parts] if classes else [[part] for part in parts]:
-            reads, levels = [], []
-            for part in batch:
-                factor = 2 if paired and 2 * part.b.momentum % order else 1
-                reads.append(_sector_reads(part, tables, squared,
-                                           real if part.b.momentum == 0 else [],
-                                           mirrored, factor, orbits))
-                levels.append(None if not intensities or flip else _level_read(
-                    count[orbits.members(part.a)], count[orbits.members(part.b)],
-                    factor * (1 + mirrored), observables))
-            if not (classes or any(reads) or any(level is not None for level in levels)):
+        for batch in [parts] if classes_run else [[part] for part in parts]:
+            picks = [_element_picks(part, classes, twin, chi, left is right, orbits)
+                     for part in batch]
+            levels = [None if not intensities or flip else _level_read(
+                count[orbits.members(part.a)], count[orbits.members(part.b)],
+                (2 if sign and 2 * part.b.momentum % order else 1) * (1 + mirrored),
+                observables) for part in batch]
+            if not (classes_run or any(read is not None for read in picks + levels)):
                 continue
             size = max([part.moved.size for part in batch]
-                       + [order * outer.size * inner.size] * classes)
+                       + [order * outer.size * inner.size] * classes_run)
             chunk = _chunk_length(size)
             rights = [_right_factor(part, chunk) for part in batch]
             # buffers for every chunk, so that no chunk maps fresh pages
             widths = [2 * level.weights.size // len(observables) + len(observables)
                       for level in [*levels, class_level] if level is not None]
             scratch = np.empty(chunk * max(widths, default=0))
-            if classes:
+            if classes_run:
                 buffer = np.empty(chunk * order * outer.size * inner.size, dtype=complex)
             for window in _windows(runs, chunk):
-                if classes:
+                if classes_run:
                     g = buffer[:(window.stop - window.start) * order * outer.size * inner.size]
                     g = g.reshape(order * outer.size, -1, inner.size)
                     g.fill(0)
-                for part, part_reads, level, right_factor in zip(batch, reads, levels, rights):
+                for part, pick, level, right_factor in zip(batch, picks, levels, rights):
                     y = _sector_transform(part, phases[window], right_factor, work)
-                    if classes:
+                    if classes_run:
                         _add_part(g, part, y, chi, left is right, outer, inner, orbits,
                                   work[1])
-                    _apply(part_reads, level, y, values[window], scratch)
-                if classes:
-                    _apply(class_read, class_level, g, values[window], scratch)
+                    if pick is not None:
+                        _add_picks(pick, y, sums[window])
+                    if level is not None:
+                        _apply(level, y, values[window], scratch)
+                if classes_run:
+                    _apply(class_level, g, values[window], scratch)
         # free this pair's stacks and classes before the next pair is gathered
         parts.clear()
         buffer = g = None
+    values += (sums * sums.conj()).real @ squares
+    values += sums.real @ reals
     return values
 
 

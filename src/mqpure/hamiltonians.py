@@ -13,7 +13,6 @@ each symmetry sector or m block they need straight from those elements.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -152,24 +151,13 @@ def _sparse(dim: int, elements: list) -> SparseOperator:
     return SparseOperator(dim, rows, cols, values)
 
 
-class SiteSymmetry(NamedTuple):
-    """Relabellings of the sites that leave the couplings exactly unchanged.
-
-    ``cycle[i]`` is the site that site i moves to; it runs through all N
-    sites in one cycle.  ``reflection`` is an involution R of the sites
-    with R cycle R = cycle^-1, or None where no such R keeps the couplings.
-    """
-
-    cycle: np.ndarray
-    reflection: np.ndarray | None
-
-
-def site_symmetry(system: SpinSystem) -> SiteSymmetry | None:
+def site_symmetry(system: SpinSystem) -> np.ndarray | None:
     """A cyclic relabelling sigma of all sites with D[sigma][:, sigma] == D exactly.
 
-    sigma exists when some order v of the sites makes the coupling matrix
-    circulant, D[v_i, v_j] depending only on (j - i) mod N; then sigma
-    maps v_j to v_{j+1}, and the reflection v_j -> v_{-j} inverts it.
+    sigma[i] is the site that site i moves to, and sigma runs through all
+    N sites in one cycle.  It exists when some order v of the sites makes
+    the coupling matrix circulant, D[v_i, v_j] depending only on
+    (j - i) mod N; then sigma maps v_j to v_{j+1}.
     The orders are searched depth first from site 0, pruned by exact
     equality, so site labels do not matter.  Every site of such a cycle
     sees the same couplings, which rules most matrices out before any
@@ -187,11 +175,7 @@ def site_symmetry(system: SpinSystem) -> SiteSymmetry | None:
     order = np.array(order)
     cycle = np.empty(n, dtype=np.intp)
     cycle[order] = np.roll(order, -1)
-    reflection = np.empty(n, dtype=np.intp)
-    reflection[order] = order[-np.arange(n) % n]
-    if not np.array_equal(couplings[np.ix_(reflection, reflection)], couplings):
-        reflection = None
-    return SiteSymmetry(cycle, reflection)
+    return cycle
 
 
 def _circulant_order(d: list) -> list | None:

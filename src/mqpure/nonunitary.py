@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolution import _momentum_blocks, _orbits, _sector_reader, _site_orbits
-from .hamiltonians import SiteSymmetry, collective_transverse
+from .evolution import _momentum_blocks, _orbits, _sector_reader, _state_permutation
+from .hamiltonians import collective_transverse
 from .output import write_csv
 from .spin_core import (
     DensityMatrix,
@@ -214,14 +214,14 @@ def crush(rho: DensityMatrix) -> DensityMatrix:
 
 
 def build_transition_graph(h_secular: Operator | SparseOperator, basis: ZeemanBasis,
-                           symmetry: SiteSymmetry | None = None) -> TransitionGraph:
+                           symmetry: np.ndarray | None = None) -> TransitionGraph:
     """Eigendecompose per m level and momentum sector, and enumerate allowed transitions.
 
     Every block is gathered from the Hamiltonian's nonzero elements; a
     dense :class:`Operator` is turned into them once
-    (``SparseOperator.of``).  Where a site ``symmetry`` is given, there
-    are at least ``SECTOR_MIN_SPINS`` spins and H is exactly unchanged by
-    the state permutation G of its cycle, each m level splits into the
+    (``SparseOperator.of``).  Where a site cycle ``symmetry`` is given,
+    there are at least ``SECTOR_MIN_SPINS`` spins and H is exactly
+    unchanged by its state permutation G, each m level splits into the
     momentum sectors k of G, as in :func:`~mqpure.evolution.diagonalize`
     (G keeps the level); otherwise each level is one block (G = identity,
     L = 1).  I_+ + I_- commutes with G and its block from level m to m+1
@@ -239,7 +239,7 @@ def build_transition_graph(h_secular: Operator | SparseOperator, basis: ZeemanBa
     Args:
         h_secular: Hamiltonian commuting with collective I_z.
         basis: Zeeman basis; its spin-up levels are the m levels.
-        symmetry: Site symmetry whose cycle may split the levels.
+        symmetry: Cyclic site relabelling (``site_symmetry``) that may split the levels.
     """
     if h_secular.dim != basis.dim:
         raise ValueError("hamiltonian dimension does not match basis")
@@ -251,7 +251,7 @@ def build_transition_graph(h_secular: Operator | SparseOperator, basis: ZeemanBa
 
     orbits = None
     if symmetry is not None and basis.n_spins >= SECTOR_MIN_SPINS:
-        orbits = _site_orbits(symmetry, basis.dim)
+        orbits = _orbits(_state_permutation(symmetry, basis.dim))
     if orbits is None or not h.invariant(orbits.shift):
         orbits = _orbits(np.arange(basis.dim))
     levels = basis.levels()

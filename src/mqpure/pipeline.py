@@ -263,12 +263,17 @@ def refuse_overflowing_frequencies(system: SpinSystem) -> None:
 
 def refuse_infinite_phases(eig: EigenSystem, t: float, unit: str) -> None:
     """Raise :class:`NumericalInvariantError` where the propagation phases
-    of times up to ``t`` are not finite, before any is taken."""
+    of times up to ``t`` are not finite, or above 2^52 rad, where adjacent
+    floats are a radian or more apart, before any is taken."""
     # np.max, unlike the builtin, propagates a NaN from any block; a product
     # of Python floats overflows to inf without a warning
     top = float(np.max([np.abs(block.eigenvalues).max(initial=0.0) for block in eig.blocks]))
-    if not np.isfinite(_phase_scale(unit) * float(t) * top):
+    phase = _phase_scale(unit) * float(t) * top
+    if not np.isfinite(phase):
         raise NumericalInvariantError(f"propagation phases are not finite (largest |E| = {top})")
+    if phase > 2.0**52:
+        raise NumericalInvariantError(f"propagation phases reach {phase:.6g} rad, above 2^52 "
+                                      "rad, where adjacent floats are a radian or more apart")
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
@@ -428,13 +433,13 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
     give its crushed populations (:func:`_add_populations`).
 
     Under a site cycle, where the graph is in the same sectors, only
-    k <= L/2 run and the others count twice.  The double-quantum H and
-    I_z are real, so pair L - k at time t is the conjugate of pair k at
-    -t; the rotation exp(i pi I_z / 2) negates H and is one phase per
-    level, so pair k at -t is pair k at t up to one phase per level.
-    Those phases cancel from the level sums of |y|^2 and from the blocks
-    within one level, which give the populations, and the secular
-    vectors of sector L - k are the conjugates of those of sector k.
+    k <= L/2 run and the others count twice, by the gate the sweep
+    shares (``eig.conjugate_pairs``, see :func:`evolution._sector_sweep`):
+    I_z is real and diagonal, so pair L - k is the conjugate of pair k up
+    to one phase per pair of levels.  Those phases cancel from the level
+    sums of |y|^2 and from the blocks within one level, which give the
+    populations, and the secular vectors of sector L - k are the
+    conjugates of those of sector k.
     """
     eig, chi = _character(rho_thermal, eig)
     orbits, n_spins, order = eig.orbits, basis.n_spins, eig.orbits.order
@@ -446,7 +451,7 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
     # G = identity, the m blocks); otherwise the graph is in m blocks
     sectors = all(np.array_equal(orbits.table[orbits.members(block)].T.ravel(), block.states)
                   for block in graph.blocks)
-    paired = chi == 1 and sectors
+    paired = chi == 1 and sectors and eig.conjugate_pairs
     # under the flip a group's pair (0, 1) is the adjoint of its pair (1, 0)
     momenta = range(order // 2 + 1) if paired else range(order if q == 0 else q)
     per_levels = np.zeros((n_spins + 1, n_spins + 1))

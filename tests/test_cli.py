@@ -15,6 +15,7 @@ from mqpure import (
     homq_coherence_state,
     mq,
     negated,
+    site_symmetry,
     sweep,
 )
 from mqpure.cli import (
@@ -25,6 +26,8 @@ from mqpure.cli import (
     main,
 )
 
+from dense_observables import evaluate
+from dense_operators import dense
 from test_symmetry import ring_system
 
 
@@ -72,6 +75,35 @@ class TestSweepCommand:
                                            "are not finite (largest |E| = 5e+307)\n")
         assert not out.exists()
 
+    # 1e20 couplings give finite phases near 1e20 rad, where adjacent floats
+    # are about 1e4 rad apart, so no value written would mean anything;
+    # 1e10 couplings keep phases near 1e11 rad, below 2^52
+    @pytest.mark.parametrize("command", ["sweep", "pipeline"])
+    @pytest.mark.parametrize("coupling, phase", [(1e20, "3.14159e+20"), (1e10, None)],
+                             ids=["1e20", "1e10"])
+    def test_phases_above_2_to_52_exit_2(self, tmp_path, capsys, command, coupling, phase):
+        system = tmp_path / "couplings.txt"
+        np.savetxt(system, [[0.0, coupling], [coupling, 0.0]], header="2", comments="")
+        out = tmp_path / "out"
+        if command == "sweep":
+            argv = ["sweep", "--system", str(system), "--t-max", "1", "--t-step", "0.5"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"system": str(system), "filter_n": 2, "t_max": 1.0}))
+            argv = ["pipeline", "--config", str(config)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        if phase is None:
+            assert (code, err) == (0, "")
+            return
+        assert code == 2
+        assert err == (f"numerical invariant violated: propagation phases reach {phase} rad, "
+                       "above 2^52 rad, where adjacent floats are a radian or more apart\n")
+        assert not out.exists()
+
     def test_default_observable_columns(self, tmp_path):
         out = tmp_path / "out"
         assert main(["sweep", "--out", str(out), "--t-max", "0.02", "--t-step", "0.01"]) == 0
@@ -110,6 +142,36 @@ class TestSweepCommand:
             want = reference.column(name) / (rho.purity() if name[0] == "F" else 1.0)
             scale = max(np.abs(want).max(), 1.0)
             assert np.abs(column - want).max() <= 1e-12 * scale, name
+
+    def test_homq_sweep_of_eight_spins_matches_the_dense_oracle(self, tmp_path):
+        # i(|u><d| - |d><u|) across 8 spin flips has R conj(rho) R+ = -rho for
+        # R = exp(i pi I_z / 2): the one state of the commands with eps = -1
+        system = ring_system(8, 3)
+        basis = build_basis(8)
+        eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
+        assert eig.orbits.order == 8 and eig.conjugate_pairs
+        # a state on an orbit of period 8 that the coherence reaches (even count)
+        state = next(s for s in range(basis.dim)
+                     if eig.orbits.period[eig.orbits.of[s]] == 8 and bin(s).count("1") == 4)
+        path = tmp_path / "ring8.txt"
+        np.savetxt(path, system.couplings, header="8", comments="")
+        out = tmp_path / "out"
+        observables = f"I8,diag_pair,pop:{state}"
+        assert main(["sweep", "--system", str(path), "--state", "homq", "--t-max", "1.5",
+                     "--t-step", "0.1", "--observables", observables, "--out", str(out)]) == 0
+        rows = read_csv(out / "sweep.csv")
+        values, vectors = np.linalg.eigh(-dense(dq_hamiltonian(system, basis)))
+        rho = dense(homq_coherence_state(basis))
+        states = []
+        for t in (float(row[0]) for row in rows[1:]):
+            u = (vectors * np.exp(-2j * np.pi * t * values)) @ vectors.conj().T
+            states.append(u @ rho @ u.conj().T)
+        for c, (name, obs) in enumerate(_parse_observables(observables, basis).items(), start=1):
+            column = np.array([float(row[c]) for row in rows[1:]])
+            want = np.array([evaluate(obs, matrix) for matrix in states])
+            # the coherence keeps every population at zero, so those columns
+            # are held to the state's scale, 1
+            assert np.abs(column - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0), name
 
     def test_unknown_observable(self, tmp_path):
         code = main([

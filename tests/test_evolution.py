@@ -9,12 +9,14 @@ from mqpure import (
     DensityMatrix,
     Observable,
     Operator,
+    SparseOperator,
     SpinSystem,
     build_basis,
     diag_pair_extractor,
     diagonalize,
     dq_hamiltonian,
     evolve,
+    hexagon_couplings,
     homq_coherence_state,
     mq_intensity_extractor,
     negated,
@@ -30,8 +32,10 @@ from mqpure.evolution import (
     SweepTable,
     _character,
     _chunk_length,
+    _rotation_sign,
     _sector_parts,
 )
+from mqpure.spin_core import popcounts
 from mqpure.mq import mq_intensities
 
 from dense_eigen import dense_eigen, exact_eigenvalues
@@ -661,9 +665,9 @@ class TestOrderIntensities:
         orders = {f"I{k}": mq_intensity_extractor(basis, k) for k in range(n + 1)}
         reference = {key: np.array([evaluate(obs, state) for state in exact])
                      for key, obs in orders.items()}
-        # alone, the orders take the reflection pairing where it applies and
-        # no element classes under a site cycle or the identity; beside the
-        # same sums listed as elements, neither
+        # alone, and beside the same sums listed as elements, which the
+        # element read takes from the same parts: the momenta k <= L/2 run
+        # wherever the conjugate gate holds
         listed = {f"L{k}": order_elements(basis, k) for k in range(n + 1)}
         for observables in (orders, {**orders, **listed}):
             table = sweep(rho, eig, times, observables)
@@ -673,3 +677,179 @@ class TestOrderIntensities:
                                      {f"L{k}": listed[f"L{k}"]}, rho)
         total = sum(table.column(name) for name in orders)
         assert np.abs(total - rho.purity()).max() <= 1e-12 * rho.purity()
+
+
+def symmetrized(rng, shift, order, chi, real, mask=None) -> np.ndarray:
+    """sum_j chi^j P^j M P^-j of a Hermitian matrix M of small integers (real
+    or complex, zero outside ``mask``), P the state permutation ``shift`` of
+    ``order``: every sum is exact, so P changes the result by chi exactly."""
+    dim = shift.size
+    moved = rng.integers(-3, 4, (dim, dim)).astype(float if real else complex)
+    if not real:
+        moved += 1j * rng.integers(-3, 4, (dim, dim))
+    moved += moved.conj().T
+    if mask is not None:
+        moved *= mask
+    total = np.zeros_like(moved)
+    for j in range(order):
+        total += chi ** j * moved
+        moved = moved[np.ix_(shift, shift)]
+    return total
+
+
+def element_observables(basis, orbits, rng) -> dict:
+    """Every element kind: squared and real, diagonal and off-diagonal, an
+    element listed twice, and, for every orbit period of G, a whole orbit pair
+    listed twice at weight 0.5, part of one with an element listed twice and
+    one missing, and the real diagonal of an orbit."""
+    dim = basis.dim
+    s, u = (int(x) for x in rng.integers(dim, size=2))
+    observables = {
+        "diag_pair": diag_pair_extractor(basis),
+        "pop_u": population_extractor(basis, basis.index_all_up),
+        "pop_d": population_extractor(basis, basis.index_all_down),
+        f"pop:{s}": population_extractor(basis, s),
+        "square": Observable([s * dim + u]),
+        "re": Observable([s * dim + u], squared=False),
+        "twice": Observable([s * dim + u, s * dim + u, u * dim + s], -1.5),
+        "re_twice": Observable([u * dim + s, u * dim + s, s * dim + s], 0.75, squared=False),
+    }
+    for period in np.unique(orbits.period):
+        first = rng.choice(np.flatnonzero(orbits.period == period))
+        second = rng.integers(orbits.period.size)
+        rows = orbits.table[first, :period]
+        cols = orbits.table[second, :orbits.period[second]]
+        pair = (dim * rows[:, np.newaxis] + cols).ravel()
+        observables[f"pair{period}"] = Observable(np.tile(pair, 2), 0.5)
+        observables[f"part{period}"] = Observable(np.r_[pair[:1], pair[:-1]])
+        observables[f"diag{period}"] = Observable((dim + 1) * rows, squared=False)
+    return observables
+
+
+class TestElementRead:
+    """Element observables read one way under every G, as fixed combinations
+    of sector-pair entries and their conjugates, against the dense propagator
+    of numpy's eigh of the whole matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(systems_by_permutation(), st.sampled_from(["dq", "negated", "complex"]),
+           st.sampled_from(["thermal", "homq", "real", "complex"]), st.booleans(),
+           st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
+    @example(("cycle", ring_system(8, 3)), "dq", "homq", False, 1.3, 5)
+    @example(("cycle", ring_system(6, 2)), "dq", "real", False, 0.7, 2)
+    @example(("cycle", ring_system(5, 1)), "negated", "real", True, 1.1, 4)
+    def test_every_element_kind_matches_the_dense_oracle(self, case, hamiltonian, state, odd,
+                                                         t, seed):
+        kind, system = case
+        n = system.n_spins
+        basis = build_basis(n)
+        rng = np.random.default_rng(seed)
+        symmetry = site_symmetry(system)
+        dq = diagonalize(dq_hamiltonian(system, basis), symmetry)
+        shift, order = dq.orbits.shift, dq.orbits.order
+        if hamiltonian == "complex":
+            # scaled by a power of two, exactly, to the size of the
+            # double-quantum H, so that its phases keep the oracle's digits
+            h = Operator(matrix=symmetrized(rng, shift, order, 1, real=False) / 64)
+            eig = diagonalize(h, symmetry)
+            assert eig.orbits.order == order and not eig.conjugate_pairs
+        else:
+            h = dq_hamiltonian(system, basis)
+            eig = dq if hamiltonian == "dq" else dq.negated()
+            assert eig.conjugate_pairs
+        matrix = dense(h) if hamiltonian != "negated" else -dense(h)
+        # a state odd under G where G allows one: chi = -1
+        chi = -1 if odd and order % 2 == 0 else 1
+        counts = popcounts(np.arange(basis.dim))
+        rho = {"thermal": thermal_state(basis), "homq": homq_coherence_state(basis),
+               # real, at spin-up counts that differ by 2 mod 4: eps = -chi
+               "real": SparseOperator.of(Operator(matrix=symmetrized(
+                   rng, shift, order, chi, real=True,
+                   mask=(counts[:, np.newaxis] - counts) % 4 == 2))),
+               "complex": DensityMatrix(matrix=symmetrized(rng, shift, order, chi, real=False)),
+               }[state]
+        used, _ = _character(rho, eig)
+        observables = element_observables(basis, used.orbits, rng)
+        level = int(rng.integers(n + 1))
+        observables[f"I{level}"] = mq_intensity_extractor(basis, level)
+        observables[f"L{level}"] = order_elements(basis, level)
+        values, vectors = np.linalg.eigh(matrix)
+        times = np.array([0.0, 0.5 * t, t])
+        exact = [u @ dense(rho) @ u.conj().T
+                 for u in ((vectors * np.exp(-1j * TWO_PI * s * values)) @ vectors.conj().T
+                           for s in times)]
+        reference = {key: np.array([evaluate(obs, state) for state in exact])
+                     for key, obs in observables.items()}
+        assert_matches_reference(sweep(rho, eig, times, observables), reference, observables, rho)
+
+
+def transformed_momenta(rho, eig, observables) -> set:
+    """The right momenta of the parts that a sweep of rho transforms."""
+    seen = set()
+    original = evolution._sector_transform
+
+    def spy(part, *args):
+        seen.add(part.b.momentum)
+        return original(part, *args)
+
+    with mock.patch.object(evolution, "_sector_transform", spy):
+        sweep(rho, eig, np.array([0.0, 0.3]), observables)
+    return seen
+
+
+class TestConjugateGate:
+    """Sectors k > L/2 are read as conjugates only where R conj(H) R+ = -H and
+    R conj(rho0) R+ = eps rho0 hold exactly, R = exp(i pi I_z / 2)."""
+
+    def test_rotation_sign(self):
+        assert _rotation_sign(thermal_state(build_basis(6))) == 1
+        # i (|u><d| - |d><u|) across 6 and 8 spin flips: i^6 conj(i) = i, i^8 conj(i) = -i
+        assert _rotation_sign(homq_coherence_state(build_basis(6))) == 1
+        assert _rotation_sign(homq_coherence_state(build_basis(8))) == -1
+        assert _rotation_sign(dq_hamiltonian(hexagon_couplings(), build_basis(6))) == -1
+        assert _rotation_sign(secular_dipolar_hamiltonian(hexagon_couplings(),
+                                                          build_basis(6))) == 1
+        assert _rotation_sign(SparseOperator.of(random_state(np.random.default_rng(1), 16))) == 0
+        assert _rotation_sign(SparseOperator(2, [0], [0], [np.nan])) == 0
+
+    # the top-order coherence joins the all-up and the all-down state, each an
+    # orbit of its own, so it lives in the k = 0 pair alone
+    @pytest.mark.parametrize("system, state, momenta", [
+        (hexagon_couplings(), thermal_state, 4),
+        (ring_system(10, 7), thermal_state, 6),
+        (hexagon_couplings(), homq_coherence_state, 1),
+        (ring_system(8, 3), homq_coherence_state, 1),
+    ], ids=["hexagon", "ring10", "homq", "homq8"])
+    def test_half_the_momenta_run(self, system, state, momenta):
+        basis = build_basis(system.n_spins)
+        eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
+        assert eig.conjugate_pairs and eig.negated().conjugate_pairs
+        observables = {f"I{k}": mq_intensity_extractor(basis, k)
+                       for k in range(basis.n_spins + 1)}
+        observables["diag_pair"] = diag_pair_extractor(basis)
+        observables["pop:5"] = population_extractor(basis, 5)
+        assert transformed_momenta(state(basis), eig, observables) == set(range(momenta))
+        # an element read alone transforms only the parts that hold its classes
+        alone = {"pop_u": population_extractor(basis, basis.index_all_up)}
+        assert transformed_momenta(state(basis), eig, alone) == {0}
+
+    def test_every_momentum_runs_where_the_gate_fails(self):
+        system = hexagon_couplings()
+        basis = build_basis(6)
+        symmetry = site_symmetry(system)
+        observables = {"I2": mq_intensity_extractor(basis, 2),
+                       "pop:5": population_extractor(basis, 5)}
+        eig = diagonalize(dq_hamiltonian(system, basis), symmetry)
+        rng = np.random.default_rng(3)
+        shift = eig.orbits.shift
+        complex_state = Operator(matrix=symmetrized(rng, shift, 6, 1, real=False))
+        assert transformed_momenta(SparseOperator.of(complex_state), eig,
+                                   observables) == set(range(6))
+        # a dense state is not checked
+        dense_thermal = DensityMatrix(matrix=dense(thermal_state(basis)))
+        assert transformed_momenta(dense_thermal, eig, observables) == set(range(6))
+        for h in (secular_dipolar_hamiltonian(system, basis),
+                  Operator(matrix=symmetrized(rng, shift, 6, 1, real=False))):
+            eig = diagonalize(h, symmetry)
+            assert eig.orbits.order == 6 and not eig.conjugate_pairs
+            assert transformed_momenta(thermal_state(basis), eig, observables) == set(range(6))

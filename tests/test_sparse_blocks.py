@@ -54,7 +54,7 @@ def systems(draw):
 
 
 def cycle_orbits(symmetry, dim):
-    return _orbits(_state_permutation(symmetry.cycle, dim))
+    return _orbits(_state_permutation(symmetry, dim))
 
 
 def dense_decision(matrix, symmetry) -> str:

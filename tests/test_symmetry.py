@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from mqpure import (
     DensityMatrix,
-    Observable,
     PipelineConfig,
     SpinSystem,
     build_basis,
@@ -33,11 +32,11 @@ from mqpure import (
     thermal_state,
 )
 from mqpure import evolution, hamiltonians
-from mqpure.evolution import TWO_PI, _orbit_weights, _sector_sweep
+from mqpure.evolution import TWO_PI, _sector_sweep
 
 from dense_eigen import dense_eigen
 from dense_operators import dense
-from dense_observables import dense_sweep, divisor, order_elements
+from dense_observables import dense_sweep, divisor
 
 
 def ring_system(n, seed=None, jitter=None):
@@ -112,34 +111,22 @@ def is_single_cycle(perm):
 class TestDetection:
     def test_hexagon_cyclic_generator(self):
         system = hexagon_couplings()
-        symmetry = site_symmetry(system)
+        cycle = site_symmetry(system)
         d = system.couplings
-        assert is_single_cycle(symmetry.cycle)
-        assert np.array_equal(d[np.ix_(symmetry.cycle, symmetry.cycle)], d)
-        reflection = symmetry.reflection
-        assert np.array_equal(reflection[reflection], np.arange(6))
-        assert np.array_equal(d[np.ix_(reflection, reflection)], d)
-        # R sigma R = sigma^-1
-        assert np.array_equal(symmetry.cycle[reflection[symmetry.cycle[reflection]]],
-                              np.arange(6))
+        assert is_single_cycle(cycle)
+        assert np.array_equal(d[np.ix_(cycle, cycle)], d)
 
     @pytest.mark.parametrize("n, seed", [(2, 1), (3, 2), (5, 3), (8, 4), (10, 7), (12, 5)])
     def test_relabelled_rings(self, n, seed):
         system = ring_system(n, seed)
-        symmetry = site_symmetry(system)
+        cycle = site_symmetry(system)
         d = system.couplings
-        assert is_single_cycle(symmetry.cycle)
-        assert np.array_equal(d[np.ix_(symmetry.cycle, symmetry.cycle)], d)
-        inverse = np.argsort(symmetry.cycle)
-        reflection = symmetry.reflection
-        assert np.array_equal(symmetry.cycle[reflection[symmetry.cycle[reflection]]],
-                              np.arange(n))
-        assert np.array_equal(reflection[symmetry.cycle[reflection]], inverse)
+        assert is_single_cycle(cycle)
+        assert np.array_equal(d[np.ix_(cycle, cycle)], d)
 
     def test_uniform_couplings_at_the_size_limit(self):
         # every order of the 12 sites is circulant; the first one found does
-        symmetry = site_symmetry(SpinSystem(n_spins=12, couplings=1.0 - np.eye(12)))
-        assert is_single_cycle(symmetry.cycle)
+        assert is_single_cycle(site_symmetry(SpinSystem(n_spins=12, couplings=1.0 - np.eye(12))))
 
     def test_one_ulp_off_has_none(self):
         assert site_symmetry(ring_system(10, 7, jitter=(0, 1))) is None
@@ -199,7 +186,7 @@ class TestSectors:
         basis = build_basis(6)
         h = dq_hamiltonian(jittered, basis)
         eig = diagonalize(h, site_symmetry(exact))
-        assert eig.orbits.order == 2 and eig.orbits.reflect is None
+        assert eig.orbits.order == 2
         assert [block.momentum for block in eig.blocks] == [0, 1, 0, 1]
         rho = thermal_state(basis)
         times = np.array([0.0, 0.4, 1.1])
@@ -294,45 +281,12 @@ class TestSectors:
 
 
 class TestReadableObservables:
-    def orbits(self, n=4):
-        system = ring_system(n)
-        eig = diagonalize(dq_hamiltonian(system, build_basis(n)), site_symmetry(system))
-        return eig.orbits
-
-    def test_order_intensities_and_extreme_states(self):
-        # an order intensity lists no element; the elements it sums over are
-        # constant on every orbit pair, as the diagonal pair and the
-        # all-up population are
-        basis, orbits = build_basis(4), self.orbits()
-        for k in range(5):
-            obs = mq_intensity_extractor(basis, k)
-            assert (obs.order, obs.flat.size, obs.weight, obs.squared) == (k, 0, 1.0, True)
-            weights = _orbit_weights(order_elements(basis, k), orbits, basis.dim)
-            assert weights is not None
-            assert set(np.unique(weights[2])) <= {1.0 if k == 0 else 2.0}
-        assert _orbit_weights(diag_pair_extractor(basis), orbits, basis.dim) is not None
-        up = population_extractor(basis, basis.index_all_up)
-        assert _orbit_weights(up, orbits, basis.dim) is not None
-
-    def test_partial_orbit_pairs_are_not_readable(self):
-        basis, orbits = build_basis(4), self.orbits()
-        assert _orbit_weights(population_extractor(basis, 1), orbits, basis.dim) is None
-        # orbit {1, 2, 4, 8} x {0}: one element listed twice and one missing
-        assert _orbit_weights(Observable([16, 16, 32, 64]), orbits, basis.dim) is None
-
-    def test_repeated_full_orbit_pair(self):
-        basis, orbits = build_basis(4), self.orbits()
-        column = [16 * s for s in (1, 2, 4, 8)]
-        first, second, weight = _orbit_weights(Observable(column * 2, 0.5), orbits, basis.dim)
-        assert list(zip(first, second, weight)) == [(orbits.of[1], orbits.of[0], 1.0)]
-
     def test_unreadable_columns_are_read_from_element_classes(self):
         system = ring_system(4, 1)
         basis = build_basis(4)
         eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
         rho = thermal_state(basis)
         observables = [mq_intensity_extractor(basis, 2), population_extractor(basis, 3)]
-        assert _orbit_weights(observables[1], eig.orbits, basis.dim) is None
         times = np.array([0.0, 0.4])
         values = _sector_sweep(rho, eig, 1, TWO_PI * times, observables, (slice(0, 2),))
         want = [dense_evolve(rho, eig, t)[3, 3].real for t in times]
