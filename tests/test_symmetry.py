@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mqpure import (
     DensityMatrix,
+    Observable,
     PipelineConfig,
     SpinSystem,
     build_basis,
@@ -36,7 +37,7 @@ from mqpure.evolution import TWO_PI, _sector_sweep
 
 from dense_eigen import dense_eigen
 from dense_operators import dense
-from dense_observables import dense_sweep, divisor
+from dense_observables import dense_sweep, divisor, order_elements
 
 
 def ring_system(n, seed=None, jitter=None):
@@ -281,6 +282,58 @@ class TestSectors:
 
 
 class TestReadableObservables:
+    """Order intensities, extreme states and partial or repeated orbit pairs
+    on the 4-ring, read by the symmetric sweep and set against the dense
+    propagator."""
+
+    def read(self, observables, rho=None):
+        system = ring_system(4)
+        basis = build_basis(4)
+        eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
+        rho = thermal_state(basis) if rho is None else rho
+        times = np.array([0.0, 0.4, 1.3])
+        table = sweep(rho, eig, times, observables)
+        assert_columns_close(table, dense_sweep(rho, eig, times, observables), observables, rho)
+        assert eig.orbits.order == 4 and "fallback" not in vars(eig)
+        return table
+
+    def test_order_intensities_and_extreme_states(self):
+        # an order intensity lists no element and is read by levels; the
+        # same order listed element by element is read by element classes
+        basis = build_basis(4)
+        observables = {"diag_pair": diag_pair_extractor(basis),
+                       "pop_u": population_extractor(basis, basis.index_all_up),
+                       "pop_d": population_extractor(basis, basis.index_all_down)}
+        for k in range(5):
+            obs = mq_intensity_extractor(basis, k)
+            assert (obs.order, obs.flat.size, obs.weight, obs.squared) == (k, 0, 1.0, True)
+            observables[f"I{k}"] = obs
+            observables[f"L{k}"] = order_elements(basis, k)
+        for rho in (thermal_state(basis), homq_coherence_state(basis)):
+            table = self.read(observables, rho)
+            for k in range(5):
+                gap = np.abs(table.column(f"I{k}") - table.column(f"L{k}")).max()
+                assert gap <= 1e-12 * rho.purity()
+
+    def test_partial_orbit_pairs_are_not_readable(self):
+        # neither is a whole orbit pair, so neither is constant on one: each
+        # element is read from its own class
+        basis = build_basis(4)
+        # orbit {3, 6, 12, 9} x {0}, order 2: one element listed twice and
+        # one missing
+        partial = Observable([48, 48, 96, 192])
+        table = self.read({"pop:1": population_extractor(basis, 1), "part": partial,
+                           "re_part": Observable(partial.flat, -0.5, squared=False)})
+        assert np.abs(table.column("part")).max() > 1e-3
+
+    def test_repeated_full_orbit_pair(self):
+        # orbit {3, 6, 12, 9} x {0} listed twice at weight 0.5 reads as the
+        # orbit pair listed once
+        column = [16 * s for s in (3, 6, 12, 9)]
+        table = self.read({"twice": Observable(column * 2, 0.5), "once": Observable(column)})
+        assert np.abs(table.column("once")).max() > 1e-3
+        assert np.abs(table.column("twice") - table.column("once")).max() <= 1e-15
+
     def test_unreadable_columns_are_read_from_element_classes(self):
         system = ring_system(4, 1)
         basis = build_basis(4)
