@@ -21,6 +21,7 @@ import numpy as np
 
 from . import hamiltonians, mq, nonunitary, spectrum as spec
 from .evolution import (
+    MAX_GRID_POINTS,
     SweepTable,
     diag_pair_extractor,
     diagonalize,
@@ -40,6 +41,7 @@ from .spin_core import (
     NumericalInvariantError,
     build_basis,
     homq_coherence_state,
+    require_finite,
     thermal_state,
 )
 
@@ -111,6 +113,12 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    require_finite("linewidth", args.linewidth, "positive")
+    require_finite("merge tolerance", args.merge_tol, "positive")
+    require_finite("intensity floor", args.floor, "nonnegative")
+    if not 1 <= args.grid_points <= MAX_GRID_POINTS:
+        raise ValueError(f"--grid-points must be in [1, {MAX_GRID_POINTS}], "
+                         f"got {args.grid_points}")
     system = hamiltonians.build_system(args.system, args.d12)
     refuse_overflowing_frequencies(system)
     basis = build_basis(system.n_spins)

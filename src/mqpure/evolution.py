@@ -50,8 +50,10 @@ side's product is one GEMM.  Its observables are data
 
 Where a conjugate symmetry of H and rho0 makes sector pair L - k the
 conjugate of pair k up to one phase per entry, only k <= L/2 run.
-:func:`_sector_sweep` does both reads; :func:`evolve` writes the element
-classes into the dense matrix.
+:func:`_sector_sweep` does both reads.  :func:`_class_matrices` folds a
+pair of groups' sector pairs into their element classes, from which
+:func:`_elements` gathers any block of rho: :func:`evolve` and the
+pipeline's crushed populations read through both.
 
 Couplings are cyclic frequencies, so the default propagation phase for a
 dimensionless time t (units of the inverse reference coupling) is
@@ -391,7 +393,7 @@ def evolve(
     eigensystem of G = identity.
     """
     eig, chi = _character(rho, _as_eigensystem(h))
-    return _sector_evolve(rho, eig, chi, np.array([_phase_scale(unit) * t]))
+    return _sector_evolve(rho, eig, chi, _phase_scale(unit) * t)
 
 
 @dataclass(frozen=True)
@@ -671,45 +673,70 @@ def _add_part(classes: np.ndarray, part: _Part, y: np.ndarray, chi: int, self_pa
                 target[index] += phase * stack
 
 
+def _transformed(part: _Part, phase: float) -> np.ndarray:
+    """V_a e^{-i phase E_a} X e^{i phase E_b} V_b+ of a part (a, b, X), shaped (r_a, r_b)."""
+    work = tuple(np.empty(part.moved.size, dtype=complex) for _ in range(2))
+    return _sector_transform(part, np.array([phase]), _right_factor(part, 1), work)[:, 0]
+
+
+def _class_matrices(parts: list, chi: int, self_pair: bool, outer: np.ndarray,
+                    inner: np.ndarray, orbits: _Orbits) -> np.ndarray:
+    """The element classes g_l of a pair of groups, shaped (L, |outer|, |inner|),
+    from parts whose ``moved`` is their rho_k in the sector basis
+    (:func:`_add_part` with K = 1); :func:`_elements` normalises what it reads."""
+    classes = np.zeros((orbits.order * outer.size, 1, inner.size), dtype=complex)
+    spare = np.empty(max((part.moved.size for part in parts), default=0), dtype=complex)
+    for part in parts:
+        _add_part(classes, part, part.moved[:, np.newaxis, :], chi, self_pair, outer, inner,
+                  orbits, spare)
+    return classes.reshape(orbits.order, outer.size, inner.size)
+
+
+def _elements(classes: np.ndarray, chi: int, outer: np.ndarray, inner: np.ndarray,
+              orbits: _Orbits, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rho[rows, cols] from the classes of :func:`_class_matrices`, the rows
+    in the ``outer`` orbits and the columns in the ``inner`` ones:
+    rho[G^i a, G^j b] = chi^i f_((j - i) mod L)[a, b], f_l = g_l / sqrt(p_a p_b),
+    read by one gather and scaled by one product."""
+    i, a, b = orbits.step[rows], orbits.of[rows], orbits.of[cols]
+    values = classes[(orbits.step[cols] - i[:, np.newaxis]) % orbits.order,
+                     np.searchsorted(outer, a)[:, np.newaxis], np.searchsorted(inner, b)]
+    values *= np.multiply.outer(chi ** i / np.sqrt(orbits.period[a]),
+                                1 / np.sqrt(orbits.period[b]))
+    return values
+
+
 def _sector_evolve(rho: DensityMatrix | SparseOperator, eig: EigenSystem, chi: int,
-                   phase: np.ndarray) -> DensityMatrix:
+                   phase: float) -> DensityMatrix:
     """rho(t) of a state of character chi, from its sector pairs.
 
     Such a state is fixed by its elements rho[a, G^l b] between orbit
     representatives: rho[G^i a, G^j b] = chi^i rho[a, G^(j-i) b].  Those
     follow from the sector pairs as
     rho[a, G^l b] = sum_k exp(2 pi i k l / L) rho_k[a, b] / sqrt(p_a p_b)
-    (:func:`_add_part`), and each is written to all the elements it
-    stands for.  A group's pairs with itself are made exactly Hermitian
-    first (for chi = -1 the adjoint pairs are exact adjoints), and the
-    phases repeat exactly with each orbit's period and are exact
+    (:func:`_class_matrices`), and each element is read from them
+    (:func:`_elements`).  A group's pairs with itself are made exactly
+    Hermitian first (for chi = -1 the adjoint pairs are exact adjoints),
+    and the phases repeat exactly with each orbit's period and are exact
     conjugates for -l, so for chi = 1 the result is exactly Hermitian and
     exactly unchanged by G.
     """
     orbits = eig.orbits
-    order = orbits.order
     rho_t = np.zeros((rho.dim, rho.dim), dtype=complex)
-    for left, right, parts in _sector_parts(rho, eig, chi, range(order)):
+    for left, right, parts in _sector_parts(rho, eig, chi, range(orbits.order)):
         outer, inner = orbits.members(left[0]), orbits.members(right[0])
-        classes = np.zeros((order * outer.size, 1, inner.size), dtype=complex)
+        moved = []
         for part in parts:
-            work = tuple(np.empty(part.moved.size, dtype=complex) for _ in range(2))
-            y = _sector_transform(part, phase, _right_factor(part, 1), work)
+            y = _transformed(part, phase)
             if left is right and chi == 1:
-                y = 0.5 * (y + np.conjugate(y.transpose(2, 1, 0)))
-            _add_part(classes, part, y, chi, left is right, outer, inner, orbits, work[1])
-        reduced = classes.reshape(order, outer.size, inner.size).transpose(1, 0, 2)
-        reduced *= np.multiply.outer(1 / np.sqrt(orbits.period[outer]),
-                                     1 / np.sqrt(orbits.period[inner]))[:, np.newaxis, :]
-        # row i of representative a is G^i a; column j * inner.size + b is G^j b
-        row_states, col_states = orbits.table[outer], orbits.table[inner].T.ravel()
-        for i in range(order):
-            values = np.roll(reduced, i, axis=1).reshape(outer.size, -1)
-            if chi ** i < 0:
-                values = -values
-            rho_t[np.ix_(row_states[:, i], col_states)] = values
-            if left is not right:
-                rho_t[np.ix_(col_states, row_states[:, i])] = values.T.conj()
+                y = 0.5 * (y + adjoint(y))
+            moved.append(part._replace(moved=y))
+        classes = _class_matrices(moved, chi, left is right, outer, inner, orbits)
+        rows, cols = (np.flatnonzero(np.isin(orbits.of, members)) for members in (outer, inner))
+        values = _elements(classes, chi, outer, inner, orbits, rows, cols)
+        rho_t[np.ix_(rows, cols)] = values
+        if left is not right:
+            rho_t[np.ix_(cols, rows)] = values.T.conj()
     return DensityMatrix(matrix=rho_t)
 
 

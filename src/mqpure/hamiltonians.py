@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spin_core import SparseOperator, SpinSystem, ZeemanBasis
+from .spin_core import SparseOperator, SpinSystem, ZeemanBasis, require_finite
 
 HEXAGON_RATIOS = {1: 1.0, 2: 1.0 / (3.0 * np.sqrt(3.0)), 3: 1.0 / 8.0}
 
@@ -30,8 +30,7 @@ def hexagon_couplings(d12: float = 1.0) -> SpinSystem:
     Ring distance sets the coupling: nearest neighbors get ``d12``, next
     nearest ``d12/(3*sqrt(3))`` and opposite corners ``d12/8``.
     """
-    if d12 <= 0:
-        raise ValueError("d12 must be positive")
+    require_finite("d12", d12, "positive")
     n = 6
     couplings = np.zeros((n, n))
     for i in range(n):

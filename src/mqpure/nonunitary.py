@@ -43,6 +43,7 @@ from .spin_core import (
     adjoint,
     cyclic_phases,
     gemm,
+    require_finite,
 )
 
 STRENGTH_THRESHOLD = 1e-10  # relative to the strongest transition
@@ -79,6 +80,7 @@ class SaturationParams:
     envelope_floor: float = 1e-3
 
     def __post_init__(self):
+        require_finite("center_frequency", self.center_frequency)
         if not self.width_sigma > 0:
             raise ValueError("width_sigma must be positive")
         try:
@@ -91,14 +93,11 @@ class SaturationParams:
                 f"width_sigma {self.width_sigma!r} gives 2*width_sigma**2 = {spread!r}; "
                 "it must be positive and finite"
             )
-        if self.rate_scale <= 0:
-            raise ValueError("rate_scale must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        require_finite("rate_scale", self.rate_scale, "positive")
+        require_finite("duration", self.duration, "positive")
         if self.mode not in ("timed", "steady_state"):
             raise ValueError(f"unknown saturation mode {self.mode!r}")
-        if self.envelope_floor < 0:
-            raise ValueError("envelope_floor must be nonnegative")
+        require_finite("envelope_floor", self.envelope_floor, "nonnegative")
 
     def envelope(self, frequency) -> np.ndarray:
         """Gaussian spectral weight at the given frequency (peak = 1)."""

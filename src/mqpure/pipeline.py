@@ -65,10 +65,11 @@ from .evolution import (
     _character,
     _Orbits,
     _Part,
+    _class_matrices,
+    _elements,
     _phase_scale,
-    _right_factor,
     _sector_groups,
-    _sector_transform,
+    _transformed,
     diag_pair_extractor,
     diagonalize,
     mq_intensity_extractor,
@@ -83,9 +84,9 @@ from .spin_core import (
     ZeemanBasis,
     adjoint,
     build_basis,
-    cyclic_phases,
     gemm,
     popcounts,
+    require_finite,
     thermal_state,
 )
 
@@ -123,12 +124,9 @@ class PipelineConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        # each guard is written so that NaN fails it
         for name in ("t_prep", "t_max", "t_step", "merge_tolerance"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.intensity_floor >= 0:
-            raise ValueError(f"intensity_floor must be nonnegative, got {self.intensity_floor}")
+            require_finite(name, getattr(self, name), "positive")
+        require_finite("intensity_floor", self.intensity_floor, "nonnegative")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -479,17 +477,11 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
             per_levels += factor * sum(mq.level_sums(values, r, c, n_spins) for values, (r, c)
                                        in zip(_classes(part.moved, chi), counts))
             reversed_.append(part)
-        _add_populations(populations, graph, orbits, orbits.members(group[0]), reversed_, weight,
+        _add_populations(populations, graph, orbits, orbits.members(group[0]), reversed_, chi,
                          sectors)
     return _AfterFilter(kept=kept, intensities=mq.order_intensities(per_levels),
                         pair=float(per_levels[0, 0] + per_levels[n_spins, n_spins]),
                         populations=populations)
-
-
-def _transformed(part: _Part, phase: float) -> np.ndarray:
-    """V_a e^{-i phase E_a} X e^{i phase E_b} V_b+ of a part (a, b, X), shaped (r_a, r_b)."""
-    work = tuple(np.empty(part.moved.size, dtype=complex) for _ in range(2))
-    return _sector_transform(part, np.array([phase]), _right_factor(part, 1), work)[:, 0]
 
 
 def _reversed(part: _Part, filtered: np.ndarray, phase: float) -> np.ndarray:
@@ -531,92 +523,51 @@ def _order_filter(y: np.ndarray, masks: list, chi: int) -> np.ndarray:
 
 
 def _add_populations(populations: np.ndarray, graph: nonunitary.TransitionGraph,
-                     orbits: _Orbits, group: np.ndarray, pairs: list, weight: int,
+                     orbits: _Orbits, group: np.ndarray, pairs: list, chi: int,
                      sectors: bool) -> None:
     """Add <e|rho|e> of the reversed sector ``pairs`` (k', k) of one group
-    of orbits for each secular eigenvector e of the graph blocks in it.
+    of orbits, a state of character chi, for each secular eigenvector e of
+    the graph blocks in it.
 
-    Where the graph blocks are sectors of the pairs' own G (``sectors``),
-    e lies in one sector k over the representatives of its level, so
-    <e|rho|e> = e+ rho_kk e over those rows and columns of pair (k, k).  A
-    block whose pair did not run (k > L/2, see :func:`_after_filter`)
-    reads pair L - k with the conjugates of its vectors, the vectors of
-    sector L - k.
+    Where the graph blocks are sectors of the pairs' own G (``sectors``,
+    where chi = 1), e lies in one sector k over the representatives of its
+    level, so <e|rho|e> = e+ rho_kk e over those rows and columns of pair
+    (k, k).  A block whose pair did not run (k > L/2, see
+    :func:`_after_filter`) reads pair L - k with the conjugates of its
+    vectors, the vectors of sector L - k.
 
-    Otherwise the graph blocks are m blocks, and sector k's component of
-    e over the representatives a is
-    c_k[a] = sqrt(p_a) / L sum_j exp(2 pi i k j / L) e[G^j a], so
-    <e|rho|e> = weight Re sum c_k'+ rho_k'k c_k over the pairs, the
-    weight 2 adding the adjoint pairs under the flip.  The pairs are set
-    in one (pairs, orbits, orbits) stack over the group, and each m block
-    reads the orbits that hold its states, a chunk of eigenvectors at a
-    time, with one product over the orbit table and one batched product
-    over the pairs; a chunk's components take no more room than one pair
-    of the stack.
+    Otherwise the graph blocks are m blocks.  The pairs are folded once
+    into the group's element classes (:func:`evolution._class_matrices`,
+    which adds the adjoint pairs under the flip), and each block of rho
+    over an m block's states is read from them
+    (:func:`evolution._elements`).  The secular H and its m-block vectors
+    are real, so <e|rho|e> = e^T Re(rho) e, and only the classes' real
+    part is read.
     """
     if not pairs:
         return
-    place = np.full(orbits.period.size, -1)
-    place[group] = np.arange(group.size)
-    order = orbits.order
-    if sectors:
-        by_momentum = {part.b.momentum: part for part in pairs}
-        start = 0
-        for block in graph.blocks:
-            size, k, members = block.eigenvalues.size, block.momentum, orbits.members(block)
-            part = by_momentum.get(k, by_momentum.get(-k % order))
-            if part is not None and place[members[0]] >= 0:
-                vectors = block.eigenvectors
-                if part.b.momentum != k:
-                    vectors = vectors.conj()
-                rows = np.searchsorted(orbits.members(part.a), members)
-                product = gemm(part.moved[np.ix_(rows, rows)], vectors)
-                populations[start:start + size] += weight * np.einsum(
-                    "ia,ia->a", vectors.conj(), product).real
-            start += size
-        return
-    stack = np.zeros((len(pairs), group.size, group.size), dtype=complex)
-    for slot, part in zip(stack, pairs):
-        slot[np.ix_(place[orbits.members(part.a)], place[orbits.members(part.b)])] = part.moved
-    left = np.array([part.a.momentum for part in pairs])
-    right = np.array([part.b.momentum for part in pairs])
-    # the inverse DFT over the orbit table, exp(2 pi i k j / L) / L per
-    # (k, j), for the left and the right momentum of each pair
-    dfts = [cyclic_phases(order).conj()[np.multiply.outer(ks, np.arange(order)) % order] / order
-            for ks in (left, right)]
-    # components of k = 0 and L/2 alone are real, and read the pairs' real part
-    real = not any(dft.imag.any() for dft in dfts)
-    if real:
-        dfts = [dft.real for dft in dfts]
-    at = np.full(orbits.of.size, -1)
+    inside = np.zeros(orbits.period.size, dtype=bool)
+    inside[group] = True
+    by_momentum = {part.b.momentum: part for part in pairs}
+    classes = None if sectors else _class_matrices(pairs, chi, True, group, group, orbits).real
     start = 0
     for block in graph.blocks:
-        size = block.states.size
-        touched = np.zeros(orbits.period.size, dtype=bool)
-        touched[orbits.of[block.states]] = True
-        touched = np.flatnonzero(touched)
-        rows = place[touched]
-        if rows[0] >= 0:
-            at[block.states] = np.arange(size)
-            index = at[orbits.table[touched].T]  # (L, orbits), -1 outside the block
-            at[block.states] = -1
-            in_block = (stack.real if real else stack)[:, rows[:, np.newaxis], rows]
-            scale = np.sqrt(orbits.period[touched])[:, np.newaxis]
-            width = max(1, group.size ** 2 // (len(pairs) * touched.size))
-            read_block = populations[start:start + size]
-            for first in range(0, size, width):
-                values = block.eigenvectors[:, first:first + width][index]
-                values[index < 0] = 0.0
-                values *= scale
-                flat = values.reshape(order, -1)
-                ket = (dfts[1] @ flat).reshape(len(pairs), touched.size, -1)
-                bra = ket if np.array_equal(left, right) else (dfts[0] @ flat).reshape(ket.shape)
-                product = in_block @ ket
-                read = np.einsum("kae,kae->e", bra.real, product.real)
-                if not real:
-                    read += np.einsum("kae,kae->e", bra.imag, product.imag)
-                read_block[first:first + width] += weight * read
+        size, k, members = block.eigenvalues.size, block.momentum, orbits.members(block)
+        read, vectors = populations[start:start + size], block.eigenvectors
         start += size
+        if not inside[members[0]]:
+            continue
+        if not sectors:
+            rho = _elements(classes, chi, group, group, orbits, block.states, block.states)
+            read += np.einsum("ia,ia->a", vectors, rho @ vectors)
+            continue
+        part = by_momentum.get(k, by_momentum.get(-k % orbits.order))
+        if part is not None:
+            if part.b.momentum != k:
+                vectors = vectors.conj()
+            rows = np.searchsorted(orbits.members(part.a), members)
+            product = gemm(part.moved[np.ix_(rows, rows)], vectors)
+            read += np.einsum("ia,ia->a", vectors.conj(), product).real
 
 
 def pseudopure_fidelity(populations: np.ndarray, index_up: int) -> float:

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,6 +32,16 @@ ADJOINT_TILE = 128
 
 class NumericalInvariantError(RuntimeError):
     """A quantity that must be conserved or bounded numerically is not."""
+
+
+def require_finite(name: str, value: float, sign: str | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and, where ``sign`` is
+    "positive" or "nonnegative", of that sign.  NaN, +-inf and integers
+    beyond the float range fail."""
+    signed = {None: True, "positive": value > 0, "nonnegative": value >= 0}[sign]
+    if not (abs(value) <= sys.float_info.max and signed):
+        wanted = "finite" if sign is None else f"{sign} and finite"
+        raise ValueError(f"{name} must be {wanted}, got {value}")
 
 
 def _frozen_array(a, dtype=None) -> np.ndarray:

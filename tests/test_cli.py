@@ -338,12 +338,17 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--state", "thermal", "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("argv, message", [
-        (["--linewidth", "nan"], "error: linewidth must be positive, got nan"),
-        (["--floor", "nan"], "error: intensity floor must be nonnegative, got nan"),
-        (["--merge-tol", "nan"], "error: merge tolerance must be positive, got nan"),
-    ], ids=["linewidth", "floor", "merge-tol"])
+        (["--linewidth", "nan"], "error: linewidth must be positive and finite, got nan"),
+        (["--floor", "nan"], "error: intensity floor must be nonnegative and finite, got nan"),
+        (["--merge-tol", "nan"], "error: merge tolerance must be positive and finite, got nan"),
+        (["--linewidth", "inf"], "error: linewidth must be positive and finite, got inf"),
+        (["--floor", "inf"], "error: intensity floor must be nonnegative and finite, got inf"),
+        (["--merge-tol", "inf"], "error: merge tolerance must be positive and finite, got inf"),
+        (["--grid-points", "1000001"], "error: --grid-points must be in [1, 1000000], got 1000001"),
+    ], ids=["linewidth", "floor", "merge-tol", "linewidth-inf", "floor-inf", "merge-tol-inf",
+            "grid-points"])
     def test_nan_flag_is_one_line_error(self, tmp_path, capsys, argv, message):
-        # checked before any file is written
+        # checked before any file is written, and before a grid is allocated
         assert main(["spectrum", "--out", str(tmp_path / "o"), *argv]) == 1
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "o").exists()

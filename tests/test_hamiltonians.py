@@ -150,6 +150,10 @@ class TestHexagon:
             hexagon_couplings(0.0)
         with pytest.raises(ValueError):
             hexagon_couplings(-1.0)
+        # NaN and inf name d12, not the couplings they would make
+        for d12 in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="d12 must be positive and finite"):
+                hexagon_couplings(d12)
 
 
 class TestDQHamiltonian:

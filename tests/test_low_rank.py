@@ -104,6 +104,7 @@ class TestFactorPathProperty:
     @given(st.one_of(random_systems(2, 8), circulant_systems(2, 8)), st.floats(0.05, 2.0))
     @example(ring_system(6, 1), 0.973)
     @example(ring_system(8, 2), 1.0)
+    @example(ring_system(8, 2, jitter=(0, 1)), 1.0)
     @example(ring_system(6, 1, jitter=(0, 1)), 0.973)
     @example(ring_system(7, 2, jitter=(0, 1)), 1.0)
     def test_every_accepted_order_matches_the_dense_oracle(self, system, t):

@@ -369,6 +369,9 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("t_prep", math.nan), ("t_max", math.nan), ("t_step", math.nan),
         ("merge_tolerance", math.nan), ("intensity_floor", math.nan), ("intensity_floor", -1),
+        ("t_prep", math.inf), ("t_max", math.inf), ("t_step", math.inf),
+        ("merge_tolerance", math.inf), ("intensity_floor", math.inf),
+        pytest.param("t_max", 10**400, id="t_max-integer-beyond-float"),
     ])
     def test_nan_or_negative_field_is_one_line_error(self, tmp_path, capsys, field, value):
         # each guard fails NaN: no run on a NaN time, no misleading merge
@@ -388,6 +391,25 @@ class TestConfig:
             {"saturation": {"center_frequency": 0.0, "width_sigma": width}}))
         with pytest.raises(ValueError, match="width_sigma"):
             PipelineConfig.from_file(config_path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("center_frequency", math.nan), ("center_frequency", math.inf),
+        ("center_frequency", -math.inf), ("rate_scale", math.nan), ("rate_scale", math.inf),
+        ("duration", math.nan), ("duration", math.inf), ("envelope_floor", math.nan),
+        ("envelope_floor", math.inf),
+    ])
+    def test_non_finite_saturation_setting_is_one_line_error(self, tmp_path, capsys, field,
+                                                             value):
+        # timed mode, so that a NaN duration is refused as input and not
+        # reported as a saturation that lost population
+        saturation = {"center_frequency": 0.0, "width_sigma": 1.0, "mode": "timed", field: value}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"t_max": 1.2, "t_step": 0.01,
+                                           "saturation": saturation}))
+        assert main(["pipeline", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
 
     def test_d12_with_a_coupling_file(self, tmp_path):
         config = PipelineConfig(system=str(write_two_spin_file(tmp_path)), d12=2.0)
