@@ -156,19 +156,22 @@ def cmd_spectrum(args) -> int:
 
 def _load_populations(path: str, expected: int) -> np.ndarray:
     """One finite population per line; takes the last field of CSV rows,
-    so the pipeline's stage_populations.csv works directly (header
-    tolerated)."""
-    values = []
+    so the pipeline's stage_populations.csv works directly.  Blank lines
+    and # comments are skipped; of the other lines only the first may be
+    a header."""
+    values, first = [], True
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
+        header, first = first, False
         try:
             values.append(float(body.split(",")[-1]))
         except ValueError:
-            if values:
-                raise ValueError(f"{path}: unparseable population line {body!r}") from None
-            continue  # first line is a header; skip it
+            if header:
+                continue
+            raise ValueError(f"{path}: line {number}: population {body!r} is not a "
+                             "number") from None
         if not np.isfinite(values[-1]):
             raise ValueError(f"{path}: line {number}: population {body!r} is not finite")
     populations = np.array(values)

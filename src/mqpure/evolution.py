@@ -5,31 +5,9 @@ is exact for time-independent generators and lets a whole sweep reuse a
 single factorization.  Each block is gathered from the Hamiltonian's
 nonzero elements (:class:`~mqpure.spin_core.SparseOperator`), and the
 symmetry checks compare those elements, sorted, with their permuted
-copies, so no d x d matrix is made.
-
-The blocks are the momentum sectors of one cyclic state permutation G of
-order L that leaves the Hamiltonian exactly unchanged, taken within each
-popcount-parity group (a Hamiltonian with no element between even- and
-odd-popcount states, such as the double-quantum one, which flips spins
-in pairs, has two groups).  :func:`diagonalize` takes for G
-
-- the state permutation P of a site cycle (found from the couplings by
-  :func:`~mqpure.hamiltonians.site_symmetry`) where H is invariant under it;
-- otherwise, at even N, the flip of every spin (state s to 2^N - 1 - s,
-  the reversal of the index order, L = 2), which leaves the double-quantum
-  and the secular Hamiltonian unchanged for any couplings;
-- otherwise the identity (L = 1: each parity group is one sector).
-
-Sector k is spanned by sqrt(p)/L sum_j exp(-2 pi i k j / L) G^j |a> over
-the orbit representatives a whose period p allows k (Sandvik,
-arXiv:1101.3281, section 4), and its matrix is folded from one (r, L, r)
-gather of H per group.
-
-A state of character chi = +1 or -1 under G (G rho G+ = chi rho, checked
-exactly) has elements only between sectors k + q and k, with q = 0 for
-chi = 1 and q = L/2 for chi = -1, so propagation runs on those sector
-pairs alone.  The thermal state I_z and the top-order coherence have
-chi = 1 under a site cycle and chi = -1 under the flip.  A state of
+copies, so no d x d matrix is made.  The blocks are the momentum sectors
+of one state permutation G (:mod:`mqpure.sectors`), and a state of
+character chi under G is propagated on its sector pairs alone; a state of
 neither character runs on the eigensystem of G = identity, built on first
 use (``EigenSystem.fallback``).
 
@@ -50,10 +28,8 @@ side's product is one GEMM.  Its observables are data
 
 Where a conjugate symmetry of H and rho0 makes sector pair L - k the
 conjugate of pair k up to one phase per entry, only k <= L/2 run.
-:func:`_sector_sweep` does both reads.  :func:`_class_matrices` folds a
-pair of groups' sector pairs into their element classes, from which
-:func:`_elements` gathers any block of rho: :func:`evolve` and the
-pipeline's crushed populations read through both.
+:func:`_sector_sweep` does both reads.  :func:`evolve` reads rho(t)
+through the element classes of :func:`~mqpure.sectors.class_matrices`.
 
 Couplings are cyclic frequencies, so the default propagation phase for a
 dimensionless time t (units of the inverse reference coupling) is
@@ -74,16 +50,17 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .output import write_csv
+from .sectors import (QUARTER_TURNS, Orbits, Part, add_part, character, class_matrices,
+                      elements, momentum_blocks, orbits_of, rotation_sign, sector_groups,
+                      sector_parts, state_permutation)
 from .spin_core import (
     DensityMatrix,
-    EigenBlock,
     Operator,
     SparseOperator,
     ZeemanBasis,
-    _frozen_array,
     adjoint,
     cyclic_phases,
-    gemm,
+    frozen_array,
     popcounts,
 )
 
@@ -100,33 +77,6 @@ CHUNK_BYTES = 1 << 18
 # largest time grid ``time_grid`` builds
 MAX_GRID_POINTS = 1_000_000
 
-# i^c for c = 0 .. 3
-_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
-
-
-class _Orbits(NamedTuple):
-    """The orbits of the basis states under a cyclic state permutation G.
-
-    ``table[o, j]`` is G^j of the representative (smallest state) of orbit
-    o, for j below the order L of G; orbits ascend by representative.
-    State s is ``table[of[s], step[s]]`` with ``step[s]`` below the orbit's
-    ``period``.  ``shift`` is G.
-    """
-
-    shift: np.ndarray
-    table: np.ndarray
-    of: np.ndarray
-    step: np.ndarray
-    period: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.table.shape[1]
-
-    def members(self, block: EigenBlock) -> np.ndarray:
-        """The orbits of a sector block, in its order."""
-        return self.of[block.states[:block.eigenvalues.size]]
-
 
 @dataclass(frozen=True)
 class EigenSystem:
@@ -138,13 +88,14 @@ class EigenSystem:
     the blocks come group by group with k ascending from 0 in each, and
     ``plain`` builds the eigensystem of G = identity for states the
     sectors cannot carry (None where G is the identity).
-    ``conjugate_pairs`` records that A(H) = -H exactly (:func:`_rotation_sign`),
-    as for a real H whose nonzeros all join spin-up counts that differ by
-    2 mod 4, such as the double-quantum H and its negation.
+    ``conjugate_pairs`` records that A(H) = -H exactly
+    (:func:`~mqpure.sectors.rotation_sign`), as for a real H whose
+    nonzeros all join spin-up counts that differ by 2 mod 4, such as the
+    double-quantum H and its negation.
     """
 
     blocks: tuple = field(repr=False)
-    orbits: _Orbits = field(repr=False)
+    orbits: Orbits = field(repr=False)
     plain: Callable[[], EigenSystem] | None = field(default=None, repr=False)
     conjugate_pairs: bool = False
 
@@ -190,139 +141,24 @@ def diagonalize(h: Operator | SparseOperator,
     else:
         groups = (np.flatnonzero(~odd), np.flatnonzero(odd))
     if symmetry is not None:
-        cycle = _orbits(_state_permutation(symmetry, h.dim))
+        cycle = orbits_of(state_permutation(symmetry, h.dim))
         if h.invariant(cycle.shift):
             return _sector_system(h, groups, cycle)
     flip = np.arange(h.dim)[::-1]
     if np.array_equal(odd, odd[flip]) and h.invariant(flip):
-        return _sector_system(h, groups, _orbits(flip))
-    return _sector_system(h, groups, _orbits(np.arange(h.dim)))
+        return _sector_system(h, groups, orbits_of(flip))
+    return _sector_system(h, groups, orbits_of(np.arange(h.dim)))
 
 
-def _sector_system(h: SparseOperator, groups, orbits: _Orbits) -> EigenSystem:
+def _sector_system(h: SparseOperator, groups, orbits: Orbits) -> EigenSystem:
     plain = (None if orbits.order == 1
-             else partial(_sector_system, h, groups, _orbits(np.arange(h.dim))))
-    return EigenSystem(_momentum_blocks(h, groups, orbits), orbits, plain,
-                       _rotation_sign(h) == -1)
+             else partial(_sector_system, h, groups, orbits_of(np.arange(h.dim))))
+    return EigenSystem(momentum_blocks(h, groups, orbits), orbits, plain,
+                       rotation_sign(h) == -1)
 
 
-def _rotation_sign(op: SparseOperator) -> int:
-    """eps = 1 or -1 with A(op) = eps op exactly, or 0 where neither holds.
-
-    A(X) = R conj(X) R+ with R = exp(i pi I_z / 2), which is diagonal, i^c
-    up to one global phase on a state of spin-up count c, so
-    A(op)[s, u] = i^(c_s - c_u) conj(op[s, u]).  Where A(H) = -H,
-    A(exp(-iHt)) = exp(-iHt), and A(rho0) = eps rho0 then gives
-    rho(t)[s, u] = eps i^(c_s - c_u) conj(rho(t)[s, u]) at every t.  A real
-    op has eps = 1 where its nonzeros join counts that differ by 0 mod 4
-    and -1 where they differ by 2 mod 4, an imaginary op the opposite; a
-    NaN has neither, and a zero op both (-1 is returned).
-    """
-    count = popcounts(np.arange(op.dim))
-    rotated = _QUARTER_TURNS[(count[op.rows] - count[op.cols]) % 4] * op.values.conj()
-    return next((sign for sign in (-1, 1) if np.array_equal(rotated, sign * op.values)), 0)
-
-
-def _state_permutation(sites: np.ndarray, dim: int) -> np.ndarray:
-    """The basis-state permutation that moves the spin on site i to site sites[i]."""
-    sites = np.asarray(sites)
-    if sites.size != dim.bit_length() - 1 or not np.array_equal(np.sort(sites),
-                                                                  np.arange(sites.size)):
-        raise ValueError(f"site permutation {sites} does not fit dimension {dim}")
-    states = np.arange(dim)
-    moved = np.zeros(dim, dtype=np.intp)
-    for site, target in enumerate(sites):
-        moved |= ((states >> site) & 1) << target
-    return moved
-
-
-def _orbits(shift: np.ndarray) -> _Orbits:
-    """The orbits of the cyclic state permutation ``shift``."""
-    powers = [np.arange(shift.size)]
-    while not np.array_equal(next_power := shift[powers[-1]], powers[0]):
-        powers.append(next_power)
-    powers = np.array(powers)
-    representative = powers.min(axis=0)
-    reps = np.flatnonzero(representative == powers[0])
-    table = powers[:, reps].T
-    # an orbit of period p returns to its representative L / p times in L steps
-    period = table.shape[1] // (table == table[:, :1]).sum(axis=1)
-    step = np.zeros(shift.size, dtype=np.intp)
-    for j in range(table.shape[1] - 1, -1, -1):
-        step[table[:, j]] = j
-    of = np.searchsorted(reps, representative)
-    return _Orbits(shift, table, of, step, period)
-
-
-def _sector_reader(op: Operator | SparseOperator, orbits: _Orbits, outer: np.ndarray,
-                   inner: np.ndarray) -> tuple:
-    """The (r, L, r) gather op[a, G^l b], a and b the representatives of
-    the ``outer`` and ``inner`` orbits, and sector(k, q), the matrix
-    L c_a c_b sum_l exp(-2 pi i k l / L) op[a, G^l b] between sectors k + q
-    and k: over the a whose period allows k + q and the b whose period
-    allows k (c = sqrt(period) / L), real where 2k is a multiple of L.  The
-    phase of l is looked up at k l mod L, so it repeats exactly with any
-    period of l that k allows."""
-    order = orbits.order
-    gathered = op.gather(orbits.table[outer, 0], orbits.table[inner].T)
-    period_a, period_b = orbits.period[outer], orbits.period[inner]
-    scale_a, scale_b = np.sqrt(period_a) / order, np.sqrt(period_b) / order
-    table, steps = cyclic_phases(order), np.arange(order)
-
-    def sector(k: int, q: int = 0) -> np.ndarray:
-        keep_a = (k + q) * period_a % order == 0
-        keep_b = k * period_b % order == 0
-        phases = table[k * steps % order]
-        if 2 * k % order == 0:
-            phases = phases.real
-        # the orbits that the sectors do not allow are left out first
-        kept = gathered
-        if not keep_a.all():
-            kept = kept[keep_a]
-        if not keep_b.all():
-            kept = kept[:, :, keep_b]
-        summed = np.einsum("alb,l->ab", kept, phases)
-        summed *= order * np.multiply.outer(scale_a[keep_a], scale_b[keep_b])
-        return summed
-
-    return gathered, sector
-
-
-def _momentum_blocks(h: SparseOperator, groups, orbits: _Orbits) -> tuple:
-    """Eigenblocks of the momentum sectors of each group.
-
-    With H[G s, G t] = H[s, t], sector k has the matrix
-    L c_a c_b sum_l exp(-2 pi i k l / L) H[a, G^l b] over the
-    representatives a, b allowed in it, c = sqrt(period)/L: one gather
-    of (r, L, r) elements per group.  For a real H sector L - k is the
-    conjugate of sector k and reuses its eigenpairs.
-    """
-    order = orbits.order
-    blocks = []
-    for group in groups:
-        # the orbits whose representative, step 0, lies in the group
-        members = orbits.of[group[orbits.step[group] == 0]]
-        table = orbits.table[members]
-        _, sector = _sector_reader(h, orbits, members, members)
-        scale = np.sqrt(orbits.period[members]) / order
-        sectors = {}
-        for k in range(order):
-            keep = k * orbits.period[members] % order == 0
-            if not keep.any():
-                continue
-            if 2 * k > order and not np.iscomplexobj(h.values):
-                values, vectors = sectors[order - k]
-                vectors = vectors.conj()
-            else:
-                values, vectors = np.linalg.eigh(sector(k))
-                sectors[k] = values, vectors
-            blocks.append(EigenBlock(_frozen_array(table[keep].T.ravel()), _frozen_array(values),
-                                     _frozen_array(vectors), momentum=k,
-                                     scale=_frozen_array(scale[keep])))
-    return tuple(blocks)
-
-
-def _phase_scale(unit: str) -> float:
+def phase_scale(unit: str) -> float:
+    """The propagation phase of H t per unit: 2 pi for "cyclic", 1 for "angular"."""
     try:
         return _UNIT_SCALES[unit]
     except KeyError:
@@ -352,27 +188,6 @@ def time_grid(t_max: float, t_step: float) -> np.ndarray:
     return np.arange(0.0, stop, t_step)
 
 
-class _Part(NamedTuple):
-    """A nonzero sector pair (a, b) of a state, ``moved`` into the eigenbasis."""
-
-    a: EigenBlock
-    b: EigenBlock
-    moved: np.ndarray
-
-
-def _character(rho: DensityMatrix | SparseOperator, eig: EigenSystem) -> tuple:
-    """(eig, chi): chi = 1 or -1 with G rho G+ = chi rho exactly, or, for a
-    state of neither character, the fallback eigensystem and chi = 1."""
-    if eig.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, hamiltonian {eig.dim}")
-    orbits = eig.orbits
-    if orbits.order == 1 or rho.invariant(orbits.shift):
-        return eig, 1
-    if orbits.order % 2 == 0 and rho.invariant(orbits.shift, -1):
-        return eig, -1
-    return eig.fallback, 1
-
-
 def evolve(
     rho: DensityMatrix | SparseOperator,
     h: Operator | SparseOperator | EigenSystem,
@@ -392,8 +207,8 @@ def evolve(
     its sector pairs (:func:`_sector_evolve`); any other state takes the
     eigensystem of G = identity.
     """
-    eig, chi = _character(rho, _as_eigensystem(h))
-    return _sector_evolve(rho, eig, chi, _phase_scale(unit) * t)
+    eig, chi = character(rho, _as_eigensystem(h))
+    return _sector_evolve(rho, eig, chi, phase_scale(unit) * t)
 
 
 @dataclass(frozen=True)
@@ -421,7 +236,7 @@ class Observable:
         if self.order is not None and (self.order < 0 or flat.size or not self.squared):
             raise ValueError("an order intensity is a squared read of a nonnegative order "
                              "and lists no elements")
-        object.__setattr__(self, "flat", _frozen_array(flat))
+        object.__setattr__(self, "flat", frozen_array(flat))
 
 
 @dataclass(frozen=True)
@@ -446,9 +261,9 @@ class SweepTable:
         for name, col in self.columns.items():
             if len(col) != times.size:
                 raise ValueError(f"column {name!r} length does not match grid")
-        object.__setattr__(self, "times", _frozen_array(times))
+        object.__setattr__(self, "times", frozen_array(times))
         object.__setattr__(
-            self, "columns", {k: _frozen_array(v, float) for k, v in self.columns.items()}
+            self, "columns", {k: frozen_array(v, float) for k, v in self.columns.items()}
         )
 
     def column(self, name: str) -> np.ndarray:
@@ -485,10 +300,10 @@ def sweep(
     same set-up in chunks of their own, so the grid's values do not
     depend on them; their values are the table's ``points``.
     """
-    eig, chi = _character(rho0, _as_eigensystem(h))
+    eig, chi = character(rho0, _as_eigensystem(h))
     times = np.asarray(times, dtype=float)
     points = np.asarray(points, dtype=float).reshape(-1)
-    phases = _phase_scale(unit) * np.concatenate([times, points])
+    phases = phase_scale(unit) * np.concatenate([times, points])
     runs = (slice(0, times.size), slice(times.size, phases.size))
     specs = list(observables.values())
     for obs in specs:
@@ -517,61 +332,6 @@ def _chunk_length(size: int) -> int:
     return max(1, CHUNK_BYTES // (16 * size))
 
 
-def _sector_groups(eig: EigenSystem) -> list:
-    """The momentum blocks of each group, as {k: block}."""
-    groups = []
-    for block in eig.blocks:
-        if block.momentum == 0:
-            groups.append({})
-        groups[-1][block.momentum] = block
-    return groups
-
-
-def _sector_parts(rho: DensityMatrix | SparseOperator, eig: EigenSystem, chi: int,
-                  momenta):
-    """The nonzero sector pairs (k + q, k) of a state of character chi, in the eigenbasis.
-
-    The pair's block between groups A and B is
-    rho_k[a, b] = L c_a c_b sum_l exp(-2 pi i k l / L) rho[a, G^l b]
-    over the a allowed in sector k + q and the b allowed in sector k, from
-    one gather of rho per pair of groups.  For chi = -1 the (k, k + q) pair
-    of a group with itself is the adjoint of its (k + q, k) pair, so only
-    k < q run there.  Yields (left, right, parts) for each pair of groups,
-    left not after right, whose gather is not all zero, one pair at a
-    time; each part is a :class:`_Part` (a, b, V_a+ rho_k V_b) of one k in
-    ``momenta``.
-    """
-    groups = _sector_groups(eig)
-    for i, left in enumerate(groups):
-        for right in groups[i:]:
-            parts = _pair_parts(rho, eig.orbits, chi, left, right, momenta)
-            if parts is not None:
-                yield left, right, parts
-
-
-def _pair_parts(rho: DensityMatrix | SparseOperator, orbits: _Orbits, chi: int, left: dict,
-                right: dict, momenta) -> list | None:
-    """The parts of :func:`_sector_parts` between two groups, or None where
-    their gather is all zero.  The gather and every temporary go on
-    return, before the pair is reduced."""
-    order = orbits.order
-    q = 0 if chi == 1 else order // 2
-    gathered, sector = _sector_reader(rho, orbits, orbits.members(left[0]),
-                                      orbits.members(right[0]))
-    if not gathered.any():
-        return None
-    parts = []
-    for k in momenta:
-        if (left is right and 0 < q <= k) or (k + q) % order not in left or k not in right:
-            continue
-        a, b = left[(k + q) % order], right[k]
-        block = sector(k, q)
-        if block.any():
-            moved = gemm(gemm(adjoint(a.eigenvectors), block), b.eigenvectors)
-            parts.append(_Part(a, b, moved))
-    return parts
-
-
 def _interleaved(right: np.ndarray) -> np.ndarray:
     """The real (2r, 2r) matrix that right-multiplies complex rows, viewed as
     interleaved real and imaginary parts, by ``right``.
@@ -588,7 +348,7 @@ def _interleaved(right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sector_transform(part: _Part, phases: np.ndarray, right: np.ndarray | None,
+def _sector_transform(part: Part, phases: np.ndarray, right: np.ndarray | None,
                       work: tuple) -> np.ndarray:
     """V_a e^{-i phase E_a} X_ab e^{i phase E_b} V_b+ per phase, shaped (r_a, K, r_b).
 
@@ -625,7 +385,7 @@ def _sector_transform(part: _Part, phases: np.ndarray, right: np.ndarray | None,
     return first
 
 
-def _right_factor(part: _Part, chunk: int) -> np.ndarray | None:
+def _right_factor(part: Part, chunk: int) -> np.ndarray | None:
     """The ``right`` of :func:`_sector_transform` for chunks of ``chunk``
     time points: None for a real V_b in chunks of one point.  A chunk of
     several points holds a small sector, whose interleaved GEMM costs less
@@ -636,74 +396,10 @@ def _right_factor(part: _Part, chunk: int) -> np.ndarray | None:
     return None
 
 
-def _add_part(classes: np.ndarray, part: _Part, y: np.ndarray, chi: int, self_pair: bool,
-              outer: np.ndarray, inner: np.ndarray, orbits: _Orbits, spare: np.ndarray) -> None:
-    """Add a part's stack into the element classes g_l = sum_k exp(2 pi i k l / L) rho_k.
-
-    ``classes`` is a (rows, K, cols) stack (L |outer|, K, |inner|) over the
-    orbits of a pair of groups, row l |outer| + a holding g_l[a]; ``y``
-    (r_a, K, r_b) is the part's rho_k, k its right momentum.  With f_l = g_l / sqrt(p_a p_b),
-    element rho[G^i a, G^(i+l) b] is chi^i f_l[a, b].  For chi = -1 a group
-    with itself also adds the adjoint of ``y``, made in the flat complex
-    buffer ``spare``, as its (k, k + q) pair.
-    """
-    order, k = orbits.order, part.b.momentum
-    first, second = orbits.members(part.a), orbits.members(part.b)
-    stacks = [(y, k, first, second)]
-    if self_pair and chi == -1:
-        adjoint_y = spare[:y.size].reshape(y.shape[::-1])
-        np.conjugate(y.transpose(2, 1, 0), out=adjoint_y)
-        stacks.append((adjoint_y, (k + order // 2) % order, second, first))
-    blocks = classes.reshape(order, outer.size, *classes.shape[1:])
-    for stack, momentum, rows, cols in stacks:
-        turn = cyclic_phases(order).conj()[momentum * np.arange(order) % order]
-        index = (slice(None),)
-        if rows.size < outer.size or cols.size < inner.size:
-            # the two index arrays put the rows and columns first, then time
-            index = (np.searchsorted(outer, rows)[:, np.newaxis], slice(None),
-                     np.searchsorted(inner, cols))
-            stack = stack.transpose(0, 2, 1)
-        for l, phase in enumerate(turn):
-            target = blocks[l]
-            if phase == 1:
-                target[index] += stack
-            elif phase == -1:
-                target[index] -= stack
-            else:
-                target[index] += phase * stack
-
-
-def _transformed(part: _Part, phase: float) -> np.ndarray:
+def transformed(part: Part, phase: float) -> np.ndarray:
     """V_a e^{-i phase E_a} X e^{i phase E_b} V_b+ of a part (a, b, X), shaped (r_a, r_b)."""
     work = tuple(np.empty(part.moved.size, dtype=complex) for _ in range(2))
     return _sector_transform(part, np.array([phase]), _right_factor(part, 1), work)[:, 0]
-
-
-def _class_matrices(parts: list, chi: int, self_pair: bool, outer: np.ndarray,
-                    inner: np.ndarray, orbits: _Orbits) -> np.ndarray:
-    """The element classes g_l of a pair of groups, shaped (L, |outer|, |inner|),
-    from parts whose ``moved`` is their rho_k in the sector basis
-    (:func:`_add_part` with K = 1); :func:`_elements` normalises what it reads."""
-    classes = np.zeros((orbits.order * outer.size, 1, inner.size), dtype=complex)
-    spare = np.empty(max((part.moved.size for part in parts), default=0), dtype=complex)
-    for part in parts:
-        _add_part(classes, part, part.moved[:, np.newaxis, :], chi, self_pair, outer, inner,
-                  orbits, spare)
-    return classes.reshape(orbits.order, outer.size, inner.size)
-
-
-def _elements(classes: np.ndarray, chi: int, outer: np.ndarray, inner: np.ndarray,
-              orbits: _Orbits, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """rho[rows, cols] from the classes of :func:`_class_matrices`, the rows
-    in the ``outer`` orbits and the columns in the ``inner`` ones:
-    rho[G^i a, G^j b] = chi^i f_((j - i) mod L)[a, b], f_l = g_l / sqrt(p_a p_b),
-    read by one gather and scaled by one product."""
-    i, a, b = orbits.step[rows], orbits.of[rows], orbits.of[cols]
-    values = classes[(orbits.step[cols] - i[:, np.newaxis]) % orbits.order,
-                     np.searchsorted(outer, a)[:, np.newaxis], np.searchsorted(inner, b)]
-    values *= np.multiply.outer(chi ** i / np.sqrt(orbits.period[a]),
-                                1 / np.sqrt(orbits.period[b]))
-    return values
 
 
 def _sector_evolve(rho: DensityMatrix | SparseOperator, eig: EigenSystem, chi: int,
@@ -714,26 +410,26 @@ def _sector_evolve(rho: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
     representatives: rho[G^i a, G^j b] = chi^i rho[a, G^(j-i) b].  Those
     follow from the sector pairs as
     rho[a, G^l b] = sum_k exp(2 pi i k l / L) rho_k[a, b] / sqrt(p_a p_b)
-    (:func:`_class_matrices`), and each element is read from them
-    (:func:`_elements`).  A group's pairs with itself are made exactly
-    Hermitian first (for chi = -1 the adjoint pairs are exact adjoints),
-    and the phases repeat exactly with each orbit's period and are exact
-    conjugates for -l, so for chi = 1 the result is exactly Hermitian and
-    exactly unchanged by G.
+    (:func:`~mqpure.sectors.class_matrices`), and each element is read
+    from them (:func:`~mqpure.sectors.elements`).  A group's pairs with
+    itself are made exactly Hermitian first (for chi = -1 the adjoint
+    pairs are exact adjoints), and the phases repeat exactly with each
+    orbit's period and are exact conjugates for -l, so for chi = 1 the
+    result is exactly Hermitian and exactly unchanged by G.
     """
     orbits = eig.orbits
     rho_t = np.zeros((rho.dim, rho.dim), dtype=complex)
-    for left, right, parts in _sector_parts(rho, eig, chi, range(orbits.order)):
+    for left, right, parts in sector_parts(rho, eig, chi, range(orbits.order)):
         outer, inner = orbits.members(left[0]), orbits.members(right[0])
         moved = []
         for part in parts:
-            y = _transformed(part, phase)
+            y = transformed(part, phase)
             if left is right and chi == 1:
                 y = 0.5 * (y + adjoint(y))
             moved.append(part._replace(moved=y))
-        classes = _class_matrices(moved, chi, left is right, outer, inner, orbits)
+        classes = class_matrices(moved, chi, left is right, outer, inner, orbits)
         rows, cols = (np.flatnonzero(np.isin(orbits.of, members)) for members in (outer, inner))
-        values = _elements(classes, chi, outer, inner, orbits, rows, cols)
+        values = elements(classes, chi, outer, inner, orbits, rows, cols)
         rho_t[np.ix_(rows, cols)] = values
         if left is not right:
             rho_t[np.ix_(cols, rows)] = values.T.conj()
@@ -796,8 +492,9 @@ def _element_classes(observables: list, eig: EigenSystem, chi: int) -> tuple:
     """The element classes that the element observables list, and their weights.
 
     Element (G^i a, G^j b) of the representatives a and b is
-    chi^i f_l[a, b] with l = (j - i) mod L (:func:`_add_part`).  No sector
-    pair runs from a later group to an earlier one, so where b's group
+    chi^i f_l[a, b] with l = (j - i) mod L
+    (:func:`~mqpure.sectors.add_part`).  No sector pair runs from a
+    later group to an earlier one, so where b's group
     comes before a's the element is read as the conjugate of
     (G^j b, G^i a).  Returns ((a, b, l), squares, reals) over the distinct
     classes: a squared observable is the sum of |f_l|^2 weighed by
@@ -808,7 +505,7 @@ def _element_classes(observables: list, eig: EigenSystem, chi: int) -> tuple:
     orbits = eig.orbits
     count, order = orbits.period.size, orbits.order
     group = np.zeros(count, dtype=np.intp)
-    for index, blocks in enumerate(_sector_groups(eig)):
+    for index, blocks in enumerate(sector_groups(eig)):
         group[orbits.members(blocks[0])] = index
     # an order intensity lists no element
     sizes = [obs.flat.size for obs in observables]
@@ -829,8 +526,8 @@ def _element_classes(observables: list, eig: EigenSystem, chi: int) -> tuple:
     return (*np.divmod(pairs, count), l), tables[0], tables[1]
 
 
-def _element_picks(part: _Part, classes: tuple, twin: np.ndarray, chi: int, self_pair: bool,
-                   orbits: _Orbits) -> tuple | None:
+def _element_picks(part: Part, classes: tuple, twin: np.ndarray, chi: int, self_pair: bool,
+                   orbits: Orbits) -> tuple | None:
     """The entries of a part's stack y_k, k its right momentum, in the
     element ``classes`` (a, b, l), or None where it has none: (rows, cols,
     at, direct, conjugate), class at[e] gaining
@@ -884,9 +581,9 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
     one level, so the sum of |rho|^2 over a pair of levels is the sum over
     the sector pairs of |rho_k|^2 over the rows and columns of those
     levels.  Under the flip it is read from the element classes
-    (:func:`_add_part`): g_l[a, b] stands for the elements of levels m_a
-    and m_b for l = 0 and m_a and -m_b for l = 1.  A pair that also stands
-    for its adjoint counts twice.
+    (:func:`~mqpure.sectors.add_part`): g_l[a, b] stands for the
+    elements of levels m_a and m_b for l = 0 and m_a and -m_b for l = 1.
+    A pair that also stands for its adjoint counts twice.
 
     An element observable is read one way under every G: each element
     class f_l[a, b] it lists (:func:`_element_classes`) is a fixed
@@ -895,8 +592,9 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
     grid before |.|^2 or the real part is taken.
 
     For chi = 1, where H and a rho0 held as its nonzeros pass the
-    conjugate gate (``eig.conjugate_pairs`` and :func:`_rotation_sign`;
-    a dense rho0 is not checked and runs every k), a site cycle
+    conjugate gate (``eig.conjugate_pairs`` and
+    :func:`~mqpure.sectors.rotation_sign`; a dense rho0 is not checked
+    and runs every k), a site cycle
     keeps spin-up counts, so pair L - k is eps i^(c_a - c_b) conj(pair k)
     entry by entry and only k = 0 .. L/2 run: the level reads count the
     ones in between twice, and the element reads take their conjugates.
@@ -912,17 +610,17 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
     # the spin-up count of each orbit; only the flip of every spin changes it
     count, n_spins = popcounts(orbits.table[:, 0]), rho0.dim.bit_length() - 1
     flip = not np.array_equal(popcounts(orbits.table[:, -1]), count)
-    sign = (_rotation_sign(rho0) if chi == 1 and eig.conjugate_pairs
+    sign = (rotation_sign(rho0) if chi == 1 and eig.conjugate_pairs
             and isinstance(rho0, SparseOperator) else 0)
     momenta = range(order // 2 + 1) if sign else range(order)
     intensities = any(obs.order is not None for obs in observables)
     classes, squares, reals = _element_classes(observables, eig, chi)
-    twin = sign * _QUARTER_TURNS[(count[classes[0]] - count[classes[1]]) % 4]
+    twin = sign * QUARTER_TURNS[(count[classes[0]] - count[classes[1]]) % 4]
     sums = np.zeros((phases.size, squares.shape[0]), dtype=complex)
     # a chunk of any pair fits CHUNK_BYTES, or is one point
     largest = max(block.eigenvalues.size for block in eig.blocks) ** 2
     work = tuple(np.empty(max(CHUNK_BYTES // 16, largest), dtype=complex) for _ in range(2))
-    for left, right, parts in _sector_parts(rho0, eig, chi, momenta):
+    for left, right, parts in sector_parts(rho0, eig, chi, momenta):
         outer, inner = orbits.members(left[0]), orbits.members(right[0])
         class_level = None
         if intensities and flip:
@@ -960,7 +658,7 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
                 for part, pick, level, right_factor in zip(batch, picks, levels, rights):
                     y = _sector_transform(part, phases[window], right_factor, work)
                     if classes_run:
-                        _add_part(g, part, y, chi, left is right, outer, inner, orbits,
+                        add_part(g, part, y, chi, left is right, outer, inner, orbits,
                                   work[1])
                     if pick is not None:
                         _add_picks(pick, y, sums[window])

@@ -2,8 +2,8 @@
 
 Both act on the eigenstates of the secular Hamiltonian, kept per m level
 and, under a site cycle of at least ``SECTOR_MIN_SPINS`` spins, per
-momentum sector of the cycle within each level
-(:func:`build_transition_graph`).  Single-quantum transitions join
+momentum sector of the cycle within each level (:mod:`mqpure.sectors`,
+:func:`build_transition_graph`).  Single-quantum transitions join
 only equal momenta of adjacent levels, and the basis inside a degenerate
 manifold of momenta k and -k is that of the sectors, so the edges do
 not depend on how the sites are labelled.
@@ -30,18 +30,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolution import _momentum_blocks, _orbits, _sector_reader, _state_permutation
 from .hamiltonians import collective_transverse
 from .output import write_csv
+from .sectors import momentum_blocks, orbits_of, pair_parts, state_permutation
 from .spin_core import (
     DensityMatrix,
     EigenBlock,
     Operator,
     SparseOperator,
     ZeemanBasis,
-    _frozen_array,
-    adjoint,
     cyclic_phases,
+    frozen_array,
     gemm,
     require_finite,
 )
@@ -131,9 +130,9 @@ class TransitionGraph:
 
     def __post_init__(self):
         for name in ("m_values", "frequencies", "strengths"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), float))
+            object.__setattr__(self, name, frozen_array(getattr(self, name), float))
         for name in ("upper", "lower"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), int))
+            object.__setattr__(self, name, frozen_array(getattr(self, name), int))
         if sum(block.eigenvalues.size for block in self.blocks) != self.n_states:
             raise ValueError("eigenbasis blocks must cover every eigenstate")
         if np.any(self.strengths < 0):
@@ -148,7 +147,7 @@ class TransitionGraph:
 
     @cached_property
     def energies(self) -> np.ndarray:
-        return _frozen_array(np.concatenate([block.eigenvalues for block in self.blocks]))
+        return frozen_array(np.concatenate([block.eigenvalues for block in self.blocks]))
 
     @property
     def n_edges(self) -> int:
@@ -225,8 +224,10 @@ def build_transition_graph(h_secular: Operator | SparseOperator, basis: ZeemanBa
     (G keeps the level); otherwise each level is one block (G = identity,
     L = 1).  I_+ + I_- commutes with G and its block from level m to m+1
     is I_+, so edges join only sectors (m, k) and (m+1, k), with strengths
-    |V_{m+1,k}+ R_k V_{m,k}|^2, R_k its sector-k block.  For a real H,
-    sector L - k is the conjugate of sector k and has its strengths.
+    |V_{m+1,k}+ R_k V_{m,k}|^2, R_k its sector-k block: the parts of
+    I_+ + I_- between the two levels (:func:`~mqpure.sectors.pair_parts`).
+    For a real H, sector L - k is the conjugate of sector k and has its
+    strengths, so only k <= L/2 run.
     Edges with strength at most ``STRENGTH_THRESHOLD`` times the strongest
     one are dropped: that separates symmetry-forbidden zeros from
     roundoff.
@@ -250,11 +251,11 @@ def build_transition_graph(h_secular: Operator | SparseOperator, basis: ZeemanBa
 
     orbits = None
     if symmetry is not None and basis.n_spins >= SECTOR_MIN_SPINS:
-        orbits = _orbits(_state_permutation(symmetry, basis.dim))
+        orbits = orbits_of(state_permutation(symmetry, basis.dim))
     if orbits is None or not h.invariant(orbits.shift):
-        orbits = _orbits(np.arange(basis.dim))
+        orbits = orbits_of(np.arange(basis.dim))
     levels = basis.levels()
-    blocks = _momentum_blocks(h, levels, orbits)
+    blocks = momentum_blocks(h, levels, orbits)
     sizes = [block.eigenvalues.size for block in blocks]
     starts = np.cumsum([0] + sizes)
     ups = basis.spins_up()
@@ -264,22 +265,15 @@ def build_transition_graph(h_secular: Operator | SparseOperator, basis: ZeemanBa
         at[ups[block.states[0]]][block.momentum] = i
 
     order, real = orbits.order, not np.iscomplexobj(h.values)
+    momenta = range(order // 2 + 1) if real else range(order)
     transverse = collective_transverse(basis)
     squared = []  # (upper block, lower block, |<u| I_+ |l>|^2) per pair of sectors
     for low, high in zip(at[:-1], at[1:]):
-        _, sector = _sector_reader(transverse, orbits, orbits.members(blocks[high[0]]),
-                                   orbits.members(blocks[low[0]]))
-        done = {}
-        for k, b in low.items():
-            if k not in high:
-                continue
-            a = high[k]
-            if real and 2 * k > order:
-                s = done[order - k]
-            else:
-                s = done[k] = np.abs(gemm(gemm(adjoint(blocks[a].eigenvectors), sector(k)),
-                                          blocks[b].eigenvectors)) ** 2
-            squared.append((a, b, s))
+        sides = ({k: blocks[i] for k, i in level.items()} for level in (high, low))
+        for part in pair_parts(transverse, orbits, 1, *sides, momenta) or ():
+            k, s = part.b.momentum, np.abs(part.moved) ** 2
+            for m in {k, -k % order} if real else {k}:
+                squared.append((high[m], low[m], s))
     # the strongest edge sets the floor, so that only the kept edges get
     # indices and frequencies, in the order of the block pairs, row-major
     floor = STRENGTH_THRESHOLD * max((s.max(initial=0.0) for _, _, s in squared), default=0.0)

@@ -62,21 +62,16 @@ from . import hamiltonians, mq, nonunitary, spectrum as spec
 from .evolution import (
     EigenSystem,
     SweepTable,
-    _character,
-    _Orbits,
-    _Part,
-    _class_matrices,
-    _elements,
-    _phase_scale,
-    _sector_groups,
-    _transformed,
     diag_pair_extractor,
     diagonalize,
     mq_intensity_extractor,
+    phase_scale,
     sweep,
     time_grid,
+    transformed,
 )
 from .output import write_csv
+from .sectors import Orbits, Part, character, class_matrices, elements, sector_groups
 from .spin_core import (
     NumericalInvariantError,
     SparseOperator,
@@ -266,7 +261,7 @@ def refuse_infinite_phases(eig: EigenSystem, t: float, unit: str) -> None:
     # np.max, unlike the builtin, propagates a NaN from any block; a product
     # of Python floats overflows to inf without a warning
     top = float(np.max([np.abs(block.eigenvalues).max(initial=0.0) for block in eig.blocks]))
-    phase = _phase_scale(unit) * float(t) * top
+    phase = phase_scale(unit) * float(t) * top
     if not np.isfinite(phase):
         raise NumericalInvariantError(f"propagation phases are not finite (largest |E| = {top})")
     if phase > 2.0**52:
@@ -416,7 +411,7 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
     flip.  I_z is m on the sector basis of each pair.  Per pair, with
     U = V e^{-i phase E} V+:
 
-    1. excite: y = U_a I_z U_b+ (:func:`_transformed`);
+    1. excite: y = U_a I_z U_b+ (:func:`~mqpure.evolution.transformed`);
     2. filter: keep the entries of the element classes of y
        (:func:`_classes`) whose row and column spin-up counts differ by
        n, folded back into one pair (:func:`_order_filter`);
@@ -432,18 +427,18 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
 
     Under a site cycle, where the graph is in the same sectors, only
     k <= L/2 run and the others count twice, by the gate the sweep
-    shares (``eig.conjugate_pairs``, see :func:`evolution._sector_sweep`):
-    I_z is real and diagonal, so pair L - k is the conjugate of pair k up
+    shares (``eig.conjugate_pairs``, see
+    :func:`~mqpure.evolution._sector_sweep`): I_z is real and diagonal, so pair L - k is the conjugate of pair k up
     to one phase per pair of levels.  Those phases cancel from the level
     sums of |y|^2 and from the blocks within one level, which give the
     populations, and the secular vectors of sector L - k are the
     conjugates of those of sector k.
     """
-    eig, chi = _character(rho_thermal, eig)
+    eig, chi = character(rho_thermal, eig)
     orbits, n_spins, order = eig.orbits, basis.n_spins, eig.orbits.order
     q = 0 if chi == 1 else order // 2
     count = popcounts(orbits.table[:, 0])
-    phase = _phase_scale(unit) * t
+    phase = phase_scale(unit) * t
     weight = 1 if chi == 1 else 2
     # whether each graph block lists the orbits of one sector of G (for
     # G = identity, the m blocks); otherwise the graph is in m blocks
@@ -455,7 +450,7 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
     per_levels = np.zeros((n_spins + 1, n_spins + 1))
     kept = 0.0
     populations = np.zeros(graph.n_states)
-    for group in _sector_groups(eig):
+    for group in sector_groups(eig):
         reversed_ = []
         for k in momenta:
             if k not in group or (k + q) % order not in group:
@@ -468,9 +463,9 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
                 continue
             factor = weight * (2 if paired and 2 * k % order else 1)
             # I_z is m on the sector basis of each pair, whose a and b hold the same orbits
-            part = _Part(a, b, gemm(adjoint(a.eigenvectors) * (rows - n_spins / 2),
+            part = Part(a, b, gemm(adjoint(a.eigenvectors) * (rows - n_spins / 2),
                                     b.eigenvectors))
-            filtered = _order_filter(_transformed(part, phase), masks, chi)
+            filtered = _order_filter(transformed(part, phase), masks, chi)
             kept += factor * float(np.vdot(filtered, filtered).real)
             part = part._replace(moved=_reversed(part, filtered, phase))
             del filtered
@@ -484,10 +479,10 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
                         populations=populations)
 
 
-def _reversed(part: _Part, filtered: np.ndarray, phase: float) -> np.ndarray:
+def _reversed(part: Part, filtered: np.ndarray, phase: float) -> np.ndarray:
     """U_a+ y U_b of the filtered pair y of ``part``, U = V e^{-i phase E} V+."""
     moved = gemm(gemm(adjoint(part.a.eigenvectors), filtered), part.b.eigenvectors)
-    return _transformed(part._replace(moved=moved), -phase)
+    return transformed(part._replace(moved=moved), -phase)
 
 
 def _classes(y: np.ndarray, chi: int):
@@ -523,7 +518,7 @@ def _order_filter(y: np.ndarray, masks: list, chi: int) -> np.ndarray:
 
 
 def _add_populations(populations: np.ndarray, graph: nonunitary.TransitionGraph,
-                     orbits: _Orbits, group: np.ndarray, pairs: list, chi: int,
+                     orbits: Orbits, group: np.ndarray, pairs: list, chi: int,
                      sectors: bool) -> None:
     """Add <e|rho|e> of the reversed sector ``pairs`` (k', k) of one group
     of orbits, a state of character chi, for each secular eigenvector e of
@@ -537,19 +532,19 @@ def _add_populations(populations: np.ndarray, graph: nonunitary.TransitionGraph,
     vectors, the vectors of sector L - k.
 
     Otherwise the graph blocks are m blocks.  The pairs are folded once
-    into the group's element classes (:func:`evolution._class_matrices`,
-    which adds the adjoint pairs under the flip), and each block of rho
-    over an m block's states is read from them
-    (:func:`evolution._elements`).  The secular H and its m-block vectors
-    are real, so <e|rho|e> = e^T Re(rho) e, and only the classes' real
-    part is read.
+    into the group's element classes
+    (:func:`~mqpure.sectors.class_matrices`, which adds the adjoint pairs
+    under the flip), and each block of rho over an m block's states is
+    read from them (:func:`~mqpure.sectors.elements`).  The secular H and
+    its m-block vectors are real, so <e|rho|e> = e^T Re(rho) e, and only
+    the classes' real part is read.
     """
     if not pairs:
         return
     inside = np.zeros(orbits.period.size, dtype=bool)
     inside[group] = True
     by_momentum = {part.b.momentum: part for part in pairs}
-    classes = None if sectors else _class_matrices(pairs, chi, True, group, group, orbits).real
+    classes = None if sectors else class_matrices(pairs, chi, True, group, group, orbits).real
     start = 0
     for block in graph.blocks:
         size, k, members = block.eigenvalues.size, block.momentum, orbits.members(block)
@@ -558,7 +553,7 @@ def _add_populations(populations: np.ndarray, graph: nonunitary.TransitionGraph,
         if not inside[members[0]]:
             continue
         if not sectors:
-            rho = _elements(classes, chi, group, group, orbits, block.states, block.states)
+            rho = elements(classes, chi, group, group, orbits, block.states, block.states)
             read += np.einsum("ia,ia->a", vectors, rho @ vectors)
             continue
         part = by_momentum.get(k, by_momentum.get(-k % orbits.order))

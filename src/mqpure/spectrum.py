@@ -16,7 +16,7 @@ import numpy as np
 
 from .nonunitary import TransitionGraph
 from .output import write_csv
-from .spin_core import _frozen_array
+from .spin_core import frozen_array, require_finite
 
 ZERO_SUM_DROP = 1e-8
 
@@ -37,8 +37,8 @@ class StickSpectrum:
             raise ValueError("frequencies and intensities must be matching vectors")
         if self.merged and f.size > 1 and np.diff(f).min() <= 0:
             raise ValueError("merged spectrum must have ascending frequencies")
-        object.__setattr__(self, "frequencies", _frozen_array(f))
-        object.__setattr__(self, "intensities", _frozen_array(i))
+        object.__setattr__(self, "frequencies", frozen_array(f))
+        object.__setattr__(self, "intensities", frozen_array(i))
 
     @property
     def n_lines(self) -> int:
@@ -66,8 +66,7 @@ def merge_peaks(spectrum: StickSpectrum, tolerance: float) -> StickSpectrum:
     frequency with the summed intensity; clusters whose sum cancels below
     ``ZERO_SUM_DROP`` of the largest merged line are dropped.
     """
-    if not tolerance > 0:
-        raise ValueError(f"merge tolerance must be positive, got {tolerance}")
+    require_finite("merge tolerance", tolerance, "positive")
     order = np.argsort(spectrum.frequencies, kind="stable")
     freqs = spectrum.frequencies[order]
     ints = spectrum.intensities[order]
@@ -89,8 +88,7 @@ def merge_peaks(spectrum: StickSpectrum, tolerance: float) -> StickSpectrum:
 
 def count_peaks(spectrum: StickSpectrum, intensity_floor: float = 1e-8) -> int:
     """Number of merged lines above ``intensity_floor`` times the largest."""
-    if not intensity_floor >= 0:
-        raise ValueError(f"intensity floor must be nonnegative, got {intensity_floor}")
+    require_finite("intensity floor", intensity_floor, "nonnegative")
     if not spectrum.merged:
         raise ValueError("count_peaks requires a merged spectrum")
     if spectrum.n_lines == 0:
@@ -107,8 +105,7 @@ def broaden(spectrum: StickSpectrum, linewidth: float, grid: np.ndarray) -> np.n
     block of points at a time, so that no temporary holds much more than
     2^16 values whatever the number of lines.
     """
-    if not linewidth > 0:
-        raise ValueError(f"linewidth must be positive, got {linewidth}")
+    require_finite("linewidth", linewidth, "positive")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("frequency grid is empty")

@@ -44,7 +44,7 @@ def require_finite(name: str, value: float, sign: str | None = None) -> None:
         raise ValueError(f"{name} must be {wanted}, got {value}")
 
 
-def _frozen_array(a, dtype=None) -> np.ndarray:
+def frozen_array(a, dtype=None) -> np.ndarray:
     """``a`` as a read-only array that owns its data: ``a`` itself where it
     is one already (of ``dtype``, if given), else a copy."""
     if (isinstance(a, np.ndarray) and a.base is None and not a.flags.writeable
@@ -87,11 +87,12 @@ class SpinSystem:
             raise ValueError(f"couplings must be {self.n_spins}x{self.n_spins}")
         if not np.isfinite(c).all():
             raise ValueError("couplings must be finite")
-        if not np.allclose(c, c.T, atol=1e-12):
-            raise ValueError("couplings must be symmetric")
+        # the Hamiltonians read only the upper triangle
+        if not np.abs(c - c.T).max() <= 1e-12 * np.abs(c).max():
+            raise ValueError("couplings must be symmetric to 1e-12 of the largest |coupling|")
         if np.abs(np.diag(c)).max(initial=0.0) > 1e-12:
             raise ValueError("couplings must have zero diagonal")
-        object.__setattr__(self, "couplings", _frozen_array(c))
+        object.__setattr__(self, "couplings", frozen_array(c))
 
     @property
     def dim(self) -> int:
@@ -149,7 +150,7 @@ def build_basis(n_spins: int) -> ZeemanBasis:
     if not 1 <= n_spins <= MAX_SPINS:
         raise ValueError(f"n_spins must be in [1, {MAX_SPINS}], got {n_spins}")
     m = popcounts(np.arange(2**n_spins)) - n_spins / 2.0
-    return ZeemanBasis(n_spins=n_spins, m=_frozen_array(m))
+    return ZeemanBasis(n_spins=n_spins, m=frozen_array(m))
 
 
 def popcounts(states: np.ndarray) -> np.ndarray:
@@ -187,7 +188,7 @@ class Operator:
             unit = mat / peak if peak > 1e100 or 0 < peak < 1e-100 else mat
             if np.linalg.norm(unit - unit.conj().T) > HERMITICITY_RTOL * np.linalg.norm(unit):
                 raise ValueError("matrix flagged hermitian is not hermitian")
-        object.__setattr__(self, "matrix", _frozen_array(mat))
+        object.__setattr__(self, "matrix", frozen_array(mat))
 
     @property
     def dim(self) -> int:
@@ -280,7 +281,7 @@ class SparseOperator:
                 and np.array_equal(values[mirror].conj(), values, equal_nan=True)):
             raise ValueError("operator elements are not hermitian")
         for name, array in (("rows", rows), ("cols", cols), ("values", values)):
-            object.__setattr__(self, name, _frozen_array(array))
+            object.__setattr__(self, name, frozen_array(array))
 
     @classmethod
     def of(cls, op: Operator | SparseOperator) -> SparseOperator:

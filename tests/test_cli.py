@@ -429,6 +429,27 @@ class TestSpectrumCommand:
             assert want.shape == got.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), stage
 
+    def test_only_the_first_line_may_be_a_header(self, tmp_path, capsys):
+        # a second unparseable line, even before the first number, is refused
+        populations = np.zeros(16)
+        populations[15] = 1.0
+        system = tmp_path / "chain4.txt"
+        np.savetxt(system, np.diag([1.0] * 3, 1) + np.diag([1.0] * 3, -1), header="4",
+                   comments="")
+        state_file = tmp_path / "pops.txt"
+        state_file.write_text("\n".join(["# comment", "eigenstate,population", "", "junk",
+                                         "more junk", *map(str, populations)]))
+        out = tmp_path / "o"
+        assert main(["spectrum", "--system", str(system), "--state", "pseudopure-file",
+                     "--state-file", str(state_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {state_file}: line 4: population 'junk' "
+                                           "is not a number\n")
+        assert not out.exists()
+        state_file.write_text("\n".join(["# comment", "", "eigenstate,population",
+                                         *map(str, populations)]))
+        assert main(["spectrum", "--system", str(system), "--state", "pseudopure-file",
+                     "--state-file", str(state_file), "--out", str(out)]) == 0
+
     def test_pseudopure_file_requires_path(self, tmp_path):
         assert main(["spectrum", "--state", "pseudopure-file", "--out", str(tmp_path)]) == 1
 

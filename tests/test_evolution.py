@@ -27,14 +27,8 @@ from mqpure import (
     thermal_state,
 )
 from mqpure import evolution
-from mqpure.evolution import (
-    TWO_PI,
-    SweepTable,
-    _character,
-    _chunk_length,
-    _rotation_sign,
-    _sector_parts,
-)
+from mqpure.evolution import TWO_PI, SweepTable, _chunk_length
+from mqpure.sectors import character, rotation_sign, sector_parts
 from mqpure.spin_core import popcounts
 from mqpure.mq import mq_intensities
 
@@ -84,10 +78,10 @@ def parity_eigensystem(h):
 def largest_stack(rho, eig):
     """The most elements a sweep of rho reduces per time point for one pair
     of groups: the element classes, L per pair of orbits."""
-    used, chi = _character(rho, eig)
+    used, chi = character(rho, eig)
     orbits = used.orbits
     return max(orbits.order * orbits.members(left[0]).size * orbits.members(right[0]).size
-               for left, right, _ in _sector_parts(rho, used, chi, range(orbits.order)))
+               for left, right, _ in sector_parts(rho, used, chi, range(orbits.order)))
 
 
 HAMILTONIANS = st.sampled_from([dq_hamiltonian, secular_dipolar_hamiltonian])
@@ -277,13 +271,13 @@ class TestFlipSectors:
         # the random state has no character under the flip, so it takes the
         # parity blocks, and populates all three of their pairs; the thermal
         # state, odd under the flip, only the sector pairs (1, 0)
-        used, chi = _character(noisy, sectors)
+        used, chi = character(noisy, sectors)
         assert used.orbits.order == 1 and chi == 1
-        assert sum(len(parts) for *_, parts in _sector_parts(noisy, used, chi, [0])) == 3
+        assert sum(len(parts) for *_, parts in sector_parts(noisy, used, chi, [0])) == 3
         if system.n_spins % 2 == 0:
-            assert _character(thermal, sectors) == (sectors, -1)
+            assert character(thermal, sectors) == (sectors, -1)
             momenta = {(part.a.momentum, part.b.momentum)
-                       for *_, parts in _sector_parts(thermal, sectors, -1, range(2))
+                       for *_, parts in sector_parts(thermal, sectors, -1, range(2))
                        for part in parts}
             assert momenta == {(1, 0)}
 
@@ -297,8 +291,8 @@ class TestSectorTransform:
         basis = build_basis(system.n_spins)
         eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
         rho = thermal_state(basis)
-        used, chi = _character(rho, eig)
-        return [part for _, _, parts in _sector_parts(rho, used, chi, range(used.orbits.order))
+        used, chi = character(rho, eig)
+        return [part for _, _, parts in sector_parts(rho, used, chi, range(used.orbits.order))
                 for part in parts]
 
     @staticmethod
@@ -355,7 +349,7 @@ class TestBatchedSweep:
         # state has no character there and takes the parity blocks, as at odd N
         sectors = system.n_spins % 2 == 0
         assert eig.orbits.order == (2 if sectors else 1)
-        used, chi = _character(rho, eig)
+        used, chi = character(rho, eig)
         assert (used.orbits.order, chi) == ((2, -1) if sectors and thermal else (1, 1))
         observables = every_kind_of_observable(basis)
         # a small chunk budget puts chunk boundaries inside short grids
@@ -621,7 +615,7 @@ class TestSectorsOfG:
         units = [(vectors * np.exp(-1j * TWO_PI * s * values)) @ vectors.conj().T
                  for s in times]
         for name, rho in states.items():
-            used, chi = _character(rho, eig)
+            used, chi = character(rho, eig)
             expected = self.CHARACTERS[kind][name]
             assert (chi, used is eig) == ((expected or 1), expected != 0 or order == 1), name
             exact = [u @ dense(rho) @ u.conj().T for u in units]
@@ -655,7 +649,7 @@ class TestOrderIntensities:
                "flip-odd": DensityMatrix(matrix=0.5 * (noisy - noisy[::-1, ::-1])),
                "random": DensityMatrix(matrix=noisy)}[state]
         expected = TestSectorsOfG.CHARACTERS[kind][state]
-        used, chi = _character(rho, eig)
+        used, chi = character(rho, eig)
         assert (chi, used is eig) == ((expected or 1), expected != 0)
         values, vectors = np.linalg.eigh(dense(h))
         times = np.array([0.0, 0.5 * t, t])
@@ -768,7 +762,7 @@ class TestElementRead:
                    mask=(counts[:, np.newaxis] - counts) % 4 == 2))),
                "complex": DensityMatrix(matrix=symmetrized(rng, shift, order, chi, real=False)),
                }[state]
-        used, _ = _character(rho, eig)
+        used, _ = character(rho, eig)
         observables = element_observables(basis, used.orbits, rng)
         level = int(rng.integers(n + 1))
         observables[f"I{level}"] = mq_intensity_extractor(basis, level)
@@ -802,15 +796,15 @@ class TestConjugateGate:
     R conj(rho0) R+ = eps rho0 hold exactly, R = exp(i pi I_z / 2)."""
 
     def test_rotation_sign(self):
-        assert _rotation_sign(thermal_state(build_basis(6))) == 1
+        assert rotation_sign(thermal_state(build_basis(6))) == 1
         # i (|u><d| - |d><u|) across 6 and 8 spin flips: i^6 conj(i) = i, i^8 conj(i) = -i
-        assert _rotation_sign(homq_coherence_state(build_basis(6))) == 1
-        assert _rotation_sign(homq_coherence_state(build_basis(8))) == -1
-        assert _rotation_sign(dq_hamiltonian(hexagon_couplings(), build_basis(6))) == -1
-        assert _rotation_sign(secular_dipolar_hamiltonian(hexagon_couplings(),
-                                                          build_basis(6))) == 1
-        assert _rotation_sign(SparseOperator.of(random_state(np.random.default_rng(1), 16))) == 0
-        assert _rotation_sign(SparseOperator(2, [0], [0], [np.nan])) == 0
+        assert rotation_sign(homq_coherence_state(build_basis(6))) == 1
+        assert rotation_sign(homq_coherence_state(build_basis(8))) == -1
+        assert rotation_sign(dq_hamiltonian(hexagon_couplings(), build_basis(6))) == -1
+        assert rotation_sign(secular_dipolar_hamiltonian(hexagon_couplings(),
+                                                         build_basis(6))) == 1
+        assert rotation_sign(SparseOperator.of(random_state(np.random.default_rng(1), 16))) == 0
+        assert rotation_sign(SparseOperator(2, [0], [0], [np.nan])) == 0
 
     # the top-order coherence joins the all-up and the all-down state, each an
     # orbit of its own, so it lives in the k = 0 pair alone

@@ -270,8 +270,15 @@ class TestCouplingFile:
         with pytest.raises(ValueError):
             load_couplings(path)
 
-    def test_asymmetric_rejected(self, tmp_path):
+    # the Hamiltonians read only the upper triangle, so a lower one that
+    # differs by more than roundoff, even relatively little, is refused
+    @pytest.mark.parametrize("text", [
+        "2\n0 1\n2 0\n",
+        "4\n0 1 0 0\n1.000009 0 1 0\n0 1 0 1\n0 0 1 0\n",
+        "2\n0 1e-20\n5e-20 0\n",
+    ], ids=["swapped", "relative-9e-6", "tiny"])
+    def test_asymmetric_rejected(self, tmp_path, text):
         path = tmp_path / "asym.txt"
-        path.write_text("2\n0 1\n2 0\n")
-        with pytest.raises(ValueError):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="symmetric"):
             load_couplings(path)

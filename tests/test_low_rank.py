@@ -36,7 +36,7 @@ from mqpure import (
     thermal_state,
 )
 from mqpure.cli import main
-from mqpure.evolution import _character
+from mqpure.sectors import character
 from mqpure.spin_core import DensityMatrix
 
 from dense_after_filter import dense_after_filter
@@ -188,7 +188,7 @@ class TestClosedForms:
         assert_close(graph.populations(thermal), graph.m_values, 1.0, "thermal populations")
         assert abs(thermal.purity() - purity) <= 1e-12 * purity
         eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
-        _, chi = _character(thermal, eig)
+        _, chi = character(thermal, eig)
         pairs = []
         original = pipeline._reversed
 

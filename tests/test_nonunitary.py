@@ -19,7 +19,7 @@ from mqpure import (
     site_symmetry,
 )
 from mqpure import nonunitary
-from mqpure.evolution import _state_permutation
+from mqpure.sectors import state_permutation
 from mqpure.spin_core import EigenBlock
 
 from dense_eigen import dense_transform, refined_eigh
@@ -217,7 +217,7 @@ def cycle_invariant_state(system, basis, rng) -> DensityMatrix:
     """A random Hermitian state averaged over the powers of the site cycle."""
     raw = rng.standard_normal((basis.dim,) * 2) + 1j * rng.standard_normal((basis.dim,) * 2)
     raw = raw + raw.conj().T
-    shift = _state_permutation(site_symmetry(system), basis.dim)
+    shift = state_permutation(site_symmetry(system), basis.dim)
     rho, moved = np.zeros_like(raw), np.arange(basis.dim)
     for _ in range(system.n_spins):
         rho += raw[np.ix_(moved, moved)]

@@ -25,7 +25,7 @@ from mqpure import (
     site_symmetry,
     thermal_state,
 )
-from mqpure.evolution import _orbits, _sector_reader, _state_permutation
+from mqpure.sectors import orbits_of, sector_reader, state_permutation
 from mqpure.spin_core import popcounts
 
 from dense_operators import dense, dense_dq_hamiltonian, dense_secular_hamiltonian
@@ -54,7 +54,7 @@ def systems(draw):
 
 
 def cycle_orbits(symmetry, dim):
-    return _orbits(_state_permutation(symmetry, dim))
+    return orbits_of(state_permutation(symmetry, dim))
 
 
 def dense_decision(matrix, symmetry) -> str:
@@ -98,8 +98,8 @@ def assert_blocks_equal(h, matrix, symmetry, basis):
         orbits = cycle_orbits(symmetry, dim)
         for group in parities:
             members = orbits.of[group[orbits.step[group] == 0]]
-            gathered, sector = _sector_reader(h, orbits, members, members)
-            expected, dense_sector = _sector_reader(dense, orbits, members, members)
+            gathered, sector = sector_reader(h, orbits, members, members)
+            expected, dense_sector = sector_reader(dense, orbits, members, members)
             table = orbits.table
             assert np.array_equal(expected, matrix[table[members, :1, np.newaxis],
                                                    table[members].T[np.newaxis]])

@@ -261,6 +261,27 @@ class TestBroaden:
             broaden(sticks, 0.1, np.array([]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+class TestSettingsMustBeFinite:
+    """An infinite setting once gave a flat curve of the summed intensities
+    (``broaden``), one line (``merge_peaks``) or no peak (``count_peaks``)."""
+
+    sticks = StickSpectrum(frequencies=np.array([0.0, 1.0]), intensities=np.array([1.0, 2.0]))
+
+    def test_linewidth(self, value):
+        with pytest.raises(ValueError, match="linewidth must be positive and finite"):
+            broaden(self.sticks, value, np.array([0.0, 1.0]))
+
+    def test_merge_tolerance(self, value):
+        with pytest.raises(ValueError, match="merge tolerance must be positive and finite"):
+            merge_peaks(self.sticks, value)
+
+    def test_intensity_floor(self, value):
+        merged = merge_peaks(self.sticks, 1e-6)
+        with pytest.raises(ValueError, match="intensity floor must be nonnegative and finite"):
+            count_peaks(merged, value)
+
+
 class TestSerialization:
     def test_sticks_csv(self, tmp_path, graph6):
         merged = merge_peaks(linear_response(cat_populations(graph6), graph6), 1e-6)
