@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,8 @@ def _load_populations(path: str, expected: int) -> np.ndarray:
 def cmd_filter_check(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     basis = build_basis(args.n_spins)
     k_steps = args.k_steps if args.k_steps is not None else 2 * basis.n_spins + 2
     held = _trial_bytes(basis, k_steps)
@@ -197,7 +200,7 @@ def cmd_filter_check(args) -> int:
     check = mq.PhaseCycleCheck(basis, k_steps)
     rng = np.random.default_rng(args.seed)
     # np.max, not max, so that a NaN deviation is not passed over
-    worst = float(np.max([_filter_check_trial(rng, check) for _ in range(args.trials)]))
+    worst = float(np.max(_deviations(check, rng, args.trials)))
     print(f"max elementwise deviation over {args.trials} trials: {worst:.3e}")
     if not worst <= 1e-10:
         print("filter-check FAILED", file=sys.stderr)
@@ -206,22 +209,59 @@ def cmd_filter_check(args) -> int:
 
 
 def _trial_bytes(basis, k_steps: int) -> int:
-    """Bytes one trial holds at its peak: what :class:`mq.PhaseCycleCheck`
+    """Bytes the trials hold at their peak: what :class:`mq.PhaseCycleCheck`
     holds (its order table and one band's buffers), next to the larger of
-    the arrays with K rows made while its table is built and the three
-    complex d x d matrices held while the state is drawn (the draw, its
-    conjugate and their sum); no order stack is made.
+    the arrays with K rows made while its table is built and three complex
+    d x d matrices.  Those cover the state being checked and, while the
+    next one is drawn, its real draw and the state made from it, with
+    half a matrix to spare for the temporaries of the check and of the
+    draw's Hermiticity test; no order stack is made.
     """
     return (max(mq.cycle_table_bytes(basis, k_steps), 3 * 16 * basis.dim**2)
             + mq.phase_cycle_check_bytes(basis, k_steps))
 
 
-def _filter_check_trial(rng, check) -> float:
-    """Largest gap between the direct and the phase-cycled orders of one
-    random state, compared a band of rows at a time."""
-    dim = check.basis.dim
-    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return check.deviation(DensityMatrix(matrix=raw + raw.conj().T))
+def _deviations(check, rng, trials: int) -> list:
+    """The deviation of each of ``trials`` states drawn from ``rng`` in
+    turn.  One worker thread checks each state while the next is drawn, so
+    at most two states are held; an error of the check is raised here."""
+    deviations, errors = [], []
+
+    def run(rho):
+        try:
+            deviations.append(check.deviation(rho))
+        except Exception as exc:  # raised again in the drawing thread
+            errors.append(exc)
+
+    worker = None
+    try:
+        for _ in range(trials):
+            rho = _draw_state(rng, check.basis.dim)
+            if worker is not None:
+                worker.join()
+            if errors:
+                raise errors[0]
+            worker = threading.Thread(target=run, args=(rho,))
+            worker.start()
+    finally:
+        if worker is not None:
+            worker.join()
+    if errors:
+        raise errors[0]
+    return deviations
+
+
+def _draw_state(rng, dim: int) -> DensityMatrix:
+    """A random Hermitian state a + a^T + i (b - b^T), with a and then b
+    drawn standard normal into one real buffer."""
+    matrix = np.empty((dim, dim), dtype=complex)
+    draw = rng.standard_normal((dim, dim))
+    np.add(draw, draw.T, out=matrix.real)
+    rng.standard_normal(out=draw)
+    np.subtract(draw, draw.T, out=matrix.imag)
+    del draw  # before the Hermiticity test makes its temporaries
+    matrix.setflags(write=False)  # so that DensityMatrix keeps it uncopied
+    return DensityMatrix(matrix=matrix)
 
 
 def build_parser() -> argparse.ArgumentParser:

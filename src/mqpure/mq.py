@@ -29,6 +29,10 @@ from .spin_core import DensityMatrix, ZeemanBasis
 # two, so the bands tile every 2^N rows
 BAND_ROWS = 16
 
+# the smallest square whose root :meth:`PhaseCycleCheck.deviation` takes:
+# below it, squares of float64 lose digits to gradual underflow
+_SMALLEST_SQUARE = np.finfo(float).tiny
+
 
 def decompose(rho: DensityMatrix, basis: ZeemanBasis) -> np.ndarray:
     """Split rho by the m-difference of each element.
@@ -220,16 +224,31 @@ class PhaseCycleCheck:
 
     def deviation(self, rho: DensityMatrix) -> float:
         """max |rho_n - rho'_n| over every order n and element, with rho_n
-        classified directly and rho'_n phase-cycled; NaN if either is."""
+        classified directly and rho'_n phase-cycled; NaN if either is.
+
+        Each band reads its largest squared modulus; a band whose largest
+        square is not finite or not a normal float (a gap above about 1e154
+        or below about 1e-154, or NaN) is read again with ``np.abs``."""
         _check_dim(rho, self.basis)
         band = len(self._classes)
         worst = 0.0
         for start in range(0, self.basis.dim, band):
             rows = slice(start, start + band)
-            values = rho.matrix[rows]
-            cycled = _cycled_band(self.table, self.levels, rows, values, self._cycled,
-                                  self._index)
-            index = _direct_band(self.basis.m, rows, self._classes, self._index)
-            cycled.reshape(-1)[index] -= values  # the indices are unique
-            worst = np.maximum(worst, np.abs(cycled, out=self._gaps).max())
+            parts = self._band_gaps(rows, rho.matrix[rows]).view(float)
+            with np.errstate(over="ignore", under="ignore"):
+                np.square(parts, out=parts)
+                largest = np.add(parts[..., 0::2], parts[..., 1::2], out=self._gaps).max()
+            if _SMALLEST_SQUARE <= largest < np.inf:
+                largest = np.sqrt(largest)
+            else:
+                largest = np.abs(self._band_gaps(rows, rho.matrix[rows]), out=self._gaps).max()
+            worst = np.maximum(worst, largest)
         return float(worst)
+
+    def _band_gaps(self, rows: slice, values: np.ndarray) -> np.ndarray:
+        """rho'_n - rho_n over the rows ``rows`` of a state, whose elements
+        are ``values``, in the band buffer: (2N+1, rows, d) complex."""
+        cycled = _cycled_band(self.table, self.levels, rows, values, self._cycled, self._index)
+        index = _direct_band(self.basis.m, rows, self._classes, self._index)
+        cycled.reshape(-1)[index] -= values  # the indices are unique
+        return cycled

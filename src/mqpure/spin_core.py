@@ -67,7 +67,8 @@ class SpinSystem:
 
     Args:
         n_spins: Number of spin-1/2 sites (2 .. MAX_SPINS).
-        couplings: Symmetric real matrix of pair couplings, zero diagonal,
+        couplings: Symmetric real matrix of pair couplings with a zero
+            diagonal, each to 1e-12 of the largest off-diagonal coupling,
             in cyclic-frequency units normalized so the reference coupling
             is 1 (times evolve in units of its inverse).
         label: Free-form tag describing the geometry.
@@ -90,8 +91,10 @@ class SpinSystem:
         # the Hamiltonians read only the upper triangle
         if not np.abs(c - c.T).max() <= 1e-12 * np.abs(c).max():
             raise ValueError("couplings must be symmetric to 1e-12 of the largest |coupling|")
-        if np.abs(np.diag(c)).max(initial=0.0) > 1e-12:
-            raise ValueError("couplings must have zero diagonal")
+        off_diagonal = np.abs(c[~np.eye(self.n_spins, dtype=bool)]).max()
+        if not np.abs(np.diag(c)).max() <= 1e-12 * off_diagonal:
+            raise ValueError("couplings must have a zero diagonal, to 1e-12 of the largest "
+                             "off-diagonal |coupling|")
         object.__setattr__(self, "couplings", frozen_array(c))
 
     @property

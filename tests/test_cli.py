@@ -1,5 +1,6 @@
 import csv
 import json
+import threading
 import tracemalloc
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from mqpure import (
+    DensityMatrix,
     NumericalInvariantError,
     build_basis,
     diagonalize,
@@ -20,7 +22,8 @@ from mqpure import (
 )
 from mqpure.cli import (
     FILTER_CHECK_BYTES,
-    _filter_check_trial,
+    _deviations,
+    _draw_state,
     _parse_observables,
     _trial_bytes,
     main,
@@ -515,7 +518,8 @@ class TestFilterCheckCommand:
          "12 spins with 1000000 phase steps would hold 3.8 GB"),
         (["--n-spins", "10", "--k-steps", "100000000"], "10 spins with 100000000 phase steps"),
         (["--n-spins", "4", "--trials", "0"], "--trials must be at least 1, got 0"),
-    ], ids=["twelve-spins", "many-steps", "no-trials"])
+        (["--n-spins", "4", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+    ], ids=["twelve-spins", "many-steps", "no-trials", "negative-seed"])
     def test_refused_before_any_work(self, monkeypatch, capsys, argv, message):
         def unreachable(*args):
             raise AssertionError("a refused check built its tables or an order stack")
@@ -547,7 +551,7 @@ class TestFilterCheckCommand:
 
     def test_one_trial_holds_no_order_stack(self):
         # traced peak of making the 8-spin check and running one trial:
-        # 5.5 MiB (1.7 MiB of the order table and band buffers, then 3.8 MiB
+        # 3.2 MiB (1.7 MiB of the order table and band buffers, then 1.5 MiB
         # while the state is drawn); holding the direct and phase-cycled
         # stacks and the 18 rotated copies, as unbanded checks did, it is
         # 54.2 MiB
@@ -555,8 +559,70 @@ class TestFilterCheckCommand:
         tracemalloc.start()
         try:
             check = mq.PhaseCycleCheck(basis, 18)
-            _filter_check_trial(np.random.default_rng(1), check)
+            check.deviation(_draw_state(np.random.default_rng(1), basis.dim))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    def test_one_state_is_checked_while_the_next_is_drawn(self, capsys):
+        # the whole command, 4.3 to 4.4 MiB traced; a third state in flight
+        # would add 1 MiB
+        tracemalloc.start()
+        try:
+            assert main(["filter-check", "--n-spins", "8", "--trials", "3"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _trial_bytes(build_basis(8), 18)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    @pytest.mark.parametrize("n_spins", range(1, 7))
+    def test_deviations_are_those_of_a_serial_loop(self, capsys, n_spins, seed):
+        # draw, then check, trial by trial, with the draw written as
+        # raw + raw^+: the worker changes neither the states nor their order
+        k_steps, trials = 2 * n_spins + 3, 5
+        basis = build_basis(n_spins)
+        check = mq.PhaseCycleCheck(basis, k_steps)
+        rng = np.random.default_rng(seed)
+        serial = []
+        for _ in range(trials):
+            raw = (rng.standard_normal((basis.dim, basis.dim))
+                   + 1j * rng.standard_normal((basis.dim, basis.dim)))
+            serial.append(check.deviation(DensityMatrix(matrix=raw + raw.conj().T)))
+        assert _deviations(check, np.random.default_rng(seed), trials) == serial
+        assert main(["filter-check", "--n-spins", str(n_spins), "--seed", str(seed),
+                     "--k-steps", str(k_steps), "--trials", str(trials)]) == 0
+        assert capsys.readouterr().out == (f"max elementwise deviation over {trials} "
+                                           f"trials: {np.max(serial):.3e}\n")
+
+    def test_draw_is_a_frozen_hermitian_state(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((2, 8, 8))
+        rho = _draw_state(np.random.default_rng(3), 8)
+        assert not rho.matrix.flags.writeable
+        assert np.array_equal(rho.matrix.real, a + a.T)
+        assert np.array_equal(rho.matrix.imag, b - b.T)
+
+    @pytest.mark.parametrize("trials", [3, 6])
+    def test_an_error_of_the_check_is_one_line(self, monkeypatch, capsys, trials):
+        # the third trial fails: as the last one, and with later ones drawn
+        deviation, calls = mq.PhaseCycleCheck.deviation, []
+
+        def failing(self, rho):
+            calls.append(rho)
+            if len(calls) == 3:
+                raise ValueError("third trial")
+            return deviation(self, rho)
+
+        monkeypatch.setattr(mq.PhaseCycleCheck, "deviation", failing)
+        threads = threading.active_count()
+        assert main(["filter-check", "--n-spins", "4", "--trials", str(trials)]) == 1
+        assert capsys.readouterr().err == "error: third trial\n"
+        assert len(calls) == 3
+        assert threading.active_count() == threads
+
+    def test_no_thread_is_left_running(self):
+        threads = threading.active_count()
+        assert main(["filter-check", "--n-spins", "4", "--trials", "4"]) == 0
+        assert threading.active_count() == threads

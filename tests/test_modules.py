@@ -1,6 +1,9 @@
 """The package's module structure, read from its source with ``ast``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mqpure
@@ -50,3 +53,15 @@ def test_sectors_imports_only_spin_core():
 def test_moved_names_live_only_in_sectors():
     assert [old for old in MOVED if hasattr(evolution, old)] == []
     assert [new for new in MOVED.values() if not hasattr(sectors, new)] == []
+
+
+def test_the_command_line_loads_no_logging():
+    # concurrent.futures loads logging, about 8 ms of every command's set-up;
+    # filter-check's worker is a plain threading.Thread
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, mqpure.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "mqpure.cli" in loaded
+    assert {"concurrent.futures", "logging"} & set(loaded) == set()

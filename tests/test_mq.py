@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +165,25 @@ class TestBandedCheck:
         assert abs(check.deviation(rho) - gap) <= 1e-12 * np.abs(rho.matrix).max()
         held = sum(a.nbytes for a in vars(check).values() if isinstance(a, np.ndarray))
         assert held == phase_cycle_check_bytes(basis, k_steps)
+
+    def test_nan_pair_reads_nan(self):
+        rho = random_state(np.random.default_rng(29), 8)
+        matrix = rho.matrix.copy()
+        matrix[5, 2] = matrix[2, 5] = np.nan
+        assert np.isnan(PhaseCycleCheck(build_basis(3), 8).deviation(DensityMatrix(matrix=matrix)))
+
+    # squares of gaps above about 1e154 overflow and of gaps below about
+    # 1e-154 lose digits; such a band is read again with np.abs
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300, 1e-200])
+    def test_huge_and_tiny_states_read_as_their_gap(self, scale):
+        basis = build_basis(3)
+        rho = DensityMatrix(matrix=random_state(np.random.default_rng(30), basis.dim).matrix
+                            * scale)
+        gap = np.abs(decompose(rho, basis) - phase_cycle_decompose(rho, basis, 8)).max()
+        assert 0 < gap < np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(PhaseCycleCheck(basis, 8).deviation(rho) - gap) <= 1e-12 * gap
 
     def test_every_band_is_compared(self, monkeypatch):
         # 256 rows make 16 bands; a fault in the cycled rows of the last

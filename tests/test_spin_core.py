@@ -188,6 +188,27 @@ class TestStates:
         assert sorted(map(tuple, nonzero)) == [(0, 3), (3, 0)]
 
 
+class TestCouplingDiagonal:
+    # the Hamiltonians read only i < j, so a diagonal is dropped; it must be
+    # zero to 1e-12 of the largest off-diagonal coupling, however small
+    @pytest.mark.parametrize("couplings", [
+        [[1.0, 1.0], [1.0, 0.0]],
+        [[5e-13, 1e-15], [1e-15, 0.0]],
+        [[0.0, 0.0], [0.0, 1e-300]],
+    ], ids=["one", "hundreds-of-times-the-couplings", "no-couplings"])
+    def test_diagonal_refused(self, couplings):
+        with pytest.raises(ValueError, match="zero diagonal"):
+            SpinSystem(2, np.array(couplings))
+
+    @pytest.mark.parametrize("couplings", [
+        [[0.0, 1e-15], [1e-15, 0.0]],
+        [[1e-28, 1e-15], [1e-15, -1e-28]],
+        [[0.0, 0.0], [0.0, 0.0]],
+    ], ids=["zero", "within-1e-12", "zero-couplings"])
+    def test_diagonal_accepted(self, couplings):
+        assert np.array_equal(SpinSystem(2, np.array(couplings)).couplings, couplings)
+
+
 class TestContainers:
     def test_hermitian_flag_validated(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
