@@ -51,8 +51,15 @@ def load_couplings(path: str | Path, label: str = "") -> SpinSystem:
         tokens.extend(line.split("#", 1)[0].split())
     if not tokens:
         raise ValueError(f"{path}: empty coupling file")
-    n = int(tokens[0])
-    values = [float(t) for t in tokens[1:]]
+    n = int(tokens[0]) if tokens[0].isdecimal() else 0
+    if n < 1:
+        raise ValueError(f"{path}: spin count {tokens[0]!r} is not a positive integer")
+    values = []
+    for token in tokens[1:]:
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ValueError(f"{path}: matrix entry {token!r} is not a number") from None
     if len(values) != n * n:
         raise ValueError(f"{path}: expected {n * n} matrix entries, got {len(values)}")
     couplings = np.array(values).reshape(n, n)

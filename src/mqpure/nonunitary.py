@@ -1,12 +1,13 @@
 """Non-unitary steps: crusher dephasing and partial saturation.
 
 Both act on the eigenstates of the secular Hamiltonian, kept per m level
-and, under a site cycle of at least ``SECTOR_MIN_SPINS`` spins, per
-momentum sector of the cycle within each level (:mod:`mqpure.sectors`,
-:func:`build_transition_graph`).  Single-quantum transitions join
-only equal momenta of adjacent levels, and the basis inside a degenerate
-manifold of momenta k and -k is that of the sectors, so the edges do
-not depend on how the sites are labelled.
+and, under a site cycle that leaves it unchanged, per momentum sector of
+the cycle within each level (:mod:`mqpure.sectors`,
+:func:`build_transition_graph`), at every number of spins.
+Single-quantum transitions join only equal momenta of adjacent levels,
+and the basis inside a degenerate manifold of momenta k and -k is that
+of the sectors, so the edges do not depend on how the sites are
+labelled.
 
 Saturation is modeled as a classical rate equation on the populations of
 secular-Hamiltonian eigenstates,
@@ -46,12 +47,6 @@ from .spin_core import (
 )
 
 STRENGTH_THRESHOLD = 1e-10  # relative to the strongest transition
-
-# below this many spins the graph keeps whole m levels: their few small
-# eigh calls cost less than the many smaller momentum sectors they split
-# into (at 6 spins, 7 blocks against 32), and the sectors' fewer edges
-# save less than that
-SECTOR_MIN_SPINS = 8
 
 
 @dataclass(frozen=True)
@@ -99,9 +94,11 @@ class SaturationParams:
         require_finite("envelope_floor", self.envelope_floor, "nonnegative")
 
     def envelope(self, frequency) -> np.ndarray:
-        """Gaussian spectral weight at the given frequency (peak = 1)."""
+        """Gaussian spectral weight at the given frequency (peak = 1); an
+        exponent that overflows gives the exact limit, 0."""
         x = (np.asarray(frequency, dtype=float) - self.center_frequency)
-        return np.exp(-(x**2) / (2.0 * self.width_sigma**2))
+        with np.errstate(over="ignore"):
+            return np.exp(-(x**2) / (2.0 * self.width_sigma**2))
 
 
 @dataclass(frozen=True)
@@ -217,13 +214,13 @@ def build_transition_graph(h_secular: Operator | SparseOperator, basis: ZeemanBa
 
     Every block is gathered from the Hamiltonian's nonzero elements; a
     dense :class:`Operator` is turned into them once
-    (``SparseOperator.of``).  Where a site cycle ``symmetry`` is given,
-    there are at least ``SECTOR_MIN_SPINS`` spins and H is exactly
-    unchanged by its state permutation G, each m level splits into the
-    momentum sectors k of G, as in :func:`~mqpure.evolution.diagonalize`
-    (G keeps the level); otherwise each level is one block (G = identity,
-    L = 1).  I_+ + I_- commutes with G and its block from level m to m+1
-    is I_+, so edges join only sectors (m, k) and (m+1, k), with strengths
+    (``SparseOperator.of``).  Where a site cycle ``symmetry`` is given
+    and H is exactly unchanged by its state permutation G, each m level
+    splits into the momentum sectors k of G, at every number of spins, as
+    in :func:`~mqpure.evolution.diagonalize` (G keeps the level); otherwise
+    each level is one block (G = identity, L = 1).  I_+ + I_- commutes
+    with G and its block from level m to m+1 is I_+, so edges join only
+    sectors (m, k) and (m+1, k), with strengths
     |V_{m+1,k}+ R_k V_{m,k}|^2, R_k its sector-k block: the parts of
     I_+ + I_- between the two levels (:func:`~mqpure.sectors.pair_parts`).
     For a real H, sector L - k is the conjugate of sector k and has its
@@ -249,11 +246,10 @@ def build_transition_graph(h_secular: Operator | SparseOperator, basis: ZeemanBa
     if np.abs(h.values[off_block]).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("hamiltonian does not conserve collective I_z")
 
-    orbits = None
-    if symmetry is not None and basis.n_spins >= SECTOR_MIN_SPINS:
-        orbits = orbits_of(state_permutation(symmetry, basis.dim))
-    if orbits is None or not h.invariant(orbits.shift):
-        orbits = orbits_of(np.arange(basis.dim))
+    states = np.arange(basis.dim)
+    orbits = orbits_of(states if symmetry is None else state_permutation(symmetry, basis.dim))
+    if not h.invariant(orbits.shift):
+        orbits = orbits_of(states)
     levels = basis.levels()
     blocks = momentum_blocks(h, levels, orbits)
     sizes = [block.eigenvalues.size for block in blocks]
@@ -320,21 +316,30 @@ def saturate(
             f"populations must have length {graph.n_states}, got {p0.shape}"
         )
     envelope = params.envelope(graph.frequencies)
-    weights = params.rate_scale * graph.strengths * envelope
     if params.mode == "steady_state":
-        driven = (envelope >= params.envelope_floor) & (weights > 0)
+        # rate_scale > 0, so only the sign of strength times envelope matters
+        driven = (envelope >= params.envelope_floor) & (graph.strengths * envelope > 0)
         labels = _component_labels(graph.n_states, graph.upper[driven], graph.lower[driven])
         totals = np.bincount(labels, weights=p0, minlength=graph.n_states)
         sizes = np.bincount(labels, minlength=graph.n_states)
         return totals[labels] / sizes[labels]
 
     w = np.zeros((graph.n_states, graph.n_states))
-    np.add.at(w, (graph.upper, graph.lower), weights)
-    w = w + w.T
+    with np.errstate(over="ignore"):
+        np.add.at(w, (graph.upper, graph.lower), params.rate_scale * graph.strengths * envelope)
+        w = w + w.T
+        totals = w.sum(axis=1)
+    if not np.isfinite(totals).all():
+        raise ValueError(f"rate_scale {params.rate_scale!r} makes the saturation rates overflow")
     if not w.any():
         return p0.copy()
-    rates, modes = np.linalg.eigh(np.diag(w.sum(axis=1)) - w)
-    decay = np.exp(-np.clip(rates, 0.0, None) * params.duration)
+    rates, modes = np.linalg.eigh(np.diag(totals) - w)
+    # eigh resolves a rate only to about eps times the largest: below that
+    # it is a conserved mode's, which does not decay however long the
+    # duration; an exponent that overflows gives the exact limit, 0
+    rates[rates <= graph.n_states * np.finfo(float).eps * rates[-1]] = 0.0
+    with np.errstate(over="ignore"):
+        decay = np.exp(-rates * params.duration)
     return modes @ (decay * (modes.T @ p0))
 
 

@@ -17,10 +17,10 @@ density matrix:
 3. time reversal (same duration under the negated Hamiltonian, which is
    the forward eigensystem propagated for -t_prep), applied to each
    filtered pair;
-4. crusher dephasing in the secular eigenbasis, kept per m level (and,
-   from ``nonunitary.SECTOR_MIN_SPINS`` spins, per momentum sector of the
-   same site cycle), whose populations are read from the reversed pairs
-   one block at a time, then partial saturation.
+4. crusher dephasing in the secular eigenbasis, kept per m level and
+   momentum sector of the same site cycle (whole m levels without one),
+   whose populations are read from the reversed pairs one block at a
+   time, then partial saturation.
 
 One path serves every filter order and every sector symmetry, and no
 d x d array is made.  The thermal state I_z is held as its diagonal m
@@ -425,14 +425,15 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
     levels 0 and N, of one state each; the reversed pairs of each group
     give its crushed populations (:func:`_add_populations`).
 
-    Under a site cycle, where the graph is in the same sectors, only
-    k <= L/2 run and the others count twice, by the gate the sweep
-    shares (``eig.conjugate_pairs``, see
-    :func:`~mqpure.evolution._sector_sweep`): I_z is real and diagonal, so pair L - k is the conjugate of pair k up
-    to one phase per pair of levels.  Those phases cancel from the level
-    sums of |y|^2 and from the blocks within one level, which give the
-    populations, and the secular vectors of sector L - k are the
-    conjugates of those of sector k.
+    Under a site cycle, where the graph is in the same sectors at every
+    N, only k <= L/2 run and the others count twice, by the gate the
+    sweep shares (``eig.conjugate_pairs``, see
+    :func:`~mqpure.evolution._sector_sweep`): I_z is real and diagonal,
+    so pair L - k is the conjugate of pair k up to one phase per pair of
+    levels.  Those phases cancel from the level sums of |y|^2 and from
+    the blocks within one level, which give the populations, and the
+    secular vectors of sector L - k are the conjugates of those of
+    sector k.
     """
     eig, chi = character(rho_thermal, eig)
     orbits, n_spins, order = eig.orbits, basis.n_spins, eig.orbits.order
@@ -531,8 +532,9 @@ def _add_populations(populations: np.ndarray, graph: nonunitary.TransitionGraph,
     :func:`_after_filter`) reads pair L - k with the conjugates of its
     vectors, the vectors of sector L - k.
 
-    Otherwise the graph blocks are m blocks.  The pairs are folded once
-    into the group's element classes
+    Otherwise the graph blocks are m blocks: in the pipeline only under
+    the flip, since a site cycle splits the graph into its sectors at
+    every N.  The pairs are folded once into the group's element classes
     (:func:`~mqpure.sectors.class_matrices`, which adds the adjoint pairs
     under the flip), and each block of rho over an m block's states is
     read from them (:func:`~mqpure.sectors.elements`).  The secular H and

@@ -131,30 +131,37 @@ def sector_reader(op: Operator | SparseOperator, orbits: Orbits, outer: np.ndarr
     the ``outer`` and ``inner`` orbits, and sector(k, q), the matrix
     L c_a c_b sum_l exp(-2 pi i k l / L) op[a, G^l b] between sectors k + q
     and k: over the a whose period allows k + q and the b whose period
-    allows k (c = sqrt(period) / L), real where 2k is a multiple of L.  The
-    phase of l is looked up at k l mod L, so it repeats exactly with any
-    period of l that k allows."""
+    allows k (c = sqrt(period) / L), real where 2k is a multiple of L and
+    the gather is real.  The sums over l are one product of phase rows by
+    the gather, batched over a: for a real gather, the real parts of
+    k <= L/2 and the imaginary parts of 0 < k < L/2 (L real rows), sector
+    L - k being the conjugate of sector k; else the phases of all L
+    momenta.  The phase of l is looked up at k l mod L, so it repeats
+    exactly with any period of l that k allows."""
     order = orbits.order
     gathered = op.gather(orbits.table[outer, 0], orbits.table[inner].T)
     period_a, period_b = orbits.period[outer], orbits.period[inner]
     scale_a, scale_b = np.sqrt(period_a) / order, np.sqrt(period_b) / order
-    table, steps = cyclic_phases(order), np.arange(order)
+    phases = cyclic_phases(order)[np.multiply.outer(np.arange(order), np.arange(order)) % order]
+    real = not np.iscomplexobj(gathered)
+    if real:
+        phases = np.concatenate([phases[:order // 2 + 1].real, phases[1:(order + 1) // 2].imag])
+    # under the identity (L = 1) the one phase is 1, and the sum the gather
+    summed = gathered if order == 1 else np.matmul(phases, gathered)
 
     def sector(k: int, q: int = 0) -> np.ndarray:
         keep_a = (k + q) * period_a % order == 0
         keep_b = k * period_b % order == 0
-        phases = table[k * steps % order]
-        if 2 * k % order == 0:
-            phases = phases.real
+        low = min(k, order - k) if real else k
+        values = summed[:, low]
+        if real and 2 * k % order:
+            values = values + (1j if k == low else -1j) * summed[:, order // 2 + low]
         # the orbits that the sectors do not allow are left out first
-        kept = gathered
         if not keep_a.all():
-            kept = kept[keep_a]
+            values = values[keep_a]
         if not keep_b.all():
-            kept = kept[:, :, keep_b]
-        summed = np.einsum("alb,l->ab", kept, phases)
-        summed *= order * np.multiply.outer(scale_a[keep_a], scale_b[keep_b])
-        return summed
+            values = values[:, keep_b]
+        return values * (order * np.multiply.outer(scale_a[keep_a], scale_b[keep_b]))
 
     return gathered, sector
 
@@ -185,8 +192,7 @@ def momentum_blocks(h: SparseOperator, groups, orbits: Orbits) -> tuple:
                 values, vectors = sectors[order - k]
                 vectors = vectors.conj()
             else:
-                values, vectors = np.linalg.eigh(sector(k))
-                sectors[k] = values, vectors
+                values, vectors = sectors[k] = np.linalg.eigh(sector(k))
             blocks.append(EigenBlock(frozen_array(table[keep].T.ravel()), frozen_array(values),
                                      frozen_array(vectors), momentum=k,
                                      scale=frozen_array(scale[keep])))
@@ -251,14 +257,15 @@ def pair_parts(rho: Operator | DensityMatrix | SparseOperator, orbits: Orbits, c
     """The parts of :func:`sector_parts` between two groups, or None where
     their gather is all zero.  ``rho`` may be any operator of character
     chi, such as I_+ + I_- between two m levels in the transition graph.
-    The gather and every temporary go on return, before the pair is
-    reduced."""
+    The gather goes once its sums over l are taken, and they go on
+    return, before the pair is reduced."""
     order = orbits.order
     q = 0 if chi == 1 else order // 2
     gathered, sector = sector_reader(rho, orbits, orbits.members(left[0]),
                                      orbits.members(right[0]))
     if not gathered.any():
         return None
+    del gathered
     parts = []
     for k in momenta:
         if (left is right and 0 < q <= k) or (k + q) % order not in left or k not in right:

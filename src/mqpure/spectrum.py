@@ -115,8 +115,10 @@ def broaden(spectrum: StickSpectrum, linewidth: float, grid: np.ndarray) -> np.n
     step = max(1, 2**16 // spectrum.n_lines)
     for start in range(0, grid.size, step):
         points = slice(start, start + step)
-        detuning = (grid[points, np.newaxis] - spectrum.frequencies[np.newaxis, :]) / linewidth
-        out[points] = (spectrum.intensities[np.newaxis, :] / (1.0 + detuning**2)).sum(axis=1)
+        # a detuning or its square that overflows gives the exact limit, 0
+        with np.errstate(over="ignore"):
+            detuning = (grid[points, np.newaxis] - spectrum.frequencies[np.newaxis, :]) / linewidth
+            out[points] = (spectrum.intensities[np.newaxis, :] / (1.0 + detuning**2)).sum(axis=1)
     return out
 
 

@@ -196,6 +196,13 @@ class TestSweepCommand:
         assert main(["sweep", "--out", str(tmp_path / "o"), *argv]) == 1
         assert capsys.readouterr().err == message + "\n"
 
+    def test_malformed_spin_count_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("2.0\n0 1\n1 0\n")
+        assert main(["sweep", "--system", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (f"error: {path}: spin count '2.0' is not a "
+                                           "positive integer\n")
+
     def test_missing_coupling_file(self, tmp_path):
         code = main([
             "sweep", "--system", str(tmp_path / "nope.txt"), "--out", str(tmp_path),
@@ -253,6 +260,15 @@ class TestPipelineCommand:
             assert main(["pipeline", "--config", str(config)]) == 1
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_saturation_rates_are_one_line_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"t_max": 1.2, "t_step": 0.01, "saturation": {
+            "center_frequency": 0.0, "width_sigma": 1.0, "mode": "timed", "rate_scale": 1e308}}))
+        assert main(["pipeline", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == ("error: rate_scale 1e+308 makes the saturation rates "
+                                           "overflow\n")
 
     def test_invariant_violation_exit_code(self, monkeypatch, tmp_path):
         from mqpure import cli
@@ -355,6 +371,16 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--out", str(tmp_path / "o"), *argv]) == 1
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "o").exists()
+
+    # the Lorentzians' detunings or their squares overflow: the exact limit
+    # of lines that narrow is 0 away from them
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("linewidth", ["1e-155", "1e-200", "1e-320"])
+    def test_very_narrow_lines(self, tmp_path, linewidth):
+        out = tmp_path / "out"
+        assert main(["spectrum", "--linewidth", linewidth, "--out", str(out)]) == 0
+        curve = np.loadtxt(out / "spectrum_broadened.csv", delimiter=",", skiprows=1)
+        assert np.isfinite(curve).all() and np.abs(curve[:, 1]).max() < 1e-300
 
     def test_thermal_spectrum(self, tmp_path):
         out = tmp_path / "out"

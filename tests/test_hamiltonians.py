@@ -270,6 +270,20 @@ class TestCouplingFile:
         with pytest.raises(ValueError):
             load_couplings(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("2.0\n0 1\n1 0\n", "spin count '2.0' is not a positive integer"),
+        ("-1\n0 1\n1 0\n", "spin count '-1' is not a positive integer"),
+        ("abc\n0 1\n1 0\n", "spin count 'abc' is not a positive integer"),
+        ("2\n0 x\n1 0\n", "matrix entry 'x' is not a number"),
+    ], ids=["float-count", "negative-count", "word-count", "word-entry"])
+    def test_malformed_token_is_named(self, tmp_path, text, message):
+        # numpy's and int()'s own words once reached the command line
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as raised:
+            load_couplings(path)
+        assert str(raised.value) == f"{path}: {message}"
+
     # the Hamiltonians read only the upper triangle, so a lower one that
     # differs by more than roundoff, even relatively little, is refused
     @pytest.mark.parametrize("text", [

@@ -42,7 +42,6 @@ from mqpure.spin_core import DensityMatrix
 from dense_after_filter import dense_after_filter
 from dense_eigen import dense_transform
 from test_hamiltonians import random_systems
-from test_nonunitary import sector_graph
 from test_symmetry import circulant_systems, ring_system
 
 RING10 = {"t_prep": 5.39, "t_max": 6.0, "t_step": 0.1}
@@ -115,9 +114,8 @@ class TestFactorPathProperty:
         secular = secular_dipolar_hamiltonian(system, basis)
         thermal = thermal_state(basis)
         # the graph in the sectors of the site cycle, as the pipeline builds
-        # it from 8 spins up, and in m blocks, read through the sectors of
-        # the eigensystem
-        graphs = [sector_graph(secular, basis, symmetry)]
+        # it, and in m blocks, read through the sectors of the eigensystem
+        graphs = [build_transition_graph(secular, basis, symmetry)]
         if symmetry is not None:
             graphs.append(build_transition_graph(secular, basis))
         for graph, n in itertools.product(graphs, accepted_orders(system.n_spins)):

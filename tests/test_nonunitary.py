@@ -1,4 +1,5 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -205,14 +206,6 @@ class TestTransitionGraph:
         assert len(rows) == graph6.n_edges + 1
 
 
-def sector_graph(h, basis, symmetry):
-    """The graph in the momentum sectors of the site cycle, below
-    ``SECTOR_MIN_SPINS`` too."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nonunitary, "SECTOR_MIN_SPINS", 1)
-        return build_transition_graph(h, basis, symmetry)
-
-
 def cycle_invariant_state(system, basis, rng) -> DensityMatrix:
     """A random Hermitian state averaged over the powers of the site cycle."""
     raw = rng.standard_normal((basis.dim,) * 2) + 1j * rng.standard_normal((basis.dim,) * 2)
@@ -262,7 +255,7 @@ class TestSectorGraph:
         basis = build_basis(system.n_spins)
         h = secular_dipolar_hamiltonian(system, basis)
         symmetry = site_symmetry(system)
-        graph = sector_graph(h, basis, symmetry)
+        graph = build_transition_graph(h, basis, symmetry)
         plain = build_transition_graph(h, basis)
         assert {block.momentum for block in graph.blocks} == set(range(system.n_spins))
         assert len(plain.blocks) == system.n_spins + 1
@@ -302,7 +295,7 @@ class TestSectorGraph:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(nonunitary, "STRENGTH_THRESHOLD", 0.0)
-            sectors_whole = sector_graph(h, basis, symmetry)
+            sectors_whole = build_transition_graph(h, basis, symmetry)
             try:
                 against(build_transition_graph(h, basis), sectors_whole)
             except AssertionError:
@@ -311,10 +304,12 @@ class TestSectorGraph:
                 patch.setattr(np.linalg, "eigh", refined_eigh)
                 against(build_transition_graph(h, basis), sectors_whole)
 
-    @pytest.mark.parametrize("n, seeds, edges", [(8, (7, 11), 1248), (10, (1, 7), 15204)])
+    @pytest.mark.parametrize("n, seeds, edges", [(8, (7, 11), 1248), (10, (1, 7), 15204),
+                                                 (6, (1, 19), 114), (7, (4, 5), 415)])
     def test_edge_count_does_not_depend_on_site_labels(self, n, seeds, edges):
-        # the m blocks give 1866 and 2268 edges for the two 8-rings, and
-        # 26830 and 28540 for the two 10-rings
+        # the m blocks give 1866 and 2268 edges for the two 8-rings, 26830
+        # and 28540 for the two 10-rings, 194 and 192 for the two 6-rings,
+        # and 771 and 763 for the two 7-rings
         basis = build_basis(n)
         for seed in seeds:
             system = ring_system(n, seed)
@@ -322,13 +317,21 @@ class TestSectorGraph:
                                            site_symmetry(system))
             assert graph.n_edges == edges
 
-    def test_fewer_spins_keep_the_m_levels(self, hexagon_system, basis6, graph6):
-        h = secular_dipolar_hamiltonian(hexagon_system, basis6)
-        symmetry = site_symmetry(hexagon_system)
-        assert nonunitary.SECTOR_MIN_SPINS > 6
-        graph = build_transition_graph(h, basis6, symmetry)
-        assert len(graph.blocks) == 7 and graph.n_edges == graph6.n_edges == 194
-        assert sector_graph(h, basis6, symmetry).n_edges == 114
+    def test_every_labelling_of_the_hexagon_takes_the_sectors(self, hexagon_system, basis6,
+                                                              graph6):
+        # the 720 orders of the sites give the 60 coupling matrices that no
+        # rotation or reflection of the ring maps onto each other
+        couplings = hexagon_system.couplings
+        relabelled = {couplings[np.ix_(sites, sites)].tobytes(): sites
+                      for sites in itertools.permutations(range(6))}
+        assert len(relabelled) == 60
+        for sites in relabelled.values():
+            system = SpinSystem(n_spins=6, couplings=couplings[np.ix_(sites, sites)])
+            graph = build_transition_graph(secular_dipolar_hamiltonian(system, basis6), basis6,
+                                           site_symmetry(system))
+            assert len(graph.blocks) == 32 and graph.n_edges == 114
+        # without the cycle each level is one block, in LAPACK's basis
+        assert len(graph6.blocks) == 7 and graph6.n_edges == 194
 
     def test_all_down_first_and_all_up_last(self):
         system = ring_system(8, 5)
@@ -350,8 +353,8 @@ class TestSectorGraph:
     def test_a_coupling_one_ulp_off_keeps_the_m_blocks(self):
         exact, jittered = ring_system(6, 2), ring_system(6, 2, jitter=(0, 3))
         basis = build_basis(6)
-        graph = sector_graph(secular_dipolar_hamiltonian(jittered, basis), basis,
-                             site_symmetry(exact))
+        graph = build_transition_graph(secular_dipolar_hamiltonian(jittered, basis), basis,
+                                       site_symmetry(exact))
         assert len(graph.blocks) == 7
 
 
@@ -382,6 +385,36 @@ class TestSaturate:
             )
             out = saturate(p0, graph6, params)
             assert abs(out.sum() - p0.sum()) < 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    def test_steady_state_reads_only_the_sign_of_a_rate(self, graph6):
+        p0 = np.random.default_rng(34).standard_normal(64)
+        params = SaturationParams(center_frequency=0.0, width_sigma=3.0)
+        huge = SaturationParams(center_frequency=0.0, width_sigma=3.0, rate_scale=1e308)
+        assert np.array_equal(saturate(p0, graph6, huge), saturate(p0, graph6, params))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_duration_beyond_the_float_range_relaxes_fully(self, graph6):
+        # every decay exponent but the conserved modes' overflows to the
+        # exact limit of the decay, 0
+        p0 = np.random.default_rng(35).standard_normal(64)
+        out = saturate(p0, graph6, SaturationParams(center_frequency=0.0, width_sigma=3.0,
+                                                    duration=1e308, mode="timed"))
+        steady = saturate(p0, graph6, SaturationParams(center_frequency=0.0, width_sigma=3.0,
+                                                       envelope_floor=0.0))
+        assert np.abs(out - steady).max() < 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    def test_rates_that_overflow_are_refused(self, graph6):
+        params = SaturationParams(center_frequency=0.0, width_sigma=3.0, rate_scale=1e308,
+                                  mode="timed")
+        with pytest.raises(ValueError, match="^rate_scale 1e\\+308 makes the saturation rates"):
+            saturate(np.ones(64), graph6, params)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_envelope_that_underflows_is_zero(self):
+        params = SaturationParams(center_frequency=1e200, width_sigma=1.0)
+        assert np.array_equal(params.envelope([0.0, -1.0]), [0.0, 0.0])
 
     def test_monotone_mixing(self, graph6):
         rng = np.random.default_rng(33)

@@ -257,7 +257,8 @@ class TestEachStageIsReadOnce:
     def check(self, monkeypatch, **config):
         filtered, reversed_, reads, dense_reads = [], [], [], []
         self.record(monkeypatch, pipeline, "_order_filter", filtered, lambda args, result: result)
-        self.record(monkeypatch, pipeline, "_reversed", reversed_, lambda args, result: result)
+        self.record(monkeypatch, pipeline, "_reversed", reversed_,
+                    lambda args, result: (args[0].b.momentum, args[1], result))
         # the order reads of the reversed classes (each pair its own class
         # under the hexagon's site cycle), and the populations' pairs
         self.record(monkeypatch, mq, "level_sums", reads, lambda args, result: args[0])
@@ -272,11 +273,17 @@ class TestEachStageIsReadOnce:
         report = run_pipeline(PipelineConfig(**self.CONFIG, **config))
         assert dense_reads == []
         assert len(filtered) == len(reversed_) > 0
-        kept = sum(float(np.vdot(y, y).real) for y in filtered)
+        assert all(y is reversing for y, (_, reversing, _) in zip(filtered, reversed_))
+        # the hexagon's site cycle has order 6, and only k <= 3 run: each
+        # pair with 0 < k < 3 stands for its conjugate pair 6 - k too
+        assert all(k <= 3 for k, _, _ in reversed_)
+        kept = sum((2 if 0 < k < 3 else 1) * float(np.vdot(y, y).real)
+                   for k, y, _ in reversed_)
         assert report.f_homq == pytest.approx(kept / 96.0, rel=1e-14)
+        pairs = [pair for _, _, pair in reversed_]
         seen = [y for read in reads for y in (read if isinstance(read, list) else [read])]
-        assert all(any(y is pair for pair in reversed_) for y in seen)
-        assert all(any(y is pair for y in seen) for pair in reversed_)
+        assert all(any(y is pair for pair in pairs) for y in seen)
+        assert all(any(y is pair for y in seen) for pair in pairs)
 
     def test_top_order(self, monkeypatch):
         self.check(monkeypatch)

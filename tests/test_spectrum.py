@@ -249,6 +249,15 @@ class TestBroaden:
         expected = np.pi * linewidth * sticks.intensities.sum()
         assert np.trapezoid(curve, grid) == pytest.approx(expected, rel=0.01)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("linewidth", [1e-155, 1e-200, 1e-320])
+    def test_very_narrow_lines_reach_their_limit(self, linewidth):
+        # detunings, or their squares, overflow: each line is its intensity
+        # on its own frequency and 0 elsewhere
+        sticks = StickSpectrum(frequencies=np.array([-1.0, 0.5]), intensities=np.array([2.0, 3.0]))
+        curve = broaden(sticks, linewidth, np.array([-1.0, 0.0, 0.5, 2.0]))
+        assert np.array_equal(curve, [2.0, 0.0, 3.0, 0.0])
+
     def test_no_lines_is_flat_zero(self):
         sticks = StickSpectrum(frequencies=np.array([]), intensities=np.array([]))
         assert np.array_equal(broaden(sticks, 0.1, np.linspace(0, 1, 5)), np.zeros(5))
