@@ -144,6 +144,9 @@ def cmd_spectrum(args) -> int:
     hi = graph.frequencies.max() + 0.1 * span + 5 * args.linewidth
     grid = np.linspace(lo, hi, args.grid_points)
     curve = spec.broaden(sticks, args.linewidth, grid)
+    if not all(np.isfinite(v).all() for v in (sticks.frequencies, sticks.intensities, curve)):
+        raise NumericalInvariantError(f"the spectrum overflows (largest |population| = "
+                                      f"{np.abs(populations).max()}, linewidth {args.linewidth})")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sticks.to_csv(out / "spectrum_sticks.csv")
@@ -321,6 +324,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except NumericalInvariantError as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
+        return 2
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not a validation error
+        print(f"numerical invariant violated: eigendecomposition failed: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

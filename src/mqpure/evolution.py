@@ -50,8 +50,8 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .output import write_csv
-from .sectors import (QUARTER_TURNS, Orbits, Part, add_part, character, class_matrices,
-                      elements, momentum_blocks, orbits_of, rotation_sign, sector_groups,
+from .sectors import (QUARTER_TURNS, Orbits, Part, character, class_matrices, elements,
+                      flip_add, momentum_blocks, orbits_of, rotation_sign, sector_groups,
                       sector_parts, state_permutation)
 from .spin_core import (
     DensityMatrix,
@@ -493,7 +493,7 @@ def _element_classes(observables: list, eig: EigenSystem, chi: int) -> tuple:
 
     Element (G^i a, G^j b) of the representatives a and b is
     chi^i f_l[a, b] with l = (j - i) mod L
-    (:func:`~mqpure.sectors.add_part`).  No sector pair runs from a
+    (:func:`~mqpure.sectors.elements`).  No sector pair runs from a
     later group to an earlier one, so where b's group
     comes before a's the element is read as the conjugate of
     (G^j b, G^i a).  Returns ((a, b, l), squares, reals) over the distinct
@@ -581,7 +581,7 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
     one level, so the sum of |rho|^2 over a pair of levels is the sum over
     the sector pairs of |rho_k|^2 over the rows and columns of those
     levels.  Under the flip it is read from the element classes
-    (:func:`~mqpure.sectors.add_part`): g_l[a, b] stands for the
+    (:func:`~mqpure.sectors.flip_add`): g_l[a, b] stands for the
     elements of levels m_a and m_b for l = 0 and m_a and -m_b for l = 1.
     A pair that also stands for its adjoint counts twice.
 
@@ -655,11 +655,14 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
                     g = buffer[:(window.stop - window.start) * order * outer.size * inner.size]
                     g = g.reshape(order * outer.size, -1, inner.size)
                     g.fill(0)
+                    halves = np.split(g, 2)
                 for part, pick, level, right_factor in zip(batch, picks, levels, rights):
                     y = _sector_transform(part, phases[window], right_factor, work)
                     if classes_run:
-                        add_part(g, part, y, chi, left is right, outer, inner, orbits,
-                                  work[1])
+                        flip_add(halves, y, part.b.momentum)
+                        if chi == -1 and left is right:  # pair (0, 1), the adjoint of (1, 0)
+                            adjoint_y = work[1][:y.size].reshape(y.shape[::-1])
+                            flip_add(halves, np.conjugate(y.transpose(2, 1, 0), out=adjoint_y), 1)
                     if pick is not None:
                         _add_picks(pick, y, sums[window])
                     if level is not None:
@@ -668,7 +671,7 @@ def _sector_sweep(rho0: DensityMatrix | SparseOperator, eig: EigenSystem, chi: i
                     _apply(class_level, g, values[window], scratch)
         # free this pair's stacks and classes before the next pair is gathered
         parts.clear()
-        buffer = g = None
+        buffer = g = halves = None
     values += (sums * sums.conj()).real @ squares
     values += sums.real @ reals
     return values

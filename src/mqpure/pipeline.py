@@ -71,7 +71,7 @@ from .evolution import (
     transformed,
 )
 from .output import write_csv
-from .sectors import Orbits, Part, character, class_matrices, elements, sector_groups
+from .sectors import Orbits, Part, character, elements, flip_add, sector_groups
 from .spin_core import (
     NumericalInvariantError,
     SparseOperator,
@@ -425,9 +425,9 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
     levels 0 and N, of one state each; the reversed pairs of each group
     give its crushed populations (:func:`_add_populations`).
 
-    Under a site cycle, where the graph is in the same sectors at every
-    N, only k <= L/2 run and the others count twice, by the gate the
-    sweep shares (``eig.conjugate_pairs``, see
+    Under a site cycle, where the graph is in the same sectors, only
+    k <= L/2 run and the others count twice, by the gate the sweep
+    shares (``eig.conjugate_pairs``, see
     :func:`~mqpure.evolution._sector_sweep`): I_z is real and diagonal,
     so pair L - k is the conjugate of pair k up to one phase per pair of
     levels.  Those phases cancel from the level sums of |y|^2 and from
@@ -441,11 +441,7 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
     count = popcounts(orbits.table[:, 0])
     phase = phase_scale(unit) * t
     weight = 1 if chi == 1 else 2
-    # whether each graph block lists the orbits of one sector of G (for
-    # G = identity, the m blocks); otherwise the graph is in m blocks
-    sectors = all(np.array_equal(orbits.table[orbits.members(block)].T.ravel(), block.states)
-                  for block in graph.blocks)
-    paired = chi == 1 and sectors and eig.conjugate_pairs
+    paired = chi == 1 and eig.conjugate_pairs
     # under the flip a group's pair (0, 1) is the adjoint of its pair (1, 0)
     momenta = range(order // 2 + 1) if paired else range(order if q == 0 else q)
     per_levels = np.zeros((n_spins + 1, n_spins + 1))
@@ -473,8 +469,7 @@ def _after_filter(rho_thermal: SparseOperator, eig: EigenSystem, basis: ZeemanBa
             per_levels += factor * sum(mq.level_sums(values, r, c, n_spins) for values, (r, c)
                                        in zip(_classes(part.moved, chi), counts))
             reversed_.append(part)
-        _add_populations(populations, graph, orbits, orbits.members(group[0]), reversed_, chi,
-                         sectors)
+        _add_populations(populations, graph, orbits, orbits.members(group[0]), reversed_, chi)
     return _AfterFilter(kept=kept, intensities=mq.order_intensities(per_levels),
                         pair=float(per_levels[0, 0] + per_levels[n_spins, n_spins]),
                         populations=populations)
@@ -487,66 +482,62 @@ def _reversed(part: Part, filtered: np.ndarray, phase: float) -> np.ndarray:
 
 
 def _classes(y: np.ndarray, chi: int):
-    """The element classes of a sector pair y, which sum to y, one at a time.
+    """The element classes of a sector pair y, which sum to y.
 
     For chi = 1 (a site cycle or the identity) every sector basis vector
     lies in one spin-up level, and y is its own class.  Under the flip
     (chi = -1) y is rho between sectors 1 and 0 of one group, and
-    f_0 = (y + y+)/2 and f_1 = (y - y+)/2 hold the elements rho[a, b] and
-    rho[a, b'] of the representatives a, b and the flip b' of b, each
-    standing for the flipped element too.  The second class is made in
-    the buffer of y+.
+    f_0 = (y + y+)/2 and f_1 = (y - y+)/2 (:func:`~mqpure.sectors.flip_add`)
+    hold the elements rho[a, b] and rho[a, b'] of the representatives a, b
+    and the flip b' of b, each standing for the flipped element too.
     """
     if chi == 1:
-        yield y
-        return
-    y_adjoint = np.ascontiguousarray(adjoint(y))
-    f_0 = y + y_adjoint
-    f_0 *= 0.5
-    yield f_0
-    y_adjoint -= y
-    y_adjoint *= -0.5
-    yield y_adjoint
+        return (y,)
+    classes = (0.5 * y, 0.5 * y)  # the flip_add of y at k = 0 into zero classes, halved
+    flip_add(classes, np.conjugate(classes[0].T, order="C"), 1)  # and of y+ / 2 at k = 1
+    return classes
 
 
 def _order_filter(y: np.ndarray, masks: list, chi: int) -> np.ndarray:
     """The classes of the pair y with every entry outside their masks zeroed,
     folded back into one pair."""
+    classes = _classes(y, chi)  # before the result, so that their copy of y+ is freed first
     filtered = np.zeros_like(y)
-    for mask, values in zip(masks, _classes(y, chi)):
+    for mask, values in zip(masks, classes):
         np.add(filtered, values, out=filtered, where=mask)
     return filtered
 
 
 def _add_populations(populations: np.ndarray, graph: nonunitary.TransitionGraph,
-                     orbits: Orbits, group: np.ndarray, pairs: list, chi: int,
-                     sectors: bool) -> None:
+                     orbits: Orbits, group: np.ndarray, pairs: list, chi: int) -> None:
     """Add <e|rho|e> of the reversed sector ``pairs`` (k', k) of one group
     of orbits, a state of character chi, for each secular eigenvector e of
     the graph blocks in it.
 
-    Where the graph blocks are sectors of the pairs' own G (``sectors``,
-    where chi = 1), e lies in one sector k over the representatives of its
-    level, so <e|rho|e> = e+ rho_kk e over those rows and columns of pair
-    (k, k).  A block whose pair did not run (k > L/2, see
-    :func:`_after_filter`) reads pair L - k with the conjugates of its
-    vectors, the vectors of sector L - k.
-
-    Otherwise the graph blocks are m blocks: in the pipeline only under
-    the flip, since a site cycle splits the graph into its sectors at
-    every N.  The pairs are folded once into the group's element classes
-    (:func:`~mqpure.sectors.class_matrices`, which adds the adjoint pairs
-    under the flip), and each block of rho over an m block's states is
-    read from them (:func:`~mqpure.sectors.elements`).  The secular H and
-    its m-block vectors are real, so <e|rho|e> = e^T Re(rho) e, and only
-    the classes' real part is read.
+    The character picks the read: in :func:`run_pipeline` the graph is in
+    sectors of the pairs' own G for chi = 1 (m blocks under the identity,
+    at odd N) and in m blocks for chi = -1 (the flip, at even N), since
+    ``site_symmetry`` makes both Hamiltonians invariant under its cycle,
+    or neither.  For chi = 1, e lies in one sector k over the
+    representatives of its level, so <e|rho|e> = e+ rho_kk e over those
+    rows and columns of pair (k, k); a block whose pair did not run
+    (k > L/2, see :func:`_after_filter`) reads pair L - k with the
+    conjugates of its vectors, the vectors of sector L - k.  For
+    chi = -1, e is real, so <e|rho|e> = e^T Re(rho) e is read
+    (:func:`~mqpure.sectors.elements`) from the real parts of the
+    group's element classes, Re y + (Re y)^T and Re y - (Re y)^T of its
+    one pair y (:func:`~mqpure.sectors.flip_add`).
     """
     if not pairs:
         return
     inside = np.zeros(orbits.period.size, dtype=bool)
     inside[group] = True
     by_momentum = {part.b.momentum: part for part in pairs}
-    classes = None if sectors else class_matrices(pairs, chi, True, group, group, orbits).real
+    if chi == -1:
+        real = pairs[0].moved.real  # a group's one pair under the flip
+        classes = np.empty((2, group.size, group.size))
+        classes[:] = real  # the flip_add of Re y at k = 0 into zero classes
+        flip_add(classes, np.ascontiguousarray(real.T), 1)  # and of Re y+ = (Re y)^T at k = 1
     start = 0
     for block in graph.blocks:
         size, k, members = block.eigenvalues.size, block.momentum, orbits.members(block)
@@ -554,7 +545,7 @@ def _add_populations(populations: np.ndarray, graph: nonunitary.TransitionGraph,
         start += size
         if not inside[members[0]]:
             continue
-        if not sectors:
+        if chi == -1:
             rho = elements(classes, chi, group, group, orbits, block.states, block.states)
             read += np.einsum("ia,ia->a", vectors, rho @ vectors)
             continue

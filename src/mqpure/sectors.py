@@ -26,9 +26,10 @@ and k, with q = 0 for chi = 1 and q = L/2 for chi = -1, so propagation
 runs on those sector pairs alone (:func:`sector_parts`).  The thermal
 state I_z and the top-order coherence have chi = 1 under a site cycle and
 chi = -1 under the flip.  A state of neither character runs on the
-eigensystem of G = identity.  :func:`class_matrices` folds a pair of
-groups' sector pairs into their element classes, from which
-:func:`elements` gathers any block of rho.
+eigensystem of G = identity.  A pair of groups' sector pairs fold into
+their element classes, from which :func:`elements` gathers any block of
+rho: by the closed form :func:`flip_add` under the flip, where every
+command folds them, and by :func:`class_matrices` in ``evolve``.
 """
 
 from __future__ import annotations
@@ -278,62 +279,44 @@ def pair_parts(rho: Operator | DensityMatrix | SparseOperator, orbits: Orbits, c
     return parts
 
 
-def add_part(classes: np.ndarray, part: Part, y: np.ndarray, chi: int, self_pair: bool,
-             outer: np.ndarray, inner: np.ndarray, orbits: Orbits, spare: np.ndarray) -> None:
-    """Add a part's stack into the element classes g_l = sum_k exp(2 pi i k l / L) rho_k.
-
-    ``classes`` is a (rows, K, cols) stack (L |outer|, K, |inner|) over the
-    orbits of a pair of groups, row l |outer| + a holding g_l[a]; ``y``
-    (r_a, K, r_b) is the part's rho_k, k its right momentum.  With f_l = g_l / sqrt(p_a p_b),
-    element rho[G^i a, G^(i+l) b] is chi^i f_l[a, b].  For chi = -1 a group
-    with itself also adds the adjoint of ``y``, made in the flat complex
-    buffer ``spare``, as its (k, k + q) pair.
-    """
-    order, k = orbits.order, part.b.momentum
-    first, second = orbits.members(part.a), orbits.members(part.b)
-    stacks = [(y, k, first, second)]
-    if self_pair and chi == -1:
-        adjoint_y = spare[:y.size].reshape(y.shape[::-1])
-        np.conjugate(y.transpose(2, 1, 0), out=adjoint_y)
-        stacks.append((adjoint_y, (k + order // 2) % order, second, first))
-    blocks = classes.reshape(order, outer.size, *classes.shape[1:])
-    for stack, momentum, rows, cols in stacks:
-        turn = cyclic_phases(order).conj()[momentum * np.arange(order) % order]
-        index = (slice(None),)
-        if rows.size < outer.size or cols.size < inner.size:
-            # the two index arrays put the rows and columns first, then time
-            index = (np.searchsorted(outer, rows)[:, np.newaxis], slice(None),
-                     np.searchsorted(inner, cols))
-            stack = stack.transpose(0, 2, 1)
-        for l, phase in enumerate(turn):
-            target = blocks[l]
-            if phase == 1:
-                target[index] += stack
-            elif phase == -1:
-                target[index] -= stack
-            else:
-                target[index] += phase * stack
-
-
 def class_matrices(parts: list, chi: int, self_pair: bool, outer: np.ndarray,
                    inner: np.ndarray, orbits: Orbits) -> np.ndarray:
-    """The element classes g_l of a pair of groups, shaped (L, |outer|, |inner|),
-    from parts whose ``moved`` is their rho_k in the sector basis
-    (:func:`add_part` with K = 1); :func:`elements` normalises what it reads."""
-    classes = np.zeros((orbits.order * outer.size, 1, inner.size), dtype=complex)
-    spare = np.empty(max((part.moved.size for part in parts), default=0), dtype=complex)
+    """The element classes g_l = sum_k exp(2 pi i k l / L) rho_k of a pair of
+    groups, shaped (L, |outer|, |inner|), from parts whose ``moved`` is their
+    rho_k, k the right momentum, each at the rows and columns of the orbits
+    its sectors allow; :func:`elements` normalises what it reads.  For
+    chi = -1 a group with itself also adds each part's adjoint as its
+    (k, k + q) pair.  The phases are looked up at k l mod L, so those of
+    1 and -1 are exact."""
+    order = orbits.order
+    turns = cyclic_phases(order).conj()[np.outer(np.arange(order), np.arange(order)) % order]
+    classes = np.zeros((order, outer.size, inner.size), dtype=complex)
     for part in parts:
-        add_part(classes, part, part.moved[:, np.newaxis, :], chi, self_pair, outer, inner,
-                 orbits, spare)
-    return classes.reshape(orbits.order, outer.size, inner.size)
+        k, first, second = part.b.momentum, orbits.members(part.a), orbits.members(part.b)
+        stacks = [(part.moved, k, first, second)]
+        if self_pair and chi == -1:
+            stacks.append((adjoint(part.moved), (k + order // 2) % order, second, first))
+        for y, momentum, rows, cols in stacks:
+            rows, cols = np.ix_(np.searchsorted(outer, rows), np.searchsorted(inner, cols))
+            classes[:, rows, cols] += turns[momentum, :, np.newaxis, np.newaxis] * y
+    return classes
+
+
+def flip_add(classes, y: np.ndarray, k: int) -> None:
+    """Add sector pair y_k into the flip's element classes (L = 2), the two
+    arrays or the (2, ...) array ``classes``: g_0 += y_k and
+    g_1 += (-1)^k y_k.  No state is its own flip, so y_k spans them."""
+    g_0, g_1 = classes
+    g_0 += y
+    (np.subtract if k else np.add)(g_1, y, out=g_1)
 
 
 def elements(classes: np.ndarray, chi: int, outer: np.ndarray, inner: np.ndarray,
              orbits: Orbits, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """rho[rows, cols] from the classes of :func:`class_matrices`, the rows
-    in the ``outer`` orbits and the columns in the ``inner`` ones:
-    rho[G^i a, G^j b] = chi^i f_((j - i) mod L)[a, b], f_l = g_l / sqrt(p_a p_b),
-    read by one gather and scaled by one product."""
+    """rho[rows, cols] from the element classes g_l (:func:`class_matrices`,
+    :func:`flip_add`), the rows in the ``outer`` orbits and the columns in
+    the ``inner`` ones: rho[G^i a, G^j b] = chi^i f_((j - i) mod L)[a, b],
+    f_l = g_l / sqrt(p_a p_b), read by one gather and scaled by one product."""
     i, a, b = orbits.step[rows], orbits.of[rows], orbits.of[cols]
     values = classes[(orbits.step[cols] - i[:, np.newaxis]) % orbits.order,
                      np.searchsorted(outer, a)[:, np.newaxis], np.searchsorted(inner, b)]

@@ -64,7 +64,10 @@ def merge_peaks(spectrum: StickSpectrum, tolerance: float) -> StickSpectrum:
 
     Each cluster becomes one line at the |intensity|-weighted mean
     frequency with the summed intensity; clusters whose sum cancels below
-    ``ZERO_SUM_DROP`` of the largest merged line are dropped.
+    ``ZERO_SUM_DROP`` of the largest merged line are dropped.  A mean is
+    clipped to its cluster's first and last frequency: where adjacent
+    floats lie farther apart than the tolerance, its rounding could
+    otherwise reach the next cluster's.
     """
     require_finite("merge tolerance", tolerance, "positive")
     order = np.argsort(spectrum.frequencies, kind="stable")
@@ -76,8 +79,10 @@ def merge_peaks(spectrum: StickSpectrum, tolerance: float) -> StickSpectrum:
         weights = np.abs(ints)
         weight = np.add.reduceat(weights, starts)
         weighted = np.add.reduceat(weights * freqs, starts)
-        plain = np.add.reduceat(freqs, starts) / np.diff(np.r_[starts, freqs.size])
-        freqs = np.where(weight > 0, weighted / np.where(weight > 0, weight, 1.0), plain)
+        ends = np.r_[starts[1:], freqs.size]
+        plain = np.add.reduceat(freqs, starts) / (ends - starts)
+        means = np.where(weight > 0, weighted / np.where(weight > 0, weight, 1.0), plain)
+        freqs = np.clip(means, freqs[starts], freqs[ends - 1])
         ints = np.add.reduceat(ints, starts)
         keep = np.abs(ints) >= ZERO_SUM_DROP * np.abs(ints).max()
         freqs, ints = freqs[keep], ints[keep]

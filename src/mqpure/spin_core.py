@@ -157,12 +157,9 @@ def build_basis(n_spins: int) -> ZeemanBasis:
 
 
 def popcounts(states: np.ndarray) -> np.ndarray:
-    """Number of set bits (spins up) of each nonnegative state index."""
-    states = np.asarray(states, dtype=np.int64)
-    counts = np.zeros_like(states)
-    for bit in range(int(states.max(initial=0)).bit_length()):
-        counts += (states >> bit) & 1
-    return counts
+    """Number of set bits (spins up) of each nonnegative state index, as
+    int64, so that counts may be subtracted."""
+    return np.bitwise_count(np.asarray(states, dtype=np.int64)).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,23 @@ class TestPipelineCommand:
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--t-max", "0.02", "--t-step", "0.01"],
+    ["pipeline"],
+    ["spectrum", "--grid-points", "11"],
+], ids=["sweep", "pipeline", "spectrum"])
+def test_eigendecomposition_failure_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # numpy's LinAlgError is a ValueError, which would read as bad input
+    def unconverged(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", unconverged)
+    out = [] if argv[0] == "pipeline" else ["--out", str(tmp_path / "out")]
+    assert main([*argv, *out]) == 2
+    assert capsys.readouterr().err == ("numerical invariant violated: eigendecomposition "
+                                       "failed: Eigenvalues did not converge\n")
+
+
 class TestD12WithCouplingFile:
     """d12 scales the hexagon only; a coupling file with any other d12 is refused."""
 

@@ -1,4 +1,5 @@
 import csv
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -28,8 +29,9 @@ from mqpure import (
 )
 from mqpure import evolution
 from mqpure.evolution import TWO_PI, SweepTable, _chunk_length
-from mqpure.sectors import character, rotation_sign, sector_parts
-from mqpure.spin_core import popcounts
+from mqpure.sectors import (Part, character, class_matrices, flip_add, rotation_sign,
+                            sector_groups, sector_parts)
+from mqpure.spin_core import adjoint, popcounts
 from mqpure.mq import mq_intensities
 
 from dense_eigen import dense_eigen, exact_eigenvalues
@@ -280,6 +282,38 @@ class TestFlipSectors:
                        for *_, parts in sector_parts(thermal, sectors, -1, range(2))
                        for part in parts}
             assert momenta == {(1, 0)}
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([2, 4, 6]), st.integers(0, 2**32 - 1))
+    def test_flip_add_is_the_general_class_fold(self, n, seed):
+        # the flip's closed form, which every command folds by, against
+        # evolve's fold over random sector pairs, exactly
+        rng = np.random.default_rng(seed)
+        couplings = np.triu(rng.standard_normal((n, n)), 1)
+        basis = build_basis(n)
+        eig = diagonalize(dq_hamiltonian(SpinSystem(n_spins=n, couplings=couplings + couplings.T),
+                                         basis))
+        orbits = eig.orbits
+        assert orbits.order == 2
+        even, odd = sector_groups(eig)
+        for (left, right), chi in itertools.product([(even, even), (odd, odd), (even, odd)],
+                                                    (1, -1)):
+            self_pair = left is right
+            outer, inner = orbits.members(left[0]), orbits.members(right[0])
+            # chi = 1 has the pairs (k, k), chi = -1 the pairs (k + 1, k),
+            # of which a group with itself runs only (1, 0)
+            momenta = [0] if chi == -1 and self_pair else [0, 1]
+            parts = [Part(left[(k + (chi == -1)) % 2], right[k],
+                          rng.standard_normal((outer.size, inner.size))
+                          + 1j * rng.standard_normal((outer.size, inner.size)))
+                     for k in momenta]
+            closed = np.zeros((2, outer.size, inner.size), dtype=complex)
+            for part in parts:
+                flip_add(closed, part.moved, part.b.momentum)
+                if chi == -1 and self_pair:
+                    flip_add(closed, adjoint(part.moved), 1 - part.b.momentum)
+            general = class_matrices(parts, chi, self_pair, outer, inner, orbits)
+            assert np.array_equal(closed, general), (chi, self_pair)
 
 
 class TestSectorTransform:

@@ -8,7 +8,6 @@ steps on dense states (``dense_after_filter``): ``evolve``,
 ``filter_order``, ``mq_intensities`` and ``populations``.
 """
 
-import itertools
 import math
 import tracemalloc
 
@@ -36,8 +35,8 @@ from mqpure import (
     thermal_state,
 )
 from mqpure.cli import main
-from mqpure.sectors import character
-from mqpure.spin_core import DensityMatrix
+from mqpure.sectors import QUARTER_TURNS, character
+from mqpure.spin_core import DensityMatrix, popcounts
 
 from dense_after_filter import dense_after_filter
 from dense_eigen import dense_transform
@@ -78,17 +77,26 @@ def filtered_state(eig, pairs, chi) -> np.ndarray:
     """The dense filtered state of the filtered sector pairs (part, y): the
     sum of B_a y B_b+ over the pairs, B the sector basis vectors, and of
     their adjoints where chi = -1 (a group's pair (0, 1) under the flip).
-    For chi = 1 each pair is Hermitian up to roundoff, and so is made
-    exactly Hermitian."""
+    Where only k <= L/2 run (chi = 1 and ``eig.conjugate_pairs``), each
+    pair with 2k not a multiple of L also stands for its conjugate twin
+    L - k, A(B_a y B_b+) with A(X) = R conj(X) R+ and R = exp(i pi I_z / 2),
+    which is i^c up to one global phase on a state of c spins up.  For
+    chi = 1 each pair is Hermitian up to roundoff, and so is made exactly
+    Hermitian."""
     blocks = [block._replace(eigenvectors=np.eye(block.eigenvalues.size))
               for block in eig.blocks]
     columns = dense_transform(blocks)
     starts = np.cumsum([0] + [block.eigenvalues.size for block in blocks])
     basis_of = {id(block): columns[:, start:stop]
                 for block, start, stop in zip(eig.blocks, starts, starts[1:])}
+    order = eig.orbits.order
+    turns = QUARTER_TURNS[popcounts(np.arange(eig.dim)) % 4]
     rho = np.zeros((eig.dim, eig.dim), dtype=complex)
     for part, y in pairs:
-        rho += basis_of[id(part.a)] @ y @ basis_of[id(part.b)].conj().T
+        pair = basis_of[id(part.a)] @ y @ basis_of[id(part.b)].conj().T
+        rho += pair
+        if chi == 1 and eig.conjugate_pairs and 2 * part.b.momentum % order:
+            rho += turns[:, np.newaxis] * pair.conj() * turns.conj()
     return rho + rho.conj().T if chi == -1 else (rho + rho.conj().T) / 2
 
 
@@ -111,14 +119,11 @@ class TestFactorPathProperty:
         h = dq_hamiltonian(system, basis)
         symmetry = site_symmetry(system)
         eig = diagonalize(h, symmetry)
-        secular = secular_dipolar_hamiltonian(system, basis)
         thermal = thermal_state(basis)
-        # the graph in the sectors of the site cycle, as the pipeline builds
-        # it, and in m blocks, read through the sectors of the eigensystem
-        graphs = [build_transition_graph(secular, basis, symmetry)]
-        if symmetry is not None:
-            graphs.append(build_transition_graph(secular, basis))
-        for graph, n in itertools.product(graphs, accepted_orders(system.n_spins)):
+        # the graph in the sectors of the site cycle, as the pipeline builds it
+        graph = build_transition_graph(secular_dipolar_hamiltonian(system, basis), basis,
+                                       symmetry)
+        for n in accepted_orders(system.n_spins):
             after = pipeline._after_filter(thermal, eig, basis, graph, n, t, "cyclic")
             oracle = dense_after_filter(thermal, eig, basis, graph, n, t, "cyclic")
             if n % 2:
@@ -180,12 +185,14 @@ class TestClosedForms:
     def test_thermal_and_filtered_stages(self, system, t):
         basis = build_basis(system.n_spins)
         thermal = thermal_state(basis)
-        graph = build_transition_graph(secular_dipolar_hamiltonian(system, basis), basis)
+        symmetry = site_symmetry(system)
+        graph = build_transition_graph(secular_dipolar_hamiltonian(system, basis), basis,
+                                       symmetry)
         purity = float(np.sum(basis.m**2))
-        # I_z is m on every m block of the secular eigenbasis
+        # I_z is m on every block of the secular eigenbasis
         assert_close(graph.populations(thermal), graph.m_values, 1.0, "thermal populations")
         assert abs(thermal.purity() - purity) <= 1e-12 * purity
-        eig = diagonalize(dq_hamiltonian(system, basis), site_symmetry(system))
+        eig = diagonalize(dq_hamiltonian(system, basis), symmetry)
         _, chi = character(thermal, eig)
         pairs = []
         original = pipeline._reversed

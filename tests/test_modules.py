@@ -25,7 +25,6 @@ MOVED = {
     "_sector_groups": "sector_groups",
     "_sector_parts": "sector_parts",
     "_pair_parts": "pair_parts",
-    "_add_part": "add_part",
     "_class_matrices": "class_matrices",
     "_elements": "elements",
 }
@@ -65,3 +64,28 @@ def test_the_command_line_loads_no_logging():
         env=env, capture_output=True, text=True, check=True).stdout.split()
     assert "mqpure.cli" in loaded
     assert {"concurrent.futures", "logging"} & set(loaded) == set()
+
+
+def uses(name: str) -> set:
+    """(module, innermost enclosing function or None) of every use of
+    ``name`` in the package's code; imports and strings are not uses."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name):
+            found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def test_only_evolve_folds_the_general_element_classes():
+    # every command folds the flip's classes by sectors.flip_add
+    assert uses("class_matrices") == {("evolution", "_sector_evolve")}
+    assert not hasattr(sectors, "add_part")

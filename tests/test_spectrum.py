@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -110,6 +111,25 @@ class TestLinearResponse:
 
 
 class TestMergePeaks:
+    @pytest.mark.parametrize("tolerance", [1e-6, 5.0], ids=["one-value", "two-values"])
+    def test_clusters_one_ulp_apart_stay_in_order(self, tolerance):
+        # adjacent floats are 4 apart here: each rounded weighted mean of a
+        # cluster of one value once could equal or pass the next cluster's
+        start = -2.7757163582889268e16
+        # with a tolerance of 5 the steps of 4 join pairs, and those of 8 part them
+        steps = np.arange(8) if tolerance < 4 else np.array([0, 1, 3, 4, 6, 7, 9, 10])
+        values = start + math.ulp(start) * steps
+        freqs = np.repeat(values, 3)
+        rng = np.random.default_rng(0)
+        ints = rng.uniform(0.1, 1.0, freqs.size) * rng.choice([-1.0, 1.0], freqs.size)
+        merged = merge_peaks(StickSpectrum(frequencies=freqs, intensities=ints), tolerance)
+        assert np.diff(merged.frequencies).min() > 0
+        width = 1 if tolerance < 4 else 2
+        clusters = values.reshape(-1, width)
+        assert merged.n_lines == clusters.shape[0]
+        assert ((clusters[:, 0] <= merged.frequencies)
+                & (merged.frequencies <= clusters[:, -1])).all()
+
     def test_combines_degenerate_lines(self):
         sticks = StickSpectrum(
             frequencies=np.array([1.0, 1.0 + 1e-9]), intensities=np.array([0.5, 0.5])

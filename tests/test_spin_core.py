@@ -12,7 +12,7 @@ from mqpure import (
     homq_coherence_state,
     thermal_state,
 )
-from mqpure.spin_core import SparseOperator
+from mqpure.spin_core import SparseOperator, popcounts
 from mqpure.spin_core import ADJOINT_TILE, HERMITICITY_RTOL
 
 from dense_operators import dense, dense_state
@@ -71,6 +71,14 @@ class TestBasis:
     def test_size_out_of_range(self, n):
         with pytest.raises(ValueError):
             build_basis(n)
+
+    def test_popcounts_count_every_set_bit(self):
+        states = np.arange(2**12)
+        counts = popcounts(states)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [bin(s).count("1") for s in states.tolist()]
+        # callers subtract counts
+        assert (popcounts([0]) - popcounts([7])).tolist() == [-3]
 
     def test_coherence_orders(self):
         basis = build_basis(2)
